@@ -11,13 +11,13 @@ OLD ?= old.txt
 NEW ?= new.txt
 # BENCH_JSON is the perf-trajectory snapshot bench-json writes and the
 # baseline bench-gate compares against.
-BENCH_JSON ?= BENCH_10.json
+BENCH_JSON ?= BENCH_12.json
 # bench-gate tuning: GATE_ONLY is the single source of truth for what
 # the gate covers — comma-separated benchmark name prefixes, passed to
 # benchjson -only and converted into the -bench run regex below, so the
 # set of benchmarks that run and the set that are gated cannot desync.
-# GATE_LIMIT is the tolerated fractional ns/op (or allocs/op) regression
-# versus the committed baseline.
+# GATE_LIMIT is the tolerated fractional ns/op, B/op or allocs/op
+# regression versus the committed baseline.
 GATE_ONLY ?= BenchmarkE6,BenchmarkE9,BenchmarkE10,BenchmarkE11,BenchmarkE13,BenchmarkE14
 GATE_BENCH = $(shell echo '$(GATE_ONLY)' | sed 's/Benchmark//g; s/,/|/g')
 GATE_LIMIT ?= 0.15
@@ -73,7 +73,7 @@ bench-smoke:
 bench-save:
 	$(GO) test -bench . -benchtime 3x -benchmem -run '^$$' . > $(OUT)
 
-# bench-json: machine-readable ns/op + allocs/op per experiment, written
+# bench-json: machine-readable ns/op, B/op and allocs/op per experiment, written
 # to $(BENCH_JSON) so the perf trajectory is tracked in-repo PR over PR.
 # The bench output lands in an intermediate file first so a failing bench
 # run aborts the recipe instead of silently truncating the snapshot.
@@ -88,7 +88,7 @@ bench-compare:
 # bench-gate: the benchmark-regression gate CI runs — re-measure the
 # gated experiment benchmarks (E6, E9 incl. the 10k-MN column, E10, E11,
 # E13 closed-loop) and
-# fail if ns/op (or allocs/op) regressed beyond GATE_LIMIT versus the
+# fail if ns/op, B/op or allocs/op regressed beyond GATE_LIMIT versus the
 # committed $(BENCH_JSON) baseline. -count 3 repetitions are min-merged
 # by the compare tool so a noisy machine doesn't flag phantom
 # regressions. The intermediate file keeps a failing bench run from

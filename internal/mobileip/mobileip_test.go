@@ -208,20 +208,29 @@ func TestHandoffLosesInFlightPackets(t *testing.T) {
 
 func TestRegistrationRetriesOnLoss(t *testing.T) {
 	tb := newTestbed(t)
-	// Make the FA1 uplink lossy enough to eat the first attempts but let
-	// a retry through eventually (deterministic seed).
-	for _, l := range tb.fa1.Node().Links() {
-		l.SetLoss(0.7)
+	// FA1 is cut off from the core until halfway between the first and
+	// second retransmissions, so the loss is driven by the clock, not by
+	// where the link-loss stream's draws fall.
+	links := tb.fa1.Node().Links()
+	for _, l := range links {
+		l.SetDown(true)
 	}
+	var retriesWhileDown uint64
+	tb.sched.At(DefaultMNConfig().RetryInterval*3/2, func() {
+		retriesWhileDown = tb.stats.Retries.Value()
+		for _, l := range links {
+			l.SetDown(false)
+		}
+	})
 	tb.mn.MoveTo(tb.fa1)
 	if err := tb.sched.RunUntil(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	if retriesWhileDown == 0 {
+		t.Fatal("no retransmission before the links came up")
+	}
 	if !tb.mn.Registered() {
 		t.Fatalf("MN never registered despite retries (retries=%d)", tb.stats.Retries.Value())
-	}
-	if tb.stats.Retries.Value() == 0 {
-		t.Fatal("expected at least one retransmission")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestRandDeterminism(t *testing.T) {
@@ -164,5 +165,98 @@ func TestLogNormalPositive(t *testing.T) {
 		if v := r.LogNormal(0, 1); v <= 0 {
 			t.Fatalf("LogNormal produced non-positive %v", v)
 		}
+	}
+}
+
+// TestRandGolden pins the generator itself: the first draws of NewRand(1)
+// and of its first fork. Any change of source, seeding or distribution
+// mapping changes every simulator stream, so it must show up here as a
+// deliberate edit.
+func TestRandGolden(t *testing.T) {
+	wantFloat := [2][8]float64{
+		{0.9124448103218379, 0.22435769950256057, 0.9537484413676075, 0.4779051809338659,
+			0.37041996019751544, 0.9330400407294389, 0.1634615308738211, 0.8855119353346084},
+		{0.6610106692224699, 0.47388078299153713, 0.5319935881918859, 0.7161974388529373,
+			0.4890653492913205, 0.8017864802053372, 0.677734083244163, 0.6833736834898995},
+	}
+	wantIntn := [2][8]int{
+		{685, 716, 5, 347, 245, 600, 221, 228},
+		{805, 280, 881, 514, 509, 462, 283, 813},
+	}
+	streams := func() [2]*Rand { return [2]*Rand{NewRand(1), NewRand(1).Fork()} }
+	for s, r := range streams() {
+		for i, want := range wantFloat[s] {
+			if got := r.Float64(); got != want {
+				t.Fatalf("stream %d Float64 #%d = %v, want %v", s, i, got, want)
+			}
+		}
+	}
+	for s, r := range streams() {
+		for i, want := range wantIntn[s] {
+			if got := r.Intn(1000); got != want {
+				t.Fatalf("stream %d Intn(1000) #%d = %d, want %d", s, i, got, want)
+			}
+		}
+	}
+}
+
+func TestSiblingForksDiffer(t *testing.T) {
+	parent := NewRand(21)
+	const forks = 64
+	seen := make(map[float64]int, forks)
+	for i := 0; i < forks; i++ {
+		v := parent.Fork().Float64()
+		if j, dup := seen[v]; dup {
+			t.Fatalf("forks %d and %d start with the same draw %v", j, i, v)
+		}
+		seen[v] = i
+	}
+}
+
+// TestAdjacentSeedsDiffer guards the seed spreading: cells run with
+// seed+i, so neighbouring seeds must not share a first draw.
+func TestAdjacentSeedsDiffer(t *testing.T) {
+	prev := NewRand(0).Float64()
+	for s := int64(1); s <= 1001; s++ {
+		cur := NewRand(s).Float64()
+		if cur == prev {
+			t.Fatalf("NewRand(%d) and NewRand(%d) share first draw %v", s-1, s, cur)
+		}
+		prev = cur
+	}
+}
+
+func TestRandAllocs(t *testing.T) {
+	r := NewRand(1)
+	if n := testing.AllocsPerRun(100, func() { NewRand(7) }); n != 1 {
+		t.Errorf("NewRand: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Fork() }); n != 1 {
+		t.Errorf("Fork: %v allocs, want 1", n)
+	}
+	draws := []struct {
+		name string
+		draw func()
+	}{
+		{"Float64", func() { r.Float64() }},
+		{"Intn", func() { r.Intn(10) }},
+		{"Uniform", func() { r.Uniform(1, 2) }},
+		{"UniformDuration", func() { r.UniformDuration(time.Millisecond, time.Second) }},
+		{"Exponential", func() { r.Exponential(1) }},
+		{"ExponentialDuration", func() { r.ExponentialDuration(time.Second) }},
+		{"Normal", func() { r.Normal(0, 1) }},
+		{"LogNormal", func() { r.LogNormal(0, 1) }},
+		{"Bool", func() { r.Bool(0.5) }},
+	}
+	for _, d := range draws {
+		if n := testing.AllocsPerRun(100, d.draw); n != 0 {
+			t.Errorf("%s: %v allocs per draw, want 0", d.name, n)
+		}
+	}
+}
+
+func TestRandSize(t *testing.T) {
+	if n := unsafe.Sizeof(Rand{}); n > 64 {
+		t.Fatalf("Rand is %d bytes, want <= 64", n)
 	}
 }

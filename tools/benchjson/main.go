@@ -7,8 +7,7 @@
 // With -compare it becomes the CI benchmark-regression gate: instead of
 // emitting JSON it compares the fresh run on stdin against a committed
 // BENCH_*.json baseline and exits non-zero when any gated benchmark's
-// ns/op regressed beyond -limit (or its allocs/op regressed at all
-// beyond the same fraction).
+// ns/op, B/op or allocs/op regressed beyond -limit.
 //
 // Usage:
 //
@@ -112,16 +111,16 @@ func gated(name string, prefixes []string) bool {
 
 // compare checks the fresh report against the baseline file and returns
 // the number of gated regressions. ns/op may grow by at most limit;
-// allocs/op is held to the same fraction (alloc counts are stable, so
-// any real growth there is a code change, not noise). Gated benchmarks
-// present in the baseline but missing from the fresh run fail too —
-// a silently dropped benchmark must not pass the gate. Fresh benchmarks
-// without a baseline entry are reported and skipped.
+// B/op and allocs/op are held to the same fraction (allocation figures
+// are stable, so any real growth there is a code change, not noise).
+// Gated benchmarks present in the baseline but missing from the fresh
+// run fail too — a silently dropped benchmark must not pass the gate.
+// Fresh benchmarks without a baseline entry are reported and skipped.
 //
 // Absolute ns/op is only meaningful on the hardware that recorded the
 // baseline: when the CPU strings differ, ns/op comparisons are reported
-// but downgraded to advisory, and only the machine-independent allocs/op
-// check can fail the gate.
+// but downgraded to advisory, and only the machine-independent B/op and
+// allocs/op checks can fail the gate.
 func compare(baselinePath string, fresh Report, limit float64, prefixes []string, w io.Writer) (int, error) {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -136,25 +135,22 @@ func compare(baselinePath string, fresh Report, limit float64, prefixes []string
 	// provably happened on the hardware that recorded the baseline.
 	nsAdvisory := base.CPU == "" || fresh.CPU == "" || base.CPU != fresh.CPU
 	if nsAdvisory {
-		fmt.Fprintf(w, "benchjson: baseline CPU %q vs current %q — ns/op comparisons are advisory, only allocs/op can fail the gate\n",
+		fmt.Fprintf(w, "benchjson: baseline CPU %q vs current %q — ns/op comparisons are advisory, only B/op and allocs/op can fail the gate\n",
 			base.CPU, fresh.CPU)
 	}
 	// The gate runs benchmarks with -count > 1 and keeps each name's
-	// fastest observation: the minimum is the least-noise estimate of a
-	// benchmark's true cost, so a loaded CI machine doesn't flag phantom
-	// regressions (real regressions slow every repetition).
+	// smallest observation of each measurement: the minimum is the
+	// least-noise estimate of a benchmark's true cost, so a loaded CI
+	// machine doesn't flag phantom regressions (real regressions show in
+	// every repetition).
 	freshBy := make(map[string]Result, len(fresh.Results))
 	for _, r := range fresh.Results {
-		best, ok := freshBy[r.Name]
-		if !ok || r.NsPerOp < best.NsPerOp {
-			if ok && best.AllocsPerOp < r.AllocsPerOp {
-				r.AllocsPerOp = best.AllocsPerOp
-			}
-			freshBy[r.Name] = r
-		} else if r.AllocsPerOp < best.AllocsPerOp {
-			best.AllocsPerOp = r.AllocsPerOp
-			freshBy[r.Name] = best
+		if best, ok := freshBy[r.Name]; ok {
+			r.NsPerOp = min(r.NsPerOp, best.NsPerOp)
+			r.BytesPerOp = min(r.BytesPerOp, best.BytesPerOp)
+			r.AllocsPerOp = min(r.AllocsPerOp, best.AllocsPerOp)
 		}
+		freshBy[r.Name] = r
 	}
 	baseBy := make(map[string]Result, len(base.Results))
 	for _, r := range base.Results {
@@ -178,17 +174,23 @@ func compare(baselinePath string, fresh Report, limit float64, prefixes []string
 			status = "FAIL"
 			fail = true
 		}
-		allocNote := ""
-		if b.AllocsPerOp > 0 {
-			allocRatio := f.AllocsPerOp/b.AllocsPerOp - 1
-			allocNote = fmt.Sprintf(", allocs %+.1f%%", 100*allocRatio)
-			if allocRatio > limit {
+		memNote := ""
+		for _, m := range []struct {
+			unit        string
+			base, fresh float64
+		}{{"B/op", b.BytesPerOp, f.BytesPerOp}, {"allocs/op", b.AllocsPerOp, f.AllocsPerOp}} {
+			if m.base <= 0 {
+				continue
+			}
+			ratio := m.fresh/m.base - 1
+			memNote += fmt.Sprintf(", %s %+.1f%%", m.unit, 100*ratio)
+			if ratio > limit {
 				status = "FAIL"
 				fail = true
 			}
 		}
 		fmt.Fprintf(w, "%-4s %s: ns/op %.0f -> %.0f (%+.1f%%)%s\n",
-			status, b.Name, b.NsPerOp, f.NsPerOp, 100*nsRatio, allocNote)
+			status, b.Name, b.NsPerOp, f.NsPerOp, 100*nsRatio, memNote)
 		if fail {
 			failures++
 		}

@@ -239,6 +239,46 @@ func TestCompareGateMinMergesRepetitions(t *testing.T) {
 	}
 }
 
+// TestCompareGateBytesPerOp pins the B/op gate: bytes per op are held
+// to the same limit as allocs/op, are min-merged across repetitions,
+// and fail the gate even on foreign hardware, where ns/op is advisory.
+func TestCompareGateBytesPerOp(t *testing.T) {
+	path := writeBaseline(t, Report{CPU: "recording-box", Results: []Result{
+		{Name: "BenchmarkE9Scale10k", NsPerOp: 1000, BytesPerOp: 1000, AllocsPerOp: 100},
+	}})
+	gates := []string{"BenchmarkE9"}
+	fresh := Report{CPU: "other-box", Results: []Result{
+		{Name: "BenchmarkE9Scale10k", NsPerOp: 1000, BytesPerOp: 1100, AllocsPerOp: 100},
+	}}
+	var out strings.Builder
+	if n, err := compare(path, fresh, 0.15, gates, &out); err != nil || n != 0 {
+		t.Fatalf("B/op within the limit failed the gate: failures=%d err=%v\n%s", n, err, out.String())
+	}
+	if !strings.Contains(out.String(), "B/op +10.0%") {
+		t.Fatalf("B/op change not reported:\n%s", out.String())
+	}
+	fresh.Results[0].BytesPerOp = 1200
+	out.Reset()
+	if n, err := compare(path, fresh, 0.15, gates, &out); err != nil || n != 1 {
+		t.Fatalf("B/op regression alone must fail, cross-machine too: failures=%d err=%v\n%s", n, err, out.String())
+	}
+	// One lean repetition is enough: the smallest B/op is judged.
+	fresh.Results = append(fresh.Results,
+		Result{Name: "BenchmarkE9Scale10k", NsPerOp: 1300, BytesPerOp: 1050, AllocsPerOp: 100})
+	out.Reset()
+	if n, err := compare(path, fresh, 0.15, gates, &out); err != nil || n != 0 {
+		t.Fatalf("min-merge did not apply to B/op: failures=%d err=%v\n%s", n, err, out.String())
+	}
+	// A baseline without B/op (recorded without -benchmem) gates nothing.
+	path = writeBaseline(t, Report{CPU: "recording-box", Results: []Result{
+		{Name: "BenchmarkE9Scale10k", NsPerOp: 1000, AllocsPerOp: 100},
+	}})
+	out.Reset()
+	if n, err := compare(path, fresh, 0.15, gates, &out); err != nil || n != 0 {
+		t.Fatalf("missing baseline B/op failed the gate: failures=%d err=%v\n%s", n, err, out.String())
+	}
+}
+
 // TestCompareGateCPUMismatchMakesNsAdvisory pins the cross-machine rule:
 // on foreign hardware ns/op cannot fail the gate (absolute times mean
 // nothing there), while the machine-independent allocs/op check still

@@ -16,7 +16,7 @@ type FuncRef struct {
 }
 
 // Callee resolves the function a call expression invokes, looking through
-// parentheses. It returns the zero FuncRef for calls it cannot name:
+// parentheses and explicit type arguments (rand.N[int64]). It returns the zero FuncRef for calls it cannot name:
 // builtins, type conversions, function-valued variables and closures.
 func Callee(info *types.Info, call *ast.CallExpr) FuncRef {
 	fn := typeutilCallee(info, call)
@@ -29,7 +29,14 @@ func Callee(info *types.Info, call *ast.CallExpr) FuncRef {
 // typeutilCallee is x/tools' typeutil.Callee, re-derived from go/types.
 func typeutilCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		obj = info.Uses[fun]
 	case *ast.SelectorExpr:

@@ -16,10 +16,11 @@
 //     `//mmlint:ordered` comment on the range line or the line above —
 //     sanctions the loop.
 //  2. Ambient nondeterminism: time.Now/Since/Until and the global
-//     math/rand draw functions are banned; simulated time comes from
-//     simtime.Scheduler and randomness from seeded simtime.Rand. The
-//     one exception is core/measure.go, where obs wall-time
-//     diagnostics may read the host clock (never feeding sim state).
+//     math/rand and math/rand/v2 draw functions are banned; simulated
+//     time comes from simtime.Scheduler and randomness from seeded
+//     simtime.Rand. The one exception is core/measure.go, where obs
+//     wall-time diagnostics may read the host clock (never feeding sim
+//     state).
 //  3. Concurrency: bare `go` statements are banned. The measurement
 //     fan-out in internal/core/measure.go and everything under
 //     internal/runner are the sanctioned exceptions.
@@ -104,7 +105,9 @@ var bannedRand = map[string]bool{
 	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
 	"Float32": true, "Float64": true, "Perm": true, "Shuffle": true,
 	"NormFloat64": true, "ExpFloat64": true, "Seed": true,
-	"N": true, // math/rand/v2
+	// math/rand/v2 only
+	"N": true, "IntN": true, "Int32": true, "Int32N": true, "Int64": true,
+	"Int64N": true, "Uint": true, "UintN": true, "Uint32N": true, "Uint64N": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -163,7 +166,7 @@ func checkBannedCall(pass *analysis.Pass, call *ast.CallExpr, allowHost bool) {
 		}
 		pass.Reportf(call.Pos(), "time.%s in simulator code: use the simtime.Scheduler clock", ref.Name)
 	case (ref.Pkg == "math/rand" || ref.Pkg == "math/rand/v2") && bannedRand[ref.Name]:
-		pass.Reportf(call.Pos(), "global %s.%s draw: use a seeded *simtime.Rand", filepath.Base(ref.Pkg), ref.Name)
+		pass.Reportf(call.Pos(), "global %s.%s draw: use a seeded *simtime.Rand", ref.Pkg, ref.Name)
 	}
 }
 

@@ -68,7 +68,7 @@ func writes(m map[int]int) (int, float64) {
 func bans() int64 {
 	t := time.Now()                           // want "time.Now in simulator code"
 	go func() {}()                            // want "bare goroutine"
-	return t.UnixNano() + int64(rand.Intn(4)) // want "global rand.Intn draw"
+	return t.UnixNano() + int64(rand.Intn(4)) // want "global math/rand.Intn draw"
 }
 
 func telemetryInRange(tr *obs.Trace, mon *obs.Monitor, cells map[int]int64) {
