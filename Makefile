@@ -11,7 +11,7 @@ OLD ?= old.txt
 NEW ?= new.txt
 # BENCH_JSON is the perf-trajectory snapshot bench-json writes and the
 # baseline bench-gate compares against.
-BENCH_JSON ?= BENCH_12.json
+BENCH_JSON ?= BENCH_13.json
 # bench-gate tuning: GATE_ONLY is the single source of truth for what
 # the gate covers — comma-separated benchmark name prefixes, passed to
 # benchjson -only and converted into the -bench run regex below, so the

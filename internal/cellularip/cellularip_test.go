@@ -319,23 +319,32 @@ func TestHandoffCountsAndDetach(t *testing.T) {
 	}
 }
 
+// The host hands each (flow, seq) to OnData once, counts repeats as
+// bicast duplicates, and forgets a key after 1024 newer ones.
 func TestDedup(t *testing.T) {
-	d := newDedup(4)
-	if d.duplicate(1, 1) {
-		t.Fatal("first sighting reported duplicate")
+	b := newCIPBed(t, DefaultConfig())
+	var got int
+	b.host.OnData = func(*packet.Packet) { got++ }
+	deliver := func(flow, seq uint32) {
+		b.host.Receive(packet.New(b.cn.Addr(), b.host.IP(), packet.ClassInteractive, flow, seq, nil), nil, nil)
 	}
-	if !d.duplicate(1, 1) {
-		t.Fatal("second sighting not duplicate")
+	deliver(1, 1)
+	deliver(1, 1)
+	if got != 1 || b.stats.BicastDuplicates.Value() != 1 {
+		t.Fatalf("after a repeat: %d delivered, %d duplicates; want 1 and 1", got, b.stats.BicastDuplicates.Value())
 	}
 	// Different flow, same seq is distinct.
-	if d.duplicate(2, 1) {
+	deliver(2, 1)
+	if got != 2 {
 		t.Fatal("flow collision")
 	}
 	// Eviction: fill past capacity, oldest forgotten.
-	for i := uint32(10); i < 20; i++ {
-		d.duplicate(1, i)
+	for seq := uint32(10); seq < 10+1024; seq++ {
+		deliver(1, seq)
 	}
-	if d.duplicate(1, 1) {
+	got = 0
+	deliver(1, 1)
+	if got != 1 {
 		t.Fatal("evicted entry still remembered")
 	}
 }

@@ -26,38 +26,6 @@ func (s HostState) String() string {
 	return "idle"
 }
 
-// dedup discards semisoft bicast duplicates by remembering recently seen
-// (flow, seq) pairs with FIFO eviction.
-type dedup struct {
-	seen map[uint64]bool
-	fifo []uint64
-	cap  int
-}
-
-func newDedup(capacity int) *dedup {
-	// Lazily grown from the first packet — see the multitier dedup for
-	// the sizing rationale at 10k-MN populations.
-	return &dedup{cap: capacity}
-}
-
-// duplicate records the packet and reports whether it was already seen.
-func (d *dedup) duplicate(flow, seq uint32) bool {
-	key := uint64(flow)<<32 | uint64(seq)
-	if d.seen[key] {
-		return true
-	}
-	if d.seen == nil {
-		d.seen = make(map[uint64]bool, 64)
-	}
-	d.seen[key] = true
-	d.fifo = append(d.fifo, key)
-	if len(d.fifo) > d.cap {
-		delete(d.seen, d.fifo[0])
-		d.fifo = d.fifo[1:]
-	}
-	return false
-}
-
 // MobileHost is the Cellular IP client: it refreshes its routing-cache
 // chain while active, pages while idle, and performs hard or semisoft
 // handoffs between base stations.
@@ -82,7 +50,7 @@ type MobileHost struct {
 	pagingTicker *simtime.Ticker
 	idleTimer    simtime.Event
 	semisoftEvt  simtime.Event
-	dedup        *dedup
+	dedup        *packet.Dedup
 
 	// OnData receives every unique data packet delivered to the host.
 	OnData func(p *packet.Packet)
@@ -107,7 +75,7 @@ func NewMobileHost(node *netsim.Node, ip addr.IP, cfg Config, stats *Stats) *Mob
 		sched: node.Network().Scheduler(),
 		stats: stats,
 		state: StateIdle,
-		dedup: newDedup(1024),
+		dedup: packet.NewDedup(1024),
 	}
 	node.AddAddr(ip)
 	node.SetHandler(h)
@@ -326,7 +294,7 @@ func (h *MobileHost) Receive(pkt *packet.Packet, from *netsim.Node, link *netsim
 	if pkt.Proto == packet.ProtoCellular {
 		return // hosts do not process CIP control
 	}
-	if h.dedup.duplicate(pkt.FlowID, pkt.Seq) {
+	if h.dedup.Duplicate(pkt.FlowID, pkt.Seq) {
 		if h.stats != nil {
 			h.stats.BicastDuplicates.Inc()
 		}

@@ -71,7 +71,7 @@ type Mobile struct {
 	state       HostState
 	locTicker   *simtime.Ticker
 	idleTimer   simtime.Event
-	dedupe      *dedup
+	dedupe      *packet.Dedup
 
 	// Per-MN scratch for the measurement/decision tick, so steady-state
 	// Evaluate calls allocate nothing.
@@ -129,7 +129,7 @@ func NewMobile(node *netsim.Node, profile *Profile, top *topology.Topology, dir 
 		rng:         rng,
 		servingCell: topology.NoCell,
 		state:       StateIdle,
-		dedupe:      newDedup(1024),
+		dedupe:      packet.NewDedup(1024),
 	}
 	node.AddAddr(profile.Home)
 	node.SetHandler(m)
@@ -154,39 +154,6 @@ func (m *Mobile) probeResources(cell topology.CellID, handoff bool) bool {
 		return false
 	}
 	return st.CanAdmit(m.profile.DemandBPS, handoff)
-}
-
-// dedup is a small FIFO-evicting duplicate filter (bicast and page floods
-// can deliver copies).
-type dedup struct {
-	seen map[uint64]bool
-	fifo []uint64
-	cap  int
-}
-
-func newDedup(capacity int) *dedup {
-	// The map grows lazily from its first packet: pre-sizing to the
-	// eviction capacity would charge every MN of a 10k population ~48KB
-	// of map tables at build time, while a typical MN holds far fewer
-	// in-flight (flow, seq) pairs than the eviction bound.
-	return &dedup{cap: capacity}
-}
-
-func (d *dedup) duplicate(flow, seq uint32) bool {
-	key := uint64(flow)<<32 | uint64(seq)
-	if d.seen[key] {
-		return true
-	}
-	if d.seen == nil {
-		d.seen = make(map[uint64]bool, 64)
-	}
-	d.seen[key] = true
-	d.fifo = append(d.fifo, key)
-	if len(d.fifo) > d.cap {
-		delete(d.seen, d.fifo[0])
-		d.fifo = d.fifo[1:]
-	}
-	return false
 }
 
 // Node returns the underlying network node.
@@ -467,7 +434,7 @@ func (m *Mobile) Receive(pkt *packet.Packet, from *netsim.Node, link *netsim.Lin
 		m.commitHandoff(reply)
 		return
 	}
-	if m.dedupe.duplicate(pkt.FlowID, pkt.Seq) {
+	if m.dedupe.Duplicate(pkt.FlowID, pkt.Seq) {
 		return
 	}
 	m.goActive()

@@ -61,3 +61,23 @@ func TestTickerTickAllocFree(t *testing.T) {
 	}
 	tk.Stop()
 }
+
+// The per-packet idle-timer pattern — arm a line entry, cancel it, arm a
+// replacement, fire — must be allocation-free once the arena, heap and
+// ring are warm.
+func TestLineArmCancelFireCycleAllocFree(t *testing.T) {
+	s := NewScheduler()
+	fn := func() {}
+	cycle := func() {
+		s.AfterFIFO(time.Millisecond, fn).Cancel()
+		s.AfterFIFO(time.Millisecond, fn)
+		for s.Step() {
+		}
+	}
+	for i := 0; i < 1024; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
+		t.Fatalf("line arm/cancel/fire cycle allocates %.1f allocs/op, want 0", avg)
+	}
+}

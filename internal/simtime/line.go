@@ -42,23 +42,38 @@ func (s *Scheduler) line(d time.Duration) *delayLine {
 // delayLine pools every pending AfterFIFO(d, …) one-shot behind a single
 // scheduler event. Entries live in the shared slot arena (so Event
 // handles, Cancel and generation safety work unchanged) and are threaded
-// through a FIFO ring of slot indices. Cancellation is lazy: cancelled
-// entries are collected when they reach the ring front, and a pooled
-// event that fires onto a cancelled front simply re-syncs to the next
-// live entry.
+// through a FIFO ring of (slot, generation) handles. Cancel frees an
+// entry's slot at once (see Event.Cancel); the bumped generation marks
+// its 8-byte ring handle stale, and stale handles are dropped when they
+// reach the ring front or when a full ring is compacted. A pooled event
+// that fires onto a cancelled front simply re-syncs to the next live
+// entry.
 type delayLine struct {
 	s *Scheduler
 	d time.Duration
 
-	ring  []int32 // circular buffer of slot indices
-	head  int     // index of the front entry
-	count int     // occupied ring cells (live + lazily-cancelled)
+	ring  []lineEntry // circular buffer of entry handles
+	head  int         // index of the front entry
+	count int         // occupied ring cells (live + stale)
 
 	event  Event // pending scheduler event for the front entry
 	evAt   time.Duration
 	evSeq  uint64
 	fireFn func() // bound once so re-scheduling never allocates
 }
+
+// lineEntry is a ring handle: the entry's arena slot and the slot
+// generation it was scheduled under. A cancelled (freed) or recycled slot
+// carries a newer generation, which is what marks the handle stale.
+type lineEntry struct {
+	idx int32
+	gen uint32
+}
+
+// live reports whether e still names the entry it was pushed for.
+//
+//mmlint:noalloc
+func (ln *delayLine) live(e lineEntry) bool { return ln.s.slots[e.idx].gen == e.gen }
 
 // schedule appends one entry and keeps the pooled event on the front.
 //
@@ -72,23 +87,19 @@ func (ln *delayLine) schedule(fn func()) Event {
 	sl.fn = fn
 	sl.canceled = false
 	sl.pos = posInLine
-	ln.push(i)
+	ln.push(lineEntry{idx: i, gen: sl.gen})
 	s.members++
 	ln.sync()
 	return Event{s: s, idx: i + 1, gen: sl.gen}
 }
 
-// dropCanceled frees lazily-cancelled entries sitting at the ring front.
+// dropCanceled pops the stale handles of cancelled entries sitting at the
+// ring front; their slots were already freed by Cancel.
 //
 //mmlint:noalloc
 func (ln *delayLine) dropCanceled() {
-	for ln.count > 0 {
-		i := ln.ring[ln.head]
-		if !ln.s.slots[i].canceled {
-			return
-		}
+	for ln.count > 0 && !ln.live(ln.ring[ln.head]) {
 		ln.pop()
-		ln.s.freeSlot(i)
 	}
 }
 
@@ -104,7 +115,7 @@ func (ln *delayLine) sync() {
 		ln.event = Event{}
 		return
 	}
-	front := &ln.s.slots[ln.ring[ln.head]]
+	front := &ln.s.slots[ln.ring[ln.head].idx]
 	if ln.event.Pending() {
 		if ln.evAt == front.at && ln.evSeq == front.seq {
 			return
@@ -140,7 +151,7 @@ func (ln *delayLine) fire() {
 	ran := false
 	ln.dropCanceled()
 	if ln.count > 0 {
-		i := ln.ring[ln.head]
+		i := ln.ring[ln.head].idx
 		sl := &s.slots[i]
 		if sl.seq == ln.evSeq {
 			ran = true
@@ -154,7 +165,7 @@ func (ln *delayLine) fire() {
 				if ln.count == 0 {
 					break
 				}
-				i := ln.ring[ln.head]
+				i := ln.ring[ln.head].idx
 				sl := &s.slots[i]
 				if sl.at != s.now {
 					break
@@ -181,20 +192,45 @@ func (ln *delayLine) fire() {
 	ln.sync()
 }
 
-// push appends a slot index at the ring tail, growing as needed.
+// push appends an entry handle at the ring tail. A full ring is first
+// compacted (see compact), so it stays sized by live entries however many
+// cancelled ones a re-arming timer leaves behind.
 //
 //mmlint:noalloc
-func (ln *delayLine) push(i int32) {
+func (ln *delayLine) push(e lineEntry) {
 	if ln.count == len(ln.ring) {
-		grown := make([]int32, max(2*len(ln.ring), 16)) //mmlint:alloc-ok ring growth is amortized doubling
-		for k := 0; k < ln.count; k++ {
-			grown[k] = ln.ring[(ln.head+k)%len(ln.ring)]
+		ln.compact()
+	}
+	ln.ring[(ln.head+ln.count)%len(ln.ring)] = e
+	ln.count++
+}
+
+// compact drops every stale handle from a full ring in place, keeping
+// live ones in FIFO order, and doubles the ring when live handles still
+// fill more than half of it. Either way the next compaction is at least
+// half a ring of pushes away, so the copying is amortized O(1) per push.
+//
+//mmlint:noalloc
+func (ln *delayLine) compact() {
+	n := len(ln.ring)
+	// The write position w never passes the read position k, so no unread
+	// handle is overwritten.
+	w := 0
+	for k := 0; k < ln.count; k++ {
+		if e := ln.ring[(ln.head+k)%n]; ln.live(e) {
+			ln.ring[(ln.head+w)%n] = e
+			w++
+		}
+	}
+	ln.count = w
+	if 2*w > n || n == 0 {
+		grown := make([]lineEntry, max(2*n, 16)) //mmlint:alloc-ok ring growth is amortized doubling
+		for k := 0; k < w; k++ {
+			grown[k] = ln.ring[(ln.head+k)%n]
 		}
 		ln.ring = grown
 		ln.head = 0
 	}
-	ln.ring[(ln.head+ln.count)%len(ln.ring)] = i
-	ln.count++
 }
 
 // pop removes the front entry.

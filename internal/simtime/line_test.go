@@ -189,3 +189,125 @@ func TestAfterFIFOCancelledFrontNotCountedFired(t *testing.T) {
 		t.Fatalf("Fired=%d, want 2 executed callbacks", got)
 	}
 }
+
+// A timer re-armed per packet (Cancel, then AfterFIFO with the same
+// delay) behind another MN's pending entry must not hold an arena slot
+// per cancelled arming: Cancel frees the entry's slot at once, and the
+// ring compacts the stale handles the re-arms leave behind it.
+func TestAfterFIFORearmKeepsArenaFlat(t *testing.T) {
+	s := NewScheduler()
+	fn := func() {}
+	s.AfterFIFO(2*time.Second, fn) // another MN's timer, at the front
+	ev := s.AfterFIFO(2*time.Second, fn)
+	for i := 0; i < 100000; i++ {
+		ev.Cancel()
+		ev = s.AfterFIFO(2*time.Second, fn)
+		if n := len(s.slots); n > 4 {
+			t.Fatalf("re-arm %d: arena holds %d slots, want <= 4", i, n)
+		}
+	}
+	if n := len(s.lines[2*time.Second].ring); n > 16 {
+		t.Fatalf("ring grew to %d handles for two live entries", n)
+	}
+	if s.Len() != 2 || !ev.Pending() {
+		t.Fatalf("Len=%d pending=%v, want the two live timers", s.Len(), ev.Pending())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Fired() != 2 || s.Now() != 2*time.Second {
+		t.Fatalf("Fired=%d at %v, want both live timers at 2s", s.Fired(), s.Now())
+	}
+}
+
+// A cancelled line entry's slot is recycled by the very next schedule.
+// The old handle must stay dead (Cancel and Pending report false, and
+// its stale ring handle never runs anything), the new occupant must
+// still fire, and Len/Fired must count only live callbacks — whether the
+// slot goes to a heap event or to a later entry of the same line.
+func TestAfterFIFOCancelledSlotReuse(t *testing.T) {
+	for _, viaLine := range []bool{false, true} {
+		s := NewScheduler()
+		var fired []string
+		first := s.AfterFIFO(time.Millisecond, func() { fired = append(fired, "first") })
+		old := s.AfterFIFO(time.Millisecond, func() { fired = append(fired, "old") })
+		if !old.Cancel() {
+			t.Fatal("cancel of a pending line entry reported false")
+		}
+		newFn := func() { fired = append(fired, "new") }
+		var nu Event
+		if viaLine {
+			nu = s.AfterFIFO(time.Millisecond, newFn)
+		} else {
+			nu = s.After(3*time.Millisecond, newFn)
+		}
+		if nu.idx != old.idx {
+			t.Fatalf("viaLine=%v: new event took slot %d, want the freed slot %d", viaLine, nu.idx, old.idx)
+		}
+		if old.Cancel() || old.Pending() {
+			t.Fatalf("viaLine=%v: stale handle still reports pending", viaLine)
+		}
+		if !nu.Pending() || !first.Pending() {
+			t.Fatalf("viaLine=%v: live events not pending", viaLine)
+		}
+		if s.Len() != 2 {
+			t.Fatalf("viaLine=%v: Len=%d, want 2 live callbacks", viaLine, s.Len())
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(fired) != 2 || fired[0] != "first" || fired[1] != "new" {
+			t.Fatalf("viaLine=%v: fired %v, want [first new]", viaLine, fired)
+		}
+		if s.Fired() != 2 || s.Len() != 0 {
+			t.Fatalf("viaLine=%v: Fired=%d Len=%d, want 2 and 0", viaLine, s.Fired(), s.Len())
+		}
+	}
+}
+
+// Cancelling entries in the middle of a line that keeps wrapping its ring
+// must still fire every live entry once, in FIFO order, while compaction
+// keeps the ring sized by the live entries. The arrival rate alternates
+// between one and two entries per millisecond so the ring also fills,
+// and compacts in place, with its head mid-buffer.
+func TestAfterFIFOCompactionKeepsOrder(t *testing.T) {
+	s := NewScheduler()
+	var fired, want []int
+	var evs []Event
+	canceled := make(map[int]bool)
+	for step := 0; step < 4000; step++ {
+		if err := s.RunUntil(time.Duration(step) * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k <= step/1000%2; k++ {
+			i := len(evs)
+			evs = append(evs, s.AfterFIFO(100*time.Millisecond, func() { fired = append(fired, i) }))
+			if j := i - 1; j >= 0 && j%3 != 0 {
+				evs[j].Cancel()
+				canceled[j] = true
+			}
+		}
+	}
+	if n := len(s.lines[100*time.Millisecond].ring); n > 256 {
+		t.Fatalf("ring grew to %d handles for ~70 live entries", n)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range evs {
+		if !canceled[i] {
+			want = append(want, i)
+		}
+	}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d entries, want %d", len(fired), len(want))
+	}
+	for k := range want {
+		if fired[k] != want[k] {
+			t.Fatalf("fired[%d]=%d, want %d", k, fired[k], want[k])
+		}
+	}
+	if s.Fired() != uint64(len(want)) {
+		t.Fatalf("Fired=%d, want %d", s.Fired(), len(want))
+	}
+}

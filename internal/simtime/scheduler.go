@@ -35,20 +35,22 @@ type Event struct {
 }
 
 // slot is one arena entry. A slot is live while queued in the heap or in
-// a delay line; firing or cancellation returns it to the free list and
-// bumps gen, invalidating outstanding handles.
+// a delay line; firing returns it to the free list and bumps gen,
+// invalidating outstanding handles. Cancellation does the same at once
+// for a delay-line entry, and when the run loop or a purge collects it
+// for a heap entry.
 type slot struct {
 	at       time.Duration
 	seq      uint64
 	fn       func()
 	gen      uint32
 	pos      int32 // heap position; posFree when dead, posInLine when in a delay line
-	canceled bool
+	canceled bool  // set on heap entries only: Cancel frees a line entry's slot
 }
 
 // Sentinel slot positions outside the heap index range.
 const (
-	posFree   int32 = -1 // fired, cancelled-and-collected, or never queued
+	posFree   int32 = -1 // fired, cancelled-and-freed, or never queued
 	posInLine int32 = -2 // queued in a delay line's FIFO ring
 )
 
@@ -71,14 +73,17 @@ func (e Event) Cancel() bool {
 	if sl == nil || sl.canceled {
 		return false
 	}
-	sl.canceled = true
-	sl.fn = nil
 	if sl.pos == posInLine {
-		// Line entries are collected lazily when they reach the ring
-		// front; they never pollute the heap, so no purge pressure.
+		// A line entry frees its slot at once: the generation bump marks
+		// its 8-byte ring handle stale, and the line drops that handle at
+		// the ring front or when it compacts a full ring. Line entries
+		// never sit in the heap, so there is no purge pressure.
 		e.s.members--
+		e.s.freeSlot(e.idx - 1)
 		return true
 	}
+	sl.canceled = true
+	sl.fn = nil
 	e.s.canceled++
 	e.s.maybePurge()
 	return true
