@@ -10,13 +10,13 @@ import (
 )
 
 // The closed QoE feedback loop: Config.Control installs an obs.Monitor
-// over the sampled series and wires its alerts into scheme levers. Like
-// fault injection, the scheme builders populate a controlState with
-// closures over their own objects (only when cfg.Control != nil) and
-// installControl stays scheme-agnostic: it validates the config, builds
-// the rules, and binds alerts to the hooks. All decisions derive from
-// sim-time samples on the sampling cadence, so closed-loop runs remain
-// byte-identical between sequential and parallel measurement.
+// over the sampled series and wires its alerts into the scheme's levers
+// (the rootScheme budgets and the prePager refresh, see scheme.go).
+// installControl is scheme-agnostic: it builds the rules and binds
+// alerts to whatever levers the scheme has, rejecting a policy whose
+// lever is missing. All decisions derive from sim-time samples on the
+// sampling cadence, so closed-loop runs remain byte-identical between
+// sequential and parallel measurement.
 
 // ControlConfig arms the closed-loop policies. Requires Obs with a
 // positive SampleInterval (monitors evaluate on the sampling cadence).
@@ -30,10 +30,6 @@ type ControlConfig struct {
 	// recovery accelerator. Requires Faults (the survival series exists
 	// only on fault runs).
 	PrePaging *PrePagingConfig
-	// Rules adds extra alert-only monitor rules: they emit alert.raise /
-	// alert.clear trace events (and run their own callbacks) without any
-	// engine-side policy attached.
-	Rules []obs.Rule
 }
 
 // ElasticAdmissionConfig tunes the occupancy-driven budget shifting.
@@ -68,29 +64,10 @@ type PrePagingConfig struct {
 
 // microOccPrefix names the per-root occupancy gauges the
 // elastic-admission rules watch: "ctl.occ.micro.<rootName>" is the
-// aggregate channel utilization of the root's micro stations.
-// Registered only on control runs (the scheme wiring adds the probes),
-// so nil-Control traces carry no "ctl." series.
+// rootScheme's microOccupancy of that root. installControl registers
+// them only when ElasticAdmission is armed, so nil-Control traces carry
+// no "ctl." series.
 const microOccPrefix = "ctl.occ.micro."
-
-// controlState collects the scheme-specific levers the control loop
-// pulls. Each run* builder populates it (only when cfg.Control != nil)
-// with closures over its own station/MN objects.
-type controlState struct {
-	// rootNames are the root cell names in fabric order; root ri's
-	// occupancy gauge is the "occupancy.root."+rootNames[ri] series.
-	// Empty on schemes without per-root admission (no elastic rules).
-	rootNames []string
-	// shift moves ShiftFraction of the donor root's per-station budgets
-	// to the hot root's same-tier stations, returning channels moved.
-	shift func(hot, donor int, frac float64) int
-	// revert undoes every shift recorded toward the hot root, returning
-	// channels returned.
-	revert func(hot int) int
-	// prePage forces a location refresh on every currently-unregistered
-	// MN, returning how many signals went out.
-	prePage func() int
-}
 
 // ctlMetrics are created only on control runs, so a nil-Control registry
 // carries no "ctl." names and every existing golden stays byte-identical.
@@ -162,7 +139,7 @@ func (s *scenario) validateControl() error {
 }
 
 // installControl builds the monitor and binds its alerts to the scheme
-// hooks. It runs after installObsProbes (the watched series must exist)
+// levers. It runs after installObsProbes (the watched series must exist)
 // and before RunUntil. On the nil-Control path it returns immediately
 // without touching the registry, the scheduler, or the trace.
 func (s *scenario) installControl() error {
@@ -170,7 +147,6 @@ func (s *scenario) installControl() error {
 	if cc == nil {
 		return nil
 	}
-	h := s.controlHooks
 	cm := newCtlMetrics(s.reg)
 	m := obs.NewMonitor(s.trace)
 	// Every rule's raise/clear transits the shared alert counters; the
@@ -193,19 +169,24 @@ func (s *scenario) installControl() error {
 	}
 
 	if ea := cc.ElasticAdmission; ea != nil {
-		if h == nil || h.shift == nil || len(h.rootNames) == 0 {
+		rs, ok := s.sch.(rootScheme)
+		if !ok {
 			return fmt.Errorf("%w: scheme %q has no per-root admission budgets for elastic admission", ErrBadConfig, s.cfg.Scheme)
 		}
 		// One rule per root: micro-tier occupancy mean over the window
 		// running hot raises the alert; the coolest other root donates
-		// budget. The watched gauges are the control-only probes the
-		// scheme's wiring registered (see wireMultiTierControl).
-		occ := make([]*obs.Series, len(h.rootNames))
-		for ri, name := range h.rootNames {
-			occ[ri] = s.trace.Lookup(microOccPrefix + name)
-		}
-		for ri, name := range h.rootNames {
+		// budget. A root without micro channels reads as full.
+		names := rs.rootNames()
+		occ := make([]*obs.Series, len(names))
+		for ri, name := range names {
 			ri := ri
+			s.trace.AddProbe(microOccPrefix+name, func() float64 {
+				if u, ok := rs.microOccupancy(ri); ok {
+					return u
+				}
+				return 1
+			})
+			occ[ri] = s.trace.Lookup(microOccPrefix + name)
 			err := addRule(obs.Rule{
 				Name:        "occ.hot." + name,
 				Series:      microOccPrefix + name,
@@ -219,13 +200,13 @@ func (s *scenario) installControl() error {
 					if donor < 0 {
 						return
 					}
-					if n := h.shift(ri, donor, ea.ShiftFraction); n > 0 {
+					if n := rs.shift(ri, donor, ea.ShiftFraction); n > 0 {
 						cm.shifts.Inc()
 						cm.channels.Add(uint64(n))
 					}
 				},
 				OnClear: func(at time.Duration, v float64) {
-					if h.revert(ri) > 0 {
+					if rs.revert(ri) > 0 {
 						cm.reverts.Inc()
 					}
 				},
@@ -237,8 +218,9 @@ func (s *scenario) installControl() error {
 	}
 
 	if pp := cc.PrePaging; pp != nil {
-		if h == nil || h.prePage == nil {
-			return fmt.Errorf("%w: scheme %q has no pre-paging hook", ErrBadConfig, s.cfg.Scheme)
+		pager, ok := s.sch.(prePager)
+		if !ok {
+			return fmt.Errorf("%w: scheme %q has no pre-paging lever", ErrBadConfig, s.cfg.Scheme)
 		}
 		err := addRule(obs.Rule{
 			Name:        "survival.dip",
@@ -253,7 +235,7 @@ func (s *scenario) installControl() error {
 			// of waiting out their own paging/backoff timers.
 			OnActive: func(at time.Duration, v float64) {
 				cm.prepageRounds.Inc()
-				cm.prepageSignals.Add(uint64(h.prePage()))
+				cm.prepageSignals.Add(uint64(pager.prePage()))
 			},
 		})
 		if err != nil {
@@ -261,11 +243,6 @@ func (s *scenario) installControl() error {
 		}
 	}
 
-	for _, r := range cc.Rules {
-		if err := addRule(r); err != nil {
-			return err
-		}
-	}
 	s.monitor = m
 	return nil
 }

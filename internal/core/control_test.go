@@ -138,7 +138,6 @@ func TestControlRejectsBadConfig(t *testing.T) {
 		"pp-neg-hyst":   func(c *Config) { c.Control.PrePaging.Hysteresis = -0.1 },
 		"pp-neg-dur":    func(c *Config) { c.Control.PrePaging.MinDuration = -time.Second },
 		"pp-no-faults":  func(c *Config) { c.Faults = nil },
-		"bad-rule":      func(c *Config) { c.Control.Rules = []obs.Rule{{Series: "sched.depth"}} },
 		"flat-scheme":   func(c *Config) { c.Scheme = SchemeMobileIP },
 	}
 	for name, mutate := range cases {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/degrade"
@@ -20,48 +19,25 @@ import (
 // occupancy and steers station admission (defer new low-priority
 // arrivals, preempt for protected ones) plus streaming-video bitrate;
 // the breaker paces the HA/anchor registration path so recovery storms
-// drain at a controlled rate instead of flooding. Like Faults/Control,
-// every hook exists only on armed runs: the nil-Degrade path adds zero
-// events, zero rng draws, zero allocations and zero metric names.
+// drain at a controlled rate instead of flooding. The ladder needs a
+// rootScheme and the breaker a regPaced scheme (see scheme.go). Like
+// Faults/Control, every hook exists only on armed runs: the nil-Degrade
+// path adds zero events, zero rng draws, zero allocations and zero
+// metric names.
 
 // DegradeConfig arms graceful degradation. At least one of Ladder and
 // Breaker must be set.
 type DegradeConfig struct {
 	// Ladder arms the class-priority admission ladder and video rate
 	// adaptation. Requires Obs with a positive SampleInterval (the
-	// ladder evaluates on the sampling cadence).
+	// ladder evaluates on the sampling cadence). Multi-tier scheme only.
 	Ladder *degrade.LadderConfig
 	// Breaker arms the registration-storm circuit breaker on the
 	// HA/anchor registration path (multi-tier root anchors, and the flat
-	// Mobile IP recovery storm). Works without Obs: it is consulted per
-	// send attempt, not on the sampling cadence.
+	// Mobile IP recovery storm); Cellular IP has no such path. Works
+	// without Obs: it is consulted per send attempt, not on the
+	// sampling cadence.
 	Breaker *degrade.BreakerConfig
-	// Monitor optionally drives a ladder floor from an SLO rule: while
-	// the rule's alert stands, the ladder is held at (or above) Floor
-	// even if raw occupancy has already relaxed. Requires Ladder.
-	Monitor *DegradeMonitorConfig
-}
-
-// DegradeMonitorConfig is the optional monitor-driven floor mode: one
-// obs.Rule over a sampled series whose raise forces the ladder to Floor
-// and whose clear releases it.
-type DegradeMonitorConfig struct {
-	// Series names the sampled series the rule watches.
-	Series string
-	// Agg reduces the rule's window (Window required positive unless
-	// AggLast).
-	Agg    obs.Agg
-	Window time.Duration
-	// Below inverts the comparison (breach when value < Threshold).
-	Below      bool
-	Threshold  float64
-	Hysteresis float64
-	// MinDuration is how long the breach must hold before the floor
-	// engages.
-	MinDuration time.Duration
-	// Floor is the ladder level held while the alert stands, in
-	// [1, len(Ladder.VideoScales)-1].
-	Floor int
 }
 
 // degradeMetrics are created only on degrade runs, so a nil-Degrade
@@ -95,27 +71,26 @@ func newDegradeMetrics(reg *metrics.Registry) *degradeMetrics {
 }
 
 // degradeState is the per-run degradation wiring: the policy machines,
-// the occupancy gauge the ladder is stepped from, the video generators
-// it adapts, and the applied-level cursor that turns level transitions
-// into stepdown/stepup telemetry. It exists only when Config.Degrade is
-// set.
+// the roots whose occupancy the ladder is stepped from, the video
+// generators it adapts, and the applied-level cursor that turns level
+// transitions into stepdown/stepup telemetry. It exists only when
+// Config.Degrade is set.
 type degradeState struct {
 	ladder  *degrade.Ladder
 	breaker *degrade.Breaker
 	dm      *degradeMetrics
 
-	// occupancy, when set by the scheme wiring, is the gauge the ladder
-	// evaluates each sampling tick: the hottest root's micro-tier channel
-	// occupancy (the tier overload saturates first).
-	occupancy func() float64
+	// roots is the scheme the ladder reads its gauge from each sampling
+	// tick: the hottest root's micro-tier channel occupancy (the tier
+	// overload saturates first).
+	roots rootScheme
 	// videos are the streaming generators the ladder rate-adapts.
 	videos []*traffic.VBRVideo
 	// applied is the last ladder level pushed to the videos.
 	applied int
 }
 
-// degradeState paces root-anchor registrations for the multi-tier
-// scheme.
+// degradeState paces the scheme's registrations.
 var _ multitier.RegPacer = (*degradeState)(nil)
 
 // Admit implements multitier.RegPacer: it delegates to the breaker and
@@ -131,48 +106,22 @@ func (ds *degradeState) Admit(now time.Duration) time.Duration {
 // Sent implements multitier.RegPacer.
 func (ds *degradeState) Sent(now time.Duration) { ds.breaker.Sent(now) }
 
-// validateDegrade rejects degradation configs the engine cannot honour.
-// The machines' own parameter validation happens in newDegradeState.
-func (s *scenario) validateDegrade() error {
+// newDegradeState rejects degradation configs the engine cannot honour
+// and builds the policy machines, which validate their own parameters.
+// It runs before the scheme builder, so startTraffic can collect the
+// video generators the ladder adapts; the scheme-capability checks wait
+// for installDegrade. A nil Config.Degrade builds nothing.
+func (s *scenario) newDegradeState() (*degradeState, error) {
 	dc := s.cfg.Degrade
 	if dc == nil {
-		return nil
+		return nil, nil
 	}
 	if dc.Ladder == nil && dc.Breaker == nil {
-		return fmt.Errorf("%w: Degrade set but arms nothing (need Ladder and/or Breaker)", ErrBadConfig)
+		return nil, fmt.Errorf("%w: Degrade set but arms nothing (need Ladder and/or Breaker)", ErrBadConfig)
 	}
 	if dc.Ladder != nil && (s.cfg.Obs == nil || s.cfg.Obs.SampleInterval <= 0) {
-		return fmt.Errorf("%w: Degrade.Ladder requires Obs with a positive SampleInterval (the ladder evaluates on the sampling cadence)", ErrBadConfig)
+		return nil, fmt.Errorf("%w: Degrade.Ladder requires Obs with a positive SampleInterval (the ladder evaluates on the sampling cadence)", ErrBadConfig)
 	}
-	if mc := dc.Monitor; mc != nil {
-		if dc.Ladder == nil {
-			return fmt.Errorf("%w: Degrade.Monitor requires Degrade.Ladder (the monitor drives the ladder floor)", ErrBadConfig)
-		}
-		if mc.Series == "" {
-			return fmt.Errorf("%w: degrade monitor needs a series name", ErrBadConfig)
-		}
-		if mc.Agg != obs.AggLast && mc.Window <= 0 {
-			return fmt.Errorf("%w: degrade monitor aggregation %v needs a positive window", ErrBadConfig, mc.Agg)
-		}
-		if math.IsNaN(mc.Threshold) {
-			return fmt.Errorf("%w: degrade monitor threshold is NaN", ErrBadConfig)
-		}
-		if mc.Hysteresis < 0 || math.IsNaN(mc.Hysteresis) {
-			return fmt.Errorf("%w: degrade monitor hysteresis %v", ErrBadConfig, mc.Hysteresis)
-		}
-		if mc.MinDuration < 0 {
-			return fmt.Errorf("%w: degrade monitor min duration %v", ErrBadConfig, mc.MinDuration)
-		}
-		if maxLevel := len(dc.Ladder.VideoScales) - 1; mc.Floor < 1 || mc.Floor > maxLevel {
-			return fmt.Errorf("%w: degrade monitor floor %d outside [1, %d]", ErrBadConfig, mc.Floor, maxLevel)
-		}
-	}
-	return nil
-}
-
-// newDegradeState builds the policy machines. It runs before the scheme
-// switch so the builders can wire hooks and pacers against it.
-func newDegradeState(dc *DegradeConfig) (*degradeState, error) {
 	ds := &degradeState{}
 	if dc.Ladder != nil {
 		l, err := degrade.NewLadder(*dc.Ladder)
@@ -191,18 +140,43 @@ func newDegradeState(dc *DegradeConfig) (*degradeState, error) {
 	return ds, nil
 }
 
-// installDegrade creates the degradation telemetry and binds the breaker
-// state transitions and the optional monitor-driven floor. It runs after
-// installControl (sharing its monitor when both are armed) and before
-// RunUntil. On the nil-Degrade path it returns immediately.
+// installDegrade binds the machines to the scheme's levers — the ladder
+// to its root occupancy and station admission, the breaker to its
+// registration path — and creates the degradation telemetry. It runs
+// before RunUntil. On the nil-Degrade path it returns immediately.
 func (s *scenario) installDegrade() error {
-	dc := s.cfg.Degrade
-	if dc == nil {
+	ds := s.degradeState
+	if ds == nil {
 		return nil
 	}
-	ds := s.degradeState
 	ds.dm = newDegradeMetrics(s.reg)
+	if ds.ladder != nil {
+		rs, ok := s.sch.(rootScheme)
+		if !ok {
+			return fmt.Errorf("%w: scheme %q has no per-root occupancy for Degrade.Ladder", ErrBadConfig, s.cfg.Scheme)
+		}
+		ds.roots = rs
+		rs.setDegrade(&multitier.DegradeHooks{
+			DeferNew:   ds.ladder.DeferNew,
+			CanPreempt: ds.ladder.CanPreempt,
+			Rank:       degrade.Priority,
+			OnDefer: func(cell topology.CellID, class packet.Class) {
+				ds.dm.deferred.Inc()
+				s.trace.Emit(s.sched.Now(), obs.KindDegradeDefer, -1, int32(cell), int32(class), 0)
+			},
+			OnPreempt: func(cell topology.CellID, victim packet.Class, flushed int) {
+				ds.dm.preempted.Inc()
+				ds.dm.preemptDrops.Add(uint64(flushed))
+				s.trace.Emit(s.sched.Now(), obs.KindDegradePreempt, -1, int32(cell), int32(victim), int64(flushed))
+			},
+		})
+	}
 	if ds.breaker != nil {
+		rp, ok := s.sch.(regPaced)
+		if !ok {
+			return fmt.Errorf("%w: scheme %q has no registration path for Degrade.Breaker", ErrBadConfig, s.cfg.Scheme)
+		}
+		rp.setRegPacer(ds)
 		ds.breaker.OnState = func(now time.Duration, st degrade.BreakerState) {
 			switch st {
 			case degrade.BreakerOpen:
@@ -217,51 +191,26 @@ func (s *scenario) installDegrade() error {
 			}
 		}
 	}
-	if mc := dc.Monitor; mc != nil {
-		if s.monitor == nil {
-			s.monitor = obs.NewMonitor(s.trace)
-		}
-		err := s.monitor.AddRule(obs.Rule{
-			Name:        "degrade.floor",
-			Series:      mc.Series,
-			Agg:         mc.Agg,
-			Window:      mc.Window,
-			Below:       mc.Below,
-			Threshold:   mc.Threshold,
-			Hysteresis:  mc.Hysteresis,
-			MinDuration: mc.MinDuration,
-			// The floor applies on the same tick: degradeTick runs right
-			// after monitor evaluation, sees the forced level, and pushes
-			// the video scale.
-			OnRaise: func(at time.Duration, v float64) { ds.ladder.Force(mc.Floor) },
-			OnClear: func(at time.Duration, v float64) { ds.ladder.Force(0) },
-		})
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
-	}
 	return nil
 }
 
-// degradeTick steps the ladder from the occupancy gauge and applies any
-// level change — called on every sampling tick, right after the monitor
-// evaluates (so a freshly forced floor lands on the same tick). A
-// nil-Degrade run takes one predictable branch and nothing else.
+// degradeTick steps the ladder from the hottest root's micro occupancy
+// and pushes a changed level out to the video generators and the
+// stepdown/stepup telemetry — called on every sampling tick, right after
+// the monitor evaluates. A nil-Degrade run takes one predictable branch
+// and nothing else.
 func (s *scenario) degradeTick(now time.Duration) {
 	ds := s.degradeState
 	if ds == nil || ds.ladder == nil {
 		return
 	}
-	if ds.occupancy != nil {
-		ds.ladder.Eval(ds.occupancy())
+	worst := 0.0
+	for ri := range ds.roots.rootNames() {
+		if u, ok := ds.roots.microOccupancy(ri); ok && u > worst {
+			worst = u
+		}
 	}
-	s.syncLadder(now)
-}
-
-// syncLadder pushes a changed ladder level out to the video generators
-// and the stepdown/stepup telemetry.
-func (s *scenario) syncLadder(now time.Duration) {
-	ds := s.degradeState
+	ds.ladder.Eval(worst)
 	lvl := ds.ladder.Level()
 	if lvl == ds.applied {
 		return
@@ -280,26 +229,6 @@ func (s *scenario) syncLadder(now time.Duration) {
 	ds.applied = lvl
 }
 
-// paceRegistration routes one registration send through the breaker (the
-// flat Mobile IP recovery storm uses it; multi-tier roots pace through
-// the RegPacer interface instead). Without a breaker the send happens
-// inline, exactly as before.
-func (s *scenario) paceRegistration(send func()) {
-	ds := s.degradeState
-	if ds == nil || ds.breaker == nil {
-		send()
-		return
-	}
-	if delay := ds.Admit(s.sched.Now()); delay > 0 {
-		s.sched.AfterFIFO(delay, func() {
-			ds.Sent(s.sched.Now())
-			send()
-		})
-		return
-	}
-	send()
-}
-
 // classFor maps a traffic mix to its dominant (most delay-sensitive)
 // class — the class admission records on granted sessions so the ladder
 // can rank preemption victims.
@@ -313,65 +242,4 @@ func classFor(tc TrafficConfig) packet.Class {
 		return packet.ClassInteractive
 	}
 	return 0
-}
-
-// wireMultiTierDegrade binds the degradation machinery to the built
-// fabric: the ladder's occupancy gauge (hottest root's micro-tier
-// aggregate, grouped in cell-id order for determinism), the shared
-// admission hooks on every station, and the registration pacer on every
-// root anchor.
-func (s *scenario) wireMultiTierDegrade(ds *degradeState, fab *multitier.Fabric) {
-	if ds.ladder != nil {
-		rootIdx := make(map[topology.CellID]int, len(fab.Roots))
-		for ri, root := range fab.Roots {
-			rootIdx[root.Cell().ID] = ri
-		}
-		micros := make([][]*multitier.Station, len(fab.Roots))
-		for _, c := range s.top.Cells {
-			if c.Tier != topology.TierMicro {
-				continue
-			}
-			ri := rootIdx[s.top.RootOf(c.ID)]
-			micros[ri] = append(micros[ri], fab.Station(c.ID))
-		}
-		ds.occupancy = func() float64 {
-			worst := 0.0
-			for _, group := range micros {
-				used, total := 0, 0
-				for _, st := range group {
-					used += st.Resources().Channels.InUse()
-					total += st.Resources().Channels.Total()
-				}
-				if total == 0 {
-					continue
-				}
-				if u := float64(used) / float64(total); u > worst {
-					worst = u
-				}
-			}
-			return worst
-		}
-		hooks := &multitier.DegradeHooks{
-			DeferNew:   ds.ladder.DeferNew,
-			CanPreempt: ds.ladder.CanPreempt,
-			Rank:       degrade.Priority,
-			OnDefer: func(cell topology.CellID, class packet.Class) {
-				ds.dm.deferred.Inc()
-				s.trace.Emit(s.sched.Now(), obs.KindDegradeDefer, -1, int32(cell), int32(class), 0)
-			},
-			OnPreempt: func(cell topology.CellID, victim packet.Class, flushed int) {
-				ds.dm.preempted.Inc()
-				ds.dm.preemptDrops.Add(uint64(flushed))
-				s.trace.Emit(s.sched.Now(), obs.KindDegradePreempt, -1, int32(cell), int32(victim), int64(flushed))
-			},
-		}
-		for _, c := range s.top.Cells {
-			fab.Station(c.ID).SetDegrade(hooks)
-		}
-	}
-	if ds.breaker != nil {
-		for _, root := range fab.Roots {
-			root.SetRegPacer(ds)
-		}
-	}
 }

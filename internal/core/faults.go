@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/faults"
@@ -11,28 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/topology"
 )
-
-// faultState collects the scheme-specific levers fault injection pulls.
-// Each run* builder populates it (only when cfg.Faults != nil) with
-// closures over its own station/agent objects, so installFaults can stay
-// scheme-agnostic: it resolves the plan to events and fires these hooks.
-type faultState struct {
-	// stationDown forces the station serving cell out of service:
-	// in-flight packets flush with reason-coded drops and served MNs are
-	// deregistered.
-	stationDown func(cell topology.CellID)
-	// stationUp restores the station; registrations rebuild through the
-	// protocols' own recovery machinery (retry, reattempt, refresh).
-	stationUp func(cell topology.CellID)
-	// fadeSet adds extra air-interface loss on cell; fadeClear restores
-	// the pre-fade value.
-	fadeSet   func(cell topology.CellID, extra float64)
-	fadeClear func(cell topology.CellID)
-	// registered reports whether MN i currently holds a live registration
-	// (scheme-specific notion: HA binding, gateway route, or anchor
-	// registration) — the probe behind the recovery and survival metrics.
-	registered func(i int) bool
-}
 
 // faultMetrics are created only on fault runs, so a nil-Faults registry
 // carries no "fault." names and the E1–E10 goldens stay byte-identical.
@@ -74,11 +51,30 @@ func newFaultMetrics(reg *metrics.Registry) *faultMetrics {
 	}
 }
 
+// faultRun is one fault run's installed state: the wired links with
+// their creation-time configs (degrade windows add loss/delay on top of
+// these and restore exactly them), the telemetry, and the radio fades
+// active per cell.
+type faultRun struct {
+	links []*netsim.Link
+	orig  []netsim.LinkConfig
+	fm    *faultMetrics
+	fades map[topology.CellID]*cellFade
+}
+
+// cellFade is one cell's fade stack: its loss is min(1, base + extra),
+// extra summing the active fades' shares, and the exact pre-fade base
+// returns when the last active fade ends.
+type cellFade struct {
+	base, extra float64
+	active      int
+}
+
 // installFaults resolves cfg.Faults against the built topology and wires
 // the resulting schedule plus the recovery/survival probes into the event
-// queue. It runs after the scheme builder (the hooks must exist) and
-// before RunUntil. On the nil-Faults path it returns immediately without
-// touching the scheduler, the rng, or the registry.
+// queue. It runs after the scheme builder and before RunUntil. On the
+// nil-Faults path it returns immediately without touching the scheduler,
+// the rng, or the registry.
 func (s *scenario) installFaults() error {
 	plan := s.cfg.Faults
 	if plan == nil {
@@ -86,10 +82,6 @@ func (s *scenario) installFaults() error {
 	}
 	if err := plan.Validate(); err != nil {
 		return err
-	}
-	h := s.faultHooks
-	if h == nil || h.registered == nil {
-		return fmt.Errorf("%w: scheme %q installed no fault hooks", ErrBadConfig, s.cfg.Scheme)
 	}
 	links := s.net.Links()
 	// The dedicated fault stream: forked only here, so legacy runs draw
@@ -99,16 +91,14 @@ func (s *scenario) installFaults() error {
 	if err != nil {
 		return err
 	}
-	fm := newFaultMetrics(s.reg)
-	// Degrade windows add loss/delay on top of the creation-time values
-	// and restore exactly these.
-	orig := make([]netsim.LinkConfig, len(links))
+	fr := &faultRun{links: links, orig: make([]netsim.LinkConfig, len(links)),
+		fm: newFaultMetrics(s.reg), fades: make(map[topology.CellID]*cellFade)}
 	for i, l := range links {
-		orig[i] = l.Config()
+		fr.orig[i] = l.Config()
 	}
 	for _, ev := range schedule {
 		ev := ev
-		s.sched.At(ev.At, func() { s.applyFault(ev, links, orig, fm) })
+		s.sched.At(ev.At, func() { s.applyFault(ev, fr) })
 	}
 	// Session-survival probe: one sample strictly inside the run, as
 	// close to the end as the clock allows. Fleet runs also attribute
@@ -127,7 +117,7 @@ func (s *scenario) installFaults() error {
 		probeAt = 0
 	}
 	s.sched.At(probeAt, func() {
-		fm.population.Add(uint64(s.cfg.NumMNs))
+		fr.fm.population.Add(uint64(s.cfg.NumMNs))
 		n := 0
 		for i := 0; i < s.cfg.NumMNs; i++ {
 			var pi int
@@ -135,14 +125,14 @@ func (s *scenario) installFaults() error {
 				pi = s.fleet.assign[i]
 				profPop[pi].Inc()
 			}
-			if h.registered(i) {
+			if s.sch.registered(i) {
 				n++
 				if profSurv != nil {
 					profSurv[pi].Inc()
 				}
 			}
 		}
-		fm.survivors.Add(uint64(n))
+		fr.fm.survivors.Add(uint64(n))
 	})
 	return nil
 }
@@ -150,26 +140,26 @@ func (s *scenario) installFaults() error {
 // applyFault executes one resolved fault transition. With tracing armed
 // each transition also emits the matching fault-window event (cell- or
 // link-scoped), bracketing the outage/degradation/fade in the trace.
-func (s *scenario) applyFault(ev faults.Event, links []*netsim.Link, orig []netsim.LinkConfig, fm *faultMetrics) {
-	h := s.faultHooks
+func (s *scenario) applyFault(ev faults.Event, fr *faultRun) {
 	now := s.sched.Now()
+	fm := fr.fm
 	switch ev.Kind {
 	case faults.StationDown:
 		for _, cell := range ev.Cells {
-			h.stationDown(cell)
+			s.sch.stationDown(cell)
 			fm.stationDowns.Inc()
 			s.trace.Emit(now, obs.KindFaultStationDown, -1, int32(cell), 0, 0)
 		}
 	case faults.StationUp:
 		for _, cell := range ev.Cells {
-			h.stationUp(cell)
+			s.sch.stationUp(cell)
 			fm.stationUps.Inc()
 			s.trace.Emit(now, obs.KindFaultStationUp, -1, int32(cell), 0, 0)
 		}
 		s.trackRecovery(fm)
 	case faults.LinkDegrade:
 		for _, idx := range ev.Links {
-			l, o := links[idx], orig[idx]
+			l, o := fr.links[idx], fr.orig[idx]
 			l.SetLoss(min(1, o.Loss+ev.Loss))
 			l.SetDelay(o.Delay + ev.ExtraDelay)
 			fm.linkDegraded.Inc()
@@ -177,7 +167,7 @@ func (s *scenario) applyFault(ev faults.Event, links []*netsim.Link, orig []nets
 		}
 	case faults.LinkRestore:
 		for _, idx := range ev.Links {
-			l, o := links[idx], orig[idx]
+			l, o := fr.links[idx], fr.orig[idx]
 			l.SetLoss(o.Loss)
 			l.SetDelay(o.Delay)
 			fm.linkRestored.Inc()
@@ -185,17 +175,39 @@ func (s *scenario) applyFault(ev faults.Event, links []*netsim.Link, orig []nets
 		}
 	case faults.FadeStart:
 		for _, cell := range ev.Cells {
-			h.fadeSet(cell, ev.Loss)
+			s.fade(fr, cell, ev.Loss, 1)
 			fm.fadeStarts.Inc()
 			s.trace.Emit(now, obs.KindFaultFadeStart, -1, int32(cell), 0, 0)
 		}
 	case faults.FadeEnd:
 		for _, cell := range ev.Cells {
-			h.fadeClear(cell)
+			s.fade(fr, cell, ev.Loss, -1)
 			fm.fadeEnds.Inc()
 			s.trace.Emit(now, obs.KindFaultFadeEnd, -1, int32(cell), 0, 0)
 		}
 	}
+}
+
+// fade starts (dir 1) or ends (dir -1) one fade of the given extra loss
+// on cell. A cell the scheme has no station on is left untouched.
+func (s *scenario) fade(fr *faultRun, cell topology.CellID, extra float64, dir int) {
+	f := fr.fades[cell]
+	if f == nil {
+		base, ok := s.sch.airLoss(cell)
+		if !ok {
+			return
+		}
+		f = &cellFade{base: base}
+		fr.fades[cell] = f
+	}
+	f.active += dir
+	f.extra += float64(dir) * extra
+	if f.active == 0 {
+		s.sch.setAirLoss(cell, f.base)
+		delete(fr.fades, cell)
+		return
+	}
+	s.sch.setAirLoss(cell, min(1, f.base+f.extra))
 }
 
 // trackRecovery measures the re-registration storm after a station-up
@@ -205,11 +217,10 @@ func (s *scenario) applyFault(ev faults.Event, links []*netsim.Link, orig []nets
 // converges simply keeps polling until the run ends and leaves no t90
 // sample — the matrix renders that as a blank, not a fake number.
 func (s *scenario) trackRecovery(fm *faultMetrics) {
-	h := s.faultHooks
 	upAt := s.sched.Now()
 	var affected []int
 	for i := 0; i < s.cfg.NumMNs; i++ {
-		if !h.registered(i) {
+		if !s.sch.registered(i) {
 			affected = append(affected, i)
 		}
 	}
@@ -222,7 +233,7 @@ func (s *scenario) trackRecovery(fm *faultMetrics) {
 	poll = func() {
 		n := 0
 		for _, i := range affected {
-			if h.registered(i) {
+			if s.sch.registered(i) {
 				n++
 			}
 		}

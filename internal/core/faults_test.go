@@ -1,10 +1,13 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/metrics"
+	"repro/internal/simtime"
 	"repro/internal/topology"
 )
 
@@ -148,5 +151,69 @@ func TestAuthedRegistrationsDeliver(t *testing.T) {
 				t.Fatalf("nothing delivered: %s", res.Summary)
 			}
 		})
+	}
+}
+
+// fadeScheme is a scheme stub that only has air loss: cells in loss have
+// a station, any other cell has none.
+type fadeScheme struct {
+	loss map[topology.CellID]float64
+	sets int
+}
+
+func (f *fadeScheme) stationDown(topology.CellID)             {}
+func (f *fadeScheme) stationUp(topology.CellID)               {}
+func (f *fadeScheme) registered(int) bool                     { return true }
+func (f *fadeScheme) signalling() signalCounters              { return signalCounters{} }
+func (f *fadeScheme) setAirLoss(c topology.CellID, p float64) { f.loss[c] = p; f.sets++ }
+func (f *fadeScheme) airLoss(c topology.CellID) (float64, bool) {
+	p, ok := f.loss[c]
+	return p, ok
+}
+
+// TestFadesStackAndRestoreExactly drives radio fades through applyFault:
+// overlapping fades on one cell add their shares, each end removes its
+// own, the loss clamps at 1, the exact pre-fade loss returns when the
+// last fade ends, and a cell without a station is counted but untouched.
+func TestFadesStackAndRestoreExactly(t *testing.T) {
+	sch := &fadeScheme{loss: map[topology.CellID]float64{1: 0.01, 2: 0.5}}
+	s := &scenario{sch: sch, sched: simtime.NewScheduler()}
+	fr := &faultRun{fm: newFaultMetrics(metrics.NewRegistry()), fades: map[topology.CellID]*cellFade{}}
+	step := func(kind faults.Kind, cell topology.CellID, extra, want float64) {
+		t.Helper()
+		s.applyFault(faults.Event{Kind: kind, Cells: []topology.CellID{cell}, Loss: extra}, fr)
+		if got := sch.loss[cell]; math.Abs(got-want) > 1e-12 {
+			t.Fatalf("after %v(%v) on cell %d: loss %v, want %v", kind, extra, cell, got, want)
+		}
+	}
+	// Nested: A-start, B-start, B-end, A-end.
+	step(faults.FadeStart, 1, 0.2, 0.21)
+	step(faults.FadeStart, 1, 0.3, 0.51)
+	step(faults.FadeEnd, 1, 0.3, 0.21)
+	step(faults.FadeEnd, 1, 0.2, 0.01)
+	// Staggered: A-start, B-start, A-end, B-end.
+	step(faults.FadeStart, 1, 0.2, 0.21)
+	step(faults.FadeStart, 1, 0.3, 0.51)
+	step(faults.FadeEnd, 1, 0.2, 0.31)
+	step(faults.FadeEnd, 1, 0.3, 0.01)
+	// Clamped at 1 while either fade stands.
+	step(faults.FadeStart, 2, 0.7, 1)
+	step(faults.FadeStart, 2, 0.9, 1)
+	step(faults.FadeEnd, 2, 0.7, 1)
+	step(faults.FadeEnd, 2, 0.9, 0.5)
+	if sch.loss[1] != 0.01 || sch.loss[2] != 0.5 {
+		t.Fatalf("pre-fade loss not restored exactly: %v", sch.loss)
+	}
+	sets := sch.sets
+	s.applyFault(faults.Event{Kind: faults.FadeStart, Cells: []topology.CellID{3}, Loss: 0.4}, fr)
+	s.applyFault(faults.Event{Kind: faults.FadeEnd, Cells: []topology.CellID{3}, Loss: 0.4}, fr)
+	if _, ok := sch.loss[3]; ok || sch.sets != sets {
+		t.Fatalf("fade touched a cell without a station: %v", sch.loss)
+	}
+	if got := fr.fm.fadeStarts.Value(); got != 7 {
+		t.Fatalf("fade starts = %d, want 7", got)
+	}
+	if got := fr.fm.fadeEnds.Value(); got != 7 {
+		t.Fatalf("fade ends = %d, want 7", got)
 	}
 }

@@ -33,7 +33,7 @@ func (s *scenario) buildObs() {
 
 // installObsProbes registers the engine and protocol gauges and schedules
 // the sampling ticker. It runs after the scheme builder and fault
-// installation (the probes read scheme state and the fault hooks); with
+// installation (the probes read scheme state); with
 // Obs nil or sampling disabled it never touches the scheduler, so the
 // event/seq stream of unsampled runs is unchanged.
 func (s *scenario) installObsProbes() {
@@ -56,25 +56,19 @@ func (s *scenario) installObsProbes() {
 	tr.AddProbe("handoffs", func() float64 { return float64(s.handoffs.Value()) })
 	// Scheme signalling load; the schemes that carry the Mobile IP leg
 	// also expose the modelled auth CPU spend.
-	switch s.cfg.Scheme {
-	case SchemeMobileIP:
-		s.counterProbe(tr, "mip.signaling.messages")
-		s.counterProbe(tr, "mip.auth.cpu_ns")
-	case SchemeCellularIPHard, SchemeCellularIPSemisoft:
-		s.counterProbe(tr, "cip.route_updates")
-	case SchemeMultiTier:
-		s.counterProbe(tr, "tier.location_msgs")
-		s.counterProbe(tr, "mip.auth.cpu_ns")
+	for _, name := range s.sch.signalling().probes {
+		c := s.reg.Counter(name)
+		tr.AddProbe(name, func() float64 { return float64(c.Value()) })
 	}
 	// Session survival under faults: the fraction of MNs holding a live
 	// registration, by the same scheme-specific notion the survival and
 	// recovery metrics use.
-	if h := s.faultHooks; h != nil && h.registered != nil {
+	if s.cfg.Faults != nil {
 		n := s.cfg.NumMNs
 		tr.AddProbe("session.registered_frac", func() float64 {
 			reg := 0
 			for i := 0; i < n; i++ {
-				if h.registered(i) {
+				if s.sch.registered(i) {
 					reg++
 				}
 			}
@@ -93,14 +87,6 @@ func (s *scenario) installObsProbes() {
 		s.monitor.Eval(now)
 		s.degradeTick(now)
 	})
-}
-
-// counterProbe samples an existing registry counter by name. Every name
-// passed here is pre-registered by the scheme's stats constructor, so
-// probing never perturbs registry order.
-func (s *scenario) counterProbe(tr *obs.Trace, name string) {
-	c := s.reg.Counter(name)
-	tr.AddProbe(name, func() float64 { return float64(c.Value()) })
 }
 
 // obsWall exposes the trace's wall-clock accumulator to the measurement

@@ -95,18 +95,15 @@ type scenario struct {
 	fleet *fleetState
 	// arena is the run's private packet allocator (nil = global pool).
 	arena *packet.Arena
-	// faultHooks is non-nil only when cfg.Faults is set; the scheme
-	// builders populate it and installFaults fires it (see faults.go).
-	faultHooks *faultState
-	// controlHooks is non-nil only when cfg.Control is set; the scheme
-	// builders populate it and installControl binds monitor alerts to it
-	// (see control.go). monitor is the installed SLO monitor (nil keeps
-	// the sampling tick a pure SampleAll).
-	controlHooks *controlState
-	monitor      *obs.Monitor
-	// degradeState is non-nil only when cfg.Degrade is set; the scheme
-	// builders wire admission hooks and registration pacers against it
-	// and installDegrade binds its telemetry (see degrade.go).
+	// sch is the built scheme every optional layer installs against
+	// (see scheme.go).
+	sch scheme
+	// monitor is the SLO monitor installControl arms (nil keeps the
+	// sampling tick a pure SampleAll).
+	monitor *obs.Monitor
+	// degradeState is non-nil only when cfg.Degrade is set; it exists
+	// before the scheme builder so startTraffic can collect the video
+	// generators the ladder adapts (see degrade.go).
 	degradeState *degradeState
 
 	// hotMicros/hotArena cache the hotspot workload's target cells: the
@@ -189,35 +186,20 @@ func Run(cfg Config) (*Result, error) {
 	s.buildMobility()
 	s.drivers = make([]measureDriver, cfg.NumMNs)
 	s.measureWorkers = cfg.MeasureWorkers
-	if cfg.Faults != nil {
-		s.faultHooks = &faultState{}
+	if err := s.validateControl(); err != nil {
+		return nil, err
 	}
-	if cfg.Control != nil {
-		if err := s.validateControl(); err != nil {
-			return nil, err
-		}
-		s.controlHooks = &controlState{}
-	}
-	if cfg.Degrade != nil {
-		// Built before the scheme switch so the builders can wire
-		// admission hooks and registration pacers against it.
-		if err := s.validateDegrade(); err != nil {
-			return nil, err
-		}
-		ds, err := newDegradeState(cfg.Degrade)
-		if err != nil {
-			return nil, err
-		}
-		s.degradeState = ds
+	if s.degradeState, err = s.newDegradeState(); err != nil {
+		return nil, err
 	}
 
 	switch cfg.Scheme {
 	case SchemeMobileIP:
-		err = s.runMobileIP()
+		s.sch, err = s.runMobileIP()
 	case SchemeCellularIPHard, SchemeCellularIPSemisoft:
-		err = s.runCellularIP(cfg.Scheme == SchemeCellularIPSemisoft)
+		s.sch, err = s.runCellularIP(cfg.Scheme == SchemeCellularIPSemisoft)
 	case SchemeMultiTier:
-		err = s.runMultiTier()
+		s.sch, err = s.runMultiTier()
 	default:
 		err = fmt.Errorf("%w: %q", ErrBadScheme, cfg.Scheme)
 	}
@@ -467,7 +449,7 @@ func (s *scenario) measureFA(dst []radio.Signal, faCells []*topology.Cell, pos g
 // ---------------------------------------------------------------------------
 // Scheme: plain Mobile IP (one FA per macro-class cell)
 
-func (s *scenario) runMobileIP() error {
+func (s *scenario) runMobileIP() (scheme, error) {
 	stats := mobileip.NewStats(s.reg)
 
 	haNode := s.net.NewNode("ha")
@@ -482,7 +464,7 @@ func (s *scenario) runMobileIP() error {
 	// HA, with the timestamp-window replay check.
 	mnAuth, err := s.mipAuth(ha)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// One FA per macro-class cell, each on its own wired link.
@@ -496,7 +478,7 @@ func (s *scenario) runMobileIP() error {
 		node := s.net.NewNode("fa-" + c.Name)
 		coa, err := c.Prefix.Nth(1)
 		if err != nil {
-			return fmt.Errorf("fa address: %w", err)
+			return nil, fmt.Errorf("fa address: %w", err)
 		}
 		node.AddAddr(coa)
 		fa := mobileip.NewForeignAgent(node, coa, stats)
@@ -547,64 +529,89 @@ func (s *scenario) runMobileIP() error {
 			})
 	}
 
-	if s.faultHooks != nil {
-		fadeBase := make(map[topology.CellID]float64)
-		s.faultHooks.stationDown = func(cell topology.CellID) {
-			fa := fas[cell]
-			if fa == nil {
-				return // micro-tier cell: no FA on the flat scheme
-			}
-			fa.StopAdvertising()
-			fa.Node().SetDown(true)
-			fa.OrphanVisitors()
-		}
-		s.faultHooks.stationUp = func(cell topology.CellID) {
-			fa := fas[cell]
-			if fa == nil {
-				return
-			}
-			fa.Node().SetDown(false)
-			// The re-registration storm: every MN parked on the failed FA
-			// re-attaches and re-registers at the recovery instant — paced
-			// through the breaker when one is armed, a burst otherwise.
-			for _, mn := range mns {
-				if mn.CurrentAgent() == fa {
-					s.paceRegistration(mn.Reregister)
-				}
-			}
-		}
-		s.faultHooks.fadeSet = func(cell topology.CellID, extra float64) {
-			fa := fas[cell]
-			if fa == nil {
-				return
-			}
-			fadeBase[cell] = fa.AirLoss
-			fa.AirLoss = min(1, fa.AirLoss+extra)
-		}
-		s.faultHooks.fadeClear = func(cell topology.CellID) {
-			if fa := fas[cell]; fa != nil {
-				fa.AirLoss = fadeBase[cell]
-			}
-		}
-		s.faultHooks.registered = func(i int) bool { return mns[i].Registered() }
+	return &mipScheme{sched: s.sched, fas: fas, mns: mns}, nil
+}
+
+// mipScheme is flat Mobile IP behind the scheme interface. Its stations
+// are the FAs of the macro-class cells; micro-tier cells have none.
+type mipScheme struct {
+	sched *simtime.Scheduler
+	fas   map[topology.CellID]*mobileip.ForeignAgent
+	mns   []*mobileip.MobileNode
+	pacer multitier.RegPacer
+}
+
+var mipSignals = signalCounters{
+	msgs:   []string{"mip.signaling.messages"},
+	bytes:  []string{"mip.signaling.bytes"},
+	probes: []string{"mip.signaling.messages", "mip.auth.cpu_ns"},
+}
+
+func (m *mipScheme) signalling() signalCounters { return mipSignals }
+
+func (m *mipScheme) stationDown(cell topology.CellID) {
+	if fa := m.fas[cell]; fa != nil {
+		fa.StopAdvertising()
+		fa.Node().SetDown(true)
+		fa.OrphanVisitors()
 	}
-	if ch := s.controlHooks; ch != nil {
-		// Flat Mobile IP has no per-root admission budgets (no elastic
-		// hooks), but pre-paging maps directly onto forced
-		// re-registration of unregistered MNs.
-		ch.prePage = func() int {
-			n := 0
-			for _, mn := range mns {
-				if mn.Registered() {
-					continue
-				}
-				mn.Reregister()
-				n++
-			}
-			return n
+}
+
+func (m *mipScheme) stationUp(cell topology.CellID) {
+	fa := m.fas[cell]
+	if fa == nil {
+		return
+	}
+	fa.Node().SetDown(false)
+	// The re-registration storm: every MN parked on the failed FA
+	// re-attaches and re-registers at the recovery instant — paced
+	// through the breaker when one is armed, a burst otherwise.
+	for _, mn := range m.mns {
+		if mn.CurrentAgent() == fa {
+			m.pace(mn.Reregister)
 		}
 	}
-	return nil
+}
+
+// pace routes one registration send through the pacer; without one the
+// send happens inline.
+func (m *mipScheme) pace(send func()) {
+	if m.pacer != nil {
+		if delay := m.pacer.Admit(m.sched.Now()); delay > 0 {
+			m.sched.AfterFIFO(delay, func() {
+				m.pacer.Sent(m.sched.Now())
+				send()
+			})
+			return
+		}
+	}
+	send()
+}
+
+func (m *mipScheme) airLoss(cell topology.CellID) (float64, bool) {
+	if fa := m.fas[cell]; fa != nil {
+		return fa.AirLoss, true
+	}
+	return 0, false
+}
+
+func (m *mipScheme) setAirLoss(cell topology.CellID, p float64) { m.fas[cell].AirLoss = p }
+
+func (m *mipScheme) registered(i int) bool { return m.mns[i].Registered() }
+
+func (m *mipScheme) setRegPacer(p multitier.RegPacer) { m.pacer = p }
+
+// prePage maps directly onto forced re-registration of unregistered MNs.
+func (m *mipScheme) prePage() int {
+	n := 0
+	for _, mn := range m.mns {
+		if mn.Registered() {
+			continue
+		}
+		mn.Reregister()
+		n++
+	}
+	return n
 }
 
 // mipAuth builds the shared registration authenticator when
@@ -631,7 +638,7 @@ const mipAuthWindow = 3 * time.Second
 // ---------------------------------------------------------------------------
 // Scheme: flat Cellular IP over every cell
 
-func (s *scenario) runCellularIP(semisoft bool) error {
+func (s *scenario) runCellularIP(semisoft bool) (scheme, error) {
 	stats := cellularip.NewStats(s.reg)
 	cipCfg := cellularip.DefaultConfig()
 	if s.cfg.SemisoftDelay > 0 {
@@ -676,7 +683,7 @@ func (s *scenario) runCellularIP(semisoft bool) error {
 	for i := 0; i < s.cfg.NumMNs; i++ {
 		ip, err := served.Nth(uint32(1000 + i))
 		if err != nil {
-			return fmt.Errorf("cip host address: %w", err)
+			return nil, fmt.Errorf("cip host address: %w", err)
 		}
 		ips[i] = ip
 		node := s.net.NewNode(fmt.Sprintf("mn-%d", i))
@@ -710,28 +717,44 @@ func (s *scenario) runCellularIP(semisoft bool) error {
 	}
 	stats.PageSink = s.pageSink(byAddr)
 
-	if s.faultHooks != nil {
-		fadeBase := make(map[topology.CellID]float64)
-		s.faultHooks.stationDown = func(cell topology.CellID) { stations[cell].Fail() }
-		s.faultHooks.stationUp = func(cell topology.CellID) { stations[cell].Recover() }
-		s.faultHooks.fadeSet = func(cell topology.CellID, extra float64) {
-			bs := stations[cell]
-			base := bs.Config().AirLoss
-			fadeBase[cell] = base
-			bs.SetAirLoss(min(1, base+extra))
-		}
-		s.faultHooks.fadeClear = func(cell topology.CellID) { stations[cell].SetAirLoss(fadeBase[cell]) }
-		// "Registered" on Cellular IP means the gateway can still route
-		// (or page) the host — exactly the state outages wipe.
-		s.faultHooks.registered = func(i int) bool { return gw.HasRoute(ips[i]) }
-	}
-	return nil
+	return &cipScheme{stations: stations, gw: gw, ips: ips}, nil
 }
+
+// cipScheme is flat Cellular IP behind the scheme interface: one base
+// station per cell, no registration path to pace and no per-root
+// budgets.
+type cipScheme struct {
+	stations map[topology.CellID]*cellularip.BaseStation
+	gw       *cellularip.BaseStation
+	ips      []addr.IP
+}
+
+var cipSignals = signalCounters{
+	msgs:   []string{"cip.route_updates", "cip.paging_updates"},
+	bytes:  []string{"cip.control_bytes"},
+	probes: []string{"cip.route_updates"},
+}
+
+func (c *cipScheme) signalling() signalCounters { return cipSignals }
+
+func (c *cipScheme) stationDown(cell topology.CellID) { c.stations[cell].Fail() }
+
+func (c *cipScheme) stationUp(cell topology.CellID) { c.stations[cell].Recover() }
+
+func (c *cipScheme) airLoss(cell topology.CellID) (float64, bool) {
+	return c.stations[cell].Config().AirLoss, true
+}
+
+func (c *cipScheme) setAirLoss(cell topology.CellID, p float64) { c.stations[cell].SetAirLoss(p) }
+
+// registered on Cellular IP means the gateway can still route (or page)
+// the host — exactly the state outages wipe.
+func (c *cipScheme) registered(i int) bool { return c.gw.HasRoute(c.ips[i]) }
 
 // ---------------------------------------------------------------------------
 // Scheme: the paper's multi-tier architecture with RSMC
 
-func (s *scenario) runMultiTier() error {
+func (s *scenario) runMultiTier() (scheme, error) {
 	stats := multitier.NewStats(s.reg)
 	dir := multitier.NewDirectory()
 
@@ -758,7 +781,7 @@ func (s *scenario) runMultiTier() error {
 	fcfg.StationConfigFor = stationCfg
 	fab, err := multitier.BuildFabric(s.net, s.top, fcfg, dir, stats)
 	if err != nil {
-		return fmt.Errorf("fabric: %w", err)
+		return nil, fmt.Errorf("fabric: %w", err)
 	}
 
 	haNode := s.net.NewNode("ha")
@@ -773,7 +796,7 @@ func (s *scenario) runMultiTier() error {
 	// same MHAE cost and replay protection as the flat scheme.
 	anchorAuth, err := s.mipAuth(ha)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	for _, root := range fab.Roots {
@@ -799,7 +822,7 @@ func (s *scenario) runMultiTier() error {
 			var err error
 			a, err = auth.New([]byte(fmt.Sprintf("domain-%d-secret", dom.ID)))
 			if err != nil {
-				return fmt.Errorf("auth: %w", err)
+				return nil, fmt.Errorf("auth: %w", err)
 			}
 			dir.SetDomainAuth(dom.ID, a)
 		}
@@ -813,10 +836,7 @@ func (s *scenario) runMultiTier() error {
 
 	pol := multitier.DefaultPolicy()
 	byAddr := make(map[addr.IP]*metrics.Breakdown, s.cfg.NumMNs)
-	var mobs []*multitier.Mobile
-	if s.controlHooks != nil {
-		mobs = make([]*multitier.Mobile, s.cfg.NumMNs)
-	}
+	mobs := make([]*multitier.Mobile, s.cfg.NumMNs)
 	for i := 0; i < s.cfg.NumMNs; i++ {
 		home := mnHome(i)
 		prof := &multitier.Profile{
@@ -833,9 +853,7 @@ func (s *scenario) runMultiTier() error {
 		mob.OnData = s.onDelivered(i)
 		mob.OnHandoff = func(multitier.HandoffKind, time.Duration) { s.noteHandoff(i) }
 		mob.OnLocationSignal = s.signalSink(i)
-		if mobs != nil {
-			mobs[i] = mob
-		}
+		mobs[i] = mob
 		if bd := s.breakdown(i); bd != nil {
 			byAddr[home] = bd
 		}
@@ -849,145 +867,161 @@ func (s *scenario) runMultiTier() error {
 	}
 	stats.PageSink = s.pageSink(byAddr)
 
-	if s.faultHooks != nil {
-		fadeBase := make(map[topology.CellID]float64)
-		s.faultHooks.stationDown = func(cell topology.CellID) { fab.Station(cell).Fail() }
-		s.faultHooks.stationUp = func(cell topology.CellID) { fab.Station(cell).Recover() }
-		s.faultHooks.fadeSet = func(cell topology.CellID, extra float64) {
-			st := fab.Station(cell)
-			base := st.Config().AirLoss
-			fadeBase[cell] = base
-			st.SetAirLoss(min(1, base+extra))
-		}
-		s.faultHooks.fadeClear = func(cell topology.CellID) { fab.Station(cell).SetAirLoss(fadeBase[cell]) }
-		// "Registered" on multi-tier means some root anchors the MN with
-		// the HA — the binding a root outage wipes and the periodic
-		// location refreshes rebuild.
-		s.faultHooks.registered = func(i int) bool {
-			home := mnHome(i)
-			for _, root := range fab.Roots {
-				if root.AnchorRegistered(home) {
-					return true
-				}
-			}
-			return false
-		}
-	}
-
-	if ch := s.controlHooks; ch != nil {
-		s.wireMultiTierControl(ch, fab, mobs)
-	}
-	if ds := s.degradeState; ds != nil {
-		s.wireMultiTierDegrade(ds, fab)
-	}
-	return nil
+	return newTierScheme(s.top, fab, mobs), nil
 }
 
-// wireMultiTierControl populates the control hooks with the multi-tier
-// levers: per-root station groups for elastic budget shifting and the
-// forced location refresh behind pre-paging. Every grouping walks the
-// topology's cell slice (id order), so hook behaviour is deterministic.
-func (s *scenario) wireMultiTierControl(ch *controlState, fab *multitier.Fabric, mobs []*multitier.Mobile) {
+// tierScheme is the multi-tier architecture behind the scheme interface,
+// with every optional lever: pre-paging, paced root anchors and per-root
+// admission budgets.
+type tierScheme struct {
+	top   *topology.Topology
+	fab   *multitier.Fabric
+	mobs  []*multitier.Mobile
+	names []string
+	// groups[ri][t] are root ri's stations of tier TierPico+t, in
+	// cell-id order: shifts pair the hot root's k-th station of a tier
+	// with the donor's k-th, so a uniform grid trades budget
+	// symmetrically, and every lever stays deterministic.
+	groups [][][]*multitier.Station
+	// moves[ri] records the budget shifted toward root ri, undone by
+	// revert.
+	moves [][]budgetMove
+}
+
+type budgetMove struct {
+	from, to *multitier.Station
+	ch       int
+	bps      float64
+}
+
+func newTierScheme(top *topology.Topology, fab *multitier.Fabric, mobs []*multitier.Mobile) *tierScheme {
+	t := &tierScheme{top: top, fab: fab, mobs: mobs,
+		names:  make([]string, len(fab.Roots)),
+		groups: make([][][]*multitier.Station, len(fab.Roots)),
+		moves:  make([][]budgetMove, len(fab.Roots)),
+	}
 	rootIdx := make(map[topology.CellID]int, len(fab.Roots))
-	ch.rootNames = make([]string, len(fab.Roots))
 	for ri, root := range fab.Roots {
-		ch.rootNames[ri] = root.Cell().Name
+		t.names[ri] = root.Cell().Name
 		rootIdx[root.Cell().ID] = ri
+		t.groups[ri] = make([][]*multitier.Station, topology.TierRoot-topology.TierPico+1)
 	}
-	// Stations grouped per root and tier, in cell-id order: shifts pair
-	// the hot root's k-th station of a tier with the donor's k-th, so a
-	// uniform grid trades budget symmetrically.
-	tiers := []topology.Tier{topology.TierPico, topology.TierMicro, topology.TierMacro, topology.TierRoot}
-	tierIdx := map[topology.Tier]int{topology.TierPico: 0, topology.TierMicro: 1, topology.TierMacro: 2, topology.TierRoot: 3}
-	grouped := make([][][]*multitier.Station, len(fab.Roots))
-	for ri := range grouped {
-		grouped[ri] = make([][]*multitier.Station, len(tiers))
+	for _, c := range top.Cells {
+		g := t.groups[rootIdx[top.RootOf(c.ID)]]
+		g[c.Tier-topology.TierPico] = append(g[c.Tier-topology.TierPico], fab.Station(c.ID))
 	}
-	for _, c := range s.top.Cells {
-		ri := rootIdx[s.top.RootOf(c.ID)]
-		ti := tierIdx[c.Tier]
-		grouped[ri][ti] = append(grouped[ri][ti], fab.Station(c.ID))
-	}
+	return t
+}
 
-	// The hot signal: aggregate channel occupancy of the root's micro
-	// stations — the tier slow traffic camps on, which saturates long
-	// before the root's own umbrella pool sees a single session (picos
-	// are excluded: their tight radii leave most of them out of range of
-	// any crowd, so they would only dilute the gauge). The probes exist
-	// only on control runs, so nil-Control traces keep their exact
-	// series set.
-	for ri, name := range ch.rootNames {
-		micros := grouped[ri][1]
-		s.trace.AddProbe(microOccPrefix+name, func() float64 {
-			used, total := 0, 0
-			for _, st := range micros {
-				used += st.Resources().Channels.InUse()
-				total += st.Resources().Channels.Total()
-			}
-			if total == 0 {
-				return 1
-			}
-			return float64(used) / float64(total)
-		})
-	}
+var tierSignals = signalCounters{
+	msgs:   []string{"tier.location_msgs", "tier.update_msgs", "tier.delete_msgs", "mip.signaling.messages"},
+	bytes:  []string{"tier.control_bytes", "mip.signaling.bytes"},
+	probes: []string{"tier.location_msgs", "mip.auth.cpu_ns"},
+}
 
-	type budgetMove struct {
-		from, to *multitier.Station
-		ch       int
-		bps      float64
-	}
-	moves := make([][]budgetMove, len(fab.Roots))
-	ch.shift = func(hot, donor int, frac float64) int {
-		total := 0
-		for ti := range tiers {
-			hs, ds := grouped[hot][ti], grouped[donor][ti]
-			n := len(hs)
-			if len(ds) < n {
-				n = len(ds)
-			}
-			for k := 0; k < n; k++ {
-				dres, hres := ds[k].Resources(), hs[k].Resources()
-				wantCh := int(frac * float64(dres.Channels.Total()))
-				wantBPS := frac * dres.Bandwidth.Capacity()
-				chMoved := -dres.Channels.Grow(-wantCh)
-				bpsMoved := -dres.Bandwidth.Grow(-wantBPS)
-				if chMoved <= 0 && bpsMoved <= 0 {
-					continue
-				}
-				hres.Channels.Grow(chMoved)
-				hres.Bandwidth.Grow(bpsMoved)
-				moves[hot] = append(moves[hot], budgetMove{from: ds[k], to: hs[k], ch: chMoved, bps: bpsMoved})
-				total += chMoved
-			}
+func (t *tierScheme) signalling() signalCounters { return tierSignals }
+
+func (t *tierScheme) stationDown(cell topology.CellID) { t.fab.Station(cell).Fail() }
+
+func (t *tierScheme) stationUp(cell topology.CellID) { t.fab.Station(cell).Recover() }
+
+func (t *tierScheme) airLoss(cell topology.CellID) (float64, bool) {
+	return t.fab.Station(cell).Config().AirLoss, true
+}
+
+func (t *tierScheme) setAirLoss(cell topology.CellID, p float64) { t.fab.Station(cell).SetAirLoss(p) }
+
+// registered on multi-tier means some root anchors the MN with the HA —
+// the binding a root outage wipes and the periodic location refreshes
+// rebuild.
+func (t *tierScheme) registered(i int) bool {
+	home := mnHome(i)
+	for _, root := range t.fab.Roots {
+		if root.AnchorRegistered(home) {
+			return true
 		}
-		return total
 	}
-	ch.revert = func(hot int) int {
-		total := 0
-		ms := moves[hot]
-		for k := len(ms) - 1; k >= 0; k-- {
-			m := ms[k]
-			back := -m.to.Resources().Channels.Grow(-m.ch)
-			m.from.Resources().Channels.Grow(back)
-			bpsBack := -m.to.Resources().Bandwidth.Grow(-m.bps)
-			m.from.Resources().Bandwidth.Grow(bpsBack)
-			total += back
+	return false
+}
+
+// prePage pulls every unregistered MN's location refresh forward.
+func (t *tierScheme) prePage() int {
+	n := 0
+	for i, mob := range t.mobs {
+		if !t.registered(i) && mob.ForceLocationRefresh() {
+			n++
 		}
-		moves[hot] = ms[:0]
-		return total
 	}
-	ch.prePage = func() int {
-		n := 0
-		for i, mob := range mobs {
-			if s.faultHooks != nil && s.faultHooks.registered != nil && s.faultHooks.registered(i) {
+	return n
+}
+
+func (t *tierScheme) setRegPacer(p multitier.RegPacer) {
+	for _, root := range t.fab.Roots {
+		root.SetRegPacer(p)
+	}
+}
+
+func (t *tierScheme) setDegrade(h *multitier.DegradeHooks) {
+	for _, c := range t.top.Cells {
+		t.fab.Station(c.ID).SetDegrade(h)
+	}
+}
+
+func (t *tierScheme) rootNames() []string { return t.names }
+
+// microOccupancy is the aggregate channel occupancy of root ri's micro
+// stations — the tier slow traffic camps on, which saturates long before
+// the root's own umbrella pool sees a single session (picos are left
+// out: their tight radii keep most of them out of range of any crowd,
+// so they would only dilute the gauge). ok is false when the root has
+// no micro channels.
+func (t *tierScheme) microOccupancy(ri int) (float64, bool) {
+	used, total := 0, 0
+	for _, st := range t.groups[ri][topology.TierMicro-topology.TierPico] {
+		used += st.Resources().Channels.InUse()
+		total += st.Resources().Channels.Total()
+	}
+	if total == 0 {
+		return 0, false
+	}
+	return float64(used) / float64(total), true
+}
+
+func (t *tierScheme) shift(hot, donor int, frac float64) int {
+	total := 0
+	for ti := range t.groups[hot] {
+		hs, ds := t.groups[hot][ti], t.groups[donor][ti]
+		for k := 0; k < min(len(hs), len(ds)); k++ {
+			dres, hres := ds[k].Resources(), hs[k].Resources()
+			wantCh := int(frac * float64(dres.Channels.Total()))
+			wantBPS := frac * dres.Bandwidth.Capacity()
+			chMoved := -dres.Channels.Grow(-wantCh)
+			bpsMoved := -dres.Bandwidth.Grow(-wantBPS)
+			if chMoved <= 0 && bpsMoved <= 0 {
 				continue
 			}
-			if mob.ForceLocationRefresh() {
-				n++
-			}
+			hres.Channels.Grow(chMoved)
+			hres.Bandwidth.Grow(bpsMoved)
+			t.moves[hot] = append(t.moves[hot], budgetMove{from: ds[k], to: hs[k], ch: chMoved, bps: bpsMoved})
+			total += chMoved
 		}
-		return n
 	}
+	return total
+}
+
+func (t *tierScheme) revert(hot int) int {
+	total := 0
+	ms := t.moves[hot]
+	for k := len(ms) - 1; k >= 0; k-- {
+		m := ms[k]
+		back := -m.to.Resources().Channels.Grow(-m.ch)
+		m.from.Resources().Channels.Grow(back)
+		bpsBack := -m.to.Resources().Bandwidth.Grow(-m.bps)
+		m.from.Resources().Bandwidth.Grow(bpsBack)
+		total += back
+	}
+	t.moves[hot] = ms[:0]
+	return total
 }
 
 // summarize condenses the registry into the comparison row. LossRate is
@@ -1016,21 +1050,12 @@ func (s *scenario) summarize() Summary {
 		sum.MeanLatency = h.Mean()
 		sum.P95Latency = h.Quantile(0.95)
 	}
-	switch s.cfg.Scheme {
-	case SchemeMobileIP:
-		sum.SignalingMsgs = s.reg.Counter("mip.signaling.messages").Value()
-		sum.SignalingBytes = s.reg.Counter("mip.signaling.bytes").Value()
-	case SchemeCellularIPHard, SchemeCellularIPSemisoft:
-		sum.SignalingMsgs = s.reg.Counter("cip.route_updates").Value() +
-			s.reg.Counter("cip.paging_updates").Value()
-		sum.SignalingBytes = s.reg.Counter("cip.control_bytes").Value()
-	case SchemeMultiTier:
-		sum.SignalingMsgs = s.reg.Counter("tier.location_msgs").Value() +
-			s.reg.Counter("tier.update_msgs").Value() +
-			s.reg.Counter("tier.delete_msgs").Value() +
-			s.reg.Counter("mip.signaling.messages").Value()
-		sum.SignalingBytes = s.reg.Counter("tier.control_bytes").Value() +
-			s.reg.Counter("mip.signaling.bytes").Value()
+	sig := s.sch.signalling()
+	for _, name := range sig.msgs {
+		sum.SignalingMsgs += s.reg.Counter(name).Value()
+	}
+	for _, name := range sig.bytes {
+		sum.SignalingBytes += s.reg.Counter(name).Value()
 	}
 	return sum
 }

@@ -189,7 +189,9 @@ type Event struct {
 	// creation-ordered link list (sorted), empty for cell events.
 	Links []int
 	// Loss is the additional loss probability (link degrade / radio
-	// fade); zero on restore/end and station events.
+	// fade). A fade end carries its start's loss, so overlapping fades
+	// on one cell each remove their own share; link restores and
+	// station events carry zero.
 	Loss float64
 	// ExtraDelay is the additional link propagation delay (degrade only).
 	ExtraDelay time.Duration
@@ -277,7 +279,7 @@ func (p *Plan) Expand(top *topology.Topology, nLinks int, rng *simtime.Rand, hor
 		at, length := window(f.Start, f.Duration, f.Jitter)
 		sched = append(sched,
 			Event{At: at, Kind: FadeStart, Cells: cells, Loss: f.ExtraLoss},
-			Event{At: at + length, Kind: FadeEnd, Cells: cells})
+			Event{At: at + length, Kind: FadeEnd, Cells: cells, Loss: f.ExtraLoss})
 	}
 	sort.SliceStable(sched, func(i, j int) bool { return sched[i].At < sched[j].At })
 	return sched, nil

@@ -82,6 +82,11 @@ func TestExpandShape(t *testing.T) {
 			if len(ev.Cells) != 3 {
 				t.Errorf("%v: want 3 cells, got %v", ev.Kind, ev.Cells)
 			}
+			// Both edges carry the spec's loss, so each end removes its
+			// own share of overlapping fades.
+			if ev.Loss != 0.3 {
+				t.Errorf("%v: loss %v, want the spec's 0.3", ev.Kind, ev.Loss)
+			}
 		}
 		for j := 1; j < len(ev.Cells); j++ {
 			if ev.Cells[j] <= ev.Cells[j-1] {
