@@ -52,11 +52,11 @@ lint: bin/mmlint
 race:
 	$(GO) test -race ./...
 
-# race-goldens: the E9–E11/E13/E14 golden suites with the parallel measurement
-# phase (MeasureWorkers=4 pinned in the tests) under the race detector —
-# byte-identity and data-race freedom of the fan-out in one run.
+# race-goldens: every golden (the E1–E8 suite and E9–E14) in its
+# measurement-worker variant, plus the trace golden's, under the race
+# detector — byte-identity and data-race freedom of the fan-out in one run.
 race-goldens:
-	$(GO) test -race ./internal/experiments -run 'ParallelMeasurement' -count=1
+	$(GO) test -race ./internal/experiments -run '^TestGolden(TraceParallelMeasurementMatches)?$$/./measure-workers' -count=1
 
 check: vet lint race bench-smoke bench-gate
 

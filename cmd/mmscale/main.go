@@ -17,6 +17,10 @@
 // class-priority admission ladder, video rate adaptation, and the
 // registration-storm breaker), against each fault profile.
 //
+// Each mode starts from its experiment's Default* matrix; only the axis
+// flags given on the command line override it. A flag the selected mode
+// does not read is rejected rather than silently ignored.
+//
 // Scale runs are bounded-memory by construction: each scenario owns a
 // private packet arena and per-profile metrics are streaming aggregates,
 // so peak heap tracks the population and topology, never the packet
@@ -45,8 +49,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -60,52 +66,170 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "mmscale:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
-	def := experiments.DefaultScaleSweep()
+// axes holds the parsed matrix flags; set names the flags given on the
+// command line, and only those override a mode's Default* matrix.
+type axes struct {
+	set                 map[string]bool
+	pops                []int
+	schemes             []core.Scheme
+	duration, sample    time.Duration
+	spec                fleet.Spec
+	profiles            []faults.NamedPlan
+	signalling, rootocc bool
+	planner             capacity.PlannerConfig
+}
+
+// override replaces the axes that were set explicitly. A mode passes nil
+// for an axis its matrix lacks; the mode's reads list keeps that flag
+// from being set.
+func (a axes) override(pops *[]int, schemes *[]core.Scheme, dur *time.Duration, spec *fleet.Spec, sample *time.Duration) {
+	if a.set["mns"] {
+		*pops = a.pops
+	}
+	if a.set["schemes"] {
+		*schemes = a.schemes
+	}
+	if a.set["duration"] {
+		*dur = a.duration
+	}
+	if a.set["fleet"] {
+		*spec = a.spec
+	}
+	if a.set["sample"] && sample != nil {
+		*sample = a.sample
+	}
+}
+
+// mode is one matrix mmscale runs: the flag selecting it ("" for the
+// default E9 sweep), the flags it reads beyond the common ones, and how
+// it builds and runs its matrix. run reports the population and scheme
+// axes that actually ran.
+type mode struct {
+	flag, usage string
+	reads       []string
+	run         func(experiments.Options, axes) (tbl *experiments.Table, pops, schemes int, err error)
+}
+
+var modes = []mode{
+	{"", "", []string{"mns", "schemes", "duration", "fleet", "signalling"},
+		func(opt experiments.Options, a axes) (*experiments.Table, int, int, error) {
+			m := experiments.DefaultScaleSweep()
+			a.override(&m.Populations, &m.Schemes, &m.Duration, &m.Spec, nil)
+			m.PerProfileSignalling = a.signalling
+			tbl, err := experiments.E9ScaleSweep(opt, m)
+			return tbl, len(m.Populations), len(m.Schemes), err
+		}},
+	{"dimension", "run the E10 capacity matrix: fixed vs dimensioned topology",
+		[]string{"mns", "schemes", "duration", "fleet", "rootocc", "density", "headroom"},
+		func(opt experiments.Options, a axes) (*experiments.Table, int, int, error) {
+			m := experiments.DefaultCapacityMatrix()
+			a.override(&m.Populations, &m.Schemes, &m.Duration, &m.Spec, nil)
+			m.Planner, m.PerRootOccupancy = a.planner, a.rootocc
+			tbl, err := experiments.E10CapacityMatrix(opt, m)
+			return tbl, len(m.Populations), len(m.Schemes), err
+		}},
+	{"faults", "run the E11 resilience matrix: deterministic fault injection x scheme",
+		[]string{"mns", "schemes", "duration", "fleet", "faultprofiles"},
+		func(opt experiments.Options, a axes) (*experiments.Table, int, int, error) {
+			m := experiments.DefaultResilienceMatrix()
+			a.override(&m.Populations, &m.Schemes, &m.Duration, &m.Spec, nil)
+			m.Profiles = a.profiles
+			tbl, err := experiments.E11Resilience(opt, m)
+			return tbl, len(m.Populations), len(m.Schemes), err
+		}},
+	{"closedloop", "run the E13 closed-loop matrix: open vs closed QoE feedback loop x fault profile",
+		[]string{"mns", "duration", "fleet", "sample"},
+		func(opt experiments.Options, a axes) (*experiments.Table, int, int, error) {
+			m := experiments.DefaultClosedLoopMatrix()
+			a.override(&m.Populations, nil, &m.Duration, &m.Spec, &m.SampleInterval)
+			tbl, err := experiments.E13ClosedLoop(opt, m)
+			return tbl, len(m.Populations), 1, err
+		}},
+	{"degrade", "run the E14 degradation matrix: cliff vs graceful degradation x fault profile",
+		[]string{"mns", "duration", "fleet", "sample", "faultprofiles"},
+		func(opt experiments.Options, a axes) (*experiments.Table, int, int, error) {
+			m := experiments.DefaultDegradationMatrix()
+			a.override(&m.Populations, nil, &m.Duration, &m.Spec, &m.SampleInterval)
+			m.Profiles = a.profiles
+			tbl, err := experiments.E14Degradation(opt, m)
+			return tbl, len(m.Populations), 1, err
+		}},
+}
+
+// common are the flags every mode reads; with -trace, sample and
+// traceout are read too.
+var common = []string{"seed", "scale", "reps", "parallel", "measureworkers", "memstats", "trace",
+	"dimension", "faults", "closedloop", "degrade"}
+
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("mmscale", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed       = fs.Int64("seed", 1, "base seed")
-		scale      = fs.Float64("scale", 1.0, "duration multiplier (e.g. 0.1 for quick runs)")
-		reps       = fs.Int("reps", 1, "replications per cell (cells become mean±std)")
-		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "scenario workers")
-		measurew   = fs.Int("measureworkers", 1, "per-scenario measurement workers (0 = GOMAXPROCS); results are byte-identical for any count")
-		mns        = fs.String("mns", joinInts(def.Populations), "comma-separated population axis")
-		schemes    = fs.String("schemes", joinSchemes(def.Schemes), "comma-separated schemes to sweep")
-		duration   = fs.Duration("duration", def.Duration, "virtual span of each scenario")
-		fleetArg   = fs.String("fleet", def.Spec.String(), "population mix as name=share,... (built-in profiles)")
-		signalling = fs.Bool("signalling", false, "add per-profile location-update and paging columns to the E9 sweep (E10 always includes them)")
-		dimension  = fs.Bool("dimension", false, "run the E10 capacity matrix: fixed vs dimensioned topology")
-		faultsRun  = fs.Bool("faults", false, "run the E11 resilience matrix: deterministic fault injection x scheme")
-		closedloop = fs.Bool("closedloop", false, "run the E13 closed-loop matrix: open vs closed QoE feedback loop x fault profile")
-		degradeRun = fs.Bool("degrade", false, "run the E14 degradation matrix: cliff vs graceful degradation x fault profile")
-		faultprofs = fs.String("faultprofiles", "", "with -faults or -degrade, comma-separated fault profiles to inject (default: the mode's standard profiles)")
-		rootocc    = fs.Bool("rootocc", false, "with -dimension, add the per-root occupancy load-balance column")
-		density    = fs.String("density", string(capacity.DensityUrban), "dimensioning density preset (sparse|urban|dense)")
-		headroom   = fs.Float64("headroom", capacity.DefaultHeadroom, "dimensioning capacity headroom factor (>= 1)")
-		memstats   = fs.Bool("memstats", false, "print heap statistics after the sweep")
-		trace      = fs.Bool("trace", false, "record a deterministic event trace of every scenario (replication 0)")
-		sample     = fs.Duration("sample", 0, "with -trace, time-series sampling cadence (0 = events only)")
-		traceout   = fs.String("traceout", "traces", "with -trace, directory receiving one JSONL trace per scenario")
+		seed     = fs.Int64("seed", 1, "base seed")
+		scale    = fs.Float64("scale", 1.0, "duration multiplier (e.g. 0.1 for quick runs)")
+		reps     = fs.Int("reps", 1, "replications per cell (cells become mean±std)")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "scenario workers")
+		measurew = fs.Int("measureworkers", 1, "per-scenario measurement workers (0 = GOMAXPROCS); results are byte-identical for any count")
+		memstats = fs.Bool("memstats", false, "print heap statistics after the sweep")
+		trace    = fs.Bool("trace", false, "record a deterministic event trace of every scenario (replication 0)")
+		traceout = fs.String("traceout", "traces", "with -trace, directory receiving one JSONL trace per scenario")
+		a        = axes{set: map[string]bool{}}
 	)
+	fs.String("mns", "", "comma-separated population axis (default: the mode's matrix)")
+	fs.String("schemes", "", "comma-separated schemes to sweep (default: every scheme; E9–E11 only)")
+	fs.String("fleet", "", "population mix as name=share,... of built-in profiles (default: the mode's mix)")
+	fs.String("faultprofiles", "", "with -faults or -degrade, comma-separated fault profiles to inject (default: the mode's standard profiles)")
+	fs.DurationVar(&a.duration, "duration", 0, "virtual span of each scenario (default: the mode's matrix)")
+	fs.DurationVar(&a.sample, "sample", 0, "with -trace, time-series sampling cadence (0 = events only); with -closedloop or -degrade also the telemetry cadence (0 = duration/100)")
+	fs.BoolVar(&a.signalling, "signalling", false, "add per-profile location-update and paging columns to the E9 sweep (E10 always includes them)")
+	fs.BoolVar(&a.rootocc, "rootocc", false, "with -dimension, add the per-root occupancy load-balance column")
+	fs.StringVar((*string)(&a.planner.Density), "density", string(capacity.DensityUrban), "with -dimension, dimensioning density preset (sparse|urban|dense)")
+	fs.Float64Var(&a.planner.Headroom, "headroom", capacity.DefaultHeadroom, "with -dimension, dimensioning capacity headroom factor (>= 1)")
+	selected := map[string]*bool{}
+	for _, m := range modes[1:] {
+		selected[m.flag] = fs.Bool(m.flag, false, m.usage)
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sw := experiments.ScaleSweep{Duration: *duration, PerProfileSignalling: *signalling}
+	md := modes[0]
+	for _, m := range modes[1:] {
+		if *selected[m.flag] {
+			if md.flag != "" {
+				return fmt.Errorf("-%s and -%s are mutually exclusive", md.flag, m.flag)
+			}
+			md = m
+		}
+	}
 	var err error
-	if sw.Populations, err = parseInts(*mns); err != nil {
-		return fmt.Errorf("-mns: %w", err)
-	}
-	if sw.Schemes, err = parseSchemes(*schemes); err != nil {
-		return fmt.Errorf("-schemes: %w", err)
-	}
-	if sw.Spec, err = fleet.ParseSpec(*fleetArg); err != nil {
-		return fmt.Errorf("-fleet: %w", err)
+	fs.Visit(func(f *flag.Flag) {
+		a.set[f.Name] = true
+		var ferr error
+		switch v := f.Value.String(); {
+		case !slices.Contains(md.reads, f.Name) && !slices.Contains(common, f.Name) &&
+			!(*trace && (f.Name == "sample" || f.Name == "traceout")):
+			ferr = fmt.Errorf("not read by the selected mode")
+		case f.Name == "mns":
+			a.pops, ferr = parseInts(v)
+		case f.Name == "schemes":
+			a.schemes, ferr = parseSchemes(v)
+		case f.Name == "fleet":
+			a.spec, ferr = fleet.ParseSpec(v)
+		case f.Name == "faultprofiles":
+			a.profiles, ferr = parseFaultProfiles(v)
+		}
+		if ferr != nil && err == nil {
+			err = fmt.Errorf("-%s: %w", f.Name, ferr)
+		}
+	})
+	if err != nil {
+		return err
 	}
 	mw := *measurew
 	if mw == 0 {
@@ -114,161 +238,52 @@ func run(args []string) error {
 	opt := experiments.Options{Seed: *seed, TimeScale: *scale, Reps: *reps, Parallel: *parallel,
 		MeasureWorkers: mw}
 	if *trace {
-		opt.Obs = &obs.Config{SampleInterval: *sample, PacketSampleEvery: 64}
+		opt.Obs = &obs.Config{SampleInterval: a.sample, PacketSampleEvery: 64}
 		opt.TraceDir = *traceout
 	}
 	if err := opt.Validate(); err != nil {
 		return err
 	}
 
-	modes := 0
-	for _, on := range []bool{*faultsRun, *dimension, *closedloop, *degradeRun} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		return fmt.Errorf("-faults, -dimension, -closedloop and -degrade are mutually exclusive")
-	}
-	if *faultprofs != "" && !*faultsRun && !*degradeRun {
-		return fmt.Errorf("-faultprofiles requires -faults or -degrade")
-	}
-
 	start := time.Now()
-	var tbl *experiments.Table
-	if *faultsRun {
-		profiles, perr := parseFaultProfiles(*faultprofs)
-		if perr != nil {
-			return fmt.Errorf("-faultprofiles: %w", perr)
-		}
-		m := experiments.DefaultResilienceMatrix()
-		m.Schemes = sw.Schemes
-		m.Duration = sw.Duration
-		m.Spec = sw.Spec
-		m.Profiles = profiles
-		// The resilience matrix has its own (smaller) default population
-		// axis; an explicit -mns still overrides it.
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "mns" {
-				m.Populations = sw.Populations
-			}
-		})
-		tbl, err = experiments.E11Resilience(opt, m)
-	} else if *closedloop {
-		// The closed-loop matrix runs its own hotspot crowd against the
-		// multi-tier scheme only; explicit axis flags still override.
-		m := experiments.DefaultClosedLoopMatrix()
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "mns":
-				m.Populations = sw.Populations
-			case "duration":
-				m.Duration = sw.Duration
-			case "fleet":
-				m.Spec = sw.Spec
-			case "sample":
-				m.SampleInterval = *sample
-			}
-		})
-		tbl, err = experiments.E13ClosedLoop(opt, m)
-	} else if *degradeRun {
-		profiles, perr := parseFaultProfiles(*faultprofs)
-		if perr != nil {
-			return fmt.Errorf("-faultprofiles: %w", perr)
-		}
-		// The degradation matrix runs its own three-class crowd against
-		// the multi-tier scheme only; explicit axis flags still override.
-		m := experiments.DefaultDegradationMatrix()
-		m.Profiles = profiles
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "mns":
-				m.Populations = sw.Populations
-			case "duration":
-				m.Duration = sw.Duration
-			case "fleet":
-				m.Spec = sw.Spec
-			case "sample":
-				m.SampleInterval = *sample
-			}
-		})
-		tbl, err = experiments.E14Degradation(opt, m)
-	} else if *dimension {
-		tbl, err = experiments.E10CapacityMatrix(opt, experiments.CapacityMatrix{
-			Populations: sw.Populations,
-			Schemes:     sw.Schemes,
-			Duration:    sw.Duration,
-			Spec:        sw.Spec,
-			Planner: capacity.PlannerConfig{
-				Density:  capacity.Density(*density),
-				Headroom: *headroom,
-			},
-			PerRootOccupancy: *rootocc,
-		})
-	} else {
-		tbl, err = experiments.E9ScaleSweep(opt, sw)
-	}
+	tbl, pops, nschemes, err := md.run(opt, a)
 	if err != nil {
 		return err
 	}
-	fmt.Println(tbl)
-	fmt.Fprintf(os.Stderr, "mmscale: %d population(s) x %d scheme(s), %d rep(s), %d worker(s), %d measure worker(s) in %v\n",
-		len(sw.Populations), len(sw.Schemes), *reps, *parallel, mw, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintln(stdout, tbl)
+	fmt.Fprintf(stderr, "mmscale: %d population(s) x %d scheme(s), %d rep(s), %d worker(s), %d measure worker(s) in %v\n",
+		pops, nschemes, *reps, *parallel, mw, time.Since(start).Round(time.Millisecond))
 	if *memstats {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
-		fmt.Fprintf(os.Stderr, "mmscale: heap-alloc=%dMiB heap-sys=%dMiB total-alloc=%dMiB gc=%d\n",
+		fmt.Fprintf(stderr, "mmscale: heap-alloc=%dMiB heap-sys=%dMiB total-alloc=%dMiB gc=%d\n",
 			m.HeapAlloc>>20, m.HeapSys>>20, m.TotalAlloc>>20, m.NumGC)
 	}
 	return nil
 }
 
-func joinInts(vals []int) string {
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = strconv.Itoa(v)
-	}
-	return strings.Join(parts, ",")
-}
-
-// parseInts parses the population axis, enforcing the same rules
-// experiments.ScaleSweep.Validate applies — strictly ascending positive
-// counts — so a bad -mns fails here with a flag-shaped error instead of
-// surfacing later as a sweep error (or, before validation existed,
-// silently doubling runs and rendering misordered tables).
+// parseInts parses the population axis. The axis rules (positive,
+// strictly ascending) belong to the experiments' matrix validator, which
+// rejects a bad axis before any scenario runs.
 func parseInts(s string) ([]int, error) {
 	var out []int
-	prev := 0
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
 		v, err := strconv.Atoi(part)
-		if err != nil || v <= 0 {
+		if err != nil {
 			return nil, fmt.Errorf("bad population %q", part)
 		}
-		switch {
-		case v == prev:
-			return nil, fmt.Errorf("duplicate population %d", v)
-		case v < prev:
-			return nil, fmt.Errorf("populations must be ascending (%d after %d)", v, prev)
-		}
-		prev = v
 		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no populations")
 	}
 	return out, nil
 }
 
 // parseFaultProfiles resolves a comma-separated profile-name list against
-// the standard fault profiles; empty means all of them.
+// the standard fault profiles.
 func parseFaultProfiles(s string) ([]faults.NamedPlan, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
 	var out []faults.NamedPlan
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -287,19 +302,7 @@ func parseFaultProfiles(s string) ([]faults.NamedPlan, error) {
 	return out, nil
 }
 
-func joinSchemes(schemes []core.Scheme) string {
-	parts := make([]string, len(schemes))
-	for i, s := range schemes {
-		parts[i] = string(s)
-	}
-	return strings.Join(parts, ",")
-}
-
 func parseSchemes(s string) ([]core.Scheme, error) {
-	known := make(map[core.Scheme]bool)
-	for _, sc := range core.Schemes() {
-		known[sc] = true
-	}
 	var out []core.Scheme
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -307,13 +310,10 @@ func parseSchemes(s string) ([]core.Scheme, error) {
 			continue
 		}
 		sc := core.Scheme(part)
-		if !known[sc] {
+		if !slices.Contains(core.Schemes(), sc) {
 			return nil, fmt.Errorf("unknown scheme %q", part)
 		}
 		out = append(out, sc)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no schemes")
 	}
 	return out, nil
 }

@@ -42,16 +42,6 @@ type CapacityMatrix struct {
 	PerRootOccupancy bool
 }
 
-// Validate applies the ScaleSweep axis rules to the matrix.
-func (m CapacityMatrix) Validate() error {
-	return ScaleSweep{
-		Populations: m.Populations,
-		Schemes:     m.Schemes,
-		Duration:    m.Duration,
-		Spec:        m.Spec,
-	}.Validate()
-}
-
 // DefaultCapacityMatrix is the full matrix cmd/mmscale -dimension runs:
 // 500 → 10k MNs, fixed vs dimensioned, every scheme, default urban mix.
 func DefaultCapacityMatrix() CapacityMatrix {
@@ -85,113 +75,68 @@ func SuiteCapacityMatrix() CapacityMatrix {
 // topology size, so it is invoked deliberately (cmd/mmscale -dimension,
 // mmbench E10, BenchmarkE10CapacityMatrix, or the pinned golden test).
 func E10CapacityMatrix(opt Options, m CapacityMatrix) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := e10Plan(opt, m)
-	if err != nil {
-		return nil, err
-	}
-	return opt.run(p)
+	return runMatrix(opt, m.matrix(), m.table)
 }
 
-// e10Plan dimensions every population up front so a degenerate planner
-// config (or a population past the address budget) fails before a single
-// scenario runs, not after the whole matrix has been executed.
-func e10Plan(opt Options, m CapacityMatrix) (plan, error) {
-	type meta struct {
-		mns    int
-		mode   string
-		cells  int
-		scheme core.Scheme
-		plan   *capacity.Plan
-	}
-	var jobs []runner.Job
-	var metas []meta
-	for _, n := range m.Populations {
-		dim, err := capacity.New(n, m.Spec, m.Planner)
-		if err != nil {
-			return plan{}, fmt.Errorf("dimensioning %d MNs: %w", n, err)
-		}
-		for _, mode := range []string{"fixed", "dimensioned"} {
-			for _, scheme := range m.Schemes {
-				cfg := core.DefaultConfig()
-				cfg.Scheme = scheme
-				cfg.Topology = oneRoot()
-				cfg.Duration = opt.scale(m.Duration)
-				cfg.NumMNs = n
-				spec := m.Spec
-				cfg.Fleet = &spec
-				cfg.PacketArena = true
-				cells := oneRoot().CellCount()
-				if mode == "dimensioned" {
-					cfg.Capacity = dim
-					cells = dim.Topology.CellCount()
-				}
-				jobs = append(jobs, runner.Job{
-					Label:  fmt.Sprintf("%s@%d-MNs-%s", scheme, n, mode),
-					Config: cfg,
-				})
-				metas = append(metas, meta{n, mode, cells, scheme, dim})
+// matrix runs every population on the fixed seed topology and again on
+// its dimensioned arena.
+func (m CapacityMatrix) matrix() matrix {
+	return matrix{num: 10, pops: m.Populations, schemes: m.Schemes, dur: m.Duration, spec: m.Spec,
+		planner: &m.Planner, variants: []string{"fixed", "dimensioned"},
+		vary: func(cfg *core.Config, topo string) {
+			if topo == "fixed" {
+				cfg.Capacity = nil
 			}
-		}
-	}
+		}}
+}
+
+func (m CapacityMatrix) table(cells []cell, res []runner.JobResult) *Table {
 	header := []string{"MNs", "topology", "cells", "scheme",
 		"admitted", "shed-capacity", "shed-policy", "shed rate",
 		"loss", "mean delay", "handoffs/MN", "micro occ mean/max", "loc upd/MN", "pages"}
 	if m.PerRootOccupancy {
 		header = append(header, "root occ spread")
 	}
-	p := plan{
-		num:  10,
-		jobs: jobs,
-		render: func(res []runner.JobResult) (*Table, error) {
-			t := &Table{
-				ID:     "E10",
-				Title:  fmt.Sprintf("Capacity x population matrix: fixed vs dimensioned topology (mix %s)", m.Spec.String()),
-				Header: header,
-			}
-			for i, r := range res {
-				mt := metas[i]
-				sig := fleetSignallingCells(r, m.Spec)
-				row := []string{fmtI(mt.mns), mt.mode, fmtI(mt.cells), string(mt.scheme),
-					fmtStatI(r.Counter("tier.admission.admitted")),
-					fmtStatI(r.Counter("tier.admission.shed_capacity")),
-					fmtStatI(r.Counter("tier.admission.shed_policy")),
-					fmtStatPct(r.Stat(shedRate)),
-					fmtStatPct(r.LossRate()),
-					fmtStatDur(r.MeanLatency()),
-					fmtStatF(r.Stat(func(res *core.Result) float64 {
-						return float64(res.Summary.Handoffs) / float64(res.Config.NumMNs)
-					})),
-					microOccupancy(r),
-					sig[0], sig[1]}
-				if m.PerRootOccupancy {
-					row = append(row, rootOccupancySpread(r))
-				}
-				t.AddRow(row...)
-			}
-			for _, n := range m.Populations {
-				for i := range metas {
-					if metas[i].mns == n {
-						t.AddNote("plan @%d: %s", n, metas[i].plan)
-						break
-					}
-				}
-			}
-			t.AddNote("shed rate = shed-capacity / admission decisions; only multitier-rsmc runs admission control, so flat-scheme rows read 0 (they deliver into congestion instead of shedding)")
-			t.AddNote("a fixed-topology shed rate that grows with MNs while the dimensioned rate stays flat means earlier sweeps measured capacity exhaustion, not scheme cost")
-			if m.PerRootOccupancy {
-				t.AddNote("root occ spread = min..max of per-root mean channel occupancy (first replication): a wide spread means the headroom factor is spent on hot roots while others idle")
-			}
-			return t, nil
-		},
+	t := &Table{
+		ID:     "E10",
+		Title:  fmt.Sprintf("Capacity x population matrix: fixed vs dimensioned topology (mix %s)", m.Spec.String()),
+		Header: header,
 	}
-	return p, nil
+	for i, r := range res {
+		c := cells[i]
+		topoCells := oneRoot().CellCount()
+		if c.variant == "dimensioned" {
+			topoCells = c.dim.Topology.CellCount()
+		}
+		sig := fleetSignallingCells(r, m.Spec)
+		row := []string{fmtI(c.n), c.variant, fmtI(topoCells), string(c.scheme),
+			fmtStatI(r.Counter("tier.admission.admitted")),
+			fmtStatI(r.Counter("tier.admission.shed_capacity")),
+			fmtStatI(r.Counter("tier.admission.shed_policy")),
+			fmtStatPct(r.Stat(shedRate)),
+			fmtStatPct(r.LossRate()),
+			fmtStatDur(r.MeanLatency()),
+			fmtStatF(r.Stat(func(res *core.Result) float64 {
+				return float64(res.Summary.Handoffs) / float64(res.Config.NumMNs)
+			})),
+			microOccupancy(r),
+			sig[0], sig[1]}
+		if m.PerRootOccupancy {
+			row = append(row, rootOccupancySpread(r))
+		}
+		t.AddRow(row...)
+	}
+	for i, c := range cells {
+		if i == 0 || cells[i-1].n != c.n {
+			t.AddNote("plan @%d: %s", c.n, c.dim)
+		}
+	}
+	t.AddNote("shed rate = shed-capacity / admission decisions; only multitier-rsmc runs admission control, so flat-scheme rows read 0 (they deliver into congestion instead of shedding)")
+	t.AddNote("a fixed-topology shed rate that grows with MNs while the dimensioned rate stays flat means earlier sweeps measured capacity exhaustion, not scheme cost")
+	if m.PerRootOccupancy {
+		t.AddNote("root occ spread = min..max of per-root mean channel occupancy (first replication): a wide spread means the headroom factor is spent on hot roots while others idle")
+	}
+	return t
 }
 
 // shedRate is the capacity-shed fraction of all reason-coded admission

@@ -33,38 +33,6 @@ type ResilienceMatrix struct {
 	Profiles []faults.NamedPlan
 }
 
-// Validate applies the ScaleSweep axis rules plus per-profile plan
-// validation.
-func (m ResilienceMatrix) Validate() error {
-	if err := (ScaleSweep{
-		Populations: m.Populations,
-		Schemes:     m.Schemes,
-		Duration:    m.Duration,
-		Spec:        m.Spec,
-	}).Validate(); err != nil {
-		return err
-	}
-	for _, np := range m.profiles() {
-		if np.Name == "" {
-			return fmt.Errorf("%w: unnamed fault profile", faults.ErrBadPlan)
-		}
-		if np.Plan == nil {
-			return fmt.Errorf("%w: profile %q has no plan", faults.ErrBadPlan, np.Name)
-		}
-		if err := np.Plan.Validate(); err != nil {
-			return fmt.Errorf("profile %q: %w", np.Name, err)
-		}
-	}
-	return nil
-}
-
-func (m ResilienceMatrix) profiles() []faults.NamedPlan {
-	if len(m.Profiles) == 0 {
-		return faults.Profiles()
-	}
-	return m.Profiles
-}
-
 // DefaultResilienceMatrix is the full matrix cmd/mmscale -faults runs:
 // two populations, every scheme, all standard fault profiles.
 func DefaultResilienceMatrix() ResilienceMatrix {
@@ -82,12 +50,7 @@ func DefaultResilienceMatrix() ResilienceMatrix {
 func SuiteResilienceMatrix() ResilienceMatrix {
 	m := DefaultResilienceMatrix()
 	m.Populations = []int{200}
-	var root faults.NamedPlan
-	for _, np := range faults.Profiles() {
-		if np.Name == "root-outage" {
-			root = np
-		}
-	}
+	root, _ := faults.ProfileByName("root-outage")
 	m.Profiles = []faults.NamedPlan{root}
 	return m
 }
@@ -104,89 +67,47 @@ func SuiteResilienceMatrix() ResilienceMatrix {
 // Like E9/E10 it is not part of All: it runs deliberately via
 // cmd/mmscale -faults, BenchmarkE11Resilience, or the pinned golden.
 func E11Resilience(opt Options, m ResilienceMatrix) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return opt.run(e11Plan(opt, m))
+	return runMatrix(opt, m.matrix(), m.table)
 }
 
-// defaultAuthCPUCostNS is the modelled CPU spend per MHAE sign/verify
-// operation in E11 runs: a keyed-hash over a short registration message
-// lands in the low microseconds on period hardware, and the exact value
-// is inert anyway — it feeds only the mip.auth.cpu_ns accounting column,
-// never packet timing.
-const defaultAuthCPUCostNS = 2500
+// matrix runs every scheme under every fault profile with registration
+// authentication armed.
+func (m ResilienceMatrix) matrix() matrix {
+	return matrix{num: 11, pops: m.Populations, schemes: m.Schemes, dur: m.Duration, spec: m.Spec,
+		profiles: profilesOr(m.Profiles, faults.Profiles), auth: true}
+}
 
-func e11Plan(opt Options, m ResilienceMatrix) plan {
-	type meta struct {
-		mns     int
-		profile string
-		scheme  core.Scheme
+func (m ResilienceMatrix) table(cells []cell, res []runner.JobResult) *Table {
+	t := &Table{
+		ID:    "E11",
+		Title: fmt.Sprintf("Resilience matrix: fault injection x scheme (mix %s, auth on)", m.Spec.String()),
+		Header: []string{"MNs", "profile", "scheme",
+			"loss", "mean delay", "survival", "signal/s",
+			"t90 recovery", "retry-exhausted", "expired", "shed-fault",
+			"auth-cpu(ms)"},
 	}
-	var jobs []runner.Job
-	var metas []meta
-	for _, n := range m.Populations {
-		for _, np := range m.profiles() {
-			for _, scheme := range m.Schemes {
-				cfg := core.DefaultConfig()
-				cfg.Scheme = scheme
-				cfg.Topology = oneRoot()
-				cfg.Duration = opt.scale(m.Duration)
-				cfg.NumMNs = n
-				spec := m.Spec
-				cfg.Fleet = &spec
-				cfg.PacketArena = true
-				cfg.AuthEnabled = true
-				cfg.AuthCPUCostNS = defaultAuthCPUCostNS
-				cfg.Faults = np.Plan
-				jobs = append(jobs, runner.Job{
-					Label:  fmt.Sprintf("%s@%d-MNs-%s", scheme, n, np.Name),
-					Config: cfg,
-				})
-				metas = append(metas, meta{n, np.Name, scheme})
-			}
-		}
+	for i, r := range res {
+		c := cells[i]
+		t.AddRow(fmtI(c.n), c.profile.Name, string(c.scheme),
+			fmtStatPct(r.LossRate()),
+			fmtStatDur(r.MeanLatency()),
+			fmtStatPct(r.Stat(survivalRate)),
+			fmtStatF(r.Stat(func(res *core.Result) float64 {
+				return float64(res.Summary.SignalingMsgs) / res.Config.Duration.Seconds()
+			})),
+			t90Recovery(r),
+			fmtStatI(r.Counter("mip.registration.retry_exhausted")),
+			fmtStatI(r.Counter("mip.registration.expired")),
+			fmtStatI(r.Counter("tier.admission.shed_fault")),
+			fmtStatF(r.Stat(func(res *core.Result) float64 {
+				return float64(res.Registry.Counter("mip.auth.cpu_ns").Value()) / 1e6
+			})))
 	}
-	return plan{
-		num:  11,
-		jobs: jobs,
-		render: func(res []runner.JobResult) (*Table, error) {
-			t := &Table{
-				ID:    "E11",
-				Title: fmt.Sprintf("Resilience matrix: fault injection x scheme (mix %s, auth on)", m.Spec.String()),
-				Header: []string{"MNs", "profile", "scheme",
-					"loss", "mean delay", "survival", "signal/s",
-					"t90 recovery", "retry-exhausted", "expired", "shed-fault",
-					"auth-cpu(ms)"},
-			}
-			for i, r := range res {
-				mt := metas[i]
-				t.AddRow(fmtI(mt.mns), mt.profile, string(mt.scheme),
-					fmtStatPct(r.LossRate()),
-					fmtStatDur(r.MeanLatency()),
-					fmtStatPct(r.Stat(survivalRate)),
-					fmtStatF(r.Stat(func(res *core.Result) float64 {
-						return float64(res.Summary.SignalingMsgs) / res.Config.Duration.Seconds()
-					})),
-					t90Recovery(r),
-					fmtStatI(r.Counter("mip.registration.retry_exhausted")),
-					fmtStatI(r.Counter("mip.registration.expired")),
-					fmtStatI(r.Counter("tier.admission.shed_fault")),
-					fmtStatF(r.Stat(func(res *core.Result) float64 {
-						return float64(res.Registry.Counter("mip.auth.cpu_ns").Value()) / 1e6
-					})))
-			}
-			t.AddNote("survival = fault.session.survivors / population, probed just before the run ends; baseline rows calibrate what the probe reads with no faults injected")
-			t.AddNote("t90 recovery = time from station recovery until 90%% of the MNs it deregistered hold a registration again; \"-\" means no outage fired or the storm never converged inside the run")
-			t.AddNote("reason-coded drops: shed_fault = admission refused because the domain head was down; retry-exhausted / expired are the Mobile IP registration lifecycle counters")
-			t.AddNote("auth-cpu = modelled MHAE sign/verify CPU spend (mip.auth.cpu_ns); zero for Cellular IP, which carries no Mobile IP leg")
-			return t, nil
-		},
-	}
+	t.AddNote("survival = fault.session.survivors / population, probed just before the run ends; baseline rows calibrate what the probe reads with no faults injected")
+	t.AddNote("t90 recovery = time from station recovery until 90%% of the MNs it deregistered hold a registration again; \"-\" means no outage fired or the storm never converged inside the run")
+	t.AddNote("reason-coded drops: shed_fault = admission refused because the domain head was down; retry-exhausted / expired are the Mobile IP registration lifecycle counters")
+	t.AddNote("auth-cpu = modelled MHAE sign/verify CPU spend (mip.auth.cpu_ns); zero for Cellular IP, which carries no Mobile IP leg")
+	return t
 }
 
 // survivalRate is the end-of-run registered fraction of one run.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/topology"
 )
@@ -43,49 +42,6 @@ type ClosedLoopMatrix struct {
 	// SampleInterval is the telemetry cadence both loop modes record
 	// at; the closed loop also decides on it. Zero takes Duration/100.
 	SampleInterval time.Duration
-}
-
-// Validate applies the ScaleSweep axis rules plus per-profile plan
-// validation. The scheme axis is fixed: only multitier-rsmc has
-// per-root admission budgets to shift.
-func (m ClosedLoopMatrix) Validate() error {
-	if err := (ScaleSweep{
-		Populations: m.Populations,
-		Schemes:     []core.Scheme{core.SchemeMultiTier},
-		Duration:    m.Duration,
-		Spec:        m.Spec,
-	}).Validate(); err != nil {
-		return err
-	}
-	if m.SampleInterval < 0 {
-		return fmt.Errorf("%w: negative sample interval %v", ErrBadOptions, m.SampleInterval)
-	}
-	for _, np := range m.profiles() {
-		if np.Name == "" {
-			return fmt.Errorf("%w: unnamed fault profile", faults.ErrBadPlan)
-		}
-		if np.Plan == nil {
-			return fmt.Errorf("%w: profile %q has no plan", faults.ErrBadPlan, np.Name)
-		}
-		if err := np.Plan.Validate(); err != nil {
-			return fmt.Errorf("profile %q: %w", np.Name, err)
-		}
-	}
-	return nil
-}
-
-func (m ClosedLoopMatrix) profiles() []faults.NamedPlan {
-	if len(m.Profiles) == 0 {
-		return closedLoopProfiles()
-	}
-	return m.Profiles
-}
-
-func (m ClosedLoopMatrix) sample() time.Duration {
-	if m.SampleInterval > 0 {
-		return m.SampleInterval
-	}
-	return m.Duration / 100
 }
 
 // closedLoopProfiles are the default E13 fault rows. The blackout asks
@@ -151,24 +107,30 @@ func SuiteClosedLoopMatrix() ClosedLoopMatrix {
 // Like E9–E11 it is not part of All: it runs deliberately via
 // cmd/mmscale -closedloop, BenchmarkE13ClosedLoop, or the pinned golden.
 func E13ClosedLoop(opt Options, m ClosedLoopMatrix) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := e13Plan(opt, m)
-	if err != nil {
-		return nil, err
-	}
-	return opt.run(p)
+	return runMatrix(opt, m.matrix(), m.table)
 }
 
-// e13Control is the policy both closed rows and the improvement tests
-// arm: occupancy mean over a tenth of the run crossing 0.80 marks a
-// root hot (wide hysteresis so one shift holds instead of flapping),
-// and a registered fraction under 0.90 starts pre-paging immediately.
+// matrix lays the open and closed twins of each (population, profile)
+// out adjacent, so the table reads as before/after pairs. Both modes pin
+// the same Obs (the runner leaves a pinned Obs alone), so they record
+// identically and differ only in Control. The scheme axis is fixed: only
+// multitier-rsmc has per-root admission budgets to shift.
+func (m ClosedLoopMatrix) matrix() matrix {
+	return matrix{num: 13, pops: m.Populations, schemes: []core.Scheme{core.SchemeMultiTier},
+		dur: m.Duration, spec: m.Spec, profiles: profilesOr(m.Profiles, closedLoopProfiles),
+		planner: &m.Planner, auth: true, obs: true, sample: m.SampleInterval,
+		variants: []string{"open", "closed"},
+		vary: func(cfg *core.Config, loop string) {
+			if loop == "closed" {
+				cfg.Control = e13Control(cfg.Duration)
+			}
+		}}
+}
+
+// e13Control is the policy every closed row arms: occupancy mean over a
+// tenth of the run crossing 0.80 marks a root hot (wide hysteresis so
+// one shift holds instead of flapping), and a registered fraction under
+// 0.90 starts pre-paging immediately.
 func e13Control(dur time.Duration) *core.ControlConfig {
 	return &core.ControlConfig{
 		ElasticAdmission: &core.ElasticAdmissionConfig{
@@ -186,93 +148,31 @@ func e13Control(dur time.Duration) *core.ControlConfig {
 	}
 }
 
-// e13Config assembles one matrix cell: a dimensioned hotspot arena with
-// faults and telemetry armed, plus the control loop when closed. Both
-// modes pin their own Obs (the runner leaves a pinned Obs alone), so
-// open and closed record identically and differ only in Control.
-func e13Config(opt Options, m ClosedLoopMatrix, dim *capacity.Plan, n int, np faults.NamedPlan, closed bool) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Scheme = core.SchemeMultiTier
-	cfg.Topology = oneRoot()
-	cfg.Duration = opt.scale(m.Duration)
-	cfg.NumMNs = n
-	spec := m.Spec
-	cfg.Fleet = &spec
-	cfg.PacketArena = true
-	cfg.AuthEnabled = true
-	cfg.AuthCPUCostNS = defaultAuthCPUCostNS
-	cfg.Capacity = dim
-	cfg.Faults = np.Plan
-	// The cadence scales with the run the way fault windows do — as a
-	// fraction of the (scaled) duration, not through opt.scale and its
-	// 2 s floor, which would leave a scaled-down suite with two samples.
-	cfg.Obs = &obs.Config{
-		Capacity:       1 << 17,
-		SampleInterval: time.Duration(float64(m.sample()) * float64(cfg.Duration) / float64(m.Duration)),
+func (m ClosedLoopMatrix) table(cells []cell, res []runner.JobResult) *Table {
+	t := &Table{
+		ID:    "E13",
+		Title: fmt.Sprintf("Closed-loop control: open vs closed x fault profile (mix %s, dimensioned, auth on)", m.Spec.String()),
+		Header: []string{"MNs", "profile", "loop",
+			"loss", "survival", "t90 recovery",
+			"admitted", "shed-capacity", "shed-fault",
+			"alerts", "shifted-ch", "prepages"},
 	}
-	if closed {
-		cfg.Control = e13Control(cfg.Duration)
+	for i, r := range res {
+		c := cells[i]
+		t.AddRow(fmtI(c.n), c.profile.Name, c.variant,
+			fmtStatPct(r.LossRate()),
+			fmtStatPct(r.Stat(survivalRate)),
+			t90Recovery(r),
+			fmtStatI(r.Counter("tier.admission.admitted")),
+			fmtStatI(r.Counter("tier.admission.shed_capacity")),
+			fmtStatI(r.Counter("tier.admission.shed_fault")),
+			fmtStatI(r.Counter("ctl.alerts.raised")),
+			fmtStatI(r.Counter("ctl.shift.channels")),
+			fmtStatI(r.Counter("ctl.prepage.signals")))
 	}
-	return cfg
-}
-
-// e13Plan dimensions every population up front (fail fast, like E10)
-// and lays the jobs out open/closed adjacent per (population, profile)
-// so the table reads as before/after pairs.
-func e13Plan(opt Options, m ClosedLoopMatrix) (plan, error) {
-	type meta struct {
-		mns     int
-		profile string
-		loop    string
-	}
-	var jobs []runner.Job
-	var metas []meta
-	for _, n := range m.Populations {
-		dim, err := capacity.New(n, m.Spec, m.Planner)
-		if err != nil {
-			return plan{}, fmt.Errorf("dimensioning %d MNs: %w", n, err)
-		}
-		for _, np := range m.profiles() {
-			for _, loop := range []string{"open", "closed"} {
-				cfg := e13Config(opt, m, dim, n, np, loop == "closed")
-				jobs = append(jobs, runner.Job{
-					Label:  fmt.Sprintf("multitier-rsmc@%d-MNs-%s-%s", n, np.Name, loop),
-					Config: cfg,
-				})
-				metas = append(metas, meta{n, np.Name, loop})
-			}
-		}
-	}
-	return plan{
-		num:  13,
-		jobs: jobs,
-		render: func(res []runner.JobResult) (*Table, error) {
-			t := &Table{
-				ID:    "E13",
-				Title: fmt.Sprintf("Closed-loop control: open vs closed x fault profile (mix %s, dimensioned, auth on)", m.Spec.String()),
-				Header: []string{"MNs", "profile", "loop",
-					"loss", "survival", "t90 recovery",
-					"admitted", "shed-capacity", "shed-fault",
-					"alerts", "shifted-ch", "prepages"},
-			}
-			for i, r := range res {
-				mt := metas[i]
-				t.AddRow(fmtI(mt.mns), mt.profile, mt.loop,
-					fmtStatPct(r.LossRate()),
-					fmtStatPct(r.Stat(survivalRate)),
-					t90Recovery(r),
-					fmtStatI(r.Counter("tier.admission.admitted")),
-					fmtStatI(r.Counter("tier.admission.shed_capacity")),
-					fmtStatI(r.Counter("tier.admission.shed_fault")),
-					fmtStatI(r.Counter("ctl.alerts.raised")),
-					fmtStatI(r.Counter("ctl.shift.channels")),
-					fmtStatI(r.Counter("ctl.prepage.signals")))
-			}
-			t.AddNote("open rows record the same telemetry at the same cadence but attach no policy: every ctl.* column reads 0 and the pair isolates the feedback loop's effect")
-			t.AddNote("elastic admission: occupancy mean > %.2f for %s shifts %.0f%% of the coolest root's per-station budgets to the hot root (reverted on clear); shifted-ch counts channels moved", 0.80, "dur/20", 50.0)
-			t.AddNote("pre-paging: registered fraction < %.2f forces the still-unregistered MNs' location refreshes forward on every sampling tick instead of waiting out idle paging timers", 0.90)
-			t.AddNote("t90 recovery as in E11; the blackout downs every root, so closed-loop rows measure pre-paging on the hot root's own storm")
-			return t, nil
-		},
-	}, nil
+	t.AddNote("open rows record the same telemetry at the same cadence but attach no policy: every ctl.* column reads 0 and the pair isolates the feedback loop's effect")
+	t.AddNote("elastic admission: occupancy mean > %.2f for %s shifts %.0f%% of the coolest root's per-station budgets to the hot root (reverted on clear); shifted-ch counts channels moved", 0.80, "dur/20", 50.0)
+	t.AddNote("pre-paging: registered fraction < %.2f forces the still-unregistered MNs' location refreshes forward on every sampling tick instead of waiting out idle paging timers", 0.90)
+	t.AddNote("t90 recovery as in E11; the blackout downs every root, so closed-loop rows measure pre-paging on the hot root's own storm")
+	return t
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/degrade"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -49,50 +48,6 @@ type DegradationMatrix struct {
 	SampleInterval time.Duration
 }
 
-// Validate applies the ScaleSweep axis rules plus per-profile plan
-// validation. The scheme axis is fixed: only multitier-rsmc has the
-// per-cell admission sessions and root anchors the ladder and breaker
-// attach to.
-func (m DegradationMatrix) Validate() error {
-	if err := (ScaleSweep{
-		Populations: m.Populations,
-		Schemes:     []core.Scheme{core.SchemeMultiTier},
-		Duration:    m.Duration,
-		Spec:        m.Spec,
-	}).Validate(); err != nil {
-		return err
-	}
-	if m.SampleInterval < 0 {
-		return fmt.Errorf("%w: negative sample interval %v", ErrBadOptions, m.SampleInterval)
-	}
-	for _, np := range m.profiles() {
-		if np.Name == "" {
-			return fmt.Errorf("%w: unnamed fault profile", faults.ErrBadPlan)
-		}
-		if np.Plan == nil {
-			return fmt.Errorf("%w: profile %q has no plan", faults.ErrBadPlan, np.Name)
-		}
-		if err := np.Plan.Validate(); err != nil {
-			return fmt.Errorf("profile %q: %w", np.Name, err)
-		}
-	}
-	return nil
-}
-
-func (m DegradationMatrix) profiles() []faults.NamedPlan {
-	if len(m.Profiles) == 0 {
-		return degradationProfiles()
-	}
-	return m.Profiles
-}
-
-func (m DegradationMatrix) sample() time.Duration {
-	if m.SampleInterval > 0 {
-		return m.SampleInterval
-	}
-	return m.Duration / 100
-}
-
 // degradationProfiles are the default E14 fault rows: the bare overload
 // (an empty plan — faults armed only for the survival probes, the crowd
 // itself is the stressor) and the storm profile from the faults library,
@@ -128,16 +83,6 @@ func DegradationSpec() fleet.Spec {
 	}}
 }
 
-// e14Degrade is the degradation policy every graceful row arms: the
-// library defaults — elevated at 0.70 occupancy, critical at 0.85,
-// video rungs [1, 0.6, 0.35], a 400 msg/s registration pacer opening at
-// a 32-deep backlog.
-func e14Degrade() *core.DegradeConfig {
-	l := degrade.DefaultLadderConfig()
-	b := degrade.DefaultBreakerConfig()
-	return &core.DegradeConfig{Ladder: &l, Breaker: &b}
-}
-
 // DefaultDegradationMatrix is the full matrix cmd/mmscale -degrade
 // runs: two crowd sizes, both default profiles, cliff vs graceful. The
 // populations sit above the hot subtree's floor budget on purpose —
@@ -171,49 +116,28 @@ func SuiteDegradationMatrix() DegradationMatrix {
 // Like E9–E13 it is not part of All: it runs deliberately via
 // cmd/mmscale -degrade, BenchmarkE14Degradation, or the pinned golden.
 func E14Degradation(opt Options, m DegradationMatrix) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := e14Plan(opt, m)
-	if err != nil {
-		return nil, err
-	}
-	return opt.run(p)
+	return runMatrix(opt, m.matrix(), m.table)
 }
 
-// e14Config assembles one matrix cell: a dimensioned hotspot arena with
-// faults and telemetry armed, plus the degradation policy when
-// graceful. Both modes pin their own Obs (the runner leaves a pinned
-// Obs alone), so cliff and graceful record identically and differ only
-// in Degrade.
-func e14Config(opt Options, m DegradationMatrix, dim *capacity.Plan, n int, np faults.NamedPlan, graceful bool) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Scheme = core.SchemeMultiTier
-	cfg.Topology = oneRoot()
-	cfg.Duration = opt.scale(m.Duration)
-	cfg.NumMNs = n
-	spec := m.Spec
-	cfg.Fleet = &spec
-	cfg.PacketArena = true
-	cfg.AuthEnabled = true
-	cfg.AuthCPUCostNS = defaultAuthCPUCostNS
-	cfg.Capacity = dim
-	cfg.Faults = np.Plan
-	// The cadence scales with the run the way fault windows do — as a
-	// fraction of the (scaled) duration, not through opt.scale and its
-	// 2 s floor, which would leave a scaled-down suite with two samples.
-	cfg.Obs = &obs.Config{
-		Capacity:       1 << 17,
-		SampleInterval: time.Duration(float64(m.sample()) * float64(cfg.Duration) / float64(m.Duration)),
-	}
-	if graceful {
-		cfg.Degrade = e14Degrade()
-	}
-	return cfg
+// matrix lays the cliff and graceful twins of each (population, profile)
+// out adjacent, so the table reads as before/after pairs. Both modes pin
+// the same Obs (the runner leaves a pinned Obs alone), so they record
+// identically and differ only in Degrade: graceful rows arm the library
+// defaults — elevated at 0.70 occupancy, critical at 0.85, video rungs
+// [1, 0.6, 0.35], a 400 msg/s registration pacer opening at a 32-deep
+// backlog. The scheme axis is fixed: only multitier-rsmc has the per-cell
+// admission sessions and root anchors the ladder and breaker attach to.
+func (m DegradationMatrix) matrix() matrix {
+	return matrix{num: 14, pops: m.Populations, schemes: []core.Scheme{core.SchemeMultiTier},
+		dur: m.Duration, spec: m.Spec, profiles: profilesOr(m.Profiles, degradationProfiles),
+		planner: &m.Planner, auth: true, obs: true, sample: m.SampleInterval,
+		variants: []string{"cliff", "graceful"},
+		vary: func(cfg *core.Config, mode string) {
+			if mode == "graceful" {
+				l, b := degrade.DefaultLadderConfig(), degrade.DefaultBreakerConfig()
+				cfg.Degrade = &core.DegradeConfig{Ladder: &l, Breaker: &b}
+			}
+		}}
 }
 
 // classSurvival extracts the end-of-run registered fraction of one
@@ -244,67 +168,35 @@ func admissionSuccess(admitted, refused string) func(*core.Result) float64 {
 	}
 }
 
-// e14Plan dimensions every population up front (fail fast, like E10)
-// and lays the jobs out cliff/graceful adjacent per (population,
-// profile) so the table reads as before/after pairs.
-func e14Plan(opt Options, m DegradationMatrix) (plan, error) {
-	type meta struct {
-		mns     int
-		profile string
-		mode    string
+func (m DegradationMatrix) table(cells []cell, res []runner.JobResult) *Table {
+	t := &Table{
+		ID:    "E14",
+		Title: fmt.Sprintf("Graceful degradation: cliff vs graceful x fault profile (mix %s, dimensioned, auth on)", m.Spec.String()),
+		Header: []string{"MNs", "profile", "mode",
+			"loss", "survival", "voice-surv", "voice-adm", "ho-adm",
+			"deferred", "preempted", "stepdowns", "paced", "t90 recovery"},
 	}
-	var jobs []runner.Job
-	var metas []meta
-	for _, n := range m.Populations {
-		dim, err := capacity.New(n, m.Spec, m.Planner)
-		if err != nil {
-			return plan{}, fmt.Errorf("dimensioning %d MNs: %w", n, err)
-		}
-		for _, np := range m.profiles() {
-			for _, mode := range []string{"cliff", "graceful"} {
-				cfg := e14Config(opt, m, dim, n, np, mode == "graceful")
-				jobs = append(jobs, runner.Job{
-					Label:  fmt.Sprintf("multitier-rsmc@%d-MNs-%s-%s", n, np.Name, mode),
-					Config: cfg,
-				})
-				metas = append(metas, meta{n, np.Name, mode})
-			}
-		}
+	for i, r := range res {
+		c := cells[i]
+		t.AddRow(fmtI(c.n), c.profile.Name, c.variant,
+			fmtStatPct(r.LossRate()),
+			fmtStatPct(r.Stat(survivalRate)),
+			fmtStatPct(r.Stat(classSurvival("crowd-voice"))),
+			fmtStatPct(r.Stat(admissionSuccess(
+				"tier.admission.class.conversational.admitted",
+				"tier.admission.class.conversational.refused"))),
+			fmtStatPct(r.Stat(admissionSuccess(
+				"tier.admission.handoff.admitted",
+				"tier.admission.handoff.refused"))),
+			fmtStatI(r.Counter("ctl.degrade.deferred")),
+			fmtStatI(r.Counter("ctl.degrade.preempted")),
+			fmtStatI(r.Counter("ctl.degrade.video_stepdowns")),
+			fmtStatI(r.Counter("ctl.degrade.breaker.paced")),
+			t90Recovery(r))
 	}
-	return plan{
-		num:  14,
-		jobs: jobs,
-		render: func(res []runner.JobResult) (*Table, error) {
-			t := &Table{
-				ID:    "E14",
-				Title: fmt.Sprintf("Graceful degradation: cliff vs graceful x fault profile (mix %s, dimensioned, auth on)", m.Spec.String()),
-				Header: []string{"MNs", "profile", "mode",
-					"loss", "survival", "voice-surv", "voice-adm", "ho-adm",
-					"deferred", "preempted", "stepdowns", "paced", "t90 recovery"},
-			}
-			for i, r := range res {
-				mt := metas[i]
-				t.AddRow(fmtI(mt.mns), mt.profile, mt.mode,
-					fmtStatPct(r.LossRate()),
-					fmtStatPct(r.Stat(survivalRate)),
-					fmtStatPct(r.Stat(classSurvival("crowd-voice"))),
-					fmtStatPct(r.Stat(admissionSuccess(
-						"tier.admission.class.conversational.admitted",
-						"tier.admission.class.conversational.refused"))),
-					fmtStatPct(r.Stat(admissionSuccess(
-						"tier.admission.handoff.admitted",
-						"tier.admission.handoff.refused"))),
-					fmtStatI(r.Counter("ctl.degrade.deferred")),
-					fmtStatI(r.Counter("ctl.degrade.preempted")),
-					fmtStatI(r.Counter("ctl.degrade.video_stepdowns")),
-					fmtStatI(r.Counter("ctl.degrade.breaker.paced")),
-					t90Recovery(r))
-			}
-			t.AddNote("cliff rows record the same telemetry at the same cadence but attach no policy: every degradation column reads 0 and the pair isolates what planned degradation bought")
-			t.AddNote("ladder defaults: occupancy %.2f enters level 1 (defer interactive-and-below, preempt lower-priority sessions for handoffs and voice), %.2f deepens; video rate scales by the level's rung (%s)", 0.70, 0.85, "1, 0.6, 0.35")
-			t.AddNote("voice-adm / ho-adm = admitted/(admitted+refused) over conversational-class and handoff admission decisions; the ladder spends data and video to keep both high")
-			t.AddNote("paced counts anchor Mobile IP registrations the storm breaker delayed instead of bursting; t90 recovery as in E11")
-			return t, nil
-		},
-	}, nil
+	t.AddNote("cliff rows record the same telemetry at the same cadence but attach no policy: every degradation column reads 0 and the pair isolates what planned degradation bought")
+	t.AddNote("ladder defaults: occupancy %.2f enters level 1 (defer interactive-and-below, preempt lower-priority sessions for handoffs and voice), %.2f deepens; video rate scales by the level's rung (%s)", 0.70, 0.85, "1, 0.6, 0.35")
+	t.AddNote("voice-adm / ho-adm = admitted/(admitted+refused) over conversational-class and handoff admission decisions; the ladder spends data and video to keep both high")
+	t.AddNote("paced counts anchor Mobile IP registrations the storm breaker delayed instead of bursting; t90 recovery as in E11")
+	return t
 }

@@ -31,35 +31,6 @@ type ScaleSweep struct {
 	PerProfileSignalling bool
 }
 
-// Validate rejects degenerate sweeps. The population axis must be
-// strictly ascending and positive: duplicates used to silently double
-// the run time, and an unsorted axis rendered tables whose rows
-// contradicted their own "vs population" framing.
-func (sw ScaleSweep) Validate() error {
-	if len(sw.Populations) == 0 {
-		return fmt.Errorf("%w: scale sweep has no populations", ErrBadOptions)
-	}
-	if len(sw.Schemes) == 0 {
-		return fmt.Errorf("%w: scale sweep has no schemes", ErrBadOptions)
-	}
-	prev := 0
-	for _, n := range sw.Populations {
-		switch {
-		case n <= 0:
-			return fmt.Errorf("%w: population %d (must be > 0)", ErrBadOptions, n)
-		case n == prev:
-			return fmt.Errorf("%w: duplicate population %d", ErrBadOptions, n)
-		case n < prev:
-			return fmt.Errorf("%w: populations must be ascending (%d after %d)", ErrBadOptions, n, prev)
-		}
-		prev = n
-	}
-	if sw.Duration <= 0 {
-		return fmt.Errorf("%w: scale sweep duration %v", ErrBadOptions, sw.Duration)
-	}
-	return sw.Spec.Validate()
-}
-
 // DefaultScaleSweep is the full sweep cmd/mmscale runs: 500 → 10k MNs
 // under every scheme with the default urban mix.
 func DefaultScaleSweep() ScaleSweep {
@@ -95,76 +66,47 @@ func SuiteScaleSweep() ScaleSweep {
 // the golden E1–E8 suite stays byte-identical and scale runs are invoked
 // deliberately (cmd/mmscale, mmbench E9, or the pinned golden E9 test).
 func E9ScaleSweep(opt Options, sw ScaleSweep) (*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := sw.Validate(); err != nil {
-		return nil, err
-	}
-	return opt.run(e9Plan(opt, sw))
+	return runMatrix(opt, sw.matrix(), sw.table)
 }
 
-func e9Plan(opt Options, sw ScaleSweep) plan {
-	type meta struct {
-		mns    int
-		scheme core.Scheme
-	}
-	var jobs []runner.Job
-	var metas []meta
-	for _, n := range sw.Populations {
-		for _, scheme := range sw.Schemes {
-			cfg := core.DefaultConfig()
-			cfg.Scheme = scheme
-			cfg.Topology = oneRoot()
-			cfg.Duration = opt.scale(sw.Duration)
-			cfg.NumMNs = n
-			spec := sw.Spec
-			cfg.Fleet = &spec
-			cfg.PacketArena = true
-			jobs = append(jobs, runner.Job{Label: fmt.Sprintf("%s@%d-MNs", scheme, n), Config: cfg})
-			metas = append(metas, meta{n, scheme})
-		}
-	}
+func (sw ScaleSweep) matrix() matrix {
+	return matrix{num: 9, pops: sw.Populations, schemes: sw.Schemes, dur: sw.Duration, spec: sw.Spec}
+}
+
+func (sw ScaleSweep) table(cells []cell, res []runner.JobResult) *Table {
 	header := []string{"MNs", "scheme", "profile", "mns", "speed", "loss", "mean delay", "p95 delay", "handoffs/MN"}
 	if sw.PerProfileSignalling {
 		header = append(header, "loc upd/MN", "pages")
 	}
-	return plan{
-		num:  9,
-		jobs: jobs,
-		render: func(res []runner.JobResult) (*Table, error) {
-			t := &Table{
-				ID:     "E9",
-				Title:  fmt.Sprintf("Scale sweep: per-profile QoE vs population (mix %s)", sw.Spec.String()),
-				Header: header,
-			}
-			for i, r := range res {
-				m := metas[i]
-				all := []string{fmtI(m.mns), string(m.scheme), "all", fmtI(m.mns), "",
-					fmtStatPct(r.LossRate()),
-					fmtStatDur(r.MeanLatency()),
-					fmtStatDur(r.P95Latency()),
-					fmtStatF(r.Stat(func(res *core.Result) float64 {
-						return float64(res.Summary.Handoffs) / float64(res.Config.NumMNs)
-					}))}
-				if sw.PerProfileSignalling {
-					all = append(all, fleetSignallingCells(r, sw.Spec)...)
-				}
-				t.AddRow(all...)
-				for _, p := range sw.Spec.Profiles {
-					row := append([]string{"", "", p.Name}, profileQoECells(r, p.Name, sw.PerProfileSignalling)...)
-					t.AddRow(row...)
-				}
-			}
-			t.AddNote("loss is the undelivered fraction per class; only multitier-rsmc enforces QoS admission, so past cell capacity it sheds load at admission while the flat schemes (no admission model) keep delivering")
-			t.AddNote("bounded memory: per-scenario packet arena + streaming per-profile aggregates, no per-packet retention")
-			if sw.PerProfileSignalling {
-				t.AddNote("loc upd/MN counts MN-originated location signalling (location/update messages, route/paging updates, registrations); pages counts network paging effort spent finding the class")
-			}
-			return t, nil
-		},
+	t := &Table{
+		ID:     "E9",
+		Title:  fmt.Sprintf("Scale sweep: per-profile QoE vs population (mix %s)", sw.Spec.String()),
+		Header: header,
 	}
+	for i, r := range res {
+		c := cells[i]
+		all := []string{fmtI(c.n), string(c.scheme), "all", fmtI(c.n), "",
+			fmtStatPct(r.LossRate()),
+			fmtStatDur(r.MeanLatency()),
+			fmtStatDur(r.P95Latency()),
+			fmtStatF(r.Stat(func(res *core.Result) float64 {
+				return float64(res.Summary.Handoffs) / float64(res.Config.NumMNs)
+			}))}
+		if sw.PerProfileSignalling {
+			all = append(all, fleetSignallingCells(r, sw.Spec)...)
+		}
+		t.AddRow(all...)
+		for _, p := range sw.Spec.Profiles {
+			row := append([]string{"", "", p.Name}, profileQoECells(r, p.Name, sw.PerProfileSignalling)...)
+			t.AddRow(row...)
+		}
+	}
+	t.AddNote("loss is the undelivered fraction per class; only multitier-rsmc enforces QoS admission, so past cell capacity it sheds load at admission while the flat schemes (no admission model) keep delivering")
+	t.AddNote("bounded memory: per-scenario packet arena + streaming per-profile aggregates, no per-packet retention")
+	if sw.PerProfileSignalling {
+		t.AddNote("loc upd/MN counts MN-originated location signalling (location/update messages, route/paging updates, registrations); pages counts network paging effort spent finding the class")
+	}
+	return t
 }
 
 // profileQoECells renders one profile's per-class cells for a
