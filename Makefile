@@ -22,7 +22,7 @@ GATE_ONLY ?= BenchmarkE6,BenchmarkE9,BenchmarkE10,BenchmarkE11,BenchmarkE13,Benc
 GATE_BENCH = $(shell echo '$(GATE_ONLY)' | sed 's/Benchmark//g; s/,/|/g')
 GATE_LIMIT ?= 0.15
 
-.PHONY: verify build test check vet lint race race-goldens bench bench-smoke bench-save bench-json bench-compare bench-gate
+.PHONY: verify build test check vet lint race race-goldens fuzz-smoke bench bench-smoke bench-save bench-json bench-compare bench-gate
 
 verify: build test
 
@@ -57,6 +57,18 @@ race:
 # detector — byte-identity and data-race freedom of the fan-out in one run.
 race-goldens:
 	$(GO) test -race ./internal/experiments -run '^TestGolden(TraceParallelMeasurementMatches)?$$/./measure-workers' -count=1
+
+# fuzz-smoke: every Fuzz* target in the module for 5 s each. go test
+# fuzzes one target per call, so each target gets its own call; the
+# checked-in corpora under testdata/fuzz replay first. bench/ is a
+# separate module and is not searched.
+fuzz-smoke:
+	@grep -rl --include='*_test.go' '^func Fuzz' --exclude-dir=bench . | sort | while read -r f; do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$f"); do \
+			echo "fuzz $$(dirname "$$f") $$t"; \
+			$(GO) test "$$(dirname "$$f")" -run '^$$' -fuzz "^$$t\$$" -fuzztime 5s || exit 1; \
+		done; \
+	done
 
 check: vet lint race bench-smoke bench-gate
 

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -41,13 +40,30 @@ func Parse(s string) (IP, error) {
 	}
 	var ip uint32
 	for _, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 || n > 255 || (len(p) > 1 && p[0] == '0') {
+		n, ok := decimal(p)
+		if !ok || n > 255 {
 			return 0, fmt.Errorf("%w: %q", ErrBadAddress, s)
 		}
 		ip = ip<<8 | uint32(n)
 	}
 	return IP(ip), nil
+}
+
+// decimal parses a canonical unsigned decimal of at most three digits:
+// no sign, no leading zero. Every number in an address or prefix length
+// fits, and every accepted text is the one String prints.
+func decimal(s string) (int, bool) {
+	if len(s) == 0 || len(s) > 3 || (len(s) > 1 && s[0] == '0') {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+		n = n*10 + int(s[i]-'0')
+	}
+	return n, true
 }
 
 // MustParse is Parse for tests and static configuration; it panics on error.
@@ -96,8 +112,8 @@ func ParsePrefix(s string) (Prefix, error) {
 	if err != nil {
 		return Prefix{}, err
 	}
-	bits, err := strconv.Atoi(s[slash+1:])
-	if err != nil {
+	bits, ok := decimal(s[slash+1:])
+	if !ok {
 		return Prefix{}, fmt.Errorf("%w: %q", ErrBadPrefix, s)
 	}
 	return NewPrefix(base, bits)

@@ -22,6 +22,8 @@ func TestParseAndString(t *testing.T) {
 		{"-1.0.0.1", 0, false},
 		{"a.b.c.d", 0, false},
 		{"01.2.3.4", 0, false}, // leading zero rejected
+		{"+1.2.3.4", 0, false}, // signs rejected
+		{"-0.1.2.3", 0, false},
 		{"", 0, false},
 	}
 	for _, tt := range tests {
@@ -52,6 +54,11 @@ func TestParseErrorsAreMatchable(t *testing.T) {
 	_, err = ParsePrefix("10.0.0.0")
 	if !errors.Is(err, ErrBadPrefix) {
 		t.Fatalf("ParsePrefix no-slash error = %v, want ErrBadPrefix", err)
+	}
+	for _, s := range []string{"10.0.0.0/+8", "10.0.0.0/08", "10.0.0.0/-0"} {
+		if _, err = ParsePrefix(s); !errors.Is(err, ErrBadPrefix) {
+			t.Fatalf("ParsePrefix(%q) error = %v, want ErrBadPrefix", s, err)
+		}
 	}
 }
 

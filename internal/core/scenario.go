@@ -62,10 +62,12 @@ func (s Summary) String() string {
 
 const (
 	wiredDelay = 5 * time.Millisecond
-	homeNet    = "172.16.0.0/16"
 	haIP       = "172.16.0.1"
 	cnIP       = "192.0.2.10"
 )
+
+// homeNet is the HA prefix every MN's home address sits in.
+var homeNet = addr.MustParsePrefix("172.16.0.0/16")
 
 // scenario is the shared scaffold each scheme builds on.
 type scenario struct {
@@ -329,8 +331,7 @@ func (s *scenario) hotspot(micros []*topology.Cell) ([]*topology.Cell, geo.Rect)
 
 // mnHome returns the i-th MN's home address inside the HA prefix.
 func mnHome(i int) addr.IP {
-	p := addr.MustParsePrefix(homeNet)
-	ip, _ := p.Nth(uint32(10 + i))
+	ip, _ := homeNet.Nth(uint32(10 + i))
 	return ip
 }
 
@@ -454,9 +455,9 @@ func (s *scenario) runMobileIP() (scheme, error) {
 
 	haNode := s.net.NewNode("ha")
 	haNode.AddAddr(addr.MustParse(haIP))
-	ha := mobileip.NewHomeAgent(haNode, addr.MustParsePrefix(homeNet), stats)
+	ha := mobileip.NewHomeAgent(haNode, homeNet, stats)
 	lHA := s.net.Connect(s.inet, haNode, netsim.LinkConfig{Delay: wiredDelay})
-	s.inetRouter.AddRoute(addr.MustParsePrefix(homeNet), lHA)
+	s.inetRouter.AddRoute(homeNet, lHA)
 	ha.Router().Default = lHA
 
 	// AuthEnabled arms MHAE-style registration authentication: one shared
@@ -786,9 +787,9 @@ func (s *scenario) runMultiTier() (scheme, error) {
 
 	haNode := s.net.NewNode("ha")
 	haNode.AddAddr(addr.MustParse(haIP))
-	ha := mobileip.NewHomeAgent(haNode, addr.MustParsePrefix(homeNet), mobileip.NewStats(s.reg))
+	ha := mobileip.NewHomeAgent(haNode, homeNet, mobileip.NewStats(s.reg))
 	lHA := s.net.Connect(s.inet, haNode, netsim.LinkConfig{Delay: wiredDelay})
-	s.inetRouter.AddRoute(addr.MustParsePrefix(homeNet), lHA)
+	s.inetRouter.AddRoute(homeNet, lHA)
 	ha.Router().Default = lHA
 
 	// AuthEnabled also signs the roots' anchor registrations toward the

@@ -22,25 +22,26 @@ func (s *Scheduler) AfterFIFO(d time.Duration, fn func()) Event {
 	if d < 0 {
 		d = 0
 	}
-	return s.line(d).schedule(fn)
+	return s.line(&s.lines, d).schedule(s.now+d, fn)
 }
 
-// line returns (creating on first use) the delay line for d.
-func (s *Scheduler) line(d time.Duration) *delayLine {
-	if s.lines == nil {
-		s.lines = make(map[time.Duration]*delayLine, 8)
+// line returns (creating on first use) the delay line for d in lines —
+// s.lines for AfterFIFO, s.groups for tickers.
+func (s *Scheduler) line(lines *map[time.Duration]*delayLine, d time.Duration) *delayLine {
+	if *lines == nil {
+		*lines = make(map[time.Duration]*delayLine, 8)
 	}
-	ln := s.lines[d]
+	ln := (*lines)[d]
 	if ln == nil {
 		ln = &delayLine{s: s, d: d}
 		ln.fireFn = ln.fire
-		s.lines[d] = ln
+		(*lines)[d] = ln
 	}
 	return ln
 }
 
-// delayLine pools every pending AfterFIFO(d, …) one-shot behind a single
-// scheduler event. Entries live in the shared slot arena (so Event
+// delayLine pools every pending AfterFIFO(d, …) one-shot, or every armed
+// ticker of interval d, behind a single scheduler event. Entries live in the shared slot arena (so Event
 // handles, Cancel and generation safety work unchanged) and are threaded
 // through a FIFO ring of (slot, generation) handles. Cancel frees an
 // entry's slot at once (see Event.Cancel); the bumped generation marks
@@ -75,19 +76,38 @@ type lineEntry struct {
 //mmlint:noalloc
 func (ln *delayLine) live(e lineEntry) bool { return ln.s.slots[e.idx].gen == e.gen }
 
-// schedule appends one entry and keeps the pooled event on the front.
+// schedule files one entry due at at and keeps the pooled event on the
+// front. An entry due at now+d (every AfterFIFO call and every ticker
+// re-arm) sorts after everything already in the line: a plain append.
+// Any other at, which only a ticker's EveryNow first firing uses, is
+// moved back from the tail past the stale handles and the handles due
+// after at — one move per handle behind it, none when no other entry of
+// the line is due later than at.
 //
 //mmlint:noalloc
-func (ln *delayLine) schedule(fn func()) Event {
+func (ln *delayLine) schedule(at time.Duration, fn func()) Event {
 	s := ln.s
 	i := s.allocSlot()
 	sl := &s.slots[i]
-	sl.at = s.now + ln.d
+	sl.at = at
 	sl.seq = s.takeSeq()
 	sl.fn = fn
 	sl.canceled = false
 	sl.pos = posInLine
-	ln.push(lineEntry{idx: i, gen: sl.gen})
+	e := lineEntry{idx: i, gen: sl.gen}
+	ln.push(e)
+	if at != s.now+ln.d {
+		n := len(ln.ring)
+		k := ln.count - 1
+		for ; k > 0; k-- {
+			prev := ln.ring[(ln.head+k-1)%n]
+			if ln.live(prev) && s.slots[prev.idx].at <= at {
+				break
+			}
+			ln.ring[(ln.head+k)%n] = prev
+		}
+		ln.ring[(ln.head+k)%n] = e
+	}
 	s.members++
 	ln.sync()
 	return Event{s: s, idx: i + 1, gen: sl.gen}

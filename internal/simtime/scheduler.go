@@ -125,17 +125,19 @@ type Scheduler struct {
 	// report live events and maybePurge knows when lazy removal is no
 	// longer cheap.
 	canceled int
-	// groups holds the per-interval tick groups (see ticker.go) and lines
-	// the per-delay FIFO lines (see line.go): every Ticker of one interval
-	// and every AfterFIFO one-shot of one delay share a single scheduler
-	// event, so the heap stays O(distinct intervals + distinct delays) no
-	// matter how many tickers tick or packets fly.
-	groups map[time.Duration]*tickGroup
+	// groups holds the per-interval ticker lines (see ticker.go) and lines
+	// the per-delay AfterFIFO lines (see line.go): every Ticker of one
+	// interval and every AfterFIFO one-shot of one delay share a single
+	// scheduler event, so the heap stays O(distinct intervals + distinct
+	// delays) no matter how many tickers tick or packets fly. The two
+	// maps stay apart so GroupCount and LineCount count them separately.
+	groups map[time.Duration]*delayLine
 	lines  map[time.Duration]*delayLine
-	// members counts armed group tickers plus live delay-line entries;
-	// groupEvts counts the pooled events currently occupying the heap.
-	// Together they let Len keep reporting one live event per logical
-	// pending callback, exactly as when each owned its own heap entry.
+	// members counts live delay-line entries (armed tickers included);
+	// groupEvts counts the pooled line events currently occupying the
+	// heap. Together they let Len keep reporting one live event per
+	// logical pending callback, exactly as when each owned its own heap
+	// entry.
 	members   int
 	groupEvts int
 }
@@ -148,25 +150,25 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Len returns the number of live pending events. Cancelled events that
 // have not yet been discarded by the run loop are not counted; an armed
-// group ticker counts as one live event (its group's single heap entry is
-// bookkeeping, not a logical event, and is excluded).
+// ticker or pending AfterFIFO entry counts as one live event (its line's
+// single heap entry is bookkeeping, not a logical event, and is excluded).
 func (s *Scheduler) Len() int { return len(s.heap) - s.canceled - s.groupEvts + s.members }
 
 // Queued returns the raw queue occupancy: pending heap entries, including
-// cancelled events that lazy removal has not collected yet, but not group
-// ticker members (each group contributes at most one heap entry, which is
-// what keeps Queued O(distinct intervals) under thousands of tickers).
+// cancelled events that lazy removal has not collected yet, but not line
+// entries (each line contributes at most one heap entry, which is what
+// keeps Queued O(distinct intervals) under thousands of tickers).
 func (s *Scheduler) Queued() int { return len(s.heap) }
 
 // Fired returns the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// GroupCount returns the number of distinct tick-group intervals pooled
+// GroupCount returns the number of distinct ticker intervals pooled
 // behind single heap events (see ticker.go) — with Queued and LineCount,
 // the observability sampler's picture of engine occupancy.
 func (s *Scheduler) GroupCount() int { return len(s.groups) }
 
-// LineCount returns the number of distinct constant-delay FIFO lines
+// LineCount returns the number of distinct AfterFIFO delay lines
 // (see line.go).
 func (s *Scheduler) LineCount() int { return len(s.lines) }
 
@@ -179,10 +181,10 @@ func (s *Scheduler) At(t time.Duration, fn func()) Event {
 	return s.atSeq(t, s.takeSeq(), fn)
 }
 
-// takeSeq draws the next sequence number. Tick groups draw a seq per
-// member arming — exactly where a dedicated event would have drawn one —
-// so the counter (and every FIFO tie-break downstream of it) evolves
-// byte-identically whether tickers are pooled or not.
+// takeSeq draws the next sequence number. Delay lines draw a seq per
+// entry — exactly where a dedicated event would have drawn one — so the
+// counter (and every FIFO tie-break downstream of it) evolves
+// byte-identically whether callbacks are pooled or not.
 //
 //mmlint:noalloc
 func (s *Scheduler) takeSeq() uint64 {
@@ -191,10 +193,9 @@ func (s *Scheduler) takeSeq() uint64 {
 	return q
 }
 
-// atSeq schedules fn under a caller-supplied sequence number. Group and
-// line events reuse their front member's seq, which places the pooled
-// event in exactly the heap position the member's dedicated event would
-// have had.
+// atSeq schedules fn under a caller-supplied sequence number. Pooled line
+// events reuse their front entry's seq, which places the pooled event in
+// exactly the heap position the entry's dedicated event would have had.
 //
 //mmlint:noalloc
 func (s *Scheduler) atSeq(t time.Duration, seq uint64, fn func()) Event {

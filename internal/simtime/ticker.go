@@ -7,24 +7,22 @@ import "time"
 // packets, Location Messages, agent advertisements, traffic frames and
 // measurement ticks.
 //
-// Tickers are pooled into per-interval tick groups: every ticker sharing
-// an interval registers in one group, and the group keeps a single
-// scheduler event — for its earliest member — alive at any time. A 10k-MN
-// population whose tickers span a handful of distinct intervals therefore
-// occupies a handful of heap entries instead of tens of thousands, and
-// every heap operation in the run gets cheaper. Firing order is
-// byte-identical to per-ticker events: members keep their individual
-// phases, and each arming draws a sequence number from the scheduler
-// counter exactly where a dedicated event would have, so FIFO tie-breaks
-// against unrelated events are preserved (see tickGroup).
+// Tickers ride per-interval delay lines (see line.go): every ticker of one
+// interval threads its pending firing through one line, and the line keeps
+// a single scheduler event — for its front entry — alive at any time. A
+// 10k-MN population whose tickers span a handful of distinct intervals
+// therefore occupies a handful of heap entries instead of tens of
+// thousands. Every re-arm lands at now+interval, after every entry already
+// in the line, so a line stays sorted by plain appends. Firing order is
+// byte-identical to per-ticker events: each arming draws its sequence
+// number from the scheduler counter exactly where a dedicated event would
+// have, and the line's pooled event runs under its front entry's own
+// (at, seq), so FIFO tie-breaks against unrelated events are preserved.
 type Ticker struct {
-	s  *Scheduler
-	g  *tickGroup // nil while stopped with a non-positive interval
-	fn func()
-
-	at      time.Duration // next fire time while armed
-	seq     uint64        // scheduler sequence drawn at arming
-	pos     int32         // index in the group heap, -1 when not armed
+	ln      *delayLine // the interval's line; nil for a ticker created stopped
+	fn      func()
+	fireFn  func() // t.fire, bound once so re-arming never allocates
+	ev      Event  // the pending firing while armed
 	stopped bool
 	ticks   uint64
 }
@@ -34,38 +32,48 @@ type Ticker struct {
 // returns a stopped ticker that never fires, so that callers can treat
 // "feature disabled" configurations uniformly.
 func (s *Scheduler) Every(interval time.Duration, fn func()) *Ticker {
-	t := &Ticker{s: s, fn: fn, pos: -1}
-	if interval <= 0 {
-		t.stopped = true
-		return t
-	}
-	s.group(interval).join(t, s.now+interval)
-	return t
+	return s.every(interval, s.now+interval, fn)
 }
 
 // EveryNow behaves like Every but also fires once immediately (at the
 // current virtual instant) before settling into the periodic cadence.
 func (s *Scheduler) EveryNow(interval time.Duration, fn func()) *Ticker {
-	t := &Ticker{s: s, fn: fn, pos: -1}
-	if interval <= 0 {
-		t.stopped = true
-		return t
+	return s.every(interval, s.now, fn)
+}
+
+// every arms a ticker of the given interval with its first firing at first.
+func (s *Scheduler) every(interval, first time.Duration, fn func()) *Ticker {
+	t := &Ticker{fn: fn, stopped: interval <= 0}
+	if !t.stopped {
+		t.ln = s.line(&s.groups, interval)
+		t.fireFn = t.fire
+		t.ev = t.ln.schedule(first, t.fireFn)
 	}
-	s.group(interval).join(t, s.now)
 	return t
 }
 
+// fire runs one tick and, unless the callback stopped the ticker, re-arms
+// it one interval later under a fresh seq — exactly like a dedicated
+// event re-scheduling itself.
+//
+//mmlint:noalloc
+func (t *Ticker) fire() {
+	t.ticks++
+	t.fn()
+	if !t.stopped {
+		t.ev = t.ln.schedule(t.ln.s.now+t.ln.d, t.fireFn)
+	}
+}
+
 // Stop cancels future firings. Safe to call multiple times, including from
-// inside the ticker's own callback or another member's callback mid-sweep.
+// inside the ticker's own callback or another ticker's callback mid-sweep.
 func (t *Ticker) Stop() {
 	if t.stopped {
 		return
 	}
 	t.stopped = true
-	if t.g != nil && t.pos >= 0 {
-		t.g.remove(t)
-		t.s.members--
-		t.g.sync()
+	if t.ev.Cancel() {
+		t.ln.sync()
 	}
 }
 
@@ -74,210 +82,3 @@ func (t *Ticker) Stopped() bool { return t.stopped }
 
 // Ticks returns how many times the ticker has fired.
 func (t *Ticker) Ticks() uint64 { return t.ticks }
-
-// Reset restarts the ticker with a new interval, cancelling the pending
-// firing. A non-positive interval stops the ticker.
-func (t *Ticker) Reset(interval time.Duration) {
-	if t.g != nil && t.pos >= 0 {
-		t.g.remove(t)
-		t.s.members--
-		t.g.sync()
-	}
-	if interval <= 0 {
-		t.stopped = true
-		return
-	}
-	t.stopped = false
-	t.s.group(interval).join(t, t.s.now+interval)
-}
-
-// tickGroup pools every ticker of one interval behind a single scheduler
-// event. Members keep their own phases (a ticker armed at time a fires at
-// a+interval, a+2·interval, …) in a 4-ary min-heap ordered by (at, seq);
-// the group schedules one event for the front member and re-schedules it
-// after every fire, so a sweep over n members is n cheap group-heap
-// operations against a near-empty scheduler heap instead of n operations
-// against a heap holding every ticker in the run.
-//
-// Byte-identity with dedicated per-ticker events holds by construction:
-// each arming draws its seq from the shared scheduler counter (takeSeq) at
-// the same points the old code called After, and the group event is
-// scheduled under the front member's own (at, seq) via atSeq — the pooled
-// event sorts, fires and tie-breaks exactly like the member's dedicated
-// event would have.
-type tickGroup struct {
-	s        *Scheduler
-	interval time.Duration
-	heap     []*Ticker
-	event    Event // pending scheduler event for heap[0]
-	evAt     time.Duration
-	evSeq    uint64
-	fireFn   func() // bound once so re-scheduling never allocates
-}
-
-// group returns (creating on first use) the tick group for interval.
-func (s *Scheduler) group(interval time.Duration) *tickGroup {
-	if s.groups == nil {
-		s.groups = make(map[time.Duration]*tickGroup, 8)
-	}
-	g := s.groups[interval]
-	if g == nil {
-		g = &tickGroup{s: s, interval: interval}
-		g.fireFn = g.fire
-		s.groups[interval] = g
-	}
-	return g
-}
-
-// join arms t inside the group with its first fire at the given time.
-func (g *tickGroup) join(t *Ticker, at time.Duration) {
-	t.g = g
-	t.at = at
-	t.seq = g.s.takeSeq()
-	g.push(t)
-	g.s.members++
-	g.sync()
-}
-
-// sync makes the group's scheduler event track the front member, creating,
-// keeping or replacing it as membership changes.
-//
-//mmlint:noalloc
-func (g *tickGroup) sync() {
-	if len(g.heap) == 0 {
-		if g.event.Cancel() {
-			g.s.groupEvts--
-		}
-		g.event = Event{}
-		return
-	}
-	front := g.heap[0]
-	if g.event.Pending() {
-		if g.evAt == front.at && g.evSeq == front.seq {
-			return
-		}
-		g.event.Cancel()
-		g.s.groupEvts--
-	}
-	g.event = g.s.atSeq(front.at, front.seq, g.fireFn)
-	g.s.groupEvts++
-	g.evAt, g.evSeq = front.at, front.seq
-}
-
-// fire runs the front member and re-arms it one interval later, exactly
-// like the member's dedicated event used to: ticks++, callback, then —
-// unless the callback stopped or reset the ticker — a fresh seq draw for
-// the next firing.
-//
-//mmlint:noalloc
-func (g *tickGroup) fire() {
-	g.event = Event{}
-	g.s.groupEvts--
-	if len(g.heap) == 0 {
-		return
-	}
-	t := g.heap[0]
-	g.removeAt(0)
-	g.s.members--
-	t.ticks++
-	t.fn()
-	// The callback may have stopped the ticker, or Reset re-armed it in
-	// (possibly) another group; only re-arm when it did neither.
-	if !t.stopped && t.pos < 0 && t.g == g {
-		t.at = g.s.now + g.interval
-		t.seq = g.s.takeSeq()
-		g.push(t)
-		g.s.members++
-	}
-	g.sync()
-}
-
-// less orders members by (at, seq) — the scheduler's own ordering.
-//
-//mmlint:noalloc
-func (g *tickGroup) less(a, b *Ticker) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// push inserts t into the member heap.
-//
-//mmlint:noalloc
-func (g *tickGroup) push(t *Ticker) {
-	g.heap = append(g.heap, t) //mmlint:alloc-ok heap growth is amortized; the backing array is reused
-	t.pos = int32(len(g.heap) - 1)
-	g.siftUp(len(g.heap) - 1)
-}
-
-// remove unlinks t from the member heap.
-func (g *tickGroup) remove(t *Ticker) {
-	g.removeAt(int(t.pos))
-}
-
-// removeAt deletes the member at heap index i, restoring the invariant.
-//
-//mmlint:noalloc
-func (g *tickGroup) removeAt(i int) {
-	h := g.heap
-	n := len(h) - 1
-	h[i].pos = -1
-	last := h[n]
-	h[n] = nil
-	g.heap = h[:n]
-	if i == n {
-		return
-	}
-	g.heap[i] = last
-	last.pos = int32(i)
-	g.siftDown(i)
-	g.siftUp(int(last.pos))
-}
-
-//mmlint:noalloc
-func (g *tickGroup) siftUp(i int) {
-	h := g.heap
-	t := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !g.less(t, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		h[i].pos = int32(i)
-		i = p
-	}
-	h[i] = t
-	t.pos = int32(i)
-}
-
-func (g *tickGroup) siftDown(i int) {
-	h := g.heap
-	n := len(h)
-	t := h[i]
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		best := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if g.less(h[j], h[best]) {
-				best = j
-			}
-		}
-		if !g.less(h[best], t) {
-			break
-		}
-		h[i] = h[best]
-		h[i].pos = int32(i)
-		i = best
-	}
-	h[i] = t
-	t.pos = int32(i)
-}

@@ -95,32 +95,6 @@ func TestTickerStopSelfDuringSweep(t *testing.T) {
 	}
 }
 
-// Reset from inside the ticker's own callback must re-arm exactly once,
-// at the new cadence.
-func TestTickerResetInsideCallback(t *testing.T) {
-	s := NewScheduler()
-	var at []time.Duration
-	var tk *Ticker
-	tk = s.Every(10*time.Millisecond, func() {
-		at = append(at, s.Now())
-		if len(at) == 1 {
-			tk.Reset(4 * time.Millisecond)
-		}
-	})
-	if err := s.RunUntil(22 * time.Millisecond); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	want := []time.Duration{10, 14, 18, 22}
-	if len(at) != len(want) {
-		t.Fatalf("fired at %v, want %v ms", at, want)
-	}
-	for i := range want {
-		if at[i] != want[i]*time.Millisecond {
-			t.Fatalf("fired at %v, want %v ms", at, want)
-		}
-	}
-}
-
 // The event heap must stay O(distinct intervals) no matter how many
 // tickers run: 10k members across three intervals may hold at most three
 // scheduler events (plus transient cancelled entries awaiting lazy
@@ -160,7 +134,7 @@ func TestQueuedStaysBoundedByIntervals(t *testing.T) {
 }
 
 // Group sweeps must stay allocation-free in steady state even with many
-// members cycling through the group heap.
+// members cycling through their interval's line.
 func TestGroupSweepAllocFree(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
@@ -201,5 +175,21 @@ func TestGroupPreservesStaggeredPhases(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
+	}
+}
+
+// Stopping the front ticker of a line must move the line's pooled event
+// to the next ticker at once, as cancelling a dedicated event would: the
+// heap keeps no live entry for a firing that will not happen.
+func TestTickerStopMovesPooledEvent(t *testing.T) {
+	s := NewScheduler()
+	a := s.Every(10*time.Millisecond, func() {})
+	s.At(4*time.Millisecond, func() { s.Every(10*time.Millisecond, func() {}) })
+	if err := s.RunUntil(5 * time.Millisecond); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	a.Stop()
+	if at, ok := s.peekAt(); !ok || at != 14*time.Millisecond {
+		t.Fatalf("earliest live event at %v (ok=%v) after stopping the front ticker, want 14ms", at, ok)
 	}
 }

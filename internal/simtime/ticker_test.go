@@ -93,38 +93,3 @@ func TestTickerNonPositiveIntervalNeverFires(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 }
-
-func TestTickerReset(t *testing.T) {
-	s := NewScheduler()
-	var at []time.Duration
-	tk := s.Every(100*time.Millisecond, func() { at = append(at, s.Now()) })
-	s.At(250*time.Millisecond, func() { tk.Reset(50 * time.Millisecond) })
-	if err := s.RunUntil(400 * time.Millisecond); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	// 100, 200 at old cadence; reset at 250 => 300, 350, 400.
-	want := []time.Duration{100, 200, 300, 350, 400}
-	if len(at) != len(want) {
-		t.Fatalf("fired at %v, want %v ms", at, want)
-	}
-	for i := range want {
-		if at[i] != want[i]*time.Millisecond {
-			t.Fatalf("fired at %v, want %v ms", at, want)
-		}
-	}
-}
-
-func TestTickerResetToNonPositiveStops(t *testing.T) {
-	s := NewScheduler()
-	tk := s.Every(time.Millisecond, func() {})
-	tk.Reset(0)
-	if !tk.Stopped() {
-		t.Fatal("Reset(0) should stop the ticker")
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if tk.Ticks() != 0 {
-		t.Fatalf("ticker fired %d times after Reset(0)", tk.Ticks())
-	}
-}

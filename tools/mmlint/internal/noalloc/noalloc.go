@@ -1,6 +1,6 @@
 // Package noalloc checks functions annotated //mmlint:noalloc for
 // syntactic allocation sites. The annotation marks steady-state hot
-// paths (scheduler fire/arm, link send/deliver, tick-group advance,
+// paths (scheduler fire/arm, link send/deliver, ticker re-arm,
 // handoff Evaluate) whose zero-allocation behaviour is pinned at runtime
 // by testing.AllocsPerRun; this analyzer keeps the property visible at
 // every call-site-free edit in between.

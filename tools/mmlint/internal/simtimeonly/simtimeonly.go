@@ -10,7 +10,7 @@
 //     "next event";
 //   - constructing simtime.Ticker directly (composite literal or new) is
 //     banned: tickers are armed by Scheduler.Every so they enter the
-//     tick-group machinery;
+//     per-interval delay lines;
 //   - non-zero simtime.Event composite literals are banned: events are
 //     minted by the scheduler so sequence numbers stay dense. The zero
 //     Event{} is allowed (it is the documented "no event" value).
