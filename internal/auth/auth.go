@@ -11,6 +11,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
+	"slices"
 
 	"repro/internal/addr"
 )
@@ -28,9 +30,16 @@ var (
 // Authenticator issues and verifies tokens under a shared key. In the
 // simulation one Authenticator instance is shared between the mobile
 // nodes of a domain and its RSMC, standing in for a provisioned shared
-// secret.
+// secret. Its MAC state and replay map make it unsafe for concurrent
+// use; a scenario drives it from its single event loop.
 type Authenticator struct {
-	key []byte
+	// h is the keyed HMAC, built once by New; mac resets it per token.
+	h hash.Hash
+	// in and sum are mac's input and output buffers. They live here
+	// because a stack buffer handed to h's methods would escape to the
+	// heap on every call.
+	in  [12]byte
+	sum [TokenSize]byte
 	// lastNonce remembers the highest accepted nonce per mobile node for
 	// replay protection.
 	lastNonce map[addr.IP]uint64
@@ -41,25 +50,25 @@ func New(key []byte) (*Authenticator, error) {
 	if len(key) == 0 {
 		return nil, ErrNoKey
 	}
-	k := make([]byte, len(key))
-	copy(k, key)
-	return &Authenticator{key: k, lastNonce: make(map[addr.IP]uint64)}, nil
+	// hmac.New keeps its own padded copy of the key.
+	return &Authenticator{h: hmac.New(sha256.New, key), lastNonce: make(map[addr.IP]uint64)}, nil
 }
 
-// mac computes HMAC-SHA256(key, mn || nonce).
+// mac computes HMAC-SHA256(key, mn || nonce) into a.sum and returns it;
+// the result is valid until the next mac call.
 func (a *Authenticator) mac(mn addr.IP, nonce uint64) []byte {
-	h := hmac.New(sha256.New, a.key)
-	var buf [12]byte
-	binary.BigEndian.PutUint32(buf[0:4], uint32(mn))
-	binary.BigEndian.PutUint64(buf[4:12], nonce)
-	h.Write(buf[:])
-	return h.Sum(nil)
+	binary.BigEndian.PutUint32(a.in[0:4], uint32(mn))
+	binary.BigEndian.PutUint64(a.in[4:12], nonce)
+	a.h.Reset()
+	a.h.Write(a.in[:])
+	return a.h.Sum(a.sum[:0])
 }
 
 // Token issues a credential binding the mobile node's home address to a
-// nonce. The caller must use strictly increasing nonces.
+// nonce. The caller must use strictly increasing nonces and owns the
+// returned slice.
 func (a *Authenticator) Token(mn addr.IP, nonce uint64) []byte {
-	return a.mac(mn, nonce)
+	return slices.Clone(a.mac(mn, nonce))
 }
 
 // Verify checks a token without consuming the nonce (stateless check).

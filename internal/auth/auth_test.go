@@ -1,7 +1,12 @@
 package auth
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -158,5 +163,75 @@ func TestTokenBindingProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The one keyed MAC an Authenticator reuses must produce exactly the
+// token a fresh per-call hmac.New gives, for any (mn, nonce) sequence;
+// tokens handed out earlier stay intact, and Verify and VerifyFresh keep
+// their accept/reject answers.
+func TestReusedMACMatchesFreshHMAC(t *testing.T) {
+	key := []byte("domain-shared-secret")
+	fresh := func(mn addr.IP, nonce uint64) []byte {
+		h := hmac.New(sha256.New, key)
+		var in [12]byte
+		binary.BigEndian.PutUint32(in[0:4], uint32(mn))
+		binary.BigEndian.PutUint64(in[4:12], nonce)
+		h.Write(in[:])
+		return h.Sum(nil)
+	}
+	a := newAuth(t)
+	r := rand.New(rand.NewPCG(1, 2))
+	last := make(map[addr.IP]uint64)
+	var prev []byte
+	var prevMN addr.IP
+	var prevNonce uint64
+	for i := 0; i < 2000; i++ {
+		mn := addr.IP(r.Uint32N(16))
+		nonce := r.Uint64N(64)
+		want := fresh(mn, nonce)
+		tok := a.Token(mn, nonce)
+		if !bytes.Equal(tok, want) {
+			t.Fatalf("pair %d (%v, %d): token %x, fresh HMAC %x", i, mn, nonce, tok, want)
+		}
+		if err := a.Verify(mn, nonce, want); err != nil {
+			t.Fatalf("pair %d: Verify of a fresh-HMAC token: %v", i, err)
+		}
+		if prev != nil && !bytes.Equal(prev, fresh(prevMN, prevNonce)) {
+			t.Fatalf("pair %d: an earlier token changed under later MACs", i)
+		}
+		bad := bytes.Clone(want)
+		bad[r.IntN(TokenSize)] ^= 1 << r.IntN(8)
+		if err := a.Verify(mn, nonce, bad); !errors.Is(err, ErrBadToken) {
+			t.Fatalf("pair %d: Verify of a flipped token: %v", i, err)
+		}
+		if err := a.VerifyFresh(mn, nonce, bad); !errors.Is(err, ErrBadToken) {
+			t.Fatalf("pair %d: VerifyFresh of a flipped token: %v", i, err)
+		}
+		n, seen := last[mn]
+		err := a.VerifyFresh(mn, nonce, tok)
+		if seen && nonce <= n {
+			if !errors.Is(err, ErrReplay) {
+				t.Fatalf("pair %d: VerifyFresh of stale nonce %d (last %d): %v", i, nonce, n, err)
+			}
+		} else if err != nil {
+			t.Fatalf("pair %d: VerifyFresh of fresh nonce %d: %v", i, nonce, err)
+		} else {
+			last[mn] = nonce
+		}
+		prev, prevMN, prevNonce = tok, mn, nonce
+	}
+}
+
+// Verify reuses the Authenticator's MAC and buffers: it allocates nothing.
+func TestVerifyAllocFree(t *testing.T) {
+	a := newAuth(t)
+	tok := a.Token(mn, 1)
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := a.Verify(mn, 1, tok); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("Verify allocates %.1f allocs/op, want 0", avg)
 	}
 }

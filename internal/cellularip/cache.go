@@ -43,10 +43,12 @@ func NewSoftCache(timeout time.Duration, sched *simtime.Scheduler) *SoftCache {
 func (c *SoftCache) Timeout() time.Duration { return c.timeout }
 
 // Replace installs m as the only mapping for host — the regular
-// route-update semantics (one path per host).
+// route-update semantics (one path per host). Like Add, it rewrites the
+// host's backing array in place, so a slice returned by an earlier
+// Lookup must not be held across a Replace for the same host.
 func (c *SoftCache) Replace(host addr.IP, m Mapping) {
 	m.Expires = c.sched.Now() + c.timeout
-	c.entries[host] = []Mapping{m}
+	c.entries[host] = append(c.entries[host][:0], m)
 }
 
 // Add installs m alongside existing mappings (semisoft semantics),

@@ -434,3 +434,24 @@ func TestSoftCacheSemantics(t *testing.T) {
 		t.Fatal("Remove left mappings")
 	}
 }
+
+// Refreshing a host's route with Replace — once per route-update, the
+// hot path of a moving population — reuses the host's backing array, and
+// still collapses a semisoft pair to the one new mapping.
+func TestSoftCacheReplaceInPlace(t *testing.T) {
+	sched := simtime.NewScheduler()
+	c := NewSoftCache(time.Second, sched)
+	ip := addr.MustParse("10.0.0.50")
+	net := netsim.New(sched, simtime.NewRand(1))
+	n1, n2 := net.NewNode("n1"), net.NewNode("n2")
+
+	c.Replace(ip, Mapping{Via: n1})
+	if avg := testing.AllocsPerRun(100, func() { c.Replace(ip, Mapping{Via: n2}) }); avg != 0 {
+		t.Fatalf("Replace of a cached host allocates %.1f allocs/op, want 0", avg)
+	}
+	c.Add(ip, Mapping{Via: n1})
+	c.Replace(ip, Mapping{Air: true})
+	if got := c.Lookup(ip); len(got) != 1 || !got[0].Air || got[0].Expires != time.Second {
+		t.Fatalf("after Replace of a semisoft pair: %+v", got)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -52,10 +53,10 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, `{"trace":%q,"scheme":%q,"seed":%d,"mns":%d,"duration_ns":%d}`+"\n",
-		traceVersion, t.Meta.Scheme, t.Meta.Seed, t.Meta.MNs, int64(t.Meta.Duration))
+	fmt.Fprintf(bw, `{"trace":%q,"scheme":%s,"seed":%d,"mns":%d,"duration_ns":%d}`+"\n",
+		traceVersion, quoteJSON(t.Meta.Scheme), t.Meta.Seed, t.Meta.MNs, int64(t.Meta.Duration))
 	for i, name := range t.rules {
-		fmt.Fprintf(bw, `{"rule":%q,"aux":%d}`+"\n", name, i)
+		fmt.Fprintf(bw, `{"rule":%s,"aux":%d}`+"\n", quoteJSON(name), i)
 	}
 	for i := range t.events {
 		e := &t.events[i]
@@ -64,13 +65,26 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 	}
 	for _, s := range t.series {
 		for i := range s.At {
-			fmt.Fprintf(bw, `{"series":%q,"at_ns":%d,"v":%s}`+"\n",
-				s.Name, int64(s.At[i]), formatFloat(s.Val[i]))
+			fmt.Fprintf(bw, `{"series":%s,"at_ns":%d,"v":%s}`+"\n",
+				quoteJSON(s.Name), int64(s.At[i]), formatFloat(s.Val[i]))
 		}
 	}
 	fmt.Fprintf(bw, `{"events":%d,"dropped":%d,"samples":%d}`+"\n",
 		len(t.events), t.dropped, t.sampled)
 	return bw.Flush()
+}
+
+// quoteJSON renders s as a JSON string literal. Scheme, rule and series
+// names can come from a file ReadJSONL accepted, and %q would write
+// their control characters as Go escapes (\x00, \a) that are not JSON.
+// For the printable ASCII names the simulator itself uses, the output
+// matches %q byte for byte.
+func quoteJSON(s string) string {
+	var b strings.Builder
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(s) // a string always encodes
+	return strings.TrimSuffix(b.String(), "\n")
 }
 
 // formatFloat renders a float the same way on every platform: shortest
@@ -228,8 +242,8 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	}
 	for _, s := range t.series {
 		for i := range s.At {
-			emit(`{"name":%q,"cat":"series","ph":"C","pid":0,"ts":%s,"args":{"v":%s}}`,
-				s.Name, us(s.At[i]), formatFloat(s.Val[i]))
+			emit(`{"name":%s,"cat":"series","ph":"C","pid":0,"ts":%s,"args":{"v":%s}}`,
+				quoteJSON(s.Name), us(s.At[i]), formatFloat(s.Val[i]))
 		}
 	}
 	bw.WriteString("\n]\n")

@@ -83,23 +83,25 @@ func (p *ChannelPool) Grow(delta int) int {
 	return delta
 }
 
-// AdmitNew takes a channel for a new session, failing when only guard
-// channels remain.
+// AdmitNew takes a channel for a new session, failing with ErrNoChannels
+// when only guard channels remain. A refusal is a normal outcome under
+// load, so it returns the bare sentinel and allocates nothing.
 func (p *ChannelPool) AdmitNew() error {
 	if p.inUse >= p.total-p.guard {
 		p.Blocked++
-		return fmt.Errorf("%w: %d/%d busy (guard %d)", ErrNoChannels, p.inUse, p.total, p.guard)
+		return ErrNoChannels
 	}
 	p.inUse++
 	return nil
 }
 
 // AdmitHandoff takes a channel for an incoming handoff, allowed to dip
-// into the guard reserve.
+// into the guard reserve; it fails with the bare ErrNoChannels when every
+// channel is busy.
 func (p *ChannelPool) AdmitHandoff() error {
 	if p.inUse >= p.total {
 		p.Dropped++
-		return fmt.Errorf("%w: all %d busy", ErrNoChannels, p.total)
+		return ErrNoChannels
 	}
 	p.inUse++
 	return nil
@@ -150,13 +152,14 @@ func (b *BandwidthPool) Grow(delta float64) float64 {
 	return delta
 }
 
-// Reserve takes bps from the pool.
+// Reserve takes bps from the pool, failing with the bare ErrNoBandwidth
+// when it does not fit.
 func (b *BandwidthPool) Reserve(bps float64) error {
 	if bps < 0 {
 		bps = 0
 	}
 	if b.used+bps > b.capacity {
-		return fmt.Errorf("%w: want %.0f, available %.0f", ErrNoBandwidth, bps, b.Available())
+		return ErrNoBandwidth
 	}
 	b.used += bps
 	return nil

@@ -108,6 +108,29 @@ func TestBandwidthPool(t *testing.T) {
 	}
 }
 
+// A refusal is a normal outcome under load: AdmitNew, AdmitHandoff and
+// Reserve refuse with their sentinel and allocate nothing doing it.
+func TestRejectAllocFree(t *testing.T) {
+	p := NewChannelPool(1, 0)
+	if err := p.AdmitNew(); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBandwidthPool(100)
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := p.AdmitNew(); !errors.Is(err, ErrNoChannels) {
+			t.Fatalf("AdmitNew on a full pool: %v", err)
+		}
+		if err := p.AdmitHandoff(); !errors.Is(err, ErrNoChannels) {
+			t.Fatalf("AdmitHandoff on a full pool: %v", err)
+		}
+		if err := b.Reserve(200); !errors.Is(err, ErrNoBandwidth) {
+			t.Fatalf("Reserve past capacity: %v", err)
+		}
+	}); avg != 0 {
+		t.Fatalf("a refusal allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
 func TestAdmitAtomicRollback(t *testing.T) {
 	c := NewCellResources(10, 0, 100)
 	// Channel fits but bandwidth does not: channel must be rolled back.

@@ -61,6 +61,11 @@ type delayLine struct {
 	evAt   time.Duration
 	evSeq  uint64
 	fireFn func() // bound once so re-scheduling never allocates
+	// firing is set while fire runs the line's entries: a callback that
+	// schedules into its own line, or stops a ticker in it, only touches
+	// the ring, and fire's closing sync puts the pooled event on the
+	// real front once.
+	firing bool
 }
 
 // lineEntry is a ring handle: the entry's arena slot and the slot
@@ -123,10 +128,14 @@ func (ln *delayLine) dropCanceled() {
 	}
 }
 
-// sync makes the pooled scheduler event track the front entry.
+// sync makes the pooled scheduler event track the front entry. It is a
+// no-op while the line is firing; fire syncs once when its batch ends.
 //
 //mmlint:noalloc
 func (ln *delayLine) sync() {
+	if ln.firing {
+		return
+	}
 	ln.dropCanceled()
 	if ln.count == 0 {
 		if ln.event.Cancel() {
@@ -161,13 +170,17 @@ func (ln *delayLine) sync() {
 // batch turns N same-instant flights into N ring pops and one heap
 // operation. Order, virtual time and the fired counter are identical to
 // going through the heap; Stop() is honoured between entries like it is
-// between Step calls.
+// between Step calls. While the batch runs the line has no pooled event
+// in the heap (see firing), so peekMin only ever sees other events: the
+// pooled event would sit at the front's own (at, seq) and is never
+// strictly earlier.
 //
 //mmlint:noalloc
 func (ln *delayLine) fire() {
 	s := ln.s
 	ln.event = Event{}
 	s.groupEvts--
+	ln.firing = true
 	ran := false
 	ln.dropCanceled()
 	if ln.count > 0 {
@@ -209,6 +222,7 @@ func (ln *delayLine) fire() {
 	if !ran {
 		s.fired--
 	}
+	ln.firing = false
 	ln.sync()
 }
 

@@ -311,3 +311,201 @@ func TestAfterFIFOCompactionKeepsOrder(t *testing.T) {
 		t.Fatalf("Fired=%d, want %d", s.Fired(), len(want))
 	}
 }
+
+// Same-instant entries of one line that each relay into that line — a
+// frame handed hop to hop over equal link delays — must run as one batch
+// that leaves the heap alone: the firing line re-syncs its pooled event
+// once, after the batch, so no callback sees a heap entry.
+func TestAfterFIFORelayKeepsHeapFlat(t *testing.T) {
+	const n, d, rounds = 64, 5 * time.Millisecond, 10
+	s := NewScheduler()
+	calls := 0
+	var relay func()
+	relay = func() {
+		calls++
+		if q := s.Queued(); q != 0 {
+			t.Fatalf("callback %d at %v sees %d heap entries, want 0", calls, s.Now(), q)
+		}
+		s.AfterFIFO(d, relay)
+	}
+	for i := 0; i < n; i++ {
+		s.AfterFIFO(d, relay)
+	}
+	if err := s.RunUntil(rounds * d); err != nil {
+		t.Fatal(err)
+	}
+	if calls != rounds*n || s.Fired() != uint64(calls) {
+		t.Fatalf("ran %d callbacks with Fired=%d, want %d of each", calls, s.Fired(), rounds*n)
+	}
+	if s.Len() != n || s.Queued() != 1 {
+		t.Fatalf("Len=%d Queued=%d after the run, want %d entries behind 1 heap entry", s.Len(), s.Queued(), n)
+	}
+}
+
+// relayDelays are the relay script's AfterFIFO delays and ticker
+// intervals: hop delays like the tiered data path's, plus zero for
+// same-instant chains.
+var relayDelays = []time.Duration{0, 2 * time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond}
+
+// relayCover counts the script branches a line run took: relays that
+// landed while their line still held a same-instant entry, Cancels of
+// entries in a firing line, and Stops of a ticker due now in its own
+// firing line.
+type relayCover struct {
+	relayMidBatch, cancelFiring, stopFiring int
+}
+
+// dueNow reports whether ln still holds a live entry due at the current
+// instant, i.e. whether a relay into it lands in the middle of a batch.
+func dueNow(ln *delayLine) bool {
+	for k := 0; ln != nil && k < ln.count; k++ {
+		if e := ln.ring[(ln.head+k)%len(ln.ring)]; ln.live(e) {
+			return ln.s.slots[e.idx].at == ln.s.Now()
+		}
+	}
+	return false
+}
+
+// runRelayScript drives one seeded random script of packet relays,
+// Cancels, Ticker Stops and unrelated At one-shots. With fifo set,
+// packets ride AfterFIFO and tickers are real Tickers; otherwise every
+// packet is a dedicated After event and every ticker a refTicker. As in
+// runTickerScript, every decision is drawn inside a callback from one
+// script rng, so the two runs stay in lockstep while their logs agree.
+// A successful Cancel is logged as a record with id -1-k.
+func runRelayScript(seed int64, fifo bool) ([]fireRec, uint64, int, relayCover) {
+	s := NewScheduler()
+	r := NewRand(seed)
+	var (
+		log     []fireRec
+		evs     []Event
+		lineOf  []time.Duration
+		tickers []modelTicker
+		cov     relayCover
+		nextID  = 1000 // packet and one-shot ids; ticker ids are their index
+	)
+	record := func(id int) { log = append(log, fireRec{s.Now(), id, s.Len(), s.Fired()}) }
+	var send func(d time.Duration, hops int)
+	// act is the random step every callback takes; d is the caller's own
+	// line (or interval) and hops bounds how far a relay chain goes.
+	act := func(d time.Duration, hops int) {
+		switch p := r.Float64(); {
+		case p < 0.45 && hops > 0:
+			if fifo && dueNow(s.lines[d]) {
+				cov.relayMidBatch++
+			}
+			send(d, hops-1)
+		case p < 0.60 && len(evs) > 0:
+			k := r.Intn(len(evs))
+			if fifo && evs[k].Pending() && s.lines[lineOf[k]].firing {
+				cov.cancelFiring++
+			}
+			if evs[k].Cancel() {
+				log = append(log, fireRec{s.Now(), -1 - k, s.Len(), s.Fired()})
+			}
+		case p < 0.70 && len(tickers) > 0:
+			tk := tickers[r.Intn(len(tickers))]
+			if rt, ok := tk.(*Ticker); ok && !rt.stopped && rt.ln.firing && rt.ev.At() == s.Now() {
+				cov.stopFiring++
+			}
+			tk.Stop()
+		case p < 0.80:
+			id := nextID
+			nextID++
+			s.At(s.Now()+time.Duration(r.Intn(3))*time.Millisecond, func() { record(id) })
+		case p < 0.90 && hops > 0:
+			send(relayDelays[r.Intn(len(relayDelays))], hops-1)
+		}
+	}
+	send = func(d time.Duration, hops int) {
+		id := nextID
+		nextID++
+		fn := func() {
+			record(id)
+			act(d, hops)
+		}
+		if fifo {
+			evs = append(evs, s.AfterFIFO(d, fn))
+		} else {
+			evs = append(evs, s.After(d, fn))
+		}
+		lineOf = append(lineOf, d)
+	}
+	arm := func(interval time.Duration, now bool) {
+		id := len(tickers)
+		fn := func() {
+			record(id)
+			act(interval, 4)
+		}
+		switch {
+		case fifo && now:
+			tickers = append(tickers, s.EveryNow(interval, fn))
+		case fifo:
+			tickers = append(tickers, s.Every(interval, fn))
+		default:
+			rt := &refTicker{s: s, interval: interval, fn: fn}
+			first := s.Now() + interval
+			if now {
+				first = s.Now()
+			}
+			rt.ev = s.At(first, rt.fire)
+			tickers = append(tickers, rt)
+		}
+	}
+	// Bursts on a 1 ms grid: several packets of one delay sent at one
+	// instant, so lines fire same-instant batches, and a few tickers on
+	// the non-zero delays.
+	for i := 0; i < 40; i++ {
+		at := time.Duration(r.Intn(60)) * time.Millisecond
+		k := 1 + r.Intn(6)
+		d := relayDelays[r.Intn(len(relayDelays))]
+		s.At(at, func() {
+			for j := 0; j < k; j++ {
+				send(d, 6)
+			}
+		})
+	}
+	for i := 0; i < 6; i++ {
+		arm(relayDelays[1+r.Intn(len(relayDelays)-1)], i%2 == 1)
+	}
+	if err := s.RunUntil(150 * time.Millisecond); err != nil {
+		panic(err)
+	}
+	return log, s.Fired(), s.Len(), cov
+}
+
+// A line whose callbacks relay into it, cancel its entries or stop
+// tickers in the firing ticker line mid-batch must stay observably
+// identical to dedicated After events: same (time, id) fire and cancel
+// log, same Len and Fired as every callback saw them and at the end.
+func TestAfterFIFORelayMatchesAfter(t *testing.T) {
+	var total relayCover
+	for seed := int64(1); seed <= 40; seed++ {
+		wantLog, wantFired, wantLen, _ := runRelayScript(seed, false)
+		gotLog, gotFired, gotLen, cov := runRelayScript(seed, true)
+		for i := 0; i < len(wantLog) || i < len(gotLog); i++ {
+			var w, g fireRec
+			if i < len(wantLog) {
+				w = wantLog[i]
+			}
+			if i < len(gotLog) {
+				g = gotLog[i]
+			}
+			if w != g {
+				t.Fatalf("seed %d: record %d is %+v, reference %+v (logs %d vs %d long)",
+					seed, i, g, w, len(gotLog), len(wantLog))
+			}
+		}
+		if gotFired != wantFired || gotLen != wantLen {
+			t.Fatalf("seed %d: Fired=%d Len=%d, reference Fired=%d Len=%d",
+				seed, gotFired, gotLen, wantFired, wantLen)
+		}
+		total.relayMidBatch += cov.relayMidBatch
+		total.cancelFiring += cov.cancelFiring
+		total.stopFiring += cov.stopFiring
+	}
+	if total.relayMidBatch == 0 || total.cancelFiring == 0 || total.stopFiring == 0 {
+		t.Fatalf("script missed a case: %+v", total)
+	}
+	t.Logf("covered: %+v", total)
+}

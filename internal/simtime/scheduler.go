@@ -7,12 +7,13 @@
 // scheduled (FIFO tie-break by sequence number). Re-running a scenario with
 // the same seed therefore reproduces identical behaviour.
 //
-// The event queue is an inlined 4-ary min-heap of indices into a pooled
-// slot arena. Scheduling recycles slots from a free list, so the
-// steady-state schedule/fire cycle allocates nothing; Event handles carry
-// a generation counter so Cancel/Pending on a handle whose slot has been
-// recycled stay safe (they report false instead of touching the new
-// occupant).
+// The event queue is an inlined 4-ary min-heap of (at, seq, slot index)
+// cells over a pooled slot arena; each cell carries its own ordering key,
+// so sifting never touches the arena. Scheduling recycles slots from a
+// free list, so the steady-state schedule/fire cycle allocates nothing;
+// Event handles carry a generation counter so Cancel/Pending on a handle
+// whose slot has been recycled stay safe (they report false instead of
+// touching the new occupant).
 package simtime
 
 import (
@@ -44,15 +45,36 @@ type slot struct {
 	seq      uint64
 	fn       func()
 	gen      uint32
-	pos      int32 // heap position; posFree when dead, posInLine when in a delay line
-	canceled bool  // set on heap entries only: Cancel frees a line entry's slot
+	pos      int8 // where the slot lives: posFree, posInHeap or posInLine
+	canceled bool // set on heap entries only: Cancel frees a line entry's slot
 }
 
-// Sentinel slot positions outside the heap index range.
+// Slot states. A slot does not track its heap position: nothing removes
+// a heap entry other than at the root.
 const (
-	posFree   int32 = -1 // fired, cancelled-and-freed, or never queued
-	posInLine int32 = -2 // queued in a delay line's FIFO ring
+	posFree   int8 = iota // fired, cancelled-and-freed, or never queued
+	posInHeap             // queued in the scheduler heap
+	posInLine             // queued in a delay line's FIFO ring
 )
+
+// heapEntry is one heap cell: the slot's (at, seq) ordering key, copied
+// in at push so comparisons stay inside the heap array, and the slot
+// index.
+type heapEntry struct {
+	at  time.Duration
+	seq uint64
+	idx int32
+}
+
+// less orders heap cells by (at, seq): time order with FIFO tie-break.
+//
+//mmlint:noalloc
+func (a heapEntry) less(b heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
 
 // At reports the virtual time the event is scheduled for, or zero when the
 // event already fired or was cancelled.
@@ -116,8 +138,8 @@ func (e Event) slot() *slot {
 type Scheduler struct {
 	now     time.Duration
 	slots   []slot
-	heap    []int32 // 4-ary min-heap of slot indices, ordered by (at, seq)
-	free    []int32 // recycled slot indices
+	heap    []heapEntry // 4-ary min-heap ordered by (at, seq)
+	free    []int32     // recycled slot indices
 	seq     uint64
 	stopped bool
 	fired   uint64
@@ -208,7 +230,8 @@ func (s *Scheduler) atSeq(t time.Duration, seq uint64, fn func()) Event {
 	sl.seq = seq
 	sl.fn = fn
 	sl.canceled = false
-	s.push(i)
+	sl.pos = posInHeap
+	s.push(heapEntry{at: t, seq: seq, idx: i})
 	return Event{s: s, idx: i + 1, gen: sl.gen}
 }
 
@@ -312,15 +335,14 @@ func (s *Scheduler) peekAt() (time.Duration, bool) {
 //mmlint:noalloc
 func (s *Scheduler) peekMin() (time.Duration, uint64, bool) {
 	for len(s.heap) > 0 {
-		i := s.heap[0]
-		sl := &s.slots[i]
-		if sl.canceled {
+		h := s.heap[0]
+		if s.slots[h.idx].canceled {
 			s.popMin()
 			s.canceled--
-			s.freeSlot(i)
+			s.freeSlot(h.idx)
 			continue
 		}
-		return sl.at, sl.seq, true
+		return h.at, h.seq, true
 	}
 	return 0, 0, false
 }
@@ -347,82 +369,63 @@ func (s *Scheduler) maybePurge() {
 		return
 	}
 	keep := s.heap[:0]
-	for _, i := range s.heap {
-		if s.slots[i].canceled {
+	for _, h := range s.heap {
+		if s.slots[h.idx].canceled {
 			s.canceled--
-			s.freeSlot(i)
+			s.freeSlot(h.idx)
 			continue
 		}
-		keep = append(keep, i)
+		keep = append(keep, h)
 	}
 	s.heap = keep
-	for pos, i := range s.heap {
-		s.slots[i].pos = int32(pos)
-	}
 	for i := (len(s.heap) - 2) >> 2; i >= 0; i-- {
 		s.siftDown(i)
 	}
 }
 
-// less orders slots by (at, seq): time order with FIFO tie-break.
+// push appends cell h to the heap and restores the heap invariant.
 //
 //mmlint:noalloc
-func (s *Scheduler) less(a, b int32) bool {
-	sa, sb := &s.slots[a], &s.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
-}
-
-// push appends slot i to the heap and restores the heap invariant.
-//
-//mmlint:noalloc
-func (s *Scheduler) push(i int32) {
-	s.heap = append(s.heap, i) //mmlint:alloc-ok heap growth is amortized; the backing array is reused
-	s.slots[i].pos = int32(len(s.heap) - 1)
+func (s *Scheduler) push(h heapEntry) {
+	s.heap = append(s.heap, h) //mmlint:alloc-ok heap growth is amortized; the backing array is reused
 	s.siftUp(len(s.heap) - 1)
 }
 
-// popMin removes and returns the root (minimum) slot index.
+// popMin removes the root (minimum) cell and returns its slot index.
 //
 //mmlint:noalloc
 func (s *Scheduler) popMin() int32 {
 	h := s.heap
-	min := h[0]
+	min := h[0].idx
 	last := h[len(h)-1]
 	s.heap = h[:len(h)-1]
 	if len(s.heap) > 0 {
 		s.heap[0] = last
-		s.slots[last].pos = 0
 		s.siftDown(0)
 	}
-	s.slots[min].pos = -1
 	return min
 }
 
 //mmlint:noalloc
 func (s *Scheduler) siftUp(i int) {
 	h := s.heap
-	id := h[i]
+	e := h[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !s.less(id, h[p]) {
+		if !e.less(h[p]) {
 			break
 		}
 		h[i] = h[p]
-		s.slots[h[i]].pos = int32(i)
 		i = p
 	}
-	h[i] = id
-	s.slots[id].pos = int32(i)
+	h[i] = e
 }
 
 //mmlint:noalloc
 func (s *Scheduler) siftDown(i int) {
 	h := s.heap
 	n := len(h)
-	id := h[i]
+	e := h[i]
 	for {
 		c := i<<2 + 1
 		if c >= n {
@@ -434,17 +437,15 @@ func (s *Scheduler) siftDown(i int) {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if s.less(h[j], h[best]) {
+			if h[j].less(h[best]) {
 				best = j
 			}
 		}
-		if !s.less(h[best], id) {
+		if !h[best].less(e) {
 			break
 		}
 		h[i] = h[best]
-		s.slots[h[i]].pos = int32(i)
 		i = best
 	}
-	h[i] = id
-	s.slots[id].pos = int32(i)
+	h[i] = e
 }

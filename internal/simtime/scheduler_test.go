@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -165,6 +167,75 @@ func TestSchedulerPurgeBoundsCancelled(t *testing.T) {
 	}
 	if fired != 1000 {
 		t.Fatalf("fired %d, want 1000", fired)
+	}
+}
+
+// The heap must fire exactly in (at, seq) order — the order a plain sort
+// of every surviving event gives — through heavy cancellation that runs
+// maybePurge's in-place rebuild, and through events scheduled and
+// cancelled from inside callbacks while the heap drains.
+func TestHeapMatchesSortedModel(t *testing.T) {
+	type key struct {
+		at time.Duration
+		id int // scheduling order, which is the seq order
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		s := NewScheduler()
+		r := NewRand(seed)
+		var (
+			keys     []key
+			evs      []Event
+			canceled = make(map[int]bool)
+			got      []int
+		)
+		var at func(t time.Duration)
+		at = func(t time.Duration) {
+			id := len(keys)
+			keys = append(keys, key{t, id})
+			evs = append(evs, s.At(t, func() {
+				got = append(got, id)
+				if len(keys) < 2000 && r.Bool(0.3) {
+					at(s.Now() + time.Duration(r.Intn(5))*time.Millisecond)
+				}
+				if r.Bool(0.2) {
+					if k := r.Intn(len(evs)); evs[k].Cancel() {
+						canceled[k] = true
+					}
+				}
+			}))
+		}
+		for i := 0; i < 600; i++ {
+			at(time.Duration(r.Intn(50)) * time.Millisecond)
+		}
+		for _, k := range r.Perm(len(evs))[:420] {
+			evs[k].Cancel()
+			canceled[k] = true
+		}
+		if q := s.Queued(); q >= 600 {
+			t.Fatalf("seed %d: %d cancels left Queued=%d, want a purge", seed, len(canceled), q)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var want []int
+		slices.SortFunc(keys, func(a, b key) int {
+			if a.at != b.at {
+				return cmp.Compare(a.at, b.at)
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		for _, k := range keys {
+			if !canceled[k.id] {
+				want = append(want, k.id)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: fired %d events, sorted model %d; first 20 %v vs %v",
+				seed, len(got), len(want), got[:min(20, len(got))], want[:min(20, len(want))])
+		}
+		if s.Fired() != uint64(len(want)) || s.Len() != 0 || s.Queued() != 0 {
+			t.Fatalf("seed %d: Fired=%d Len=%d Queued=%d, want %d, 0, 0", seed, s.Fired(), s.Len(), s.Queued(), len(want))
+		}
 	}
 }
 
