@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -33,6 +34,15 @@ func main() {
 	}
 }
 
+// mobilityKinds is the -mobility help text: every kind core knows.
+func mobilityKinds() string {
+	var kinds []string
+	for _, k := range core.MobilityKinds() {
+		kinds = append(kinds, string(k))
+	}
+	return strings.Join(kinds, " | ")
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("mmsim", flag.ContinueOnError)
 	var (
@@ -41,7 +51,7 @@ func run(args []string) error {
 		duration  = fs.Duration("duration", time.Minute, "virtual duration")
 		mns       = fs.Int("mns", 8, "mobile node population")
 		speed     = fs.Float64("speed", 10, "node speed in m/s")
-		mob       = fs.String("mobility", string(core.MobilityShuttle), "waypoint | shuttle | shuttle-domains | manhattan | static")
+		mob       = fs.String("mobility", string(core.MobilityShuttle), mobilityKinds())
 		voice     = fs.Bool("voice", true, "downlink voice flow per MN")
 		video     = fs.Bool("video", false, "downlink video flow per MN")
 		dataIvl   = fs.Duration("data-interval", 0, "poisson data mean gap (0 = off)")

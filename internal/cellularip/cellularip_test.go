@@ -320,7 +320,8 @@ func TestHandoffCountsAndDetach(t *testing.T) {
 }
 
 // The host hands each (flow, seq) to OnData once, counts repeats as
-// bicast duplicates, and forgets a key after 1024 newer ones.
+// bicast duplicates, and passes up a seq 64 or more behind its flow's
+// newest without judging it.
 func TestDedup(t *testing.T) {
 	b := newCIPBed(t, DefaultConfig())
 	var got int
@@ -338,14 +339,18 @@ func TestDedup(t *testing.T) {
 	if got != 2 {
 		t.Fatal("flow collision")
 	}
-	// Eviction: fill past capacity, oldest forgotten.
-	for seq := uint32(10); seq < 10+1024; seq++ {
-		deliver(1, seq)
-	}
+	// The window: seq 2 is 63 behind 65 and still judged, seq 1 is 64
+	// behind and passed up although it was seen.
+	deliver(1, 65)
 	got = 0
+	deliver(1, 2)
+	deliver(1, 2)
+	if got != 1 || b.stats.BicastDuplicates.Value() != 2 {
+		t.Fatalf("63 behind: %d delivered, %d duplicates; want 1 and 2", got, b.stats.BicastDuplicates.Value())
+	}
 	deliver(1, 1)
-	if got != 1 {
-		t.Fatal("evicted entry still remembered")
+	if got != 2 {
+		t.Fatal("a seq 64 behind the newest was dropped")
 	}
 }
 

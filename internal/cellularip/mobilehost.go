@@ -50,7 +50,7 @@ type MobileHost struct {
 	pagingTicker *simtime.Ticker
 	idleTimer    simtime.Event
 	semisoftEvt  simtime.Event
-	dedup        *packet.Dedup
+	dedup        packet.Dedup
 
 	// OnData receives every unique data packet delivered to the host.
 	OnData func(p *packet.Packet)
@@ -75,7 +75,6 @@ func NewMobileHost(node *netsim.Node, ip addr.IP, cfg Config, stats *Stats) *Mob
 		sched: node.Network().Scheduler(),
 		stats: stats,
 		state: StateIdle,
-		dedup: packet.NewDedup(1024),
 	}
 	node.AddAddr(ip)
 	node.SetHandler(h)

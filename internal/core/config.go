@@ -72,6 +72,12 @@ const (
 	MobilityHotspot MobilityKind = "hotspot"
 )
 
+// MobilityKinds lists every mobility kind the scenario engine knows.
+func MobilityKinds() []MobilityKind {
+	return []MobilityKind{MobilityWaypoint, MobilityShuttle, MobilityShuttleDomains,
+		MobilityShuttleTier, MobilityManhattan, MobilityStatic, MobilityHotspot}
+}
+
 // TrafficConfig enables downlink flows per MN.
 type TrafficConfig struct {
 	// Voice enables a 64 kb/s conversational CBR stream.

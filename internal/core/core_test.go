@@ -157,11 +157,23 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(cfg); !errors.Is(err, ErrBadScheme) {
 		t.Fatalf("bogus scheme: %v", err)
 	}
+	for _, speed := range []float64{-1, math.Inf(-1), math.NaN(), math.Inf(1)} {
+		cfg = shortCfg(SchemeMultiTier)
+		cfg.Mobility = MobilityManhattan
+		cfg.SpeedMPS = speed
+		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("speed %v: %v", speed, err)
+		}
+	}
+	cfg = shortCfg(SchemeMultiTier)
+	cfg.SpeedMPS = 0
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("speed 0: %v", err)
+	}
 }
 
 func TestMobilityKindsRun(t *testing.T) {
-	for _, kind := range []MobilityKind{MobilityWaypoint, MobilityShuttle, MobilityManhattan, MobilityStatic} {
-		kind := kind
+	for _, kind := range MobilityKinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := shortCfg(SchemeMultiTier)
 			cfg.Mobility = kind

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/fleet"
@@ -25,15 +26,7 @@ type fleetState struct {
 }
 
 // validMobilityKind reports whether the scenario engine knows the kind.
-func validMobilityKind(k MobilityKind) bool {
-	switch k {
-	case MobilityWaypoint, MobilityShuttle, MobilityShuttleDomains,
-		MobilityShuttleTier, MobilityManhattan, MobilityStatic,
-		MobilityHotspot:
-		return true
-	}
-	return false
-}
+func validMobilityKind(k MobilityKind) bool { return slices.Contains(MobilityKinds(), k) }
 
 // buildFleet resolves cfg.Fleet into per-MN assignments and per-profile
 // aggregates. A nil spec is a no-op (legacy homogeneous population).

@@ -133,9 +133,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 	// An unknown kind would otherwise fall through modelFor's default
 	// case and silently simulate the shuttle; empty stays the documented
-	// shuttle default. Fleet runs ignore the homogeneous kind entirely.
+	// shuttle default. A speed must be finite and non-negative: at NaN or
+	// +Inf m/s a model never finishes a move. Fleet runs ignore the
+	// homogeneous kind and speed entirely.
 	if cfg.Fleet == nil && cfg.Mobility != "" && !validMobilityKind(cfg.Mobility) {
 		return nil, fmt.Errorf("%w: unknown mobility %q", ErrBadConfig, cfg.Mobility)
+	}
+	if cfg.Fleet == nil && (!(cfg.SpeedMPS >= 0) || math.IsInf(cfg.SpeedMPS, 1)) { // !(>=0) catches NaN too
+		return nil, fmt.Errorf("%w: speed %v m/s", ErrBadConfig, cfg.SpeedMPS)
 	}
 	if cfg.Capacity != nil {
 		// A dimensioned run: the plan's sized grid replaces whatever

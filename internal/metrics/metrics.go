@@ -27,7 +27,6 @@ type LossAccount struct {
 	Delivered uint64
 	Drops     map[DropReason]uint64
 	Bytes     uint64 // delivered payload bytes
-	Duplicate uint64 // bicast duplicates discarded at the receiver
 }
 
 // DropReason attributes a packet drop to its cause.
@@ -95,9 +94,6 @@ func (l *LossAccount) OnDelivered(payloadBytes int) {
 // OnDropped records a packet loss with its cause.
 func (l *LossAccount) OnDropped(r DropReason) { l.Drops[r]++ }
 
-// OnDuplicate records a discarded bicast duplicate.
-func (l *LossAccount) OnDuplicate() { l.Duplicate++ }
-
 // Dropped returns the total packets lost for any reason.
 func (l *LossAccount) Dropped() uint64 {
 	var total uint64
@@ -134,7 +130,6 @@ func (l *LossAccount) Merge(o *LossAccount) {
 	l.Sent += o.Sent
 	l.Delivered += o.Delivered
 	l.Bytes += o.Bytes
-	l.Duplicate += o.Duplicate
 	if l.Drops == nil && len(o.Drops) > 0 {
 		l.Drops = make(map[DropReason]uint64, len(o.Drops))
 	}
@@ -145,8 +140,8 @@ func (l *LossAccount) Merge(o *LossAccount) {
 
 // String summarises the account.
 func (l *LossAccount) String() string {
-	return fmt.Sprintf("sent=%d delivered=%d dropped=%d (%.3f%%) dup=%d",
-		l.Sent, l.Delivered, l.Dropped(), 100*l.LossRate(), l.Duplicate)
+	return fmt.Sprintf("sent=%d delivered=%d dropped=%d (%.3f%%)",
+		l.Sent, l.Delivered, l.Dropped(), 100*l.LossRate())
 }
 
 // TimeSeries records (virtual time, value) points binned to a fixed width,

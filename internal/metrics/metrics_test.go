@@ -171,7 +171,6 @@ func TestLossAccountConservation(t *testing.T) {
 	}
 	l.OnDropped(DropQueueFull)
 	l.OnDropped(DropLinkLoss)
-	l.OnDuplicate()
 	if l.Dropped() != 9 {
 		t.Fatalf("Dropped = %d", l.Dropped())
 	}
@@ -183,9 +182,6 @@ func TestLossAccountConservation(t *testing.T) {
 	}
 	if l.Bytes != 8000 {
 		t.Fatalf("Bytes = %d", l.Bytes)
-	}
-	if l.Duplicate != 1 {
-		t.Fatalf("Duplicate = %d", l.Duplicate)
 	}
 }
 

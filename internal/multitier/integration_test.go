@@ -173,6 +173,30 @@ func TestInitialAttachAndEndToEndDelivery(t *testing.T) {
 	}
 }
 
+// The MN hands each (flow, seq) to OnData once: a repeat is dropped, a
+// packet reordered within the window is passed up, and equal seqs on two
+// flows are distinct.
+func TestMobileFiltersDuplicates(t *testing.T) {
+	b := newTierBed(t, noShadowStations)
+	deliver := func(flow, seq uint32) {
+		b.mn.Receive(packet.New(b.cn.Addr(), b.mn.Home(), packet.ClassStreaming, flow, seq, nil), nil, nil)
+	}
+	deliver(9, 40)
+	deliver(9, 40)
+	if len(b.mnGot) != 1 {
+		t.Fatalf("after a repeat: %d delivered, want 1", len(b.mnGot))
+	}
+	deliver(9, 1)
+	if len(b.mnGot) != 2 || b.mnGot[1].Seq != 1 {
+		t.Fatalf("a packet 39 behind was not passed up: %d delivered", len(b.mnGot))
+	}
+	deliver(9, 1)
+	deliver(10, 40)
+	if len(b.mnGot) != 3 || b.mnGot[2].FlowID != 10 {
+		t.Fatalf("flow 10 seq 40 after flow 9's: %d delivered, want 3", len(b.mnGot))
+	}
+}
+
 func TestLocationTablesPopulateThePath(t *testing.T) {
 	b := newTierBed(t, noShadowStations)
 	micro := b.microsOfDomain(0)[0]

@@ -71,7 +71,7 @@ type Mobile struct {
 	state       HostState
 	locTicker   *simtime.Ticker
 	idleTimer   simtime.Event
-	dedupe      *packet.Dedup
+	dedupe      packet.Dedup
 
 	// Per-MN scratch for the measurement/decision tick, so steady-state
 	// Evaluate calls allocate nothing.
@@ -129,7 +129,6 @@ func NewMobile(node *netsim.Node, profile *Profile, top *topology.Topology, dir 
 		rng:         rng,
 		servingCell: topology.NoCell,
 		state:       StateIdle,
-		dedupe:      packet.NewDedup(1024),
 	}
 	node.AddAddr(profile.Home)
 	node.SetHandler(m)
