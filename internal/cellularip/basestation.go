@@ -80,7 +80,8 @@ type BaseStation struct {
 var _ netsim.Handler = (*BaseStation)(nil)
 
 // NewBaseStation attaches Cellular IP behaviour to node. The node's
-// handler is replaced.
+// handler is replaced. stats must be non-nil; NewStats(nil) gives a
+// private registry.
 func NewBaseStation(node *netsim.Node, cfg Config, stats *Stats) *BaseStation {
 	sched := node.Network().Scheduler()
 	bs := &BaseStation{
@@ -98,7 +99,8 @@ func NewBaseStation(node *netsim.Node, cfg Config, stats *Stats) *BaseStation {
 
 // NewGateway attaches gateway behaviour: a base station that also routes
 // to/from the wider Internet. served is the address space of the hosts
-// this access network anchors.
+// this access network anchors. stats must be non-nil; NewStats(nil)
+// gives a private registry.
 func NewGateway(node *netsim.Node, served addr.Prefix, cfg Config, stats *Stats) *BaseStation {
 	bs := NewBaseStation(node, cfg, stats)
 	bs.external = netsim.NewDetachedRouter(node)
@@ -244,9 +246,7 @@ func (bs *BaseStation) handleControl(pkt *packet.Packet, hop Mapping) {
 	}
 	switch m := msg.(type) {
 	case *RouteUpdate:
-		if bs.stats != nil {
-			bs.stats.RouteUpdates.Inc()
-		}
+		bs.stats.RouteUpdates.Inc()
 		if m.Semisoft {
 			bs.routing.Add(m.Host, hop)
 		} else {
@@ -254,17 +254,13 @@ func (bs *BaseStation) handleControl(pkt *packet.Packet, hop Mapping) {
 		}
 		bs.paging.Replace(m.Host, hop)
 	case *PagingUpdate:
-		if bs.stats != nil {
-			bs.stats.PagingUpdates.Inc()
-		}
+		bs.stats.PagingUpdates.Inc()
 		bs.paging.Replace(m.Host, hop)
 	}
 	// Propagate up to the gateway so the whole chain refreshes; at the
 	// gateway the update is fully absorbed and the packet is terminal.
 	if bs.parent != nil {
-		if bs.stats != nil {
-			bs.stats.ControlBytes.Add(uint64(pkt.Size()))
-		}
+		bs.stats.ControlBytes.Add(uint64(pkt.Size()))
 		if err := bs.node.SendVia(bs.parent, pkt); err != nil {
 			bs.node.Network().Drop(bs.node, pkt, metrics.DropLinkLoss)
 		}
@@ -314,13 +310,13 @@ func (bs *BaseStation) insideDst(dst addr.IP) bool {
 func (bs *BaseStation) deliverDown(pkt *packet.Packet) {
 	maps := bs.routing.Lookup(pkt.Dst)
 	if len(maps) == 0 {
-		if bs.stats != nil && bs.stats.PageSink != nil {
+		if bs.stats.PageSink != nil {
 			// No routing entry: whatever happens next (paging cache or
 			// flood) is paging effort spent on this host.
 			bs.stats.PageSink(pkt.Dst)
 		}
 		maps = bs.paging.Lookup(pkt.Dst)
-		if bs.stats != nil && len(maps) > 0 {
+		if len(maps) > 0 {
 			bs.stats.Pages.Inc()
 		}
 	}
@@ -357,9 +353,7 @@ func (bs *BaseStation) sendMapping(pkt *packet.Packet, m Mapping) {
 		if !ok {
 			// Stale air mapping: the host moved away. This is the hard
 			// handoff loss window (Fig 2.4).
-			if bs.stats != nil {
-				bs.stats.StaleAirDrops.Inc()
-			}
+			bs.stats.StaleAirDrops.Inc()
 			bs.node.Network().Drop(bs.node, pkt, metrics.DropStale)
 			return
 		}
@@ -397,9 +391,7 @@ func (bs *BaseStation) pageFlood(pkt *packet.Packet) {
 			packet.Release(out)
 			continue
 		}
-		if bs.stats != nil {
-			bs.stats.PagingBroadcasts.Inc()
-		}
+		bs.stats.PagingBroadcasts.Inc()
 		if err := bs.node.SendVia(child, out); err != nil {
 			bs.node.Network().Drop(bs.node, out, metrics.DropLinkLoss)
 		}

@@ -66,7 +66,8 @@ type MobileHost struct {
 var _ netsim.Handler = (*MobileHost)(nil)
 
 // NewMobileHost attaches Cellular IP client behaviour to node under the
-// address ip (added to the node). Hosts start idle and detached.
+// address ip (added to the node). Hosts start idle and detached. stats
+// must be non-nil; NewStats(nil) gives a private registry.
 func NewMobileHost(node *netsim.Node, ip addr.IP, cfg Config, stats *Stats) *MobileHost {
 	h := &MobileHost{
 		node:  node,
@@ -114,9 +115,7 @@ func (h *MobileHost) AttachHard(bs *BaseStation) {
 	if h.bs != nil {
 		h.bs.DetachHost(h.ip)
 		h.trace.Emit(h.sched.Now(), obs.KindHandoffDetach, h.traceActor, -1, 0, 0)
-		if h.stats != nil {
-			h.stats.Handoffs.Inc()
-		}
+		h.stats.Handoffs.Inc()
 	}
 	h.bs = bs
 	bs.AttachHost(h.ip, h.node)
@@ -152,9 +151,7 @@ func (h *MobileHost) completeSemisoft() {
 	if h.oldBS != nil {
 		h.oldBS.DetachHost(h.ip)
 		h.oldBS = nil
-		if h.stats != nil {
-			h.stats.Handoffs.Inc()
-		}
+		h.stats.Handoffs.Inc()
 	}
 	h.state = StateActive
 	h.sendRouteUpdate(false)
@@ -210,9 +207,7 @@ func (h *MobileHost) goIdle() {
 		return
 	}
 	h.state = StateIdle
-	if h.stats != nil {
-		h.stats.IdleTransitions.Inc()
-	}
+	h.stats.IdleTransitions.Inc()
 	h.restartTickers()
 }
 
@@ -266,9 +261,7 @@ func (h *MobileHost) sendControl(msg Message, via *BaseStation) {
 		return
 	}
 	pkt := packet.NewControl(h.ip, via.Node().Addr(), packet.ProtoCellular, payload)
-	if h.stats != nil {
-		h.stats.ControlBytes.Add(uint64(pkt.Size()))
-	}
+	h.stats.ControlBytes.Add(uint64(pkt.Size()))
 	if h.OnLocationSignal != nil {
 		h.OnLocationSignal()
 	}
@@ -294,9 +287,7 @@ func (h *MobileHost) Receive(pkt *packet.Packet, from *netsim.Node, link *netsim
 		return // hosts do not process CIP control
 	}
 	if h.dedup.Duplicate(pkt.FlowID, pkt.Seq) {
-		if h.stats != nil {
-			h.stats.BicastDuplicates.Inc()
-		}
+		h.stats.BicastDuplicates.Inc()
 		return
 	}
 	h.goActive()

@@ -95,8 +95,8 @@ var (
 )
 
 // Validate rejects degenerate specs: no profiles, a non-positive or NaN
-// share, duplicate or empty names, negative speeds, or jitter outside
-// [0, 1).
+// share, duplicate or empty names, a negative, NaN or infinite speed, or
+// jitter outside [0, 1) (NaN included).
 func (s Spec) Validate() error {
 	if len(s.Profiles) == 0 {
 		return fmt.Errorf("%w: no profiles", ErrBadSpec)
@@ -113,10 +113,10 @@ func (s Spec) Validate() error {
 		if !(p.Share > 0) || math.IsInf(p.Share, 1) { // !(>0) catches NaN too
 			return fmt.Errorf("%w: profile %q share %v (must be finite and > 0)", ErrBadSpec, p.Name, p.Share)
 		}
-		if p.SpeedMPS < 0 {
-			return fmt.Errorf("%w: profile %q speed %v", ErrBadSpec, p.Name, p.SpeedMPS)
+		if !(p.SpeedMPS >= 0) || math.IsInf(p.SpeedMPS, 1) {
+			return fmt.Errorf("%w: profile %q speed %v (must be finite and >= 0)", ErrBadSpec, p.Name, p.SpeedMPS)
 		}
-		if p.SpeedJitter < 0 || p.SpeedJitter >= 1 {
+		if !(p.SpeedJitter >= 0) || p.SpeedJitter >= 1 {
 			return fmt.Errorf("%w: profile %q jitter %v (must be in [0,1))", ErrBadSpec, p.Name, p.SpeedJitter)
 		}
 	}

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -8,10 +10,11 @@ import (
 )
 
 func TestValidateRejectsDegenerateSpecs(t *testing.T) {
-	cases := []struct {
+	type tc struct {
 		name string
 		spec Spec
-	}{
+	}
+	cases := []tc{
 		{"empty", Spec{}},
 		{"no name", Spec{Profiles: []Profile{{Share: 1, Mobility: "static"}}}},
 		{"zero share", Spec{Profiles: []Profile{{Name: "a", Share: 0, Mobility: "static"}}}},
@@ -25,9 +28,16 @@ func TestValidateRejectsDegenerateSpecs(t *testing.T) {
 		{"negative speed", Spec{Profiles: []Profile{{Name: "a", Share: 1, Mobility: "static", SpeedMPS: -1}}}},
 		{"jitter >= 1", Spec{Profiles: []Profile{{Name: "a", Share: 1, Mobility: "static", SpeedJitter: 1}}}},
 	}
+	// A non-finite speed or jitter on an otherwise valid default profile.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		speed, jitter := DefaultSpec(), DefaultSpec()
+		speed.Profiles[0].SpeedMPS = v
+		jitter.Profiles[0].SpeedJitter = v
+		cases = append(cases, tc{fmt.Sprintf("speed %v", v), speed}, tc{fmt.Sprintf("jitter %v", v), jitter})
+	}
 	for _, c := range cases {
-		if err := c.spec.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted %+v", c.name, c.spec)
+		if err := c.spec.Validate(); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%s: Validate(%+v) = %v, want ErrBadSpec", c.name, c.spec, err)
 		}
 	}
 	if err := DefaultSpec().Validate(); err != nil {

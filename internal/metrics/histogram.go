@@ -1,14 +1,13 @@
 // Package metrics collects the measurements the experiment harness reports:
-// counters, duration histograms, packet-loss accounts and binned time
-// series. The simulator core is single-threaded, so these types are plain
-// values; the experiment runner aggregates across scenario runs after each
-// run completes.
+// counters, duration histograms, scalar samples and packet-loss accounts.
+// The simulator core is single-threaded, so these types are plain values;
+// the experiment runner aggregates across scenario runs after each run
+// completes.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -47,6 +46,8 @@ func bucketUpper(i int) time.Duration {
 }
 
 // Observe records one sample. Negative samples clamp to zero.
+//
+//mmlint:noalloc
 func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -167,10 +168,12 @@ type Sample struct {
 	sum   float64
 	min   float64
 	max   float64
-	vals  []float64 // kept for exact quantiles; scalar series are small
 }
 
-// Observe records one value.
+// Observe records one value in constant space: only the count, sum and
+// extremes are kept.
+//
+//mmlint:noalloc
 func (s *Sample) Observe(v float64) {
 	if s.count == 0 || v < s.min {
 		s.min = v
@@ -180,7 +183,6 @@ func (s *Sample) Observe(v float64) {
 	}
 	s.count++
 	s.sum += v
-	s.vals = append(s.vals, v)
 }
 
 // Count returns the number of observations.
@@ -199,24 +201,3 @@ func (s *Sample) Min() float64 { return s.min }
 
 // Max returns the largest observation.
 func (s *Sample) Max() float64 { return s.max }
-
-// Quantile returns the exact p-quantile by sorting retained values.
-func (s *Sample) Quantile(p float64) float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(s.vals))
-	copy(sorted, s.vals)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
-}

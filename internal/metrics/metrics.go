@@ -2,18 +2,20 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 )
 
 // Counter is a monotone event count.
 type Counter struct{ n uint64 }
 
 // Inc adds one.
+//
+//mmlint:noalloc
 func (c *Counter) Inc() { c.n++ }
 
 // Add adds delta.
+//
+//mmlint:noalloc
 func (c *Counter) Add(delta uint64) { c.n += delta }
 
 // Value returns the current count.
@@ -142,64 +144,6 @@ func (l *LossAccount) Merge(o *LossAccount) {
 func (l *LossAccount) String() string {
 	return fmt.Sprintf("sent=%d delivered=%d dropped=%d (%.3f%%)",
 		l.Sent, l.Delivered, l.Dropped(), 100*l.LossRate())
-}
-
-// TimeSeries records (virtual time, value) points binned to a fixed width,
-// for "metric vs time" figures.
-type TimeSeries struct {
-	BinWidth time.Duration
-	bins     map[int64]*binAgg
-}
-
-type binAgg struct {
-	sum   float64
-	count uint64
-}
-
-// NewTimeSeries returns a series with the given bin width (must be > 0).
-func NewTimeSeries(binWidth time.Duration) *TimeSeries {
-	if binWidth <= 0 {
-		binWidth = time.Second
-	}
-	return &TimeSeries{BinWidth: binWidth, bins: make(map[int64]*binAgg)}
-}
-
-// Observe adds a point.
-func (ts *TimeSeries) Observe(at time.Duration, v float64) {
-	k := int64(at / ts.BinWidth)
-	b := ts.bins[k]
-	if b == nil {
-		b = &binAgg{}
-		ts.bins[k] = b
-	}
-	b.sum += v
-	b.count++
-}
-
-// Point is one aggregated bin.
-type Point struct {
-	At    time.Duration // bin start
-	Mean  float64
-	Count uint64
-}
-
-// Points returns bins in time order.
-func (ts *TimeSeries) Points() []Point {
-	keys := make([]int64, 0, len(ts.bins))
-	for k := range ts.bins {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]Point, 0, len(keys))
-	for _, k := range keys {
-		b := ts.bins[k]
-		out = append(out, Point{
-			At:    time.Duration(k) * ts.BinWidth,
-			Mean:  b.sum / float64(b.count),
-			Count: b.count,
-		})
-	}
-	return out
 }
 
 // Registry is an ordered collection of named metrics for one scenario run.

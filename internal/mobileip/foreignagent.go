@@ -42,7 +42,8 @@ var _ netsim.Handler = (*ForeignAgent)(nil)
 
 // NewForeignAgent attaches a Foreign Agent to node. careOf is the care-of
 // address it offers (usually the node's own address). The node's handler
-// is replaced.
+// is replaced. stats must be non-nil; NewStats(nil) gives a private
+// registry.
 func NewForeignAgent(node *netsim.Node, careOf addr.IP, stats *Stats) *ForeignAgent {
 	fa := &ForeignAgent{
 		node:     node,
@@ -119,10 +120,8 @@ func (fa *ForeignAgent) StartAdvertising(interval, lifetime time.Duration) {
 		for _, home := range homes {
 			v := fa.visitors[home]
 			pkt := packet.NewControl(fa.node.Addr(), v.home, packet.ProtoMobileIP, adv.Marshal())
-			if fa.stats != nil {
-				fa.stats.Signaling.Inc()
-				fa.stats.SignalingBytes.Add(uint64(pkt.Size()))
-			}
+			fa.stats.Signaling.Inc()
+			fa.stats.SignalingBytes.Add(uint64(pkt.Size()))
 			_ = fa.node.Network().DeliverDirect(fa.node, v.node, pkt, fa.AirDelay, fa.AirLoss)
 		}
 	})
@@ -139,10 +138,8 @@ func (fa *ForeignAgent) StopAdvertising() {
 // Home Agent over the wired network (Fig 2.2 step 1b).
 func (fa *ForeignAgent) RelayRegistration(req *RegistrationRequest) {
 	pkt := packet.NewControl(fa.node.Addr(), req.HomeAg, packet.ProtoMobileIP, req.Marshal())
-	if fa.stats != nil {
-		fa.stats.Signaling.Inc()
-		fa.stats.SignalingBytes.Add(uint64(pkt.Size()))
-	}
+	fa.stats.Signaling.Inc()
+	fa.stats.SignalingBytes.Add(uint64(pkt.Size()))
 	fa.router.Forward(pkt)
 }
 
@@ -189,18 +186,14 @@ func (fa *ForeignAgent) relayReply(pkt *packet.Packet) {
 	if !ok {
 		// Visitor left while the reply was in flight. Drop releases.
 		fa.node.Network().Drop(fa.node, pkt, metrics.DropStale)
-		if fa.stats != nil {
-			fa.stats.StaleAtFA.Inc()
-		}
+		fa.stats.StaleAtFA.Inc()
 		return
 	}
 	// The downlink copy shares the payload bytes; releasing the wired
 	// packet only drops its reference.
 	down := packet.NewControl(fa.node.Addr(), reply.Home, packet.ProtoMobileIP, pkt.Payload)
-	if fa.stats != nil {
-		fa.stats.Signaling.Inc()
-		fa.stats.SignalingBytes.Add(uint64(down.Size()))
-	}
+	fa.stats.Signaling.Inc()
+	fa.stats.SignalingBytes.Add(uint64(down.Size()))
 	_ = fa.node.Network().DeliverDirect(fa.node, v.node, down, fa.AirDelay, fa.AirLoss)
 	packet.Release(pkt)
 }
@@ -222,9 +215,7 @@ func (fa *ForeignAgent) deliverTunnelled(pkt *packet.Packet) {
 		// The mobile node moved on: Mobile IP drops the packet here. This
 		// is the loss window the paper's architecture targets.
 		fa.node.Network().Drop(fa.node, inner, metrics.DropStale)
-		if fa.stats != nil {
-			fa.stats.StaleAtFA.Inc()
-		}
+		fa.stats.StaleAtFA.Inc()
 		return
 	}
 	_ = fa.node.Network().DeliverDirect(fa.node, v.node, inner, fa.AirDelay, fa.AirLoss)

@@ -52,7 +52,8 @@ var _ netsim.Handler = (*HomeAgent)(nil)
 
 // NewHomeAgent attaches a Home Agent to node, serving prefix. The node's
 // handler is replaced. The router starts with no routes; callers add
-// routes/default for the wired side.
+// routes/default for the wired side. stats must be non-nil;
+// NewStats(nil) gives a private registry.
 func NewHomeAgent(node *netsim.Node, prefix addr.Prefix, stats *Stats) *HomeAgent {
 	ha := &HomeAgent{
 		node:         node,
@@ -99,30 +100,24 @@ func (ha *HomeAgent) authorize(req *RegistrationRequest) bool {
 	if ha.auth == nil {
 		return true
 	}
-	if ha.stats != nil {
-		ha.stats.AuthChecks.Inc()
-	}
+	ha.stats.AuthChecks.Inc()
 	if !req.HasAuth {
 		return false
 	}
 	if ha.authWindow > 0 && req.Nonce+uint64(ha.authWindow) < uint64(ha.sched.Now()) {
 		// Timestamp outside the replay window: a recorded-and-replayed
 		// registration, per RFC 5944 §5.7.
-		if ha.stats != nil {
-			ha.stats.Replays.Inc()
-		}
+		ha.stats.Replays.Inc()
 		return false
 	}
-	if ha.authCostNS > 0 && ha.stats != nil {
+	if ha.authCostNS > 0 {
 		// The verify below always runs the HMAC; charge its modelled CPU
 		// cost whether or not the token turns out valid.
 		ha.stats.AuthCPUNS.Add(ha.authCostNS)
 	}
 	if err := ha.auth.VerifyFresh(req.Home, req.Nonce, req.Token[:]); err != nil {
-		if ha.stats != nil {
-			if errors.Is(err, auth.ErrReplay) {
-				ha.stats.Replays.Inc()
-			}
+		if errors.Is(err, auth.ErrReplay) {
+			ha.stats.Replays.Inc()
 		}
 		return false
 	}
@@ -226,15 +221,13 @@ func (ha *HomeAgent) handleControl(pkt *packet.Packet) {
 				}
 			})
 		}
-	} else if ha.stats != nil {
+	} else {
 		ha.stats.Denials.Inc()
 	}
 
 	out := packet.NewControl(ha.node.Addr(), pkt.Src, packet.ProtoMobileIP, reply.Marshal())
-	if ha.stats != nil {
-		ha.stats.Signaling.Inc()
-		ha.stats.SignalingBytes.Add(uint64(out.Size()))
-	}
+	ha.stats.Signaling.Inc()
+	ha.stats.SignalingBytes.Add(uint64(out.Size()))
 	ha.router.Forward(out)
 }
 
@@ -257,9 +250,7 @@ func (ha *HomeAgent) intercept(pkt *packet.Packet) {
 		packet.Release(pkt)
 		return
 	}
-	if ha.stats != nil {
-		ha.stats.Intercepts.Inc()
-		ha.stats.TunnelOverheadBytes.Add(packet.HeaderSize)
-	}
+	ha.stats.Intercepts.Inc()
+	ha.stats.TunnelOverheadBytes.Add(packet.HeaderSize)
 	ha.router.Forward(tun)
 }

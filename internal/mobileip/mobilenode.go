@@ -101,6 +101,7 @@ var _ netsim.Handler = (*MobileNode)(nil)
 
 // NewMobileNode attaches Mobile IP client behaviour to node. home is the
 // permanent address (added to the node), ha the Home Agent's address.
+// stats must be non-nil; NewStats(nil) gives a private registry.
 func NewMobileNode(node *netsim.Node, home, ha addr.IP, cfg MNConfig, stats *Stats) *MobileNode {
 	mn := &MobileNode{
 		node:  node,
@@ -200,28 +201,22 @@ func (mn *MobileNode) sendRegistration(careOf addr.IP, isRetry bool) {
 		req.HasAuth = true
 		req.Nonce = uint64(mn.sched.Now())
 		copy(req.Token[:], mn.auth.Token(mn.home, req.Nonce))
-		if mn.cfg.AuthCostNS > 0 && mn.stats != nil {
+		if mn.cfg.AuthCostNS > 0 {
 			mn.stats.AuthCPUNS.Add(mn.cfg.AuthCostNS)
 		}
 	}
 	if isRetry {
-		if mn.stats != nil {
-			mn.stats.Retries.Inc()
-		}
+		mn.stats.Retries.Inc()
 		mn.trace.Emit(mn.sched.Now(), obs.KindRegRetry, mn.traceActor, -1, int32(mn.retries), int64(mn.pendingID))
 	}
-	if mn.stats != nil {
-		mn.stats.Signaling.Inc()
-	}
+	mn.stats.Signaling.Inc()
 	if mn.OnLocationSignal != nil {
 		mn.OnLocationSignal()
 	}
 	if mn.current != nil {
 		// Over the air to the FA, which relays (Fig 2.2 step 1b).
 		pkt := packet.NewControl(mn.home, mn.current.Node().Addr(), packet.ProtoMobileIP, req.Marshal())
-		if mn.stats != nil {
-			mn.stats.SignalingBytes.Add(uint64(pkt.Size()))
-		}
+		mn.stats.SignalingBytes.Add(uint64(pkt.Size()))
 		_ = mn.node.Network().DeliverDirect(mn.node, mn.current.Node(), pkt, mn.cfg.AirDelay, mn.cfg.AirLoss)
 	} else {
 		// Deregistration sent directly to the HA over the home link: model
@@ -231,9 +226,7 @@ func (mn *MobileNode) sendRegistration(careOf addr.IP, isRetry bool) {
 			return
 		}
 		pkt := packet.NewControl(mn.home, mn.ha, packet.ProtoMobileIP, req.Marshal())
-		if mn.stats != nil {
-			mn.stats.SignalingBytes.Add(uint64(pkt.Size()))
-		}
+		mn.stats.SignalingBytes.Add(uint64(pkt.Size()))
 		_ = mn.node.Network().DeliverDirect(mn.node, haNode, pkt, mn.cfg.AirDelay, mn.cfg.AirLoss)
 	}
 	mn.retryEvt = mn.sched.AfterFIFO(mn.retryDelay(), func() { mn.onRetryTimer(careOf) })
@@ -265,9 +258,7 @@ func (mn *MobileNode) onRetryTimer(careOf addr.IP) {
 		return
 	}
 	if mn.retries >= mn.cfg.MaxRetries {
-		if mn.stats != nil {
-			mn.stats.RetryExhausted.Inc()
-		}
+		mn.stats.RetryExhausted.Inc()
 		mn.trace.Emit(mn.sched.Now(), obs.KindRegExhausted, mn.traceActor, -1, int32(mn.retries), int64(mn.pendingID))
 		if mn.OnRegistrationFailed != nil {
 			mn.OnRegistrationFailed()
@@ -344,9 +335,7 @@ func (mn *MobileNode) Receive(pkt *packet.Packet, from *netsim.Node, link *netsi
 	mn.cancelTimers()
 	latency := mn.sched.Now() - mn.sentAt
 	mn.trace.Emit(mn.sched.Now(), obs.KindRegAccept, mn.traceActor, -1, 0, int64(latency))
-	if mn.stats != nil {
-		mn.stats.RegLatency.Observe(latency)
-	}
+	mn.stats.RegLatency.Observe(latency)
 	if mn.OnRegistered != nil {
 		mn.OnRegistered(latency)
 	}
@@ -368,9 +357,7 @@ func (mn *MobileNode) Receive(pkt *packet.Packet, from *netsim.Node, link *netsi
 			gen := mn.grantGen
 			mn.sched.AfterFIFO(reply.Lifetime, func() {
 				if gen == mn.grantGen && !mn.registered {
-					if mn.stats != nil {
-						mn.stats.Expired.Inc()
-					}
+					mn.stats.Expired.Inc()
 					mn.trace.Emit(mn.sched.Now(), obs.KindRegExpire, mn.traceActor, -1, 0, 0)
 				}
 			})

@@ -39,7 +39,8 @@ type Fabric struct {
 // wiring is the caller's responsibility: connect each root's node to the
 // core and configure the router returned by Station.MakeAnchor — here
 // exposed via Root.External (the anchor router is created in this
-// builder).
+// builder). stats must be non-nil; NewStats(nil) gives a private
+// registry.
 func BuildFabric(net *netsim.Network, top *topology.Topology, cfg FabricConfig,
 	dir *Directory, stats *Stats) (*Fabric, error) {
 

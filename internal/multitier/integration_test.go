@@ -72,7 +72,7 @@ func newTierBed(t *testing.T, stationCfg func(topology.Tier) StationConfig) *tie
 
 	haNode := b.net.NewNode("ha")
 	haNode.AddAddr(addr.MustParse(haAddr))
-	b.ha = mobileip.NewHomeAgent(haNode, addr.MustParsePrefix("172.16.0.0/16"), nil)
+	b.ha = mobileip.NewHomeAgent(haNode, addr.MustParsePrefix("172.16.0.0/16"), mobileip.NewStats(nil))
 	lHA := b.net.Connect(inet, haNode, lc)
 	inetRouter.AddRoute(addr.MustParsePrefix("172.16.0.0/16"), lHA)
 	b.ha.Router().Default = lHA
@@ -493,6 +493,12 @@ func TestAdmissionTelemetryReasonCoded(t *testing.T) {
 	}
 	if occ.Max() <= 0 {
 		t.Fatal("occupancy sample never rose above zero")
+	}
+	// Every station is bound to its root's sample at construction, so the
+	// serving cell's one grant also lands in its root's aggregate.
+	root := b.top.RootOf(b.mn.ServingCell())
+	if got, want := b.stats.RootOccupancy(root).Count(), occ.Count(); got != want {
+		t.Fatalf("root %v occupancy count = %d, want the serving tier's %d", root, got, want)
 	}
 	// Fabric rollup agrees: exactly the serving cell's tier has a
 	// non-zero peak.

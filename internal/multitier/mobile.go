@@ -113,7 +113,8 @@ const (
 var _ netsim.Handler = (*Mobile)(nil)
 
 // NewMobile attaches multi-tier MN behaviour to node. The profile must
-// already be in the directory.
+// already be in the directory. stats must be non-nil; NewStats(nil)
+// gives a private registry.
 func NewMobile(node *netsim.Node, profile *Profile, top *topology.Topology, dir *Directory,
 	pol Policy, cfg MobileConfig, rng *simtime.Rand, stats *Stats) *Mobile {
 
@@ -310,11 +311,9 @@ func (m *Mobile) commitHandoff(reply *HandoffReply) {
 	m.restartTickers()
 	latency := m.sched.Now() - p.sentAt
 	m.trace.Emit(m.sched.Now(), obs.KindHandoffCommit, m.traceActor, int32(p.target), int32(kind), int64(latency))
-	if m.stats != nil {
-		m.stats.HandoffLatency.Observe(latency)
-		if c, ok := m.stats.HandoffsByKind[kind]; ok {
-			c.Inc()
-		}
+	m.stats.HandoffLatency.Observe(latency)
+	if c, ok := m.stats.HandoffsByKind[kind]; ok {
+		c.Inc()
 	}
 	if m.OnHandoff != nil {
 		m.OnHandoff(kind, latency)
@@ -323,9 +322,7 @@ func (m *Mobile) commitHandoff(reply *HandoffReply) {
 
 func (m *Mobile) sendControlTo(st *Station, payload []byte) {
 	pkt := packet.NewControl(m.profile.Home, st.Node().Addr(), packet.ProtoTier, payload)
-	if m.stats != nil {
-		m.stats.ControlBytes.Add(uint64(pkt.Size()))
-	}
+	m.stats.ControlBytes.Add(uint64(pkt.Size()))
 	_ = m.node.Network().DeliverDirect(m.node, st.Node(), pkt, m.cfg.AirDelay, m.cfg.AirLoss)
 }
 

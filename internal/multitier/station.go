@@ -90,7 +90,8 @@ var _ netsim.Handler = (*Station)(nil)
 
 // NewStation attaches multi-tier behaviour to node for the given cell and
 // registers itself in the directory. The node's handler is replaced and
-// the node gains the cell's .1 address.
+// the node gains the cell's .1 address. stats must be non-nil;
+// NewStats(nil) gives a private registry.
 func NewStation(node *netsim.Node, cell *topology.Cell, top *topology.Topology,
 	cfg StationConfig, dir *Directory, stats *Stats) *Station {
 
@@ -115,9 +116,7 @@ func NewStation(node *netsim.Node, cell *topology.Cell, top *topology.Topology,
 	if ip, err := cell.Prefix.Nth(1); err == nil {
 		node.AddAddr(ip)
 	}
-	if stats != nil {
-		s.rootOcc = stats.RootOccupancy(top.RootOf(cell.ID))
-	}
+	s.rootOcc = stats.RootOccupancy(top.RootOf(cell.ID))
 	node.SetHandler(s)
 	dir.registerStation(s)
 	return s
@@ -235,9 +234,7 @@ func (s *Station) Fail() {
 		s.DetachMN(mn)
 	}
 	if n := len(s.regState); n > 0 {
-		if s.stats != nil {
-			s.stats.FaultDeregs.Add(uint64(n))
-		}
+		s.stats.FaultDeregs.Add(uint64(n))
 		clear(s.regState)
 	}
 }
@@ -251,9 +248,7 @@ func (s *Station) Recover() { s.node.SetDown(false) }
 // dropFault disposes of one buffered packet at a failing station: the
 // network observer accounts it as a fault drop and releases it.
 func (s *Station) dropFault(p *packet.Packet) {
-	if s.stats != nil {
-		s.stats.FaultDrops.Inc()
-	}
+	s.stats.FaultDrops.Inc()
 	s.node.Network().Drop(s.node, p, metrics.DropFault)
 }
 
@@ -315,14 +310,10 @@ func (s *Station) observeOccupancy() {
 	if u > s.peakUtil {
 		s.peakUtil = u
 	}
-	if s.stats != nil {
-		if smp, ok := s.stats.TierOccupancy[s.cell.Tier]; ok {
-			smp.Observe(u)
-		}
-		if s.rootOcc != nil {
-			s.rootOcc.Observe(u)
-		}
+	if smp, ok := s.stats.TierOccupancy[s.cell.Tier]; ok {
+		smp.Observe(u)
 	}
+	s.rootOcc.Observe(u)
 }
 
 // childToward returns the child station whose subtree contains cell, or
@@ -461,9 +452,7 @@ func (s *Station) applyRecord(mn addr.IP, via topology.CellID, seq uint32, servi
 }
 
 func (s *Station) handleLocation(m *LocationMessage, pkt *packet.Packet, via topology.CellID) {
-	if s.stats != nil {
-		s.stats.LocationMsgs.Inc()
-	}
+	s.stats.LocationMsgs.Inc()
 	servingTier := topology.TierMicro
 	if c := s.top.Cell(m.Serving); c != nil {
 		servingTier = c.Tier
@@ -479,9 +468,7 @@ func (s *Station) handleLocation(m *LocationMessage, pkt *packet.Packet, via top
 }
 
 func (s *Station) handleUpdate(m *UpdateLocation, pkt *packet.Packet, via topology.CellID) {
-	if s.stats != nil {
-		s.stats.UpdateMsgs.Inc()
-	}
+	s.stats.UpdateMsgs.Inc()
 	servingTier := topology.TierMicro
 	if c := s.top.Cell(m.NewCell); c != nil {
 		servingTier = c.Tier
@@ -507,9 +494,7 @@ func (s *Station) handleUpdate(m *UpdateLocation, pkt *packet.Packet, via topolo
 // travels toward the old cell, erasing records that still point that way
 // and leaving forward records behind.
 func (s *Station) handleDelete(m *DeleteLocation, pkt *packet.Packet, via topology.CellID) {
-	if s.stats != nil {
-		s.stats.DeleteMsgs.Inc()
-	}
+	s.stats.DeleteMsgs.Inc()
 	atTarget := m.Cell == s.cell.ID
 	towardOld := s.childToward(m.Cell)
 
@@ -545,9 +530,7 @@ func (s *Station) handleDelete(m *DeleteLocation, pkt *packet.Packet, via topolo
 		oldRoot := s.top.RootOf(m.Cell)
 		if st, err := s.dir.StationFor(oldRoot); err == nil && s.external != nil {
 			out := packet.NewControl(s.node.Addr(), st.node.Addr(), packet.ProtoTier, pkt.Payload)
-			if s.stats != nil {
-				s.stats.ControlBytes.Add(uint64(out.Size()))
-			}
+			s.stats.ControlBytes.Add(uint64(out.Size()))
 			s.external.Forward(out)
 		}
 	}
@@ -572,7 +555,7 @@ func (s *Station) expireForward(mn addr.IP) {
 	}
 	// Discarded packets were absorbed by this station (never re-sent), so
 	// they are recycled rather than accounted as network drops.
-	if n := fr.buf.Discard(); n > 0 && s.stats != nil {
+	if n := fr.buf.Discard(); n > 0 {
 		s.stats.BufferDiscards.Add(uint64(n))
 	}
 	delete(s.forwards, mn)
@@ -587,7 +570,7 @@ func (s *Station) drainForward(mn addr.IP, fr *forwardRec) {
 		p.Flags &^= packet.FlagRetransmit
 		s.deliverDown(p)
 	})
-	if n > 0 && s.stats != nil {
+	if n > 0 {
 		s.stats.Drained.Add(uint64(n))
 	}
 }
@@ -596,9 +579,7 @@ func (s *Station) drainForward(mn addr.IP, fr *forwardRec) {
 // the root (which holds the freshest record) or across roots through the
 // Internet.
 func (s *Station) redirect(pkt *packet.Packet, fr *forwardRec) {
-	if s.stats != nil {
-		s.stats.Redirects.Inc()
-	}
+	s.stats.Redirects.Inc()
 	if s.parent != nil {
 		pkt.Flags |= packet.FlagRetransmit
 		s.sendUpData(pkt)
@@ -632,14 +613,12 @@ func (s *Station) handleHandoffRequest(m *HandoffRequest, airFrom *netsim.Node) 
 	if s.controller != nil {
 		if err := s.controller.Authorize(m.MN, m.Nonce, m.Token[:]); err != nil {
 			authOK = false
-			if s.stats != nil {
-				if errors.Is(err, ErrFaulted) {
-					// The domain head is down: shed by fault, not policy.
-					s.stats.ShedFault.Inc()
-				} else {
-					s.stats.AuthFailures.Inc()
-					s.stats.ShedPolicy.Inc()
-				}
+			if errors.Is(err, ErrFaulted) {
+				// The domain head is down: shed by fault, not policy.
+				s.stats.ShedFault.Inc()
+			} else {
+				s.stats.AuthFailures.Inc()
+				s.stats.ShedPolicy.Inc()
 			}
 		}
 	}
@@ -658,9 +637,7 @@ func (s *Station) handleHandoffRequest(m *HandoffRequest, airFrom *netsim.Node) 
 			if s.degrade != nil && s.degrade.DeferNew != nil && s.degrade.DeferNew(class, handoff) {
 				// Degradation ladder: the new arrival is shed by policy
 				// before it touches the resource pools.
-				if s.stats != nil {
-					s.stats.ShedPolicy.Inc()
-				}
+				s.stats.ShedPolicy.Inc()
 				s.countRefusal(class, handoff)
 				if s.degrade.OnDefer != nil {
 					s.degrade.OnDefer(s.cell.ID, class)
@@ -674,41 +651,32 @@ func (s *Station) handleHandoffRequest(m *HandoffRequest, airFrom *netsim.Node) 
 				if err == nil {
 					s.sessions[m.MN] = sess
 					reply.Accepted = true
-					if s.stats != nil {
-						s.stats.Admitted.Inc()
-						if class != 0 {
-							s.stats.ClassAdmitted(class).Inc()
-						}
-						if handoff {
-							s.stats.HandoffAdmitted.Inc()
-						}
+					s.stats.Admitted.Inc()
+					if class != 0 {
+						s.stats.ClassAdmitted(class).Inc()
+					}
+					if handoff {
+						s.stats.HandoffAdmitted.Inc()
 					}
 					s.observeOccupancy()
 				} else {
-					if s.stats != nil {
-						s.stats.ShedCapacity.Inc()
-					}
+					s.stats.ShedCapacity.Inc()
 					s.countRefusal(class, handoff)
 				}
 			}
 		}
 	}
-	if !reply.Accepted && s.stats != nil {
+	if !reply.Accepted {
 		s.stats.HandoffRejects.Inc()
 	}
 	out := packet.NewControl(s.node.Addr(), m.MN, packet.ProtoTier, reply.Marshal())
-	if s.stats != nil {
-		s.stats.ControlBytes.Add(uint64(out.Size()))
-	}
+	s.stats.ControlBytes.Add(uint64(out.Size()))
 	_ = s.node.Network().DeliverDirect(s.node, airFrom, out, s.cfg.AirDelay, s.cfg.AirLoss)
 }
 
 // countRefusal folds one refused fresh admission into the per-class and
 // handoff success-rate partitions.
 func (s *Station) countRefusal(class packet.Class, handoff bool) {
-	if s.stats == nil {
-		return
-	}
 	if class != 0 {
 		s.stats.ClassRefused(class).Inc()
 	}
@@ -777,9 +745,7 @@ func (s *Station) propagateUp(pkt *packet.Packet) {
 
 func (s *Station) sendControlTo(st *Station, pkt *packet.Packet) {
 	out := packet.NewControl(s.node.Addr(), st.node.Addr(), packet.ProtoTier, pkt.Payload)
-	if s.stats != nil {
-		s.stats.ControlBytes.Add(uint64(out.Size()))
-	}
+	s.stats.ControlBytes.Add(uint64(out.Size()))
 	if err := s.node.SendVia(st.node, out); err != nil {
 		s.node.Network().Drop(s.node, out, metrics.DropLinkLoss)
 	}
@@ -897,9 +863,7 @@ func (s *Station) bufferPacket(pkt *packet.Packet, fr *forwardRec) {
 		return
 	}
 	if fr.buf.Buffer(pkt) {
-		if s.stats != nil {
-			s.stats.Buffered.Inc()
-		}
+		s.stats.Buffered.Inc()
 		if !fr.drainEvt.Pending() {
 			mn := pkt.Dst
 			fr.drainEvt = s.sched.AfterFIFO(s.cfg.DrainDelay, func() { s.timedDrain(mn) })
@@ -927,26 +891,22 @@ func (s *Station) timedDrain(mn addr.IP) {
 		p.Flags |= packet.FlagRetransmit
 		s.sendUpData(p)
 	})
-	if n > 0 && s.stats != nil {
+	if n > 0 {
 		s.stats.Drained.Add(uint64(n))
 	}
 }
 
 func (s *Station) dropStale(pkt *packet.Packet) {
-	if s.stats != nil {
-		s.stats.StaleAirDrops.Inc()
-	}
+	s.stats.StaleAirDrops.Inc()
 	s.node.Network().Drop(s.node, pkt, metrics.DropHandoff)
 }
 
 // pageFlood broadcasts a packet through the subtree to find an MN with no
 // location state — the paging role the RSMC consolidates (§4).
 func (s *Station) pageFlood(pkt *packet.Packet) {
-	if s.stats != nil {
-		s.stats.Pages.Inc()
-		if s.stats.PageSink != nil {
-			s.stats.PageSink(pkt.Dst)
-		}
+	s.stats.Pages.Inc()
+	if s.stats.PageSink != nil {
+		s.stats.PageSink(pkt.Dst)
 	}
 	if node, ok := s.attached[pkt.Dst]; ok {
 		_ = s.node.Network().DeliverDirect(s.node, node, pkt, s.cfg.AirDelay, s.cfg.AirLoss)
@@ -962,9 +922,7 @@ func (s *Station) pageFlood(pkt *packet.Packet) {
 			packet.Release(out)
 			continue
 		}
-		if s.stats != nil {
-			s.stats.PageBroadcasts.Inc()
-		}
+		s.stats.PageBroadcasts.Inc()
 		if err := s.node.SendVia(child.node, out); err == nil {
 			sentAny = true
 		} else {
@@ -1024,10 +982,8 @@ func (s *Station) maybeRegisterAnchor(mn addr.IP) {
 			copy(req.Token[:], s.anchorAuth.Token(mn, req.Nonce))
 		}
 		out := packet.NewControl(s.node.Addr(), ha, packet.ProtoMobileIP, req.Marshal())
-		if s.stats != nil {
-			s.stats.AnchorRegistrations.Inc()
-			s.stats.ControlBytes.Add(uint64(out.Size()))
-		}
+		s.stats.AnchorRegistrations.Inc()
+		s.stats.ControlBytes.Add(uint64(out.Size()))
 		s.external.Forward(out)
 	}
 	if s.regPacer != nil {
@@ -1060,9 +1016,7 @@ func (s *Station) handleAnchorReply(pkt *packet.Packet) {
 		return
 	}
 	st.registered = true
-	if s.stats != nil {
-		s.stats.AnchorRegLatency.Observe(s.sched.Now() - st.sentAt)
-	}
+	s.stats.AnchorRegLatency.Observe(s.sched.Now() - st.sentAt)
 	// Re-register when the binding nears expiry.
 	mn := reply.Home
 	s.sched.After(time.Duration(float64(reply.Lifetime)*0.8), func() {

@@ -65,7 +65,8 @@ var _ multitier.Controller = (*RSMC)(nil)
 
 // New attaches an RSMC to the domain-head station and installs it as the
 // station's controller. authenticator may be nil to disable MN
-// authentication (ablation D-auth).
+// authentication (ablation D-auth). stats must be non-nil;
+// NewStats(nil, domain) gives a private registry.
 func New(station *multitier.Station, authenticator *auth.Authenticator, stats *Stats) *RSMC {
 	r := &RSMC{
 		domain:  station.Cell().Domain,
@@ -94,9 +95,7 @@ func (r *RSMC) Member(mn addr.IP) bool { return r.members[mn] }
 // Authorize implements multitier.Controller: verify the MN's HMAC token
 // with replay protection.
 func (r *RSMC) Authorize(mn addr.IP, nonce uint64, token []byte) error {
-	if r.stats != nil {
-		r.stats.Operations.Inc()
-	}
+	r.stats.Operations.Inc()
 	if r.station.Node().Down() {
 		// The domain head is failed: nobody can vouch for the MN. The
 		// admitting station counts this as shed_fault, not a policy shed.
@@ -105,13 +104,9 @@ func (r *RSMC) Authorize(mn addr.IP, nonce uint64, token []byte) error {
 	if r.auth == nil {
 		return nil
 	}
-	if r.stats != nil {
-		r.stats.AuthChecks.Inc()
-	}
+	r.stats.AuthChecks.Inc()
 	if err := r.auth.VerifyFresh(mn, nonce, token); err != nil {
-		if r.stats != nil {
-			r.stats.AuthFailures.Inc()
-		}
+		r.stats.AuthFailures.Inc()
 		return fmt.Errorf("%w: %v", ErrAuthRequired, err)
 	}
 	return nil
@@ -120,17 +115,13 @@ func (r *RSMC) Authorize(mn addr.IP, nonce uint64, token []byte) error {
 // OnAttach implements multitier.Controller.
 func (r *RSMC) OnAttach(mn addr.IP) {
 	r.members[mn] = true
-	if r.stats != nil {
-		r.stats.Attaches.Inc()
-		r.stats.Operations.Inc()
-	}
+	r.stats.Attaches.Inc()
+	r.stats.Operations.Inc()
 }
 
 // OnDetach implements multitier.Controller.
 func (r *RSMC) OnDetach(mn addr.IP) {
 	delete(r.members, mn)
-	if r.stats != nil {
-		r.stats.Detaches.Inc()
-		r.stats.Operations.Inc()
-	}
+	r.stats.Detaches.Inc()
+	r.stats.Operations.Inc()
 }
