@@ -119,16 +119,18 @@ type Config struct {
 	SpeedMPS float64
 	// Traffic enables per-MN downlink flows.
 	Traffic TrafficConfig
-	// MeasureInterval is the MN measurement/decision cadence.
+	// MeasureInterval is the MN measurement/decision cadence; 0 means
+	// 100 ms and a negative interval is rejected.
 	MeasureInterval time.Duration
 	// MeasureWorkers > 1 runs the per-MN measurement phase (position +
 	// signal computation — pure per MN) across that many goroutines,
 	// priming each measurement cycle when its first tick opens; handoff
 	// decisions still apply sequentially, in id order, at their original
 	// virtual instants, so results are byte-identical to sequential
-	// execution for any worker count. 0 or 1 measures inline. Mobile IP /
-	// Cellular IP runs with Shadowing draw measurement noise from a
-	// run-shared stream and always measure inline.
+	// execution for any worker count. 0 or 1 measures inline; a negative
+	// count is rejected. Mobile IP / Cellular IP runs with Shadowing draw
+	// measurement noise from a run-shared stream and always measure
+	// inline.
 	MeasureWorkers int
 	// ResourceSwitching toggles RSMC buffering (multi-tier only).
 	ResourceSwitching bool

@@ -170,6 +170,22 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("speed 0: %v", err)
 	}
+	cfg = shortCfg(SchemeMultiTier)
+	cfg.MeasureInterval = -time.Millisecond
+	if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("negative measure interval: %v", err)
+	}
+	cfg = shortCfg(SchemeMultiTier)
+	cfg.MeasureWorkers = -1
+	if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("negative measure workers: %v", err)
+	}
+	// 0 keeps the documented defaults: a 100 ms cadence, inline measurement.
+	cfg = shortCfg(SchemeMultiTier)
+	cfg.MeasureInterval, cfg.MeasureWorkers = 0, 0
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("zero measure interval and workers: %v", err)
+	}
 }
 
 func TestMobilityKindsRun(t *testing.T) {

@@ -16,25 +16,30 @@ func runSummary(t *testing.T, cfg Config) Summary {
 }
 
 // TestParallelMeasurementByteIdentical pins the tentpole invariant at the
-// engine level: for every scheme, with and without shadowing, a run with
-// measurement workers produces exactly the sequential run's summary. The
-// multi-tier scheme keeps per-MN shadowing streams (parallel-safe); the
-// flat schemes share one stream under shadowing and must transparently
-// fall back to inline measurement — same bytes either way.
+// engine level: for every scheme and mobility kind, with and without
+// shadowing, a run with measurement workers produces exactly the
+// sequential run's summary. The multi-tier scheme keeps per-MN shadowing
+// streams (parallel-safe); the flat schemes share one stream under
+// shadowing and must transparently fall back to inline measurement —
+// same bytes either way. The trajectory models answer queries from a
+// per-model cursor, which workers advance ahead of the decision ticks.
 func TestParallelMeasurementByteIdentical(t *testing.T) {
-	for _, scheme := range Schemes() {
-		for _, shadowing := range []bool{false, true} {
-			cfg := DefaultConfig()
-			cfg.Scheme = scheme
-			cfg.Duration = 12 * time.Second
-			cfg.NumMNs = 12
-			cfg.Shadowing = shadowing
-			seq := runSummary(t, cfg)
-			for _, workers := range []int{2, 7} {
-				cfg.MeasureWorkers = workers
-				if par := runSummary(t, cfg); par != seq {
-					t.Fatalf("%s shadowing=%v: %d measure workers diverged\nseq: %v\npar: %v",
-						scheme, shadowing, workers, seq, par)
+	for _, kind := range MobilityKinds() {
+		for _, scheme := range Schemes() {
+			for _, shadowing := range []bool{false, true} {
+				cfg := DefaultConfig()
+				cfg.Scheme = scheme
+				cfg.Mobility = kind
+				cfg.Duration = 12 * time.Second
+				cfg.NumMNs = 12
+				cfg.Shadowing = shadowing
+				seq := runSummary(t, cfg)
+				for _, workers := range []int{2, 7} {
+					cfg.MeasureWorkers = workers
+					if par := runSummary(t, cfg); par != seq {
+						t.Fatalf("%s %s shadowing=%v: %d measure workers diverged\nseq: %v\npar: %v",
+							kind, scheme, shadowing, workers, seq, par)
+					}
 				}
 			}
 		}

@@ -128,7 +128,11 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Duration <= 0 || cfg.NumMNs <= 0 {
 		return nil, fmt.Errorf("%w: duration %v, %d MNs", ErrBadConfig, cfg.Duration, cfg.NumMNs)
 	}
-	if cfg.MeasureInterval <= 0 {
+	if cfg.MeasureInterval < 0 || cfg.MeasureWorkers < 0 {
+		return nil, fmt.Errorf("%w: measure interval %v, %d measure workers",
+			ErrBadConfig, cfg.MeasureInterval, cfg.MeasureWorkers)
+	}
+	if cfg.MeasureInterval == 0 {
 		cfg.MeasureInterval = 100 * time.Millisecond
 	}
 	// An unknown kind would otherwise fall through modelFor's default
@@ -431,8 +435,9 @@ func (s *scenario) measureRng() *simtime.Rand {
 }
 
 // measureFA measures the Foreign-Agent (macro/root) cells at pos into dst.
-// Without shadowing the topology grid restricts the scan to cells whose
-// range can reach pos; with shadowing every FA cell is measured in id
+// Without shadowing only the FA cells whose range reaches pos are
+// returned (the topology grid bounds the scan; see
+// topology.MeasureInto); with shadowing every FA cell is measured in id
 // order so the rng draw sequence stays position-independent.
 func (s *scenario) measureFA(dst []radio.Signal, faCells []*topology.Cell, pos geo.Point, rng *simtime.Rand) []radio.Signal {
 	dst = dst[:0]
@@ -447,7 +452,9 @@ func (s *scenario) measureFA(dst []radio.Signal, faCells []*topology.Cell, pos g
 		if c.Tier != topology.TierMacro && c.Tier != topology.TierRoot {
 			continue
 		}
-		dst = append(dst, radio.MeasureAt(int(c.ID), c.Radio, c.Pos, pos, nil))
+		if sig, ok := c.MeasureInRange(pos); ok {
+			dst = append(dst, sig)
+		}
 	}
 	return dst
 }

@@ -12,7 +12,6 @@
 package mobility
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/geo"
@@ -37,10 +36,12 @@ const (
 )
 
 // segment is one piece of a piecewise-linear trajectory: the node moves
-// from From to To over [Start, End]. A pause has From == To.
+// from From to To over [Start, End]. A pause has From == To. speed is
+// velocity().Length(), stored once when the segment joins a track.
 type segment struct {
 	Start, End time.Duration
 	From, To   geo.Point
+	speed      float64
 }
 
 func (s segment) positionAt(t time.Duration) geo.Point {
@@ -62,29 +63,53 @@ func (s segment) velocity() geo.Vector {
 	return s.To.Sub(s.From).Scale(1 / dt)
 }
 
-// segmentTrack lazily extends a segment list and answers queries by binary
-// search. Concrete models supply the extend function.
+// segmentTrack lazily extends a segment list and answers queries from a
+// cursor, falling back to binary search. Concrete models supply the
+// extend function.
 type segmentTrack struct {
 	segs   []segment
 	extend func(last segment) segment
+	// cur is the index of the segment at returned last. Ticks query each
+	// model at steadily advancing times, so that segment or the one after
+	// it almost always answers the next query.
+	cur int
 }
 
 func (tr *segmentTrack) ensure(t time.Duration) {
 	for tr.segs[len(tr.segs)-1].End < t {
-		tr.segs = append(tr.segs, tr.extend(tr.segs[len(tr.segs)-1]))
+		seg := tr.extend(tr.segs[len(tr.segs)-1])
+		seg.speed = seg.velocity().Length()
+		tr.segs = append(tr.segs, seg)
 	}
 }
 
+// at returns the segment in force at t: the first one ending at or after
+// t, extending the track as far as t first.
+//
+//mmlint:noalloc
 func (tr *segmentTrack) at(t time.Duration) segment {
 	if t < 0 {
 		t = 0
 	}
 	tr.ensure(t)
-	i := sort.Search(len(tr.segs), func(i int) bool { return tr.segs[i].End >= t })
-	if i == len(tr.segs) {
-		i = len(tr.segs) - 1
+	segs := tr.segs
+	for i := tr.cur; i <= tr.cur+1 && i < len(segs); i++ {
+		if segs[i].End >= t && (i == 0 || segs[i-1].End < t) {
+			tr.cur = i
+			return segs[i]
+		}
 	}
-	return tr.segs[i]
+	lo, hi := 0, len(segs)-1
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if segs[m].End < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	tr.cur = lo
+	return segs[lo]
 }
 
 // Stationary is a node that never moves.
@@ -253,6 +278,11 @@ func (w *Waypoint) Position(t time.Duration) geo.Point { return w.track.at(t).po
 // Velocity implements Model.
 func (w *Waypoint) Velocity(t time.Duration) geo.Vector { return w.track.at(t).velocity() }
 
+// Speed returns the scalar speed at t, bit-equal to Velocity(t).Length().
+//
+//mmlint:noalloc
+func (w *Waypoint) Speed(t time.Duration) float64 { return w.track.at(t).speed }
+
 // Walk is a random-walk (random direction) model: constant speed, new
 // uniform heading every epoch, reflecting off the arena boundary.
 type Walk struct {
@@ -300,6 +330,11 @@ func (w *Walk) Position(t time.Duration) geo.Point { return w.track.at(t).positi
 
 // Velocity implements Model.
 func (w *Walk) Velocity(t time.Duration) geo.Vector { return w.track.at(t).velocity() }
+
+// Speed returns the scalar speed at t, bit-equal to Velocity(t).Length().
+//
+//mmlint:noalloc
+func (w *Walk) Speed(t time.Duration) float64 { return w.track.at(t).speed }
 
 // Manhattan moves along a rectangular street grid: straight through each
 // intersection with probability 1/2, else turn left or right with equal
@@ -375,6 +410,22 @@ func (m *Manhattan) Position(t time.Duration) geo.Point { return m.track.at(t).p
 // Velocity implements Model.
 func (m *Manhattan) Velocity(t time.Duration) geo.Vector { return m.track.at(t).velocity() }
 
+// Speed returns the scalar speed at t, bit-equal to Velocity(t).Length().
+//
+//mmlint:noalloc
+func (m *Manhattan) Speed(t time.Duration) float64 { return m.track.at(t).speed }
+
+// speeder is a Model that keeps its scalar speed at hand, so Speed need
+// not rebuild it from the velocity vector.
+type speeder interface {
+	Speed(t time.Duration) float64
+}
+
 // Speed returns the scalar speed of a model at time t — the quantity the
 // paper's handoff decision consumes.
-func Speed(m Model, t time.Duration) float64 { return m.Velocity(t).Length() }
+func Speed(m Model, t time.Duration) float64 {
+	if sp, ok := m.(speeder); ok {
+		return sp.Speed(t)
+	}
+	return m.Velocity(t).Length()
+}

@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -132,19 +133,110 @@ func TestWaypointSpeedBounds(t *testing.T) {
 	}
 }
 
-func TestWaypointQueriesAreOrderIndependent(t *testing.T) {
+// trackModel is a segment-track model: a Model with a cached Speed.
+type trackModel interface {
+	Model
+	Speed(t time.Duration) float64
+}
+
+// namedTrack is one trackModels entry.
+type namedTrack struct {
+	name string
+	m    trackModel
+}
+
+// trackModels builds one model of each segment-track kind from seed.
+// Pauses and a tiny Manhattan spacing give zero-length and back-to-back
+// segments for the cursor to step over.
+func trackModels(seed int64) []namedTrack {
 	arena := geo.RectFromSize(500, 500)
-	cfg := WaypointConfig{Arena: arena, MinSpeed: 1, MaxSpeed: 10, MaxPause: time.Second}
-	wForward := NewWaypoint(cfg, simtime.NewRand(11))
-	wBackward := NewWaypoint(cfg, simtime.NewRand(11))
-	times := []time.Duration{0, time.Minute, 10 * time.Minute, 30 * time.Minute}
-	var fwd []geo.Point
-	for _, at := range times {
-		fwd = append(fwd, wForward.Position(at))
+	return []namedTrack{
+		{"waypoint", NewWaypoint(WaypointConfig{Arena: arena, MinSpeed: 1, MaxSpeed: 10, MaxPause: time.Second},
+			simtime.NewRand(seed))},
+		{"walk", NewWalk(WalkConfig{Arena: arena, Speed: 7, Epoch: 3 * time.Second}, simtime.NewRand(seed))},
+		{"manhattan", NewManhattan(ManhattanConfig{Arena: arena, Spacing: 20, Speed: 12}, simtime.NewRand(seed))},
 	}
-	for i := len(times) - 1; i >= 0; i-- {
-		if got := wBackward.Position(times[i]); got != fwd[i] {
-			t.Fatalf("backward query at %v: %v, want %v", times[i], got, fwd[i])
+}
+
+// track returns the model's segment track, extended to two minutes.
+func (nt namedTrack) track() *segmentTrack {
+	var tr *segmentTrack
+	switch m := nt.m.(type) {
+	case *Waypoint:
+		tr = &m.track
+	case *Walk:
+		tr = &m.track
+	case *Manhattan:
+		tr = &m.track
+	}
+	tr.ensure(2 * time.Minute)
+	return tr
+}
+
+// A segment-track model answers a query the same whatever queries came
+// before it: one model queried at ascending times (the cursor's common
+// case) and a twin queried at the same times shuffled (cursor misses,
+// backward jumps, lazy extension far ahead) agree bit for bit on
+// position, velocity and speed, and Speed(t) is bit-equal to
+// Velocity(t).Length().
+func TestWaypointQueriesAreOrderIndependent(t *testing.T) {
+	for i, tm := range trackModels(11) {
+		t.Run(tm.name, func(t *testing.T) {
+			fwd, shuf := tm.m, trackModels(11)[i].m
+			r := simtime.NewRand(5)
+			times := []time.Duration{0, 0, time.Minute, 10 * time.Minute, 30 * time.Minute}
+			for at := time.Duration(0); at < 2*time.Minute; at += time.Duration(r.Intn(400)) * time.Millisecond {
+				times = append(times, at)
+			}
+			// Segment boundaries, where the first segment ending at or
+			// after t and the one after it disagree on velocity.
+			for _, seg := range trackModels(11)[i].track().segs {
+				if seg.End < 2*time.Minute {
+					times = append(times, seg.End, seg.End+1)
+				}
+			}
+			slices.Sort(times)
+			type answer struct {
+				pos   geo.Point
+				vel   geo.Vector
+				speed float64
+			}
+			want := make(map[time.Duration]answer, len(times))
+			for _, at := range times {
+				a := answer{fwd.Position(at), fwd.Velocity(at), fwd.Speed(at)}
+				if math.Float64bits(a.speed) != math.Float64bits(a.vel.Length()) {
+					t.Fatalf("Speed(%v) = %v, Velocity(%v).Length() = %v", at, a.speed, at, a.vel.Length())
+				}
+				if got := Speed(fwd, at); math.Float64bits(got) != math.Float64bits(a.speed) {
+					t.Fatalf("mobility.Speed(%v) = %v, want %v", at, got, a.speed)
+				}
+				want[at] = a
+			}
+			for _, k := range r.Perm(len(times)) {
+				at := times[k]
+				got := answer{shuf.Position(at), shuf.Velocity(at), shuf.Speed(at)}
+				if got != want[at] {
+					t.Fatalf("shuffled query at %v: %+v, want %+v", at, got, want[at])
+				}
+			}
+		})
+	}
+}
+
+// A warm position + speed query — the measurement tick's — allocates
+// nothing.
+func TestTrackQueryAllocFree(t *testing.T) {
+	for _, tm := range trackModels(3) {
+		m := tm.m
+		m.Position(time.Hour) // extend the track past every query below
+		at := time.Duration(0)
+		allocs := testing.AllocsPerRun(1000, func() {
+			at += 100 * time.Millisecond
+			_ = m.Position(at)
+			_ = Speed(m, at)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: %v allocs per warm query, want 0", tm.name, allocs)
 		}
 	}
 }

@@ -81,3 +81,24 @@ func TestLineArmCancelFireCycleAllocFree(t *testing.T) {
 		t.Fatalf("line arm/cancel/fire cycle allocates %.1f allocs/op, want 0", avg)
 	}
 }
+
+// A staggered ticker sweep run through RunUntil — the batch that runs
+// ahead in time — must not allocate once the ring is warm.
+func TestRunUntilSweepAllocFree(t *testing.T) {
+	s := NewScheduler()
+	fn := func() {}
+	for i := 0; i < 256; i++ {
+		s.At(time.Duration(i)*time.Microsecond, func() { s.Every(time.Millisecond, fn) })
+	}
+	if err := s.RunUntil(4 * time.Millisecond); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	avg := testing.AllocsPerRun(500, func() {
+		if err := s.RunUntil(s.Now() + time.Millisecond); err != nil {
+			t.Fatalf("RunUntil: %v", err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("RunUntil sweep allocates %.1f allocs/op, want 0", avg)
+	}
+}

@@ -161,19 +161,21 @@ func (ln *delayLine) sync() {
 // entry was cancelled after the event went up, nothing runs and the line
 // re-syncs to the next live entry.
 //
-// After the front runs, consecutive same-instant entries are batched:
-// whenever the new front is due exactly now and sorts before the
-// scheduler's earliest heap event, it is by construction the globally
-// next event — running it directly saves the heap round trip a re-sync
-// would cost. Constant-delay traffic is bursty in exactly this way
-// (every voice source frames on the same 20 ms boundaries), so the
-// batch turns N same-instant flights into N ring pops and one heap
-// operation. Order, virtual time and the fired counter are identical to
-// going through the heap; Stop() is honoured between entries like it is
-// between Step calls. While the batch runs the line has no pooled event
-// in the heap (see firing), so peekMin only ever sees other events: the
-// pooled event would sit at the front's own (at, seq) and is never
-// strictly earlier.
+// After the front runs, the line keeps running through virtual time:
+// whenever its new front sorts before the scheduler's earliest heap
+// event and is due no later than the run's horizon (see
+// Scheduler.step), it is by construction the globally next event, so
+// fire advances the clock to it and runs it directly — saving the heap
+// pop, sift and push a re-sync would cost. Constant-delay traffic is
+// bursty (every voice source frames on the same 20 ms boundaries), and
+// staggered tickers of one interval are due microseconds apart with
+// nothing else in between, so a batch turns N flights or ticks into N
+// ring pops and one heap operation. Order, virtual time and the fired
+// counter are identical to going through the heap; Stop() is honoured
+// between entries like it is between Step calls. While the batch runs
+// the line has no pooled event in the heap (see firing), so peekMin
+// only ever sees other events: the pooled event would sit at the
+// front's own (at, seq) and is never strictly earlier.
 //
 //mmlint:noalloc
 func (ln *delayLine) fire() {
@@ -200,12 +202,13 @@ func (ln *delayLine) fire() {
 				}
 				i := ln.ring[ln.head].idx
 				sl := &s.slots[i]
-				if sl.at != s.now {
+				if sl.at > s.horizon {
 					break
 				}
 				if at, seq, ok := s.peekMin(); ok && (at < sl.at || (at == sl.at && seq < sl.seq)) {
 					break
 				}
+				s.now = sl.at
 				fn := sl.fn
 				ln.pop()
 				s.freeSlot(i)

@@ -18,6 +18,7 @@ package simtime
 
 import (
 	"errors"
+	"math"
 	"time"
 )
 
@@ -162,6 +163,14 @@ type Scheduler struct {
 	// entry.
 	members   int
 	groupEvts int
+	// horizon is the latest instant a firing delay line may run its
+	// entries up to without going back through the heap (see
+	// delayLine.fire): RunUntil's deadline, the end of time under Run,
+	// and the popped event's own instant under a bare Step.
+	horizon time.Duration
+	// pops counts heap-root removals; tests read it to pin how often a
+	// batch goes back through the heap.
+	pops uint64
 }
 
 // NewScheduler returns a scheduler with virtual time zero.
@@ -265,10 +274,21 @@ func (s *Scheduler) After(d time.Duration, fn func()) Event {
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // Step fires the single earliest pending event, advancing virtual time to
-// its timestamp. It reports false when the queue is empty.
+// its timestamp. It reports false when the queue is empty. A delay line
+// that event belongs to may also run its further entries due at that
+// same instant (see delayLine.fire), never a later one.
 //
 //mmlint:noalloc
-func (s *Scheduler) Step() bool {
+func (s *Scheduler) Step() bool { return s.step(0) }
+
+// step is the run loop's unit: pop the earliest live event, advance the
+// clock to it and run it. horizon bounds how far ahead in virtual time a
+// firing delay line may keep running its own entries (see
+// delayLine.fire); a horizon before the event's instant means that
+// instant only.
+//
+//mmlint:noalloc
+func (s *Scheduler) step(horizon time.Duration) bool {
 	for len(s.heap) > 0 {
 		i := s.popMin()
 		sl := &s.slots[i]
@@ -281,6 +301,7 @@ func (s *Scheduler) Step() bool {
 		fn := sl.fn
 		s.freeSlot(i)
 		s.now = at
+		s.horizon = max(horizon, at)
 		s.fired++
 		fn()
 		return true
@@ -293,7 +314,7 @@ func (s *Scheduler) Step() bool {
 func (s *Scheduler) Run() error {
 	s.stopped = false
 	for !s.stopped {
-		if !s.Step() {
+		if !s.step(math.MaxInt64) {
 			return nil
 		}
 	}
@@ -313,7 +334,7 @@ func (s *Scheduler) RunUntil(deadline time.Duration) error {
 			}
 			return nil
 		}
-		s.Step()
+		s.step(deadline)
 	}
 	return ErrStopped
 }
@@ -330,7 +351,7 @@ func (s *Scheduler) peekAt() (time.Duration, bool) {
 // peekMin returns the (at, seq) coordinates of the earliest live heap
 // event, discarding cancelled heads along the way. Delay lines use it to
 // decide whether their next front entry is globally next (see
-// delayLine.fire's same-instant batch).
+// delayLine.fire's batch).
 //
 //mmlint:noalloc
 func (s *Scheduler) peekMin() (time.Duration, uint64, bool) {
@@ -395,6 +416,7 @@ func (s *Scheduler) push(h heapEntry) {
 //
 //mmlint:noalloc
 func (s *Scheduler) popMin() int32 {
+	s.pops++
 	h := s.heap
 	min := h[0].idx
 	last := h[len(h)-1]

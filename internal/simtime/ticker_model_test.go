@@ -53,6 +53,10 @@ type fireRec struct {
 // insist every case it claims to cover was hit.
 type scriptCover struct {
 	stopSelf, stopSameInstant, stopLater, everyNowBehind int
+	// runAhead counts callbacks of the real engine that ran at a later
+	// instant than the one before them with no heap pop in between: a
+	// delay line's batch advancing the clock itself.
+	runAhead int
 }
 
 // fifoDelay is the AfterFIFO delay the script uses; one ticker interval
@@ -76,7 +80,14 @@ func runTickerScript(seed int64, ref bool) ([]fireRec, uint64, int, []uint64, sc
 		cov     scriptCover
 		nextID  = 1000 // one-shot ids; ticker ids are their index
 	)
-	record := func(id int) { log = append(log, fireRec{s.Now(), id, s.Len(), s.Fired()}) }
+	var lastPops uint64
+	record := func(id int) {
+		if !ref && len(log) > 0 && s.Now() > log[len(log)-1].at && s.pops == lastPops {
+			cov.runAhead++
+		}
+		lastPops = s.pops
+		log = append(log, fireRec{s.Now(), id, s.Len(), s.Fired()})
+	}
 	var arm func(interval time.Duration, now bool)
 	arm = func(interval time.Duration, now bool) {
 		id := len(tickers)
@@ -144,8 +155,22 @@ func runTickerScript(seed int64, ref bool) ([]fireRec, uint64, int, []uint64, sc
 			}
 		})
 	}
-	if err := s.RunUntil(200 * time.Millisecond); err != nil {
-		panic(err)
+	// Run in RunUntil slices to random deadlines, on and off the 1 ms
+	// grid every event lies on, so delay-line batches are cut at their
+	// horizon mid-sweep. Each slice ends with a log entry (id -1) of the
+	// clock, Len and Fired the deadline left behind. The deadlines come
+	// from their own rng, so both implementations share them.
+	dr := NewRand(^seed)
+	for deadline := time.Duration(0); deadline < 200*time.Millisecond; {
+		if dr.Bool(0.5) {
+			deadline += time.Duration(dr.Intn(8)) * time.Millisecond
+		} else {
+			deadline += time.Duration(dr.Intn(8000)) * time.Microsecond
+		}
+		if err := s.RunUntil(deadline); err != nil {
+			panic(err)
+		}
+		log = append(log, fireRec{s.Now(), -1, s.Len(), s.Fired()})
 	}
 	ticks := make([]uint64, len(tickers))
 	for i, tk := range tickers {
@@ -155,8 +180,9 @@ func runTickerScript(seed int64, ref bool) ([]fireRec, uint64, int, []uint64, sc
 }
 
 // A Ticker must be observably identical to a dedicated self-re-arming
-// heap event: same (time, id) fire order, same Len and Fired as every
-// callback saw them and at the end, same tick counts — across several
+// heap event: same (time, id) fire order with the same Now() inside every
+// callback, same Len and Fired as every callback saw them, at every
+// RunUntil deadline and at the end, same tick counts — across several
 // intervals (one shared with an AfterFIFO delay), Every and EveryNow
 // created at one instant behind same-interval tickers armed for later,
 // Stop of self, of a ticker due at the same instant and of a later-phase
@@ -166,7 +192,7 @@ func TestTickerMatchesDedicatedEvents(t *testing.T) {
 	var total scriptCover
 	for seed := int64(1); seed <= 40; seed++ {
 		wantLog, wantFired, wantLen, wantTicks, cov := runTickerScript(seed, true)
-		gotLog, gotFired, gotLen, gotTicks, _ := runTickerScript(seed, false)
+		gotLog, gotFired, gotLen, gotTicks, gotCov := runTickerScript(seed, false)
 		for i := 0; i < len(wantLog) || i < len(gotLog); i++ {
 			var w, g fireRec
 			if i < len(wantLog) {
@@ -191,8 +217,10 @@ func TestTickerMatchesDedicatedEvents(t *testing.T) {
 		total.stopSameInstant += cov.stopSameInstant
 		total.stopLater += cov.stopLater
 		total.everyNowBehind += cov.everyNowBehind
+		total.runAhead += gotCov.runAhead
 	}
-	if total.stopSelf == 0 || total.stopSameInstant == 0 || total.stopLater == 0 || total.everyNowBehind == 0 {
+	if total.stopSelf == 0 || total.stopSameInstant == 0 || total.stopLater == 0 || total.everyNowBehind == 0 ||
+		total.runAhead == 0 {
 		t.Fatalf("script missed a case: %+v", total)
 	}
 	t.Logf("covered: %+v", total)

@@ -81,6 +81,26 @@ func (c *Cell) Coverage() geo.Circle {
 	return geo.Circle{Center: c.Pos, Radius: c.Radio.MaxRange}
 }
 
+// MeasureInRange returns the unshadowed signal of c at p, exactly
+// radio.MeasureAt(int(c.ID), c.Radio, c.Pos, p, nil), or false without
+// computing an RSSI when p lies beyond c's nominal range. The per-axis
+// test drops most far cells before the hypot; it is exact because
+// hypot(dx, dy) ≥ max(|dx|, |dy|).
+//
+//mmlint:noalloc
+func (c *Cell) MeasureInRange(p geo.Point) (radio.Signal, bool) {
+	r := c.Radio.MaxRange
+	dx, dy := c.Pos.X-p.X, c.Pos.Y-p.Y
+	if math.Abs(dx) > r || math.Abs(dy) > r {
+		return radio.Signal{}, false
+	}
+	d := math.Hypot(dx, dy)
+	if !(d <= r) {
+		return radio.Signal{}, false
+	}
+	return radio.Signal{Cell: int(c.ID), RSSIDBm: c.Radio.MeanRSSI(d), InRange: true}, true
+}
+
 // Domain groups the cells of one domain-macro subtree.
 type Domain struct {
 	ID    int
@@ -488,9 +508,10 @@ func (t *Topology) Covering(p geo.Point) []CellID {
 	return out
 }
 
-// Signals measures candidate cells at p (nil rng = deterministic mean).
-// The radio.Signal Cell field carries the CellID. Allocates a fresh slice
-// per call; hot paths should hold a scratch buffer and use MeasureInto.
+// Signals measures candidate cells at p (nil rng = deterministic mean,
+// in-range cells only; see MeasureInto). The radio.Signal Cell field
+// carries the CellID. Allocates a fresh slice per call; hot paths should
+// hold a scratch buffer and use MeasureInto.
 func (t *Topology) Signals(p geo.Point, rng *simtime.Rand) []radio.Signal {
 	return t.MeasureInto(nil, p, rng)
 }
@@ -498,10 +519,12 @@ func (t *Topology) Signals(p geo.Point, rng *simtime.Rand) []radio.Signal {
 // MeasureInto measures candidate cells at p into dst (reusing its
 // capacity) and returns the filled slice.
 //
-// With a nil rng (no shadowing) only the grid neighbourhood of p is
-// measured: cells whose nominal range cannot reach p can never be
-// selected (Selector.Best and Choose ignore out-of-range candidates, and
-// an unmeasured incumbent behaves exactly like an out-of-range one), so
+// With a nil rng (no shadowing) only the cells whose nominal range
+// reaches p are returned, each with InRange set: the grid neighbourhood
+// of p bounds the scan, and a neighbour out of range is dropped before
+// its RSSI is computed. An out-of-range cell can never be selected
+// (Selector.Best and Choose ignore out-of-range candidates, and an
+// unmeasured incumbent behaves exactly like an out-of-range one), so
 // skipping them is behaviour-preserving and makes the per-tick cost
 // O(nearby) instead of O(all cells).
 //
@@ -512,8 +535,9 @@ func (t *Topology) MeasureInto(dst []radio.Signal, p geo.Point, rng *simtime.Ran
 	dst = dst[:0]
 	if rng == nil {
 		for _, id := range t.Nearby(p) {
-			c := t.Cells[id]
-			dst = append(dst, radio.MeasureAt(int(c.ID), c.Radio, c.Pos, p, nil))
+			if sig, ok := t.Cells[id].MeasureInRange(p); ok {
+				dst = append(dst, sig)
+			}
 		}
 		return dst
 	}

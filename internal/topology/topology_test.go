@@ -217,6 +217,44 @@ func TestSignalsMeasureCandidates(t *testing.T) {
 	}
 }
 
+// Cell.MeasureInRange is radio.MeasureAt without shadowing, filtered to
+// in-range cells: it reports false exactly when MeasureAt's InRange is
+// false and otherwise returns MeasureAt's Signal bit for bit — at random
+// points, on the range circle, and on the axes at exactly MaxRange, where
+// the per-axis prefilter sits on its edge.
+func TestMeasureInRangeMatchesMeasureAt(t *testing.T) {
+	top := build(t, DefaultConfig())
+	rng := simtime.NewRand(7)
+	var in, out int
+	for trial := 0; trial < 6000; trial++ {
+		c := top.Cells[rng.Intn(len(top.Cells))]
+		r := c.Radio.MaxRange
+		var p geo.Point
+		switch trial % 3 {
+		case 0:
+			p = c.Pos.Add(geo.Vec(rng.Uniform(-1.5*r, 1.5*r), rng.Uniform(-1.5*r, 1.5*r)))
+		case 1:
+			p = c.Pos.Add(geo.FromHeading(rng.Uniform(0, 6.283185307179586), r))
+		default:
+			d := []geo.Vector{geo.Vec(r, 0), geo.Vec(-r, 0), geo.Vec(0, r), geo.Vec(0, -r)}[rng.Intn(4)]
+			p = c.Pos.Add(d.Scale(1 + rng.Uniform(-1e-15, 1e-15)))
+		}
+		want := radio.MeasureAt(int(c.ID), c.Radio, c.Pos, p, nil)
+		got, ok := c.MeasureInRange(p)
+		if ok != want.InRange || (ok && got != want) {
+			t.Fatalf("cell %d at %v: MeasureInRange = %+v, %v; MeasureAt = %+v", c.ID, p, got, ok, want)
+		}
+		if ok {
+			in++
+		} else {
+			out++
+		}
+	}
+	if in == 0 || out == 0 {
+		t.Fatalf("only one side of the range tested: %d in, %d out", in, out)
+	}
+}
+
 // The grid must return, at any point, a sorted superset of the cells whose
 // nominal range reaches that point — the property the O(nearby)
 // measurement path relies on.
