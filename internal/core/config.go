@@ -124,13 +124,16 @@ type Config struct {
 	MeasureInterval time.Duration
 	// MeasureWorkers > 1 runs the per-MN measurement phase (position +
 	// signal computation — pure per MN) across that many goroutines,
-	// priming each measurement cycle when its first tick opens; handoff
-	// decisions still apply sequentially, in id order, at their original
-	// virtual instants, so results are byte-identical to sequential
-	// execution for any worker count. 0 or 1 measures inline; a negative
-	// count is rejected. Mobile IP / Cellular IP runs with Shadowing draw
-	// measurement noise from a run-shared stream and always measure
-	// inline.
+	// one cycle ahead: the tick that opens a cycle collects the prime
+	// started one cycle earlier and starts the next cycle's, so the
+	// workers measure while the simulation goroutine applies this
+	// cycle's handoff decisions. Decisions still apply sequentially, in
+	// id order, at their original virtual instants, so results are
+	// byte-identical to sequential execution for any worker count, and
+	// Run joins any prime still in flight before it returns. 0 or 1
+	// measures inline; a negative count is rejected. Mobile IP /
+	// Cellular IP runs with Shadowing draw measurement noise from a
+	// run-shared stream and always measure inline.
 	MeasureWorkers int
 	// ResourceSwitching toggles RSMC buffering (multi-tier only).
 	ResourceSwitching bool

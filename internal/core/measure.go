@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/geo"
@@ -15,12 +14,11 @@ import (
 // runs on the simulation goroutine at the MN's own staggered tick).
 //
 // Splitting the two is what makes the measurement phase parallelisable
-// without touching determinism: when the first member of a measurement
-// cycle fires, the engine can pre-compute every MN's (pos, speed,
-// signals) for its upcoming tick across workers — byte-identical to
-// computing them inline, because the computation is pure per MN — while
-// decisions still apply sequentially, in id order, at their original
-// virtual instants.
+// without touching determinism: while the simulation goroutine applies
+// one cycle's decisions, workers pre-compute every MN's (pos, speed,
+// signals) for the next cycle — byte-identical to computing them inline,
+// because the computation is pure per MN — and decisions still apply
+// sequentially, in id order, at their original virtual instants.
 type measureDriver struct {
 	model mobility.Model
 	// measure fills sigs from pos. It must be pure per MN: static
@@ -35,7 +33,17 @@ type measureDriver struct {
 	// and is excluded from the parallel phase.
 	shared bool
 
-	sigs   []radio.Signal // per-MN scratch, reused every tick
+	// slots double-buffers the measurement: slots[s.parity] feeds this
+	// cycle's decisions while a background prime fills the other slot
+	// for the next cycle.
+	slots [2]measureSlot
+}
+
+// measureSlot is one MN's measurement for one cycle. sigs is scratch
+// reused cycle after cycle; primed marks a measurement computed by the
+// parallel phase and not yet consumed by the MN's tick.
+type measureSlot struct {
+	sigs   []radio.Signal
 	pos    geo.Point
 	speed  float64
 	primed bool
@@ -79,8 +87,15 @@ func (s *scenario) anyParallelDriver() bool {
 	return false
 }
 
-// measureTick runs MN i's tick: consume the pre-computed measurement if
-// the parallel phase primed one, compute inline otherwise, then decide.
+// measureTick runs MN i's tick: consume the measurement the parallel
+// phase primed, or compute it inline, then decide.
+//
+// With measureWorkers > 1, MN 0's tick opens each cycle: it collects the
+// prime started one cycle earlier (or, on the first cycle, primes the
+// current cycle synchronously), flips the slot parity, and starts the
+// next cycle's prime in the background, so the workers measure while
+// this cycle's decisions run. Decisions read only the current slot; the
+// workers write only the other one.
 //
 // With tracing armed the two halves also accumulate wall-clock spend
 // into the trace (measure vs decide), the one place the engine is
@@ -88,75 +103,80 @@ func (s *scenario) anyParallelDriver() bool {
 // never feed back into simulation state or the exported trace bytes.
 func (s *scenario) measureTick(i int) {
 	w := s.obsWall()
+	now := s.sched.Now()
 	if i == 0 && s.measureWorkers > 1 {
 		var t0 time.Time
 		if w != nil {
 			t0 = time.Now()
 		}
-		s.primeMeasurements()
+		if s.priming {
+			s.parity ^= 1
+		} else {
+			s.startPrime(s.parity, now) // first cycle: nothing primed it yet
+		}
+		s.prime.Wait()
 		if w != nil {
 			w.MeasureNS += time.Since(t0).Nanoseconds()
 		}
+		next := now + s.cfg.MeasureInterval
+		if s.priming = next <= s.cfg.Duration; s.priming {
+			s.startPrime(s.parity^1, next)
+		}
 	}
 	d := &s.drivers[i]
-	if !d.primed {
+	m := &d.slots[s.parity]
+	if !m.primed {
 		var t0 time.Time
 		if w != nil {
 			t0 = time.Now()
 		}
-		now := s.sched.Now()
-		d.pos = d.model.Position(now)
-		d.speed = mobility.Speed(d.model, now)
-		d.sigs = d.measure(d.sigs, d.pos)
+		m.pos = d.model.Position(now)
+		m.speed = mobility.Speed(d.model, now)
+		m.sigs = d.measure(m.sigs, m.pos)
 		if w != nil {
 			w.MeasureNS += time.Since(t0).Nanoseconds()
 		}
 	}
-	d.primed = false
+	m.primed = false
 	var t0 time.Time
 	if w != nil {
 		t0 = time.Now()
 	}
-	d.decide(d.pos, d.speed, d.sigs)
+	d.decide(m.pos, m.speed, m.sigs)
 	if w != nil {
 		w.DecideNS += time.Since(t0).Nanoseconds()
 	}
 }
 
-// primeMeasurements pre-computes every non-shared MN's measurement for
-// its tick in the cycle that is just opening (MN 0's tick fires first;
-// MN i ticks exactly stagger(i)-stagger(0) later). Positions are pure
-// functions of virtual time, signal measurement reads only the static
-// topology (plus the MN's private shadowing stream, advanced in the same
-// per-MN order as inline measurement would), and each worker writes only
-// its own MNs' scratch state — so the result is byte-identical to inline
+// startPrime starts pre-computing, into slots[slot], every non-shared
+// MN's measurement for the cycle MN 0 opens at base (MN i ticks exactly
+// stagger(i)-stagger(0) later), on measureWorkers goroutines tracked by
+// s.prime. Positions are pure functions of virtual time, signal
+// measurement reads only the static topology (plus the MN's private
+// shadowing stream, advanced in the same per-MN order as inline
+// measurement would), and each worker writes only its own MNs' model,
+// stream and slot — so the result is byte-identical to inline
 // computation for any worker count, including one.
-func (s *scenario) primeMeasurements() {
-	base := s.sched.Now() // MN 0's tick time == start of this cycle
+func (s *scenario) startPrime(slot int, base time.Duration) {
 	n := len(s.drivers)
-	workers := s.measureWorkers
-	if workers > n {
-		workers = n
-	}
+	workers := min(s.measureWorkers, n)
 	off0 := s.measureOffset(0)
-	var wg sync.WaitGroup
+	s.prime.Add(workers)
 	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
 		go func(lo, hi int) {
-			defer wg.Done()
+			defer s.prime.Done()
 			for i := lo; i < hi; i++ {
 				d := &s.drivers[i]
 				if d.shared {
 					continue // inline-only: run-shared rng stream
 				}
+				m := &d.slots[slot]
 				at := base + s.measureOffset(i) - off0
-				d.pos = d.model.Position(at)
-				d.speed = mobility.Speed(d.model, at)
-				d.sigs = d.measure(d.sigs, d.pos)
-				d.primed = true
+				m.pos = d.model.Position(at)
+				m.speed = mobility.Speed(d.model, at)
+				m.sigs = d.measure(m.sigs, m.pos)
+				m.primed = true
 			}
-		}(lo, hi)
+		}(n*w/workers, n*(w+1)/workers)
 	}
-	wg.Wait()
 }

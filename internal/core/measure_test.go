@@ -1,44 +1,66 @@
 package core
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/geo"
+	"repro/internal/mobility"
+	"repro/internal/simtime"
 )
 
-// runSummary executes one scenario and returns its summary.
-func runSummary(t *testing.T, cfg Config) Summary {
+// runOnce executes one scenario and returns its result.
+func runOnce(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", cfg.Scheme, err)
 	}
-	return res.Summary
+	return res
 }
 
 // TestParallelMeasurementByteIdentical pins the tentpole invariant at the
 // engine level: for every scheme and mobility kind, with and without
 // shadowing, a run with measurement workers produces exactly the
-// sequential run's summary. The multi-tier scheme keeps per-MN shadowing
-// streams (parallel-safe); the flat schemes share one stream under
-// shadowing and must transparently fall back to inline measurement —
-// same bytes either way. The trajectory models answer queries from a
-// per-model cursor, which workers advance ahead of the decision ticks.
+// sequential run's summary and metric registry. The multi-tier scheme
+// keeps per-MN shadowing streams (parallel-safe); the flat schemes share
+// one stream under shadowing and must transparently fall back to inline
+// measurement — same bytes either way. The trajectory models answer
+// queries from a per-model cursor, which workers advance a cycle ahead of
+// the decision ticks. The durations end between two cycles (12 s), in the
+// middle of one, after the last cycle's prime has measured MNs that never
+// tick (12.05 s), and before a second cycle opens, so no background prime
+// ever starts (80 ms, under the 100 ms interval). The last two probe the
+// pipeline's edges, so they skip the flat-scheme shadowing runs, which
+// never reach it.
 func TestParallelMeasurementByteIdentical(t *testing.T) {
-	for _, kind := range MobilityKinds() {
-		for _, scheme := range Schemes() {
-			for _, shadowing := range []bool{false, true} {
-				cfg := DefaultConfig()
-				cfg.Scheme = scheme
-				cfg.Mobility = kind
-				cfg.Duration = 12 * time.Second
-				cfg.NumMNs = 12
-				cfg.Shadowing = shadowing
-				seq := runSummary(t, cfg)
-				for _, workers := range []int{2, 7} {
-					cfg.MeasureWorkers = workers
-					if par := runSummary(t, cfg); par != seq {
-						t.Fatalf("%s %s shadowing=%v: %d measure workers diverged\nseq: %v\npar: %v",
-							kind, scheme, shadowing, workers, seq, par)
+	for _, dur := range []time.Duration{12 * time.Second, 12050 * time.Millisecond, 80 * time.Millisecond} {
+		for _, kind := range MobilityKinds() {
+			for _, scheme := range Schemes() {
+				for _, shadowing := range []bool{false, true} {
+					if dur != 12*time.Second && shadowing && scheme != SchemeMultiTier {
+						continue
+					}
+					cfg := DefaultConfig()
+					cfg.Scheme = scheme
+					cfg.Mobility = kind
+					cfg.Duration = dur
+					cfg.NumMNs = 12
+					cfg.Shadowing = shadowing
+					seq := runOnce(t, cfg)
+					for _, workers := range []int{2, 7} {
+						cfg.MeasureWorkers = workers
+						par := runOnce(t, cfg)
+						if par.Summary != seq.Summary {
+							t.Fatalf("%v %s %s shadowing=%v: %d measure workers diverged\nseq: %v\npar: %v",
+								dur, kind, scheme, shadowing, workers, seq.Summary, par.Summary)
+						}
+						if a, b := seq.Registry.Render(), par.Registry.Render(); a != b {
+							t.Fatalf("%v %s %s shadowing=%v: %d measure workers changed the registry\nseq:\n%s\npar:\n%s",
+								dur, kind, scheme, shadowing, workers, a, b)
+						}
 					}
 				}
 			}
@@ -52,9 +74,81 @@ func TestMeasureWorkersExceedingPopulation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 8 * time.Second
 	cfg.NumMNs = 3
-	seq := runSummary(t, cfg)
+	seq := runOnce(t, cfg).Summary
 	cfg.MeasureWorkers = 16
-	if par := runSummary(t, cfg); par != seq {
+	if par := runOnce(t, cfg).Summary; par != seq {
 		t.Fatalf("16 workers over 3 MNs diverged\nseq: %v\npar: %v", seq, par)
+	}
+}
+
+// gatedModel holds every position query at or after from until gate is
+// closed, so a prime of that cycle stays in flight as long as the test
+// wants.
+type gatedModel struct {
+	mobility.Model
+	from time.Duration
+	gate chan struct{}
+}
+
+func (g gatedModel) Position(at time.Duration) geo.Point {
+	if at >= g.from {
+		<-g.gate
+	}
+	return g.Model.Position(at)
+}
+
+// TestMeasurePrimeJoinedByRun: no prime goroutine outlives a run. A run
+// that reaches its deadline collects its last prime at the last cycle's
+// tick; a run stopped mid-cycle still has the next cycle's prime in
+// flight, and must wait for it before returning.
+func TestMeasurePrimeJoinedByRun(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Duration = 2 * time.Second
+	cfg.NumMNs = 12
+	cfg.MeasureWorkers = 3
+	base := runtime.NumGoroutine()
+	runOnce(t, cfg)
+	waitGoroutines(t, base)
+
+	s, err := newScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// MN 0's tick at open starts cycle 6's prime, which blocks on the
+	// gate; the scheduler stops just after it.
+	open := s.measureOffset(0) + 5*cfg.MeasureInterval
+	gate := make(chan struct{})
+	for i := range s.drivers {
+		d := &s.drivers[i]
+		d.model = gatedModel{Model: d.model, from: open + cfg.MeasureInterval, gate: gate}
+	}
+	s.sched.At(open+1, s.sched.Stop)
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.run()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("stopped run returned (%v) while its prime was still measuring", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-done; !errors.Is(err, simtime.ErrStopped) {
+		t.Fatalf("stopped run: err = %v, want ErrStopped", err)
+	}
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines polls until the goroutine count is back to base: a
+// worker that has signalled its WaitGroup may still be exiting.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after the run, want %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

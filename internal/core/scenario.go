@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/addr"
@@ -89,9 +90,14 @@ type scenario struct {
 	handoffs *metrics.Counter
 
 	// drivers holds one measurement pipeline per MN (see measure.go);
-	// measureWorkers > 1 turns on the parallel measurement phase.
+	// measureWorkers > 1 turns on the parallel measurement phase. parity
+	// picks each MN's slot for the current cycle; prime tracks the
+	// workers filling the other slot, in flight while priming is set.
 	drivers        []measureDriver
 	measureWorkers int
+	parity         int
+	prime          sync.WaitGroup
+	priming        bool
 
 	// fleet is the per-run resolution of cfg.Fleet (nil when unset).
 	fleet *fleetState
@@ -125,6 +131,16 @@ type scenario struct {
 
 // Run executes one scenario and returns its results.
 func Run(cfg Config) (*Result, error) {
+	s, err := newScenario(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.run()
+}
+
+// newScenario validates cfg and builds the scenario ready to run: the
+// topology, network, mobility, scheme and every optional layer.
+func newScenario(cfg Config) (*scenario, error) {
 	if cfg.Duration <= 0 || cfg.NumMNs <= 0 {
 		return nil, fmt.Errorf("%w: duration %v, %d MNs", ErrBadConfig, cfg.Duration, cfg.NumMNs)
 	}
@@ -234,10 +250,19 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	if err := s.sched.RunUntil(cfg.Duration); err != nil {
+	return s, nil
+}
+
+// run executes the scenario to its deadline. It waits for a measurement
+// prime still in flight before returning, on every path, so no worker
+// outlives the run: a run that reaches its deadline has collected its
+// last prime at the last cycle's tick, but a stopped one may not have.
+func (s *scenario) run() (*Result, error) {
+	defer s.prime.Wait()
+	if err := s.sched.RunUntil(s.cfg.Duration); err != nil {
 		return nil, fmt.Errorf("run: %w", err)
 	}
-	return &Result{Config: cfg, Registry: s.reg, Summary: s.summarize(), Trace: s.trace}, nil
+	return &Result{Config: s.cfg, Registry: s.reg, Summary: s.summarize(), Trace: s.trace}, nil
 }
 
 // buildMobility creates one model per MN: the homogeneous config kind,

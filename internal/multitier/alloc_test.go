@@ -1,9 +1,12 @@
 package multitier
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
+	"repro/internal/simtime"
 	"repro/internal/topology"
 )
 
@@ -32,5 +35,71 @@ func TestEvaluateTickAllocFree(t *testing.T) {
 	avg := testing.AllocsPerRun(1000, func() { b.mn.Evaluate(pos, 1.0) })
 	if avg != 0 {
 		t.Fatalf("measurement tick allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// Directory.StationFor is probed for every usable cell of every decision
+// tick: a hit is an allocation-free slice index, and an id outside the
+// registered range or without a station is ErrUnknownCell.
+func TestStationForBoundsAndAllocFree(t *testing.T) {
+	top, err := topology.Build(topology.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := netsim.New(simtime.NewScheduler(), simtime.NewRand(1))
+	dir := NewDirectory()
+	cell := top.Cells[3]
+	st := NewStation(net.NewNode("st"), cell, top, DefaultStationConfig(cell.Tier), dir, NewStats(nil))
+	if got, err := dir.StationFor(cell.ID); err != nil || got != st {
+		t.Fatalf("StationFor(%d) = %v, %v; want the registered station", cell.ID, got, err)
+	}
+	// -1, one past the highest registered id (len of the table), and a
+	// lower id with no station.
+	for _, id := range []topology.CellID{-1, cell.ID + 1, cell.ID - 1} {
+		if _, err := dir.StationFor(id); !errors.Is(err, ErrUnknownCell) {
+			t.Fatalf("StationFor(%d) err = %v, want ErrUnknownCell", id, err)
+		}
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		if _, err := dir.StationFor(cell.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("StationFor allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// Stations and mobiles decode every control packet into their own
+// msgScratch: each decode must read exactly what ParseMessage reads, with
+// no field left over from an earlier message in the same scratch, and
+// must not allocate.
+func TestMsgScratchDecodeMatchesParseAllocFree(t *testing.T) {
+	var sc msgScratch
+	seeds := seedMessages()
+	for round := 0; round < 2; round++ {
+		for _, b := range seeds {
+			want, err := ParseMessage(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sc.decode(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, g := marshal(t, want), marshal(t, got); string(w) != string(g) {
+				t.Fatalf("decode(%x) re-encodes to %x, ParseMessage to %x", b, g, w)
+			}
+		}
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		for _, b := range seeds {
+			if _, err := sc.decode(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("scratch decode allocates %.1f allocs/op, want 0", avg)
 	}
 }

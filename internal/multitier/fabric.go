@@ -38,7 +38,7 @@ type Profile struct {
 // serving each cell.
 type Directory struct {
 	profiles map[addr.IP]*Profile
-	stations map[topology.CellID]*Station
+	stations []*Station                  // by cell id (dense from 0); nil = no station
 	auths    map[int]*auth.Authenticator // by domain id
 }
 
@@ -46,7 +46,6 @@ type Directory struct {
 func NewDirectory() *Directory {
 	return &Directory{
 		profiles: make(map[addr.IP]*Profile),
-		stations: make(map[topology.CellID]*Station),
 		auths:    make(map[int]*auth.Authenticator),
 	}
 }
@@ -68,15 +67,20 @@ func (d *Directory) Profiles() int { return len(d.profiles) }
 
 // registerStation records the station serving a cell (called by
 // NewStation).
-func (d *Directory) registerStation(s *Station) { d.stations[s.Cell().ID] = s }
+func (d *Directory) registerStation(s *Station) {
+	id := int(s.Cell().ID)
+	if id >= len(d.stations) {
+		d.stations = append(d.stations, make([]*Station, id+1-len(d.stations))...)
+	}
+	d.stations[id] = s
+}
 
 // StationFor returns the station serving cell.
 func (d *Directory) StationFor(cell topology.CellID) (*Station, error) {
-	s, ok := d.stations[cell]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownCell, cell)
+	if cell >= 0 && int(cell) < len(d.stations) && d.stations[cell] != nil {
+		return d.stations[cell], nil
 	}
-	return s, nil
+	return nil, fmt.Errorf("%w: %d", ErrUnknownCell, cell)
 }
 
 // SetDomainAuth installs the authenticator shared by a domain's RSMC and

@@ -168,8 +168,25 @@ func (*DeleteLocation) isMultiTierMessage()  {}
 func (*HandoffRequest) isMultiTierMessage()  {}
 func (*HandoffReply) isMultiTierMessage()    {}
 
-// ParseMessage decodes a multi-tier control payload.
-func ParseMessage(b []byte) (Message, error) {
+// ParseMessage decodes a multi-tier control payload into a fresh message.
+func ParseMessage(b []byte) (Message, error) { return new(msgScratch).decode(b) }
+
+// msgScratch is caller-owned decode storage, one message of each type. A
+// receiver that finishes with each message before it decodes the next
+// decodes into one without allocating: a station handles a control
+// packet to completion inside its delivery and keeps one; a mobile keeps
+// nothing of a reply, so its scratch stays on the stack.
+type msgScratch struct {
+	loc LocationMessage
+	upd UpdateLocation
+	del DeleteLocation
+	req HandoffRequest
+	rep HandoffReply
+}
+
+// decode decodes b into the scratch message of its type and returns it;
+// the next decode of that type overwrites it.
+func (sc *msgScratch) decode(b []byte) (Message, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("%w: empty", ErrBadMessage)
 	}
@@ -178,36 +195,39 @@ func ParseMessage(b []byte) (Message, error) {
 		if len(b) != locationSize {
 			return nil, fmt.Errorf("%w: location %d bytes", ErrBadMessage, len(b))
 		}
-		return &LocationMessage{
+		sc.loc = LocationMessage{
 			MN:      addr.IP(binary.BigEndian.Uint32(b[1:5])),
 			Serving: topology.CellID(int32(binary.BigEndian.Uint32(b[5:9]))),
 			Seq:     binary.BigEndian.Uint32(b[9:13]),
-		}, nil
+		}
+		return &sc.loc, nil
 	case msgUpdateLocation:
 		if len(b) != updateSize {
 			return nil, fmt.Errorf("%w: update %d bytes", ErrBadMessage, len(b))
 		}
-		return &UpdateLocation{
+		sc.upd = UpdateLocation{
 			MN:      addr.IP(binary.BigEndian.Uint32(b[1:5])),
 			NewCell: topology.CellID(int32(binary.BigEndian.Uint32(b[5:9]))),
 			OldCell: topology.CellID(int32(binary.BigEndian.Uint32(b[9:13]))),
 			Seq:     binary.BigEndian.Uint32(b[13:17]),
-		}, nil
+		}
+		return &sc.upd, nil
 	case msgDeleteLocation:
 		if len(b) != deleteSize {
 			return nil, fmt.Errorf("%w: delete %d bytes", ErrBadMessage, len(b))
 		}
-		return &DeleteLocation{
+		sc.del = DeleteLocation{
 			MN:      addr.IP(binary.BigEndian.Uint32(b[1:5])),
 			Cell:    topology.CellID(int32(binary.BigEndian.Uint32(b[5:9]))),
 			NewCell: topology.CellID(int32(binary.BigEndian.Uint32(b[9:13]))),
 			Seq:     binary.BigEndian.Uint32(b[13:17]),
-		}, nil
+		}
+		return &sc.del, nil
 	case msgHandoffRequest:
 		if len(b) != handoffReqSize {
 			return nil, fmt.Errorf("%w: handoff request %d bytes", ErrBadMessage, len(b))
 		}
-		req := &HandoffRequest{
+		sc.req = HandoffRequest{
 			MN:       addr.IP(binary.BigEndian.Uint32(b[1:5])),
 			From:     topology.CellID(int32(binary.BigEndian.Uint32(b[5:9]))),
 			To:       topology.CellID(int32(binary.BigEndian.Uint32(b[9:13]))),
@@ -216,18 +236,19 @@ func ParseMessage(b []byte) (Message, error) {
 			Seq:      binary.BigEndian.Uint32(b[29:33]),
 			Nonce:    binary.BigEndian.Uint64(b[33:41]),
 		}
-		copy(req.Token[:], b[41:41+TokenSize])
-		return req, nil
+		copy(sc.req.Token[:], b[41:41+TokenSize])
+		return &sc.req, nil
 	case msgHandoffReply:
 		if len(b) != handoffRepSize {
 			return nil, fmt.Errorf("%w: handoff reply %d bytes", ErrBadMessage, len(b))
 		}
-		return &HandoffReply{
+		sc.rep = HandoffReply{
 			MN:       addr.IP(binary.BigEndian.Uint32(b[1:5])),
 			To:       topology.CellID(int32(binary.BigEndian.Uint32(b[5:9]))),
 			Accepted: b[9] == 1,
 			Seq:      binary.BigEndian.Uint32(b[10:14]),
-		}, nil
+		}
+		return &sc.rep, nil
 	default:
 		return nil, fmt.Errorf("%w: type %d", ErrBadMessage, b[0])
 	}

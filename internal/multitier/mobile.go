@@ -257,9 +257,10 @@ func (m *Mobile) requestHandoff(target topology.CellID, speedMPS float64) {
 		copy(req.Token[:], a.Token(m.profile.Home, m.nonce))
 	}
 	m.trace.Emit(m.sched.Now(), obs.KindHandoffRequest, m.traceActor, int32(target), 0, 0)
-	m.pending = &pendingHandoff{target: target, seq: m.seq, sentAt: m.sched.Now()}
+	seq := m.seq
+	m.pending = &pendingHandoff{target: target, seq: seq, sentAt: m.sched.Now()}
 	m.pending.timeout = m.sched.AfterFIFO(m.cfg.HandoffTimeout, func() {
-		if m.pending != nil && m.pending.seq == req.Seq {
+		if m.pending != nil && m.pending.seq == seq {
 			m.pending = nil // abandoned; next Evaluate retries
 		}
 	})
@@ -414,7 +415,8 @@ func (m *Mobile) SendData(pkt *packet.Packet) {
 func (m *Mobile) Receive(pkt *packet.Packet, from *netsim.Node, link *netsim.Link) {
 	defer packet.Release(pkt)
 	if pkt.Proto == packet.ProtoTier {
-		msg, err := ParseMessage(pkt.Payload)
+		var sc msgScratch // stays on the stack: nothing keeps the reply
+		msg, err := sc.decode(pkt.Payload)
 		if err != nil {
 			return
 		}

@@ -60,6 +60,7 @@ type Station struct {
 	sessions  map[addr.IP]*qos.Session
 	attached  map[addr.IP]*netsim.Node
 	forwards  map[addr.IP]*forwardRec
+	msgs      msgScratch // control-message decode storage
 
 	controller Controller
 
@@ -319,7 +320,7 @@ func (s *Station) observeOccupancy() {
 // childToward returns the child station whose subtree contains cell, or
 // nil when cell is not below this station.
 func (s *Station) childToward(cell topology.CellID) *Station {
-	for _, id := range s.top.PathToRoot(cell) {
+	for id := cell; id != topology.NoCell; id = s.top.Cells[id].Parent {
 		if child, ok := s.children[id]; ok {
 			return child
 		}
@@ -366,7 +367,7 @@ func (s *Station) receiveDown(pkt *packet.Packet) {
 // released on every path.
 func (s *Station) consumeControl(pkt *packet.Packet, via topology.CellID, airFrom *netsim.Node) {
 	defer packet.Release(pkt)
-	msg, err := ParseMessage(pkt.Payload)
+	msg, err := s.msgs.decode(pkt.Payload)
 	if err != nil {
 		return
 	}

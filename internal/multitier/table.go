@@ -25,10 +25,6 @@ type Table struct {
 	timeout time.Duration
 	sched   *simtime.Scheduler
 	entries map[addr.IP]Record
-
-	// Lookups and Hits count queries for the E3 hit-ratio series.
-	Lookups uint64
-	Hits    uint64
 }
 
 // NewTable returns a table whose records live for timeout per refresh.
@@ -55,13 +51,11 @@ func seqBefore(a, b uint32) bool { return int32(a-b) < 0 }
 
 // Lookup returns the live record for mn.
 func (t *Table) Lookup(mn addr.IP) (Record, bool) {
-	t.Lookups++
 	r, ok := t.entries[mn]
 	if !ok || r.Expires <= t.sched.Now() {
 		delete(t.entries, mn)
 		return Record{}, false
 	}
-	t.Hits++
 	return r, true
 }
 
@@ -78,14 +72,6 @@ func (t *Table) Len() int {
 		}
 	}
 	return n
-}
-
-// HitRatio returns Hits/Lookups, zero before any lookup.
-func (t *Table) HitRatio() float64 {
-	if t.Lookups == 0 {
-		return 0
-	}
-	return float64(t.Hits) / float64(t.Lookups)
 }
 
 // CellTables bundles the paper's two tables. Micro-cell stations hold only

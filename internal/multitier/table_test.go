@@ -73,21 +73,6 @@ func TestTableExpiredRecordAcceptsAnySeq(t *testing.T) {
 	}
 }
 
-func TestTableHitRatio(t *testing.T) {
-	sched := simtime.NewScheduler()
-	tab := NewTable(time.Minute, sched)
-	tab.Update(mnA, 1, 1)
-	tab.Lookup(mnA)                           // hit
-	tab.Lookup(addr.MustParse("172.16.0.99")) // miss
-	if got := tab.HitRatio(); got != 0.5 {
-		t.Fatalf("HitRatio = %v", got)
-	}
-	empty := NewTable(time.Minute, sched)
-	if empty.HitRatio() != 0 {
-		t.Fatal("empty table hit ratio nonzero")
-	}
-}
-
 func TestCellTablesMicroFirst(t *testing.T) {
 	sched := simtime.NewScheduler()
 	ct := NewCellTables(topology.TierMacro, time.Minute, sched)

@@ -169,7 +169,10 @@ type Meta struct {
 }
 
 // Wall accumulates wall-clock phase timings (collected only in the
-// detorder-allowlisted measurement engine). They are intentionally NOT
+// detorder-allowlisted measurement engine). MeasureNS is the time the
+// simulation goroutine spends measuring inline or waiting on a parallel
+// prime (work the workers overlap with decisions is not in it); DecideNS
+// is the time spent in handoff decisions. They are intentionally NOT
 // part of the deterministic export: two byte-identical traces may carry
 // different wall times.
 type Wall struct {

@@ -607,8 +607,10 @@ func (t *Topology) DomainRoot(c CellID) CellID {
 
 // RootOf returns the top-level ancestor (upper-layer macro BS) of c.
 func (t *Topology) RootOf(c CellID) CellID {
-	path := t.PathToRoot(c)
-	return path[len(path)-1]
+	for p := t.Cells[c].Parent; p != NoCell; p = t.Cells[p].Parent {
+		c = p
+	}
+	return c
 }
 
 // SameUpperBS reports whether two cells hang beneath the same upper-layer

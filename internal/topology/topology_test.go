@@ -674,3 +674,60 @@ func TestNearbyCachedPathAllocFree(t *testing.T) {
 		t.Fatalf("cached Nearby allocates %.1f allocs/op, want 0", avg)
 	}
 }
+
+// TestAncestorWalksMatchPathToRoot pins Crossover, RootOf (a slice-free
+// parent walk) and HopsToCrossover to a reference built from
+// PathToRoot, for every ordered cell pair of the default layout and of
+// a three-root arena with chained micros and picos.
+func TestAncestorWalksMatchPathToRoot(t *testing.T) {
+	for _, cfg := range []Config{
+		DefaultConfig(),
+		{Roots: 3, RootCols: 2, MacrosPerRoot: 2, MicrosPerMacro: 4, PicosPerMicro: 2, ChainMicros: true,
+			BasePrefix: addr.MustParsePrefix("10.0.0.0/8")},
+	} {
+		top := build(t, cfg)
+		for _, a := range top.Cells {
+			pa := top.PathToRoot(a.ID)
+			if got := top.RootOf(a.ID); got != pa[len(pa)-1] {
+				t.Fatalf("%d roots: RootOf(%d) = %d, want %d", cfg.Roots, a.ID, got, pa[len(pa)-1])
+			}
+			for _, b := range top.Cells {
+				want, hops := NoCell, -1
+				for i, c := range pa {
+					if contains(top.PathToRoot(b.ID), c) {
+						want, hops = c, i
+						break
+					}
+				}
+				if got := top.Crossover(a.ID, b.ID); got != want {
+					t.Fatalf("%d roots: Crossover(%d, %d) = %d, want %d", cfg.Roots, a.ID, b.ID, got, want)
+				}
+				if got := top.HopsToCrossover(a.ID, b.ID); got != hops {
+					t.Fatalf("%d roots: HopsToCrossover(%d, %d) = %d, want %d", cfg.Roots, a.ID, b.ID, got, hops)
+				}
+			}
+		}
+	}
+}
+
+func contains(ids []CellID, id CellID) bool {
+	for _, c := range ids {
+		if c == id {
+			return true
+		}
+	}
+	return false
+}
+
+func TestAncestorWalksAllocFree(t *testing.T) {
+	top := build(t, DefaultConfig())
+	deep := top.Cells[len(top.Cells)-1].ID
+	avg := testing.AllocsPerRun(1000, func() {
+		if top.RootOf(deep) == deep {
+			t.Fatal("walk returned its own start")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("RootOf allocates %.1f allocs/op, want 0", avg)
+	}
+}
