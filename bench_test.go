@@ -349,7 +349,7 @@ func BenchmarkTopologyMeasureInto(b *testing.B) {
 	var scratch []radio.Signal
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		scratch = top.MeasureInto(scratch, pos, nil)
+		scratch = top.MeasureInto(scratch, pos, nil, topology.TierPico)
 	}
 }
 

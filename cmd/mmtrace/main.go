@@ -219,7 +219,7 @@ func printSummary(out io.Writer, tr *obs.Trace) {
 // registered fraction's dip under each fault window and when it came
 // back. Only changes print, so a flat curve stays one line.
 func printRecovery(out io.Writer, tr *obs.Trace) {
-	s := findSeries(tr, "session.registered_frac")
+	s := tr.Lookup("session.registered_frac")
 	if s == nil || len(s.Val) == 0 {
 		return
 	}
@@ -282,15 +282,6 @@ func printDegrade(out io.Writer, tr *obs.Trace, counts map[obs.Kind]int) {
 			fmt.Fprintf(out, "    %-12v closed     (recovery probe conformed)\n", e.At)
 		}
 	}
-}
-
-func findSeries(tr *obs.Trace, name string) *obs.Series {
-	for _, s := range tr.AllSeries() {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
 }
 
 // printTimeline renders handoff and fault events chronologically (they
@@ -442,8 +433,8 @@ func printDiff(out io.Writer, pathA, pathB string, a, b *obs.Trace) {
 			continue
 		}
 		seen[s.Name] = true
-		ma, oka := seriesMean(findSeries(a, s.Name))
-		mb, okb := seriesMean(findSeries(b, s.Name))
+		ma, oka := seriesMean(a.Lookup(s.Name))
+		mb, okb := seriesMean(b.Lookup(s.Name))
 		switch {
 		case oka && okb:
 			fmt.Fprintf(out, "  %-26s %.4g -> %.4g\n", s.Name, ma, mb)

@@ -123,17 +123,15 @@ type Config struct {
 	// 100 ms and a negative interval is rejected.
 	MeasureInterval time.Duration
 	// MeasureWorkers > 1 runs the per-MN measurement phase (position +
-	// signal computation — pure per MN) across that many goroutines,
-	// one cycle ahead: the tick that opens a cycle collects the prime
-	// started one cycle earlier and starts the next cycle's, so the
-	// workers measure while the simulation goroutine applies this
-	// cycle's handoff decisions. Decisions still apply sequentially, in
+	// signal computation — pure per MN, shadowing included) across that
+	// many goroutines, one cycle ahead: the tick that opens a cycle
+	// collects the prime started one cycle earlier and starts the next
+	// cycle's, so the workers measure while the simulation goroutine
+	// applies this cycle's handoff decisions. Decisions still apply sequentially, in
 	// id order, at their original virtual instants, so results are
 	// byte-identical to sequential execution for any worker count, and
 	// Run joins any prime still in flight before it returns. 0 or 1
-	// measures inline; a negative count is rejected. Mobile IP /
-	// Cellular IP runs with Shadowing draw measurement noise from a
-	// run-shared stream and always measure inline.
+	// measures inline; a negative count is rejected.
 	MeasureWorkers int
 	// ResourceSwitching toggles RSMC buffering (multi-tier only).
 	ResourceSwitching bool
@@ -148,13 +146,14 @@ type Config struct {
 	// per-message authentication cost.
 	AuthEnabled bool
 	// TableTTL overrides the location-table record lifetime (0 keeps the
-	// station default) — ablation D1.
+	// station default; negative is rejected) — ablation D1.
 	TableTTL time.Duration
 	// SemisoftDelay overrides the Cellular IP semisoft window (0 keeps
-	// the default) — ablation D2.
+	// the default; negative is rejected) — ablation D2.
 	SemisoftDelay time.Duration
-	// Shadowing enables log-normal shadowing on MN measurements; off,
-	// handoffs are deterministic functions of position.
+	// Shadowing enables log-normal shadowing on MN measurements: each MN
+	// draws from its own stream, once per in-range cell per measurement.
+	// Off, handoffs are deterministic functions of position.
 	Shadowing bool
 	// Fleet optionally assigns the MN population to heterogeneous
 	// profiles (population share, mobility model + speed distribution,

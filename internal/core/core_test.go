@@ -180,6 +180,18 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("negative measure workers: %v", err)
 	}
+	// A negative override is rejected, not silently replaced by the
+	// default.
+	cfg = shortCfg(SchemeMultiTier)
+	cfg.TableTTL = -time.Second
+	if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("negative table TTL: %v", err)
+	}
+	cfg = shortCfg(SchemeCellularIPSemisoft)
+	cfg.SemisoftDelay = -time.Millisecond
+	if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("negative semisoft delay: %v", err)
+	}
 	// 0 keeps the documented defaults: a 100 ms cadence, inline measurement.
 	cfg = shortCfg(SchemeMultiTier)
 	cfg.MeasureInterval, cfg.MeasureWorkers = 0, 0

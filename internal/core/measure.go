@@ -3,35 +3,33 @@ package core
 import (
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/mobility"
 	"repro/internal/radio"
+	"repro/internal/simtime"
+	"repro/internal/topology"
 )
 
-// measureDriver is one MN's measurement pipeline: the pure half (position
-// + signal measurement, a function of virtual time and static topology
-// only) feeds the stateful half (the scheme's handoff decision, which
-// runs on the simulation goroutine at the MN's own staggered tick).
+// measureDriver is one MN's measurement pipeline: the pure half (speed
+// + the in-range signals of every cell of minTier or above, a function
+// of virtual time, the static topology and the MN's private shadowing
+// stream only) feeds the stateful half (the scheme's handoff decision,
+// which runs on the simulation goroutine at the MN's own staggered tick).
 //
 // Splitting the two is what makes the measurement phase parallelisable
 // without touching determinism: while the simulation goroutine applies
-// one cycle's decisions, workers pre-compute every MN's (pos, speed,
-// signals) for the next cycle — byte-identical to computing them inline,
-// because the computation is pure per MN — and decisions still apply
+// one cycle's decisions, workers pre-compute every MN's (speed, signals)
+// for the next cycle — byte-identical to computing them inline, because
+// the computation is pure per MN — and decisions still apply
 // sequentially, in id order, at their original virtual instants.
 type measureDriver struct {
 	model mobility.Model
-	// measure fills sigs from pos. It must be pure per MN: static
-	// topology plus at most this MN's private rng stream.
-	measure func(dst []radio.Signal, pos geo.Point) []radio.Signal
+	// rng is the MN's private shadowing stream (nil without shadowing).
+	rng *simtime.Rand
+	// minTier is the lowest tier the scheme attaches to.
+	minTier topology.Tier
 	// decide consumes one tick's measurements and may mutate shared
 	// protocol state (handoffs, attachment, admission).
-	decide func(pos geo.Point, speed float64, sigs []radio.Signal)
-	// shared marks a driver whose measurement draws from a run-shared rng
-	// stream (Mobile IP / Cellular IP under shadowing): its draws must
-	// interleave across MNs in tick order, so it always measures inline
-	// and is excluded from the parallel phase.
-	shared bool
+	decide func(speed float64, sigs []radio.Signal)
 
 	// slots double-buffers the measurement: slots[s.parity] feeds this
 	// cycle's decisions while a background prime fills the other slot
@@ -44,23 +42,19 @@ type measureDriver struct {
 // parallel phase and not yet consumed by the MN's tick.
 type measureSlot struct {
 	sigs   []radio.Signal
-	pos    geo.Point
 	speed  float64
 	primed bool
 }
 
-// driver registers MN i's measurement pipeline and schedules its ticks on
-// the measurement cadence, staggered per MN exactly like the sequential
-// engine always has.
-func (s *scenario) driver(i int, shared bool,
-	measure func(dst []radio.Signal, pos geo.Point) []radio.Signal,
-	decide func(pos geo.Point, speed float64, sigs []radio.Signal)) {
-
+// driver registers MN i's measurement pipeline, forking its shadowing
+// stream, and schedules its ticks on the measurement cadence, staggered
+// per MN exactly like the sequential engine always has.
+func (s *scenario) driver(i int, minTier topology.Tier, decide func(speed float64, sigs []radio.Signal)) {
 	d := &s.drivers[i]
 	d.model = s.models[i]
-	d.measure = measure
+	d.rng = s.measureRng()
+	d.minTier = minTier
 	d.decide = decide
-	d.shared = shared
 	offset := s.measureOffset(i)
 	s.sched.At(offset, func() {
 		tick := func() { s.measureTick(i) }
@@ -76,15 +70,38 @@ func (s *scenario) measureOffset(i int) time.Duration {
 	return time.Duration(i+1) * s.cfg.MeasureInterval / time.Duration(s.cfg.NumMNs+1)
 }
 
-// anyParallelDriver reports whether at least one registered driver can
-// be primed off the simulation goroutine.
-func (s *scenario) anyParallelDriver() bool {
-	for i := range s.drivers {
-		if s.drivers[i].decide != nil && !s.drivers[i].shared {
-			return true
+// flatDriver registers MN i on a flat scheme: it camps on the strongest
+// cell of minTier or above, with the selector's hysteresis, and calls
+// attach with every new cell.
+func (s *scenario) flatDriver(i int, minTier topology.Tier, attach func(topology.CellID)) {
+	sel := radio.DefaultSelector()
+	current := topology.NoCell
+	s.driver(i, minTier, func(_ float64, sigs []radio.Signal) {
+		best := topology.CellID(sel.Best(int(current), sigs))
+		if best == topology.NoCell || best == current {
+			return
 		}
+		current = best
+		s.noteHandoff(i)
+		attach(best)
+	})
+}
+
+// measureRng returns a fresh shadowing stream for one MN's measurements
+// (nil, forking nothing, when shadowing is disabled — deterministic mean
+// signals).
+func (s *scenario) measureRng() *simtime.Rand {
+	if s.cfg.Shadowing {
+		return s.rng.Fork()
 	}
-	return false
+	return nil
+}
+
+// measure fills m with d's measurement at virtual time at.
+func (s *scenario) measure(d *measureDriver, m *measureSlot, at time.Duration) {
+	pos := d.model.Position(at)
+	m.speed = mobility.Speed(d.model, at)
+	m.sigs = s.top.MeasureInto(m.sigs, pos, d.rng, d.minTier)
 }
 
 // measureTick runs MN i's tick: consume the measurement the parallel
@@ -130,9 +147,7 @@ func (s *scenario) measureTick(i int) {
 		if w != nil {
 			t0 = time.Now()
 		}
-		m.pos = d.model.Position(now)
-		m.speed = mobility.Speed(d.model, now)
-		m.sigs = d.measure(m.sigs, m.pos)
+		s.measure(d, m, now)
 		if w != nil {
 			w.MeasureNS += time.Since(t0).Nanoseconds()
 		}
@@ -142,14 +157,14 @@ func (s *scenario) measureTick(i int) {
 	if w != nil {
 		t0 = time.Now()
 	}
-	d.decide(m.pos, m.speed, m.sigs)
+	d.decide(m.speed, m.sigs)
 	if w != nil {
 		w.DecideNS += time.Since(t0).Nanoseconds()
 	}
 }
 
-// startPrime starts pre-computing, into slots[slot], every non-shared
-// MN's measurement for the cycle MN 0 opens at base (MN i ticks exactly
+// startPrime starts pre-computing, into slots[slot], every MN's
+// measurement for the cycle MN 0 opens at base (MN i ticks exactly
 // stagger(i)-stagger(0) later), on measureWorkers goroutines tracked by
 // s.prime. Positions are pure functions of virtual time, signal
 // measurement reads only the static topology (plus the MN's private
@@ -167,14 +182,8 @@ func (s *scenario) startPrime(slot int, base time.Duration) {
 			defer s.prime.Done()
 			for i := lo; i < hi; i++ {
 				d := &s.drivers[i]
-				if d.shared {
-					continue // inline-only: run-shared rng stream
-				}
 				m := &d.slots[slot]
-				at := base + s.measureOffset(i) - off0
-				m.pos = d.model.Position(at)
-				m.speed = mobility.Speed(d.model, at)
-				m.sigs = d.measure(m.sigs, m.pos)
+				s.measure(d, m, base+s.measureOffset(i)-off0)
 				m.primed = true
 			}
 		}(n*w/workers, n*(w+1)/workers)

@@ -21,45 +21,55 @@ func runOnce(t *testing.T, cfg Config) *Result {
 	return res
 }
 
+// seqBaselines caches each configuration's sequential run across the
+// passes of one test binary (go test -cpu 1,2,4 runs a test once per P
+// count): inline measurement starts no goroutine, so its output does not
+// depend on GOMAXPROCS.
+var seqBaselines = map[Config]baseline{}
+
+type baseline struct {
+	summary  Summary
+	registry string
+}
+
 // TestParallelMeasurementByteIdentical pins the tentpole invariant at the
 // engine level: for every scheme and mobility kind, with and without
 // shadowing, a run with measurement workers produces exactly the
-// sequential run's summary and metric registry. The multi-tier scheme
-// keeps per-MN shadowing streams (parallel-safe); the flat schemes share
-// one stream under shadowing and must transparently fall back to inline
-// measurement — same bytes either way. The trajectory models answer
-// queries from a per-model cursor, which workers advance a cycle ahead of
-// the decision ticks. The durations end between two cycles (12 s), in the
-// middle of one, after the last cycle's prime has measured MNs that never
-// tick (12.05 s), and before a second cycle opens, so no background prime
-// ever starts (80 ms, under the 100 ms interval). The last two probe the
-// pipeline's edges, so they skip the flat-scheme shadowing runs, which
-// never reach it.
+// sequential run's summary and metric registry. Every MN owns its
+// shadowing stream, so every scheme primes in parallel. The trajectory
+// models answer queries from a per-model cursor, which workers advance a
+// cycle ahead of the decision ticks. The durations end between two
+// cycles (12 s), in the middle of one, after the last cycle's prime has
+// measured MNs that never tick (12.05 s), and before a second cycle
+// opens, so no background prime ever starts (80 ms, under the 100 ms
+// interval).
 func TestParallelMeasurementByteIdentical(t *testing.T) {
 	for _, dur := range []time.Duration{12 * time.Second, 12050 * time.Millisecond, 80 * time.Millisecond} {
 		for _, kind := range MobilityKinds() {
 			for _, scheme := range Schemes() {
 				for _, shadowing := range []bool{false, true} {
-					if dur != 12*time.Second && shadowing && scheme != SchemeMultiTier {
-						continue
-					}
 					cfg := DefaultConfig()
 					cfg.Scheme = scheme
 					cfg.Mobility = kind
 					cfg.Duration = dur
 					cfg.NumMNs = 12
 					cfg.Shadowing = shadowing
-					seq := runOnce(t, cfg)
+					seq, ok := seqBaselines[cfg]
+					if !ok {
+						res := runOnce(t, cfg)
+						seq = baseline{res.Summary, res.Registry.Render()}
+						seqBaselines[cfg] = seq
+					}
 					for _, workers := range []int{2, 7} {
 						cfg.MeasureWorkers = workers
 						par := runOnce(t, cfg)
-						if par.Summary != seq.Summary {
+						if par.Summary != seq.summary {
 							t.Fatalf("%v %s %s shadowing=%v: %d measure workers diverged\nseq: %v\npar: %v",
-								dur, kind, scheme, shadowing, workers, seq.Summary, par.Summary)
+								dur, kind, scheme, shadowing, workers, seq.summary, par.Summary)
 						}
-						if a, b := seq.Registry.Render(), par.Registry.Render(); a != b {
+						if b := par.Registry.Render(); b != seq.registry {
 							t.Fatalf("%v %s %s shadowing=%v: %d measure workers changed the registry\nseq:\n%s\npar:\n%s",
-								dur, kind, scheme, shadowing, workers, a, b)
+								dur, kind, scheme, shadowing, workers, seq.registry, b)
 						}
 					}
 				}

@@ -10,9 +10,10 @@ import (
 	"repro/internal/simtime"
 )
 
-// flowObserver tallies the fate of application data packets (control
+// flowObserver tallies the drops of application data packets (control
 // traffic is counted separately by each protocol's stats) and feeds the
-// end-to-end conservation check.
+// end-to-end conservation check. Sends are counted at the traffic source
+// and final deliveries by each MN's OnData callback, not per hop.
 type flowObserver struct {
 	account *metrics.LossAccount
 	drops   map[metrics.DropReason]*metrics.Counter
@@ -45,16 +46,6 @@ func (o *flowObserver) isData(pkt *packet.Packet) bool {
 	}
 	return false
 }
-
-// OnSend implements netsim.Observer. Sends are counted at the traffic
-// source (see scenario wiring), not per hop, so this only watches drops
-// and deliveries.
-func (o *flowObserver) OnSend(*netsim.Node, *packet.Packet) {}
-
-// OnDeliver implements netsim.Observer; per-hop deliveries are not
-// end-to-end deliveries, so this is a no-op too (the MN's OnData callback
-// counts final deliveries).
-func (o *flowObserver) OnDeliver(*netsim.Node, *packet.Packet) {}
 
 // OnDrop implements netsim.Observer.
 func (o *flowObserver) OnDrop(at *netsim.Node, pkt *packet.Packet, reason metrics.DropReason) {

@@ -17,7 +17,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
-	"repro/internal/radio"
 	"repro/internal/rsmc"
 	"repro/internal/simtime"
 	"repro/internal/topology"
@@ -151,6 +150,9 @@ func newScenario(cfg Config) (*scenario, error) {
 	if cfg.MeasureInterval == 0 {
 		cfg.MeasureInterval = 100 * time.Millisecond
 	}
+	if cfg.TableTTL < 0 || cfg.SemisoftDelay < 0 {
+		return nil, fmt.Errorf("%w: table TTL %v, semisoft delay %v", ErrBadConfig, cfg.TableTTL, cfg.SemisoftDelay)
+	}
 	// An unknown kind would otherwise fall through modelFor's default
 	// case and silently simulate the shuttle; empty stays the documented
 	// shuttle default. A speed must be finite and non-negative: at NaN or
@@ -232,12 +234,6 @@ func newScenario(cfg Config) (*scenario, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	// When no registered driver can be primed (flat schemes under
-	// shadowing share one measurement rng), drop to inline measurement
-	// so cycles don't fork and join a worker pool that has nothing to do.
-	if s.measureWorkers > 1 && !s.anyParallelDriver() {
-		s.measureWorkers = 1
 	}
 	if err := s.installFaults(); err != nil {
 		return nil, err
@@ -450,40 +446,6 @@ func (s *scenario) onDelivered(i int) func(p *packet.Packet) {
 	}
 }
 
-// measureRng returns the shadowing source for MN measurements (nil when
-// shadowing is disabled — deterministic mean signals).
-func (s *scenario) measureRng() *simtime.Rand {
-	if s.cfg.Shadowing {
-		return s.rng.Fork()
-	}
-	return nil
-}
-
-// measureFA measures the Foreign-Agent (macro/root) cells at pos into dst.
-// Without shadowing only the FA cells whose range reaches pos are
-// returned (the topology grid bounds the scan; see
-// topology.MeasureInto); with shadowing every FA cell is measured in id
-// order so the rng draw sequence stays position-independent.
-func (s *scenario) measureFA(dst []radio.Signal, faCells []*topology.Cell, pos geo.Point, rng *simtime.Rand) []radio.Signal {
-	dst = dst[:0]
-	if rng != nil {
-		for _, c := range faCells {
-			dst = append(dst, radio.MeasureAt(int(c.ID), c.Radio, c.Pos, pos, rng))
-		}
-		return dst
-	}
-	for _, id := range s.top.Nearby(pos) {
-		c := s.top.Cells[id]
-		if c.Tier != topology.TierMacro && c.Tier != topology.TierRoot {
-			continue
-		}
-		if sig, ok := c.MeasureInRange(pos); ok {
-			dst = append(dst, sig)
-		}
-	}
-	return dst
-}
-
 // ---------------------------------------------------------------------------
 // Scheme: plain Mobile IP (one FA per macro-class cell)
 
@@ -507,12 +469,10 @@ func (s *scenario) runMobileIP() (scheme, error) {
 
 	// One FA per macro-class cell, each on its own wired link.
 	fas := make(map[topology.CellID]*mobileip.ForeignAgent)
-	var faCells []*topology.Cell
 	for _, c := range s.top.Cells {
-		if c.Tier != topology.TierMacro && c.Tier != topology.TierRoot {
+		if c.Tier < topology.TierMacro {
 			continue
 		}
-		faCells = append(faCells, c)
 		node := s.net.NewNode("fa-" + c.Name)
 		coa, err := c.Prefix.Nth(1)
 		if err != nil {
@@ -527,8 +487,6 @@ func (s *scenario) runMobileIP() (scheme, error) {
 		fas[c.ID] = fa
 	}
 
-	sel := radio.DefaultSelector()
-	measure := s.measureRng()
 	mns := make([]*mobileip.MobileNode, s.cfg.NumMNs)
 	for i := 0; i < s.cfg.NumMNs; i++ {
 		home := mnHome(i)
@@ -551,20 +509,7 @@ func (s *scenario) runMobileIP() (scheme, error) {
 		mns[i] = mn
 		s.startTraffic(i, home, s.rng.Fork())
 
-		current := topology.NoCell
-		s.driver(i, measure != nil,
-			func(dst []radio.Signal, pos geo.Point) []radio.Signal {
-				return s.measureFA(dst, faCells, pos, measure)
-			},
-			func(pos geo.Point, speed float64, sigs []radio.Signal) {
-				best := topology.CellID(sel.Best(int(current), sigs))
-				if best == topology.NoCell || best == current {
-					return
-				}
-				current = best
-				s.noteHandoff(i)
-				mn.MoveTo(fas[best])
-			})
+		s.flatDriver(i, topology.TierMacro, func(c topology.CellID) { mn.MoveTo(fas[c]) })
 	}
 
 	return &mipScheme{sched: s.sched, fas: fas, mns: mns}, nil
@@ -714,8 +659,6 @@ func (s *scenario) runCellularIP(semisoft bool) (scheme, error) {
 	s.inetRouter.AddRoute(served, lGW)
 	gw.External().Default = lGW
 
-	sel := radio.DefaultSelector()
-	measure := s.measureRng()
 	byAddr := make(map[addr.IP]*metrics.Breakdown, s.cfg.NumMNs)
 	ips := make([]addr.IP, s.cfg.NumMNs)
 	for i := 0; i < s.cfg.NumMNs; i++ {
@@ -734,24 +677,13 @@ func (s *scenario) runCellularIP(semisoft bool) (scheme, error) {
 		}
 		s.startTraffic(i, ip, s.rng.Fork())
 
-		current := topology.NoCell
-		s.driver(i, measure != nil,
-			func(dst []radio.Signal, pos geo.Point) []radio.Signal {
-				return s.top.MeasureInto(dst, pos, measure)
-			},
-			func(pos geo.Point, speed float64, sigs []radio.Signal) {
-				best := topology.CellID(sel.Best(int(current), sigs))
-				if best == topology.NoCell || best == current {
-					return
-				}
-				current = best
-				s.noteHandoff(i)
-				if semisoft {
-					host.AttachSemisoft(stations[best])
-				} else {
-					host.AttachHard(stations[best])
-				}
-			})
+		s.flatDriver(i, topology.TierPico, func(c topology.CellID) {
+			if semisoft {
+				host.AttachSemisoft(stations[c])
+			} else {
+				host.AttachHard(stations[c])
+			}
+		})
 	}
 	stats.PageSink = s.pageSink(byAddr)
 
@@ -885,8 +817,7 @@ func (s *scenario) runMultiTier() (scheme, error) {
 		}
 		dir.AddProfile(prof)
 		node := s.net.NewNode(fmt.Sprintf("mn-%d", i))
-		mob := multitier.NewMobile(node, prof, s.top, dir, pol, multitier.DefaultMobileConfig(),
-			s.measureRng(), stats)
+		mob := multitier.NewMobile(node, prof, s.top, dir, pol, multitier.DefaultMobileConfig(), stats)
 		mob.SetTrace(s.trace, int32(i))
 		mob.OnData = s.onDelivered(i)
 		mob.OnHandoff = func(multitier.HandoffKind, time.Duration) { s.noteHandoff(i) }
@@ -896,12 +827,7 @@ func (s *scenario) runMultiTier() (scheme, error) {
 			byAddr[home] = bd
 		}
 		s.startTraffic(i, home, s.rng.Fork())
-		// The multi-tier MN owns a private shadowing stream, so its
-		// measurement half is parallel-safe even with shadowing on.
-		s.driver(i, false, mob.MeasureInto,
-			func(pos geo.Point, speed float64, sigs []radio.Signal) {
-				mob.EvaluateSignals(speed, sigs)
-			})
+		s.driver(i, topology.TierPico, mob.EvaluateSignals)
 	}
 	stats.PageSink = s.pageSink(byAddr)
 

@@ -11,7 +11,7 @@ import (
 )
 
 // One steady-state measurement tick — grid-restricted signal measurement
-// into the per-MN scratch, the three-factor decision, and the admission
+// into a reused scratch, the three-factor decision, and the admission
 // probes — must be allocation-free once the MN is camped and no handoff
 // is triggered. This is the per-MN-per-tick cost that dominates large
 // populations, so the budget is asserted.
@@ -20,19 +20,19 @@ func TestEvaluateTickAllocFree(t *testing.T) {
 	micro := b.top.CellsOfTier(topology.TierMicro)[0]
 	pos := micro.Pos
 
-	b.mn.Evaluate(pos, 1.0)
+	b.evaluate(b.mn, pos, 1.0)
 	if err := b.sched.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if b.mn.ServingCell() == topology.NoCell {
 		t.Fatal("MN failed to camp before the measurement-tick test")
 	}
-	b.mn.Evaluate(pos, 1.0) // settle: same position, same target
+	b.evaluate(b.mn, pos, 1.0) // settle: same position, same target
 	if b.mn.pending != nil {
 		t.Fatal("unexpected pending handoff at a stable position")
 	}
 
-	avg := testing.AllocsPerRun(1000, func() { b.mn.Evaluate(pos, 1.0) })
+	avg := testing.AllocsPerRun(1000, func() { b.evaluate(b.mn, pos, 1.0) })
 	if avg != 0 {
 		t.Fatalf("measurement tick allocates %.1f allocs/op, want 0", avg)
 	}

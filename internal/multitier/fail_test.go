@@ -83,7 +83,7 @@ func TestFailDrainsForwardBuffer(t *testing.T) {
 	// Losing coverage mid-stream parks downlink packets in the serving
 	// station's forwarding buffer (see TestCoverageLossBuffersThenRecovers).
 	station := b.fab.Station(micros[0])
-	b.mn.Evaluate(geo.Pt(-1e7, -1e7), 1.0) // total coverage loss
+	b.evaluate(b.mn, geo.Pt(-1e7, -1e7), 1.0) // total coverage loss
 	b.cnSend(1)
 	b.cnSend(2)
 	b.run(t, 600*time.Millisecond)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/qos"
+	"repro/internal/radio"
 	"repro/internal/simtime"
 	"repro/internal/topology"
 )
@@ -34,6 +35,8 @@ type tierBed struct {
 
 	mn    *Mobile
 	mnGot []*packet.Packet
+	// sigs is the measurement scratch evaluate reuses across ticks.
+	sigs []radio.Signal
 }
 
 const (
@@ -97,10 +100,7 @@ func newTierBed(t *testing.T, stationCfg func(topology.Tier) StationConfig) *tie
 	}
 	b.dir.AddProfile(prof)
 	mnNode := b.net.NewNode("mn")
-	// nil measurement rng: deterministic mean signals, so tier choices in
-	// these tests are exact.
-	b.mn = NewMobile(mnNode, prof, b.top, b.dir, DefaultPolicy(), DefaultMobileConfig(),
-		nil, b.stats)
+	b.mn = NewMobile(mnNode, prof, b.top, b.dir, DefaultPolicy(), DefaultMobileConfig(), b.stats)
 	b.mn.OnData = func(p *packet.Packet) { b.mnGot = append(b.mnGot, p.Clone()) }
 	return b
 }
@@ -118,10 +118,19 @@ func (b *tierBed) cnSend(seq uint32) {
 	b.cnRouter.Forward(pkt)
 }
 
+// evaluate runs one measurement round of m at pos with the given speed,
+// the way the scenario engine's driver does: measure every tier's
+// in-range cells (no shadowing, so tier choices in these tests are
+// exact), then decide.
+func (b *tierBed) evaluate(m *Mobile, pos geo.Point, speed float64) {
+	b.sigs = b.top.MeasureInto(b.sigs, pos, nil, topology.TierPico)
+	m.EvaluateSignals(speed, b.sigs)
+}
+
 // evaluateAt runs one MN measurement round at a micro cell's centre with
 // the given speed.
 func (b *tierBed) evaluateAt(cell topology.CellID, speed float64) {
-	b.mn.Evaluate(b.top.Cell(cell).Pos, speed)
+	b.evaluate(b.mn, b.top.Cell(cell).Pos, speed)
 }
 
 // microsOfDomain returns micro cells of a domain in id order.
@@ -426,9 +435,8 @@ func TestAuthRejectsForeignMN(t *testing.T) {
 	}
 	impDir.SetDomainAuth(0, wrongKey) // impostor signs with the wrong key
 	impNode := b.net.NewNode("impostor")
-	imp := NewMobile(impNode, impProf, b.top, impDir, DefaultPolicy(), DefaultMobileConfig(),
-		simtime.NewRand(6), b.stats)
-	imp.Evaluate(b.top.Cell(micro).Pos, 1.5)
+	imp := NewMobile(impNode, impProf, b.top, impDir, DefaultPolicy(), DefaultMobileConfig(), b.stats)
+	b.evaluate(imp, b.top.Cell(micro).Pos, 1.5)
 	b.run(t, 2*time.Second)
 	if imp.ServingCell() != topology.NoCell {
 		t.Fatal("impostor attached")
@@ -575,7 +583,7 @@ func TestCoverageLossBuffersThenRecovers(t *testing.T) {
 	b.mn.OnDetached = func() { detached = true }
 	// Simulate total coverage loss: evaluate from far outside the arena.
 	b.sched.At(2100*time.Millisecond, func() {
-		b.mn.Evaluate(geo.Pt(-1e7, -1e7), 1.5)
+		b.evaluate(b.mn, geo.Pt(-1e7, -1e7), 1.5)
 	})
 	// Stream lands during the outage.
 	b.streamAcross(2200*time.Millisecond, 10)

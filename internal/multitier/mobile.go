@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/addr"
-	"repro/internal/geo"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -61,7 +60,6 @@ type Mobile struct {
 	cfg     MobileConfig
 	sched   *simtime.Scheduler
 	stats   *Stats
-	rng     *simtime.Rand
 
 	servingCell topology.CellID
 	serving     *Station
@@ -73,9 +71,8 @@ type Mobile struct {
 	idleTimer   simtime.Event
 	dedupe      packet.Dedup
 
-	// Per-MN scratch for the measurement/decision tick, so steady-state
-	// Evaluate calls allocate nothing.
-	sigScratch []radio.Signal
+	// Per-MN scratch for the decision tick, so steady-state
+	// EvaluateSignals calls allocate nothing.
 	decScratch decisionScratch
 	probeFn    ResourceProbe // bound once in NewMobile
 	// goIdleFn and sendLocationFn are bound once so the per-packet idle
@@ -116,7 +113,7 @@ var _ netsim.Handler = (*Mobile)(nil)
 // already be in the directory. stats must be non-nil; NewStats(nil)
 // gives a private registry.
 func NewMobile(node *netsim.Node, profile *Profile, top *topology.Topology, dir *Directory,
-	pol Policy, cfg MobileConfig, rng *simtime.Rand, stats *Stats) *Mobile {
+	pol Policy, cfg MobileConfig, stats *Stats) *Mobile {
 
 	m := &Mobile{
 		node:        node,
@@ -127,7 +124,6 @@ func NewMobile(node *netsim.Node, profile *Profile, top *topology.Topology, dir 
 		cfg:         cfg,
 		sched:       node.Network().Scheduler(),
 		stats:       stats,
-		rng:         rng,
 		servingCell: topology.NoCell,
 		state:       StateIdle,
 	}
@@ -168,30 +164,13 @@ func (m *Mobile) ServingCell() topology.CellID { return m.servingCell }
 // State returns active or idle.
 func (m *Mobile) State() HostState { return m.state }
 
-// Evaluate runs one measurement round at the given position and speed:
-// measure signals, run the decision engine, and start a handoff when the
-// target differs from the serving cell. The scheme driver calls this on
-// its measurement cadence.
+// EvaluateSignals runs one decision round on the MN's measured
+// signals: run the three-factor engine and start a handoff when the
+// target differs from the serving cell. The scheme driver measures on
+// its cadence and calls this with the result; it mutates protocol state
+// and must run on the simulation goroutine at the MN's own tick.
 //
 //mmlint:noalloc
-func (m *Mobile) Evaluate(pos geo.Point, speedMPS float64) {
-	m.sigScratch = m.MeasureInto(m.sigScratch, pos)
-	m.EvaluateSignals(speedMPS, m.sigScratch)
-}
-
-// MeasureInto fills dst (reusing its capacity) with the MN's signal
-// measurements at pos. This is the pure half of Evaluate: it reads only
-// the static topology and the MN's private shadowing stream, so the
-// scenario engine may run it for many MNs in parallel ahead of their
-// staggered decision ticks.
-func (m *Mobile) MeasureInto(dst []radio.Signal, pos geo.Point) []radio.Signal {
-	return m.top.MeasureInto(dst, pos, m.rng)
-}
-
-// EvaluateSignals is the decision half of Evaluate, operating on
-// pre-measured signals: run the three-factor engine and start a handoff
-// when the target differs from the serving cell. It mutates protocol
-// state and must run on the simulation goroutine at the MN's own tick.
 func (m *Mobile) EvaluateSignals(speedMPS float64, signals []radio.Signal) {
 	target := m.decScratch.choose(m.top, m.servingCell, signals, speedMPS, m.probeFn, m.pol)
 

@@ -129,7 +129,7 @@ func (nd *Node) Send(l *Link, pkt *packet.Packet) error {
 		return fmt.Errorf("%w: %s on %s", ErrNotOnLink, nd, l) //mmlint:alloc-ok error path, not steady state
 	}
 	net := nd.net
-	net.observeSend(nd, pkt)
+	net.Sent++
 
 	if l.cfg.QueueLimit > 0 && dir.queued >= l.cfg.QueueLimit {
 		net.observeDrop(nd, pkt, metrics.DropQueueFull)

@@ -47,11 +47,10 @@ func (f HandlerFunc) Receive(pkt *packet.Packet, from *Node, link *Link) { f(pkt
 
 var _ Handler = (HandlerFunc)(nil)
 
-// Observer watches packet fates for metrics collection. Any method may be
-// a no-op. Implementations must not mutate packets.
+// Observer watches packet drops for metrics collection. Sends and
+// deliveries are only counted (Network.Sent, Network.Delivered).
+// Implementations must not mutate packets.
 type Observer interface {
-	OnSend(from *Node, pkt *packet.Packet)
-	OnDeliver(at *Node, pkt *packet.Packet)
 	OnDrop(at *Node, pkt *packet.Packet, reason metrics.DropReason)
 }
 
@@ -263,22 +262,6 @@ func (nd *Node) LinkTo(other *Node) *Link {
 	return nil
 }
 
-//mmlint:noalloc
-func (n *Network) observeSend(from *Node, pkt *packet.Packet) {
-	n.Sent++
-	if n.observer != nil {
-		n.observer.OnSend(from, pkt)
-	}
-}
-
-//mmlint:noalloc
-func (n *Network) observeDeliver(at *Node, pkt *packet.Packet) {
-	n.Delivered++
-	if n.observer != nil {
-		n.observer.OnDeliver(at, pkt)
-	}
-}
-
 // observeDrop accounts a packet's death and returns it (with any
 // encapsulated inner packet) to the free list: a drop is terminal by
 // definition, so every drop site transfers ownership here. Callers must
@@ -305,7 +288,7 @@ func (n *Network) deliver(to *Node, pkt *packet.Packet, from *Node, link *Link) 
 		n.observeDrop(to, pkt, metrics.DropNoRoute)
 		return
 	}
-	n.observeDeliver(to, pkt)
+	n.Delivered++
 	to.handler.Receive(pkt, from, link)
 }
 
@@ -337,7 +320,7 @@ func (n *Network) DeliverDirect(from, to *Node, pkt *packet.Packet, delay time.D
 		packet.Release(pkt)
 		return fmt.Errorf("%w: %s", ErrNodeDown, from) //mmlint:alloc-ok error path, not steady state
 	}
-	n.observeSend(from, pkt)
+	n.Sent++
 	f := n.getFlight()
 	f.to, f.from, f.pkt = to, from, pkt
 	f.lost = n.rng.Bool(loss)

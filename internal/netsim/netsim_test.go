@@ -140,8 +140,6 @@ func TestLinkQueueOverflow(t *testing.T) {
 // obsFunc adapts a drop callback to Observer.
 type obsFunc func(at *Node, pkt *packet.Packet, reason metrics.DropReason)
 
-func (f obsFunc) OnSend(*Node, *packet.Packet)    {}
-func (f obsFunc) OnDeliver(*Node, *packet.Packet) {}
 func (f obsFunc) OnDrop(at *Node, pkt *packet.Packet, reason metrics.DropReason) {
 	f(at, pkt, reason)
 }

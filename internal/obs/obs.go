@@ -195,8 +195,8 @@ func (s *Series) Observe(at time.Duration, v float64) {
 }
 
 type probe struct {
-	name string
-	fn   func() float64
+	s  *Series
+	fn func() float64
 }
 
 // Trace is the per-run event buffer plus its sampled series. A nil
@@ -334,8 +334,8 @@ func (t *Trace) AddProbe(name string, fn func() float64) {
 	if t == nil || fn == nil {
 		return
 	}
-	t.SeriesByName(name) // reserve registration order at install time
-	t.probes = append(t.probes, probe{name: name, fn: fn})
+	// Resolving the series at install time reserves its registration order.
+	t.probes = append(t.probes, probe{s: t.SeriesByName(name), fn: fn})
 }
 
 // SampleAll observes every registered probe at the given virtual time.
@@ -345,7 +345,7 @@ func (t *Trace) SampleAll(at time.Duration) {
 	}
 	t.sampled++
 	for _, p := range t.probes {
-		t.byName[p.name].Observe(at, p.fn())
+		p.s.Observe(at, p.fn())
 	}
 }
 

@@ -81,14 +81,14 @@ func (c *Cell) Coverage() geo.Circle {
 	return geo.Circle{Center: c.Pos, Radius: c.Radio.MaxRange}
 }
 
-// MeasureInRange returns the unshadowed signal of c at p, exactly
-// radio.MeasureAt(int(c.ID), c.Radio, c.Pos, p, nil), or false without
-// computing an RSSI when p lies beyond c's nominal range. The per-axis
-// test drops most far cells before the hypot; it is exact because
-// hypot(dx, dy) ≥ max(|dx|, |dy|).
+// MeasureInRange returns the signal of c at p, exactly
+// radio.MeasureAt(int(c.ID), c.Radio, c.Pos, p, rng), or false without
+// computing an RSSI or drawing shadowing from rng when p lies beyond c's
+// nominal range. The per-axis test drops most far cells before the
+// hypot; it is exact because hypot(dx, dy) ≥ max(|dx|, |dy|).
 //
 //mmlint:noalloc
-func (c *Cell) MeasureInRange(p geo.Point) (radio.Signal, bool) {
+func (c *Cell) MeasureInRange(p geo.Point, rng *simtime.Rand) (radio.Signal, bool) {
 	r := c.Radio.MaxRange
 	dx, dy := c.Pos.X-p.X, c.Pos.Y-p.Y
 	if math.Abs(dx) > r || math.Abs(dy) > r {
@@ -98,7 +98,7 @@ func (c *Cell) MeasureInRange(p geo.Point) (radio.Signal, bool) {
 	if !(d <= r) {
 		return radio.Signal{}, false
 	}
-	return radio.Signal{Cell: int(c.ID), RSSIDBm: c.Radio.MeanRSSI(d), InRange: true}, true
+	return radio.Signal{Cell: int(c.ID), RSSIDBm: c.Radio.RSSI(d, rng), InRange: true}, true
 }
 
 // Domain groups the cells of one domain-macro subtree.
@@ -508,41 +508,34 @@ func (t *Topology) Covering(p geo.Point) []CellID {
 	return out
 }
 
-// Signals measures candidate cells at p (nil rng = deterministic mean,
-// in-range cells only; see MeasureInto). The radio.Signal Cell field
-// carries the CellID. Allocates a fresh slice per call; hot paths should
-// hold a scratch buffer and use MeasureInto.
+// Signals measures the in-range cells of every tier at p (see
+// MeasureInto). The radio.Signal Cell field carries the CellID.
+// Allocates a fresh slice per call; hot paths should hold a scratch
+// buffer and use MeasureInto.
 func (t *Topology) Signals(p geo.Point, rng *simtime.Rand) []radio.Signal {
-	return t.MeasureInto(nil, p, rng)
+	return t.MeasureInto(nil, p, rng, TierPico)
 }
 
-// MeasureInto measures candidate cells at p into dst (reusing its
-// capacity) and returns the filled slice.
-//
-// With a nil rng (no shadowing) only the cells whose nominal range
-// reaches p are returned, each with InRange set: the grid neighbourhood
-// of p bounds the scan, and a neighbour out of range is dropped before
-// its RSSI is computed. An out-of-range cell can never be selected
+// MeasureInto measures, into dst (reusing its capacity), every cell of
+// tier minTier or above whose nominal range reaches p, in id order, and
+// returns the filled slice. Each signal has InRange set and draws its
+// shadowing from rng (nil rng = deterministic mean). The grid
+// neighbourhood of p bounds the scan; a neighbour below minTier is
+// dropped before any RSSI, and one out of range before its RSSI or any
+// shadowing draw. An out-of-range cell can never be selected
 // (Selector.Best and Choose ignore out-of-range candidates, and an
-// unmeasured incumbent behaves exactly like an out-of-range one), so
-// skipping them is behaviour-preserving and makes the per-tick cost
-// O(nearby) instead of O(all cells).
-//
-// With a non-nil rng every cell is measured in id order: each measurement
-// draws shadowing from the rng, so the draw sequence — and therefore the
-// whole run — must not depend on the MN's position.
-func (t *Topology) MeasureInto(dst []radio.Signal, p geo.Point, rng *simtime.Rand) []radio.Signal {
+// unmeasured incumbent behaves exactly like an out-of-range one), so the
+// per-tick cost is O(nearby) instead of O(all cells).
+func (t *Topology) MeasureInto(dst []radio.Signal, p geo.Point, rng *simtime.Rand, minTier Tier) []radio.Signal {
 	dst = dst[:0]
-	if rng == nil {
-		for _, id := range t.Nearby(p) {
-			if sig, ok := t.Cells[id].MeasureInRange(p); ok {
-				dst = append(dst, sig)
-			}
+	for _, id := range t.Nearby(p) {
+		c := t.Cells[id]
+		if c.Tier < minTier {
+			continue
 		}
-		return dst
-	}
-	for _, c := range t.Cells {
-		dst = append(dst, radio.MeasureAt(int(c.ID), c.Radio, c.Pos, p, rng))
+		if sig, ok := c.MeasureInRange(p, rng); ok {
+			dst = append(dst, sig)
+		}
 	}
 	return dst
 }

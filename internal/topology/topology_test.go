@@ -210,18 +210,31 @@ func TestSignalsMeasureCandidates(t *testing.T) {
 			t.Fatal("nil-rng signals nondeterministic")
 		}
 	}
-	// With a shadowing rng every cell is measured, in id order, so the
-	// draw sequence is position-independent.
-	if got := top.Signals(top.Cells[0].Pos, simtime.NewRand(1)); len(got) != len(top.Cells) {
-		t.Fatal("rng signals wrong length")
+	// A shadowing rng measures the same in-range cells in the same order:
+	// shadowing moves RSSIs, never which cells are measured.
+	shadowed := top.Signals(top.Cells[0].Pos, simtime.NewRand(1))
+	if len(shadowed) != len(sigs) {
+		t.Fatalf("shadowed measurement has %d signals, want %d", len(shadowed), len(sigs))
+	}
+	moved := false
+	for i := range sigs {
+		if shadowed[i].Cell != sigs[i].Cell || !shadowed[i].InRange {
+			t.Fatalf("shadowed signal %d = %+v, want in-range cell %d", i, shadowed[i], sigs[i].Cell)
+		}
+		moved = moved || shadowed[i].RSSIDBm != sigs[i].RSSIDBm
+	}
+	if !moved {
+		t.Fatal("shadowing rng left every RSSI at its mean")
 	}
 }
 
-// Cell.MeasureInRange is radio.MeasureAt without shadowing, filtered to
-// in-range cells: it reports false exactly when MeasureAt's InRange is
-// false and otherwise returns MeasureAt's Signal bit for bit — at random
-// points, on the range circle, and on the axes at exactly MaxRange, where
-// the per-axis prefilter sits on its edge.
+// Cell.MeasureInRange is radio.MeasureAt filtered to in-range cells: it
+// reports false exactly when MeasureAt's InRange is false and otherwise
+// returns MeasureAt's Signal bit for bit — at random points, on the range
+// circle, and on the axes at exactly MaxRange, where the per-axis
+// prefilter sits on its edge. Each trial runs unshadowed and with
+// equal-seeded shadowing streams; in range both draw the same samples,
+// out of range MeasureInRange draws none.
 func TestMeasureInRangeMatchesMeasureAt(t *testing.T) {
 	top := build(t, DefaultConfig())
 	rng := simtime.NewRand(7)
@@ -240,9 +253,22 @@ func TestMeasureInRangeMatchesMeasureAt(t *testing.T) {
 			p = c.Pos.Add(d.Scale(1 + rng.Uniform(-1e-15, 1e-15)))
 		}
 		want := radio.MeasureAt(int(c.ID), c.Radio, c.Pos, p, nil)
-		got, ok := c.MeasureInRange(p)
+		got, ok := c.MeasureInRange(p, nil)
 		if ok != want.InRange || (ok && got != want) {
 			t.Fatalf("cell %d at %v: MeasureInRange = %+v, %v; MeasureAt = %+v", c.ID, p, got, ok, want)
+		}
+		seed := int64(trial) + 1
+		ref, shadow := simtime.NewRand(seed), simtime.NewRand(seed)
+		want = radio.MeasureAt(int(c.ID), c.Radio, c.Pos, p, ref)
+		got, ok = c.MeasureInRange(p, shadow)
+		if ok != want.InRange || (ok && got != want) {
+			t.Fatalf("cell %d at %v shadowed: MeasureInRange = %+v, %v; MeasureAt = %+v", c.ID, p, got, ok, want)
+		}
+		if !ok {
+			ref = simtime.NewRand(seed) // out of range: no draw expected
+		}
+		if a, b := ref.Float64(), shadow.Float64(); a != b {
+			t.Fatalf("cell %d at %v: shadowing stream left at a different draw (in range %v)", c.ID, p, ok)
 		}
 		if ok {
 			in++

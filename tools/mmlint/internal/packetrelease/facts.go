@@ -124,11 +124,7 @@ var sinks = map[analysis.FuncRef]sinkFact{
 // payload into a fresh packet, and every packet method that is not a
 // producer. A call to a borrow leaves the caller's state untouched.
 var borrows = map[analysis.FuncRef]bool{
-	{Pkg: netsimPkg, Recv: "Observer", Name: "OnSend"}:        true,
-	{Pkg: netsimPkg, Recv: "Observer", Name: "OnDeliver"}:     true,
-	{Pkg: netsimPkg, Recv: "Observer", Name: "OnDrop"}:        true,
-	{Pkg: netsimPkg, Recv: "Network", Name: "observeSend"}:    true,
-	{Pkg: netsimPkg, Recv: "Network", Name: "observeDeliver"}: true,
+	{Pkg: netsimPkg, Recv: "Observer", Name: "OnDrop"}: true,
 
 	// multitier control handling: consumeControl owns the packet via its
 	// deferred Release; everything it dispatches to only reads it.
