@@ -37,9 +37,13 @@ vet:
 
 # lint: the domain linter (tools/mmlint) over the whole module — packet
 # ownership, determinism discipline, noalloc annotations, simtime
-# fencing. The binary is cached under bin/ and rebuilt only when the
-# linter's sources change; findings exit non-zero. It also runs as a
-# vettool: go vet -vettool=$(PWD)/bin/mmlint ./...
+# fencing, and deadapi (every exported internal/ function has a non-test
+# use or a //mmlint:testref waiver). The binary is cached under bin/ and
+# rebuilt only when the linter's sources change; findings exit non-zero.
+# It also runs as a vettool: go vet -vettool=$(PWD)/bin/mmlint ./...
+# — except deadapi, which needs the whole module at once and so runs only
+# here, standalone over ./... The separate bench/ module is invisible to
+# it.
 MMLINT_SRCS := $(shell find tools/mmlint -name '*.go' -not -path '*/testdata/*')
 
 bin/mmlint: $(MMLINT_SRCS)

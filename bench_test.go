@@ -198,16 +198,24 @@ func BenchmarkE14Degradation(b *testing.B) {
 	}
 }
 
-// benchAll runs the full E1–E8 suite with the given worker count; the
-// sequential/parallel pair quantifies the worker-pool speedup on the
-// whole regeneration.
+// benchAll runs the full E1–E8 suite, one experiment after another as
+// cmd/mmbench does, with the given worker count; the sequential/parallel
+// pair quantifies the worker-pool speedup on the whole regeneration.
 func benchAll(b *testing.B, parallel int) {
 	b.Helper()
 	b.ReportAllocs()
 	opt := experiments.Options{Seed: 11, TimeScale: 0.02, Parallel: parallel}
+	suite := []func(experiments.Options) (*experiments.Table, error){
+		experiments.E1MobileIPProcedures, experiments.E2CellularIPHandoff,
+		experiments.E3LocationManagement, experiments.E4InterDomain,
+		experiments.E5IntraDomain, experiments.E6SchemeComparison,
+		experiments.E7ResourceSwitching, experiments.E8PagingAndRSMCLoad,
+	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.All(opt); err != nil {
-			b.Fatal(err)
+		for _, run := range suite {
+			if _, err := run(opt); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -305,7 +313,7 @@ func BenchmarkLocationTableUpdateLookup(b *testing.B) {
 	tab := multitier.NewTable(3*time.Second, sched)
 	mns := make([]addr.IP, 256)
 	for i := range mns {
-		mns[i] = addr.V4(172, 16, 1, byte(i))
+		mns[i] = addr.MustParse("172.16.1.0") + addr.IP(i)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -323,18 +331,6 @@ func BenchmarkHistogramObserveQuantile(b *testing.B) {
 		if i%1024 == 0 {
 			h.Quantile(0.95)
 		}
-	}
-}
-
-func BenchmarkTopologySignals(b *testing.B) {
-	top, err := topology.Build(topology.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pos := top.Cells[2].Pos
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		top.Signals(pos, nil)
 	}
 }
 

@@ -8,16 +8,13 @@ package addr
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// Errors returned by parsing and pool allocation.
+// Errors returned by parsing.
 var (
-	ErrPoolExhausted = errors.New("addr: pool exhausted")
-	ErrNotInPool     = errors.New("addr: address not allocated from this pool")
-	ErrBadAddress    = errors.New("addr: malformed address")
-	ErrBadPrefix     = errors.New("addr: malformed prefix")
+	ErrBadAddress = errors.New("addr: malformed address")
+	ErrBadPrefix  = errors.New("addr: malformed prefix")
 )
 
 // IP is an IPv4 address in host byte order. The zero value is the unspecified
@@ -26,11 +23,6 @@ type IP uint32
 
 // Unspecified is the zero address.
 const Unspecified IP = 0
-
-// V4 assembles an address from its dotted-quad octets.
-func V4(a, b, c, d byte) IP {
-	return IP(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
-}
 
 // Parse parses dotted-quad notation ("192.168.0.1").
 func Parse(s string) (IP, error) {
@@ -82,11 +74,6 @@ func (ip IP) String() string {
 
 // IsUnspecified reports whether ip is 0.0.0.0.
 func (ip IP) IsUnspecified() bool { return ip == 0 }
-
-// Octets returns the four dotted-quad bytes.
-func (ip IP) Octets() [4]byte {
-	return [4]byte{byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)}
-}
 
 // Prefix is an IPv4 CIDR prefix.
 type Prefix struct {
@@ -166,57 +153,3 @@ func (p Prefix) Subnet(newBits, i int) (Prefix, error) {
 	base := p.Base + IP(uint32(i)<<(32-newBits))
 	return Prefix{Base: base, Bits: newBits}, nil
 }
-
-// Pool hands out unique addresses from a prefix and takes them back. The
-// first address (network address) is never allocated; the pool reuses
-// released addresses lowest-first so allocations are deterministic.
-type Pool struct {
-	prefix    Prefix
-	next      uint32
-	allocated map[IP]bool
-	released  []IP // min-sorted free list
-}
-
-// NewPool returns an allocator over the prefix.
-func NewPool(prefix Prefix) *Pool {
-	return &Pool{prefix: prefix, next: 1, allocated: make(map[IP]bool)}
-}
-
-// Prefix returns the pool's address space.
-func (p *Pool) Prefix() Prefix { return p.prefix }
-
-// Allocate returns the lowest free address.
-func (p *Pool) Allocate() (IP, error) {
-	if len(p.released) > 0 {
-		ip := p.released[0]
-		p.released = p.released[1:]
-		p.allocated[ip] = true
-		return ip, nil
-	}
-	if uint64(p.next) >= p.prefix.Size() {
-		return 0, fmt.Errorf("%w: %s", ErrPoolExhausted, p.prefix)
-	}
-	ip := p.prefix.Base + IP(p.next)
-	p.next++
-	p.allocated[ip] = true
-	return ip, nil
-}
-
-// Release returns an address to the pool.
-func (p *Pool) Release(ip IP) error {
-	if !p.allocated[ip] {
-		return fmt.Errorf("%w: %s", ErrNotInPool, ip)
-	}
-	delete(p.allocated, ip)
-	i := sort.Search(len(p.released), func(i int) bool { return p.released[i] >= ip })
-	p.released = append(p.released, 0)
-	copy(p.released[i+1:], p.released[i:])
-	p.released[i] = ip
-	return nil
-}
-
-// InUse returns the number of live allocations.
-func (p *Pool) InUse() int { return len(p.allocated) }
-
-// Allocated reports whether ip is currently handed out by this pool.
-func (p *Pool) Allocated(ip IP) bool { return p.allocated[ip] }

@@ -14,8 +14,8 @@ func TestParseAndString(t *testing.T) {
 	}{
 		{"0.0.0.0", 0, true},
 		{"255.255.255.255", IP(0xFFFFFFFF), true},
-		{"10.0.0.1", V4(10, 0, 0, 1), true},
-		{"192.168.1.200", V4(192, 168, 1, 200), true},
+		{"10.0.0.1", IP(0x0A000001), true},
+		{"192.168.1.200", IP(0xC0A801C8), true},
 		{"1.2.3", 0, false},
 		{"1.2.3.4.5", 0, false},
 		{"256.0.0.1", 0, false},
@@ -135,96 +135,6 @@ func TestSubnet(t *testing.T) {
 				t.Fatalf("subnets %v and %v overlap", a, b)
 			}
 		}
-	}
-}
-
-func TestPoolAllocateRelease(t *testing.T) {
-	pool := NewPool(MustParsePrefix("192.168.0.0/29")) // 8 addresses, 7 usable
-	var got []IP
-	for i := 0; i < 7; i++ {
-		ip, err := pool.Allocate()
-		if err != nil {
-			t.Fatalf("Allocate %d: %v", i, err)
-		}
-		got = append(got, ip)
-	}
-	if _, err := pool.Allocate(); !errors.Is(err, ErrPoolExhausted) {
-		t.Fatalf("exhausted pool returned %v, want ErrPoolExhausted", err)
-	}
-	if got[0] != MustParse("192.168.0.1") {
-		t.Fatalf("first allocation = %v (network address must be skipped)", got[0])
-	}
-	if pool.InUse() != 7 {
-		t.Fatalf("InUse = %d", pool.InUse())
-	}
-	// Release two, re-allocate lowest-first.
-	if err := pool.Release(got[3]); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Release(got[1]); err != nil {
-		t.Fatal(err)
-	}
-	ip, err := pool.Allocate()
-	if err != nil || ip != got[1] {
-		t.Fatalf("re-allocation = %v, want lowest released %v", ip, got[1])
-	}
-	ip, err = pool.Allocate()
-	if err != nil || ip != got[3] {
-		t.Fatalf("re-allocation = %v, want %v", ip, got[3])
-	}
-}
-
-func TestPoolReleaseForeign(t *testing.T) {
-	pool := NewPool(MustParsePrefix("192.168.0.0/24"))
-	if err := pool.Release(MustParse("192.168.0.77")); !errors.Is(err, ErrNotInPool) {
-		t.Fatalf("Release of never-allocated = %v, want ErrNotInPool", err)
-	}
-	ip, _ := pool.Allocate()
-	if err := pool.Release(ip); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Release(ip); !errors.Is(err, ErrNotInPool) {
-		t.Fatalf("double Release = %v, want ErrNotInPool", err)
-	}
-}
-
-// Property: a pool never hands out the same address twice while it is live,
-// and every allocation is inside the prefix.
-func TestPoolUniqueProperty(t *testing.T) {
-	prop := func(ops []bool) bool {
-		pool := NewPool(MustParsePrefix("10.9.0.0/26"))
-		live := make(map[IP]bool)
-		var order []IP
-		for _, alloc := range ops {
-			if alloc || len(order) == 0 {
-				ip, err := pool.Allocate()
-				if errors.Is(err, ErrPoolExhausted) {
-					continue
-				}
-				if err != nil {
-					return false
-				}
-				if live[ip] {
-					return false // double allocation
-				}
-				if !pool.Prefix().Contains(ip) {
-					return false
-				}
-				live[ip] = true
-				order = append(order, ip)
-			} else {
-				ip := order[len(order)-1]
-				order = order[:len(order)-1]
-				if err := pool.Release(ip); err != nil {
-					return false
-				}
-				delete(live, ip)
-			}
-		}
-		return pool.InUse() == len(live)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

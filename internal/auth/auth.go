@@ -92,6 +92,3 @@ func (a *Authenticator) VerifyFresh(mn addr.IP, nonce uint64, token []byte) erro
 	a.lastNonce[mn] = nonce
 	return nil
 }
-
-// Forget clears replay state for a node (deregistration).
-func (a *Authenticator) Forget(mn addr.IP) { delete(a.lastNonce, mn) }

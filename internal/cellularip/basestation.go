@@ -111,18 +111,9 @@ func NewGateway(node *netsim.Node, served addr.Prefix, cfg Config, stats *Stats)
 // Node returns the underlying network node.
 func (bs *BaseStation) Node() *netsim.Node { return bs.node }
 
-// IsGateway reports whether this station is the access-network root.
-func (bs *BaseStation) IsGateway() bool { return bs.external != nil }
-
 // External returns the gateway's Internet-side router (nil on ordinary
 // stations); the scenario configures its routes.
 func (bs *BaseStation) External() *netsim.StaticRouter { return bs.external }
-
-// RoutingCache exposes the routing cache for tests and the RSMC.
-func (bs *BaseStation) RoutingCache() *SoftCache { return bs.routing }
-
-// PagingCache exposes the paging cache.
-func (bs *BaseStation) PagingCache() *SoftCache { return bs.paging }
 
 // Config returns the protocol configuration.
 func (bs *BaseStation) Config() Config { return bs.cfg }
@@ -136,16 +127,6 @@ func (bs *BaseStation) ConnectChild(child *BaseStation, linkCfg netsim.LinkConfi
 	return l
 }
 
-// Parent returns the next node toward the gateway, nil at the gateway.
-func (bs *BaseStation) Parent() *netsim.Node { return bs.parent }
-
-// Children returns the child base-station nodes. The slice is a copy.
-func (bs *BaseStation) Children() []*netsim.Node {
-	out := make([]*netsim.Node, len(bs.children))
-	copy(out, bs.children)
-	return out
-}
-
 // AttachHost associates a host with this station's air interface.
 func (bs *BaseStation) AttachHost(ip addr.IP, node *netsim.Node) {
 	bs.attached[ip] = node
@@ -153,12 +134,6 @@ func (bs *BaseStation) AttachHost(ip addr.IP, node *netsim.Node) {
 
 // DetachHost breaks the air association.
 func (bs *BaseStation) DetachHost(ip addr.IP) { delete(bs.attached, ip) }
-
-// HasHost reports whether the host is attached here.
-func (bs *BaseStation) HasHost(ip addr.IP) bool {
-	_, ok := bs.attached[ip]
-	return ok
-}
 
 // HasRoute reports whether the station holds live routing or paging
 // state for the host — at the gateway this is Cellular IP's notion of

@@ -39,9 +39,6 @@ func NewSoftCache(timeout time.Duration, sched *simtime.Scheduler) *SoftCache {
 	}
 }
 
-// Timeout returns the configured entry lifetime.
-func (c *SoftCache) Timeout() time.Duration { return c.timeout }
-
 // Replace installs m as the only mapping for host — the regular
 // route-update semantics (one path per host). Like Add, it rewrites the
 // host's backing array in place, so a slice returned by an earlier
@@ -89,19 +86,5 @@ func (c *SoftCache) liveMappings(host addr.IP) []Mapping {
 	return live
 }
 
-// Remove deletes every mapping for host.
-func (c *SoftCache) Remove(host addr.IP) { delete(c.entries, host) }
-
 // Clear wipes every entry — a crashed station loses its soft state.
 func (c *SoftCache) Clear() { clear(c.entries) }
-
-// Len returns the number of hosts with at least one live mapping.
-func (c *SoftCache) Len() int {
-	n := 0
-	for host := range c.entries {
-		if len(c.Lookup(host)) > 0 {
-			n++
-		}
-	}
-	return n
-}

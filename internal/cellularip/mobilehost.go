@@ -2,7 +2,6 @@ package cellularip
 
 import (
 	"repro/internal/addr"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -92,18 +91,6 @@ func (h *MobileHost) SetTrace(tr *obs.Trace, actor int32) {
 	h.traceActor = actor
 }
 
-// Node returns the underlying network node.
-func (h *MobileHost) Node() *netsim.Node { return h.node }
-
-// IP returns the host address.
-func (h *MobileHost) IP() addr.IP { return h.ip }
-
-// State returns the current activity state.
-func (h *MobileHost) State() HostState { return h.state }
-
-// Serving returns the serving base station, nil when detached.
-func (h *MobileHost) Serving() *BaseStation { return h.bs }
-
 // AttachHard performs a Cellular IP hard handoff: break the old air link,
 // attach to bs, and send a route-update through it. Packets in flight on
 // the old path are lost until the crossover station learns the new path.
@@ -165,16 +152,6 @@ func (h *MobileHost) abortSemisoft() {
 		h.oldBS.DetachHost(h.ip)
 		h.oldBS = nil
 	}
-}
-
-// Detach drops the air link entirely (power off / out of coverage).
-func (h *MobileHost) Detach() {
-	h.abortSemisoft()
-	if h.bs != nil {
-		h.bs.DetachHost(h.ip)
-		h.bs = nil
-	}
-	h.stopTickers()
 }
 
 func (h *MobileHost) restartTickers() {
@@ -266,17 +243,6 @@ func (h *MobileHost) sendControl(msg Message, via *BaseStation) {
 		h.OnLocationSignal()
 	}
 	_ = h.node.Network().DeliverDirect(h.node, via.Node(), pkt, h.cfg.AirDelay, h.cfg.AirLoss)
-}
-
-// SendData emits an uplink data packet through the serving station,
-// marking the host active.
-func (h *MobileHost) SendData(pkt *packet.Packet) {
-	if h.bs == nil {
-		h.node.Network().Drop(h.node, pkt, metrics.DropNoRoute)
-		return
-	}
-	h.goActive()
-	_ = h.node.Network().DeliverDirect(h.node, h.bs.Node(), pkt, h.cfg.AirDelay, h.cfg.AirLoss)
 }
 
 // Receive implements netsim.Handler: deduplicate, wake from idle, deliver.

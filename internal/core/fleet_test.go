@@ -111,8 +111,8 @@ func TestFleetSpeedsFollowProfiles(t *testing.T) {
 	if drive.Speed.Mean() < 10 {
 		t.Fatalf("vehicular mean speed %v", drive.Speed.Mean())
 	}
-	if park.Speed.Max() != 0 {
-		t.Fatalf("stationary max speed %v", park.Speed.Max())
+	if park.Speed.Mean() != 0 {
+		t.Fatalf("stationary mean speed %v", park.Speed.Mean())
 	}
 }
 

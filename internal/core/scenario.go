@@ -534,7 +534,6 @@ func (m *mipScheme) signalling() signalCounters { return mipSignals }
 
 func (m *mipScheme) stationDown(cell topology.CellID) {
 	if fa := m.fas[cell]; fa != nil {
-		fa.StopAdvertising()
 		fa.Node().SetDown(true)
 		fa.OrphanVisitors()
 	}

@@ -84,6 +84,8 @@ type Breaker struct {
 	// queued is the number of deferred sends admitted but not yet sent.
 	queued int
 
+	// paced counts deferred sends and the rest count state transitions;
+	// the breaker tests read them.
 	paced     uint64
 	opens     uint64
 	halfOpens uint64
@@ -106,19 +108,8 @@ func NewBreaker(cfg BreakerConfig) (*Breaker, error) {
 	}, nil
 }
 
-// State returns the current breaker state.
-func (b *Breaker) State() BreakerState { return b.state }
-
 // Queued returns the deferred sends admitted but not yet sent.
 func (b *Breaker) Queued() int { return b.queued }
-
-// Paced returns how many sends were deferred in total.
-func (b *Breaker) Paced() uint64 { return b.paced }
-
-// Opens, HalfOpens and Closes count state transitions.
-func (b *Breaker) Opens() uint64     { return b.opens }
-func (b *Breaker) HalfOpens() uint64 { return b.halfOpens }
-func (b *Breaker) Closes() uint64    { return b.closes }
 
 func (b *Breaker) transition(now time.Duration, s BreakerState) {
 	if b.state == s {

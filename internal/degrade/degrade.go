@@ -113,7 +113,7 @@ func (c LadderConfig) Validate() error {
 type Ladder struct {
 	cfg    LadderConfig
 	level  int
-	forced int // floor imposed by the monitor-driven mode
+	forced int // floor imposed by Force; no run path sets one
 }
 
 // NewLadder builds a ladder at level 0. The config must be valid.
@@ -154,27 +154,6 @@ func (l *Ladder) Eval(occ float64) (level int, changed bool) {
 		if l.level > l.forced {
 			l.level--
 		}
-	}
-	return l.level, l.level != prev
-}
-
-// Force imposes a floor on the ladder level: the monitor-driven mode
-// uses it to hold a stepdown while a per-class QoE alert stands, even
-// if raw occupancy has already relaxed. The floor clamps to the rung
-// range; Force(0) releases it. It returns the resulting level and
-// whether the call changed it (the occupancy path can only deepen past
-// a floor, never relax below it).
-func (l *Ladder) Force(min int) (level int, changed bool) {
-	if min < 0 {
-		min = 0
-	}
-	if min > l.MaxLevel() {
-		min = l.MaxLevel()
-	}
-	prev := l.level
-	l.forced = min
-	if l.level < min {
-		l.level = min
 	}
 	return l.level, l.level != prev
 }

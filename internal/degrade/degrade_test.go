@@ -243,11 +243,11 @@ func TestBreakerBurstPassesUnpaced(t *testing.T) {
 	if d := b.Admit(0); d <= 0 {
 		t.Fatalf("post-burst send not paced (delay %v)", d)
 	}
-	if b.Paced() != 1 || b.Queued() != 1 {
-		t.Fatalf("paced %d queued %d, want 1/1", b.Paced(), b.Queued())
+	if b.paced != 1 || b.Queued() != 1 {
+		t.Fatalf("paced %d queued %d, want 1/1", b.paced, b.Queued())
 	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("state %v below the open backlog", b.State())
+	if b.state != BreakerClosed {
+		t.Fatalf("state %v below the open backlog", b.state)
 	}
 }
 
@@ -292,8 +292,8 @@ func TestBreakerOpenDrainHalfOpenClose(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		delays = append(delays, b.Admit(0))
 	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state %v after %d queued, want open", b.State(), b.Queued())
+	if b.state != BreakerOpen {
+		t.Fatalf("state %v after %d queued, want open", b.state, b.Queued())
 	}
 	// Deferred sends transmit on schedule; the drain half-opens the
 	// breaker.
@@ -304,20 +304,20 @@ func TestBreakerOpenDrainHalfOpenClose(t *testing.T) {
 			t.Fatalf("queued %d after send %d, want %d", b.Queued(), i, wantQ)
 		}
 	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state %v after drain, want half-open", b.State())
+	if b.state != BreakerHalfOpen {
+		t.Fatalf("state %v after drain, want half-open", b.state)
 	}
 	// The next conforming send is the recovery probe: it closes the
 	// breaker.
 	if d := b.Admit(time.Second); d != 0 {
 		t.Fatalf("recovery probe paced by %v", d)
 	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("state %v after probe, want closed", b.State())
+	if b.state != BreakerClosed {
+		t.Fatalf("state %v after probe, want closed", b.state)
 	}
-	if b.Opens() != 1 || b.HalfOpens() != 1 || b.Closes() != 1 {
+	if b.opens != 1 || b.halfOpens != 1 || b.closes != 1 {
 		t.Fatalf("transition counts opens=%d halfOpens=%d closes=%d, want 1/1/1",
-			b.Opens(), b.HalfOpens(), b.Closes())
+			b.opens, b.halfOpens, b.closes)
 	}
 	want := []change{
 		{0, BreakerOpen},
@@ -353,7 +353,7 @@ func TestBreakerSentOnEmptyQueueIsSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Sent(0)
-	if b.Queued() != 0 || b.State() != BreakerClosed {
-		t.Fatalf("spurious Sent perturbed the breaker: queued %d state %v", b.Queued(), b.State())
+	if b.Queued() != 0 || b.state != BreakerClosed {
+		t.Fatalf("spurious Sent perturbed the breaker: queued %d state %v", b.Queued(), b.state)
 	}
 }

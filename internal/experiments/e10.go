@@ -71,8 +71,8 @@ func SuiteCapacityMatrix() CapacityMatrix {
 // dimensioned arena the shed rate stays low and what remains is the
 // scheme's own mobility-management cost.
 //
-// Like E9 it is not part of All: its cost axis is population and
-// topology size, so it is invoked deliberately (cmd/mmscale -dimension,
+// Like E9 it is not part of the E1–E8 suite: its cost axis is population
+// and topology size, so it is invoked deliberately (cmd/mmscale -dimension,
 // mmbench E10, BenchmarkE10CapacityMatrix, or the pinned golden test).
 func E10CapacityMatrix(opt Options, m CapacityMatrix) (*Table, error) {
 	return runMatrix(opt, m.matrix(), m.table)

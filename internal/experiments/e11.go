@@ -47,6 +47,11 @@ func DefaultResilienceMatrix() ResilienceMatrix {
 // SuiteResilienceMatrix is the reduced matrix the benchmark harness
 // runs: one moderate population, the root-outage profile (the one that
 // exercises the full deregister/storm/recover cycle), every scheme.
+//
+// Only the root benchmark runs it; the root package cannot reach a
+// _test.go file of this package, so it stays here.
+//
+//mmlint:testref root BenchmarkE11Resilience (bench gate) runs this cell
 func SuiteResilienceMatrix() ResilienceMatrix {
 	m := DefaultResilienceMatrix()
 	m.Populations = []int{200}
@@ -64,7 +69,7 @@ func SuiteResilienceMatrix() ResilienceMatrix {
 // three visible as session survival, t90 recovery time and signalling
 // load under identical deterministic fault schedules.
 //
-// Like E9/E10 it is not part of All: it runs deliberately via
+// Like E9/E10 it is not part of the E1–E8 suite: it runs deliberately via
 // cmd/mmscale -faults, BenchmarkE11Resilience, or the pinned golden.
 func E11Resilience(opt Options, m ResilienceMatrix) (*Table, error) {
 	return runMatrix(opt, m.matrix(), m.table)

@@ -88,6 +88,11 @@ func DefaultClosedLoopMatrix() ClosedLoopMatrix {
 
 // SuiteClosedLoopMatrix is the reduced matrix the benchmark harness
 // runs: one crowd, the blackout profile only.
+//
+// Only the root benchmark runs it; the root package cannot reach a
+// _test.go file of this package, so it stays here.
+//
+//mmlint:testref root BenchmarkE13ClosedLoop (bench gate) runs this cell
 func SuiteClosedLoopMatrix() ClosedLoopMatrix {
 	m := DefaultClosedLoopMatrix()
 	m.Populations = []int{500}
@@ -104,7 +109,7 @@ func SuiteClosedLoopMatrix() ClosedLoopMatrix {
 // and parallel measurement, because every decision derives from samples
 // on the sampling cadence.
 //
-// Like E9–E11 it is not part of All: it runs deliberately via
+// Like E9–E11 it is not part of the E1–E8 suite: it runs deliberately via
 // cmd/mmscale -closedloop, BenchmarkE13ClosedLoop, or the pinned golden.
 func E13ClosedLoop(opt Options, m ClosedLoopMatrix) (*Table, error) {
 	return runMatrix(opt, m.matrix(), m.table)

@@ -97,6 +97,11 @@ func DefaultDegradationMatrix() DegradationMatrix {
 
 // SuiteDegradationMatrix is the reduced matrix the benchmark harness
 // runs: one crowd, the storm profile only.
+//
+// Only the root benchmark runs it; the root package cannot reach a
+// _test.go file of this package, so it stays here.
+//
+//mmlint:testref root BenchmarkE14Degradation (bench gate) runs this cell
 func SuiteDegradationMatrix() DegradationMatrix {
 	m := DefaultDegradationMatrix()
 	m.Populations = []int{500}
@@ -113,7 +118,7 @@ func SuiteDegradationMatrix() DegradationMatrix {
 // of a synchronized spike — while the cliff rows shed whatever arrived
 // last, regardless of class.
 //
-// Like E9–E13 it is not part of All: it runs deliberately via
+// Like E9–E13 it is not part of the E1–E8 suite: it runs deliberately via
 // cmd/mmscale -degrade, BenchmarkE14Degradation, or the pinned golden.
 func E14Degradation(opt Options, m DegradationMatrix) (*Table, error) {
 	return runMatrix(opt, m.matrix(), m.table)

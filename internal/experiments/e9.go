@@ -62,9 +62,10 @@ func SuiteScaleSweep() ScaleSweep {
 // population and topology, not by the packet count: a 10k-MN cell holds
 // no per-packet state.
 //
-// E9 is not part of All: its cost axis is population, not duration, so
-// the golden E1–E8 suite stays byte-identical and scale runs are invoked
-// deliberately (cmd/mmscale, mmbench E9, or the pinned golden E9 test).
+// E9 is not part of the E1–E8 suite: its cost axis is population, not
+// duration, so the golden E1–E8 suite stays byte-identical and scale
+// runs are invoked deliberately (cmd/mmscale, mmbench E9, or the pinned
+// golden E9 test).
 func E9ScaleSweep(opt Options, sw ScaleSweep) (*Table, error) {
 	return runMatrix(opt, sw.matrix(), sw.table)
 }

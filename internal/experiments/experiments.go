@@ -94,25 +94,16 @@ func (o Options) scale(d time.Duration) time.Duration {
 
 // plan is one experiment's deferred execution: the scenario batch plus
 // the function that turns the batch's results into the printed table.
-// Splitting planning from rendering lets All flatten every experiment's
-// jobs into one global worker-pool batch (so narrow experiments no
-// longer serialise the pool) while single-experiment entry points run
-// their own small batch — with identical seeds either way.
+// Splitting planning from rendering lets the suite test's All flatten
+// every experiment's jobs into one global worker-pool batch while
+// single-experiment entry points run their own small batch — with
+// identical seeds either way.
 type plan struct {
 	// num is the experiment number; it offsets the base seed so
 	// experiments draw disjoint seed streams.
 	num    int
 	jobs   []runner.Job
 	render func([]runner.JobResult) (*Table, error)
-}
-
-// seeds returns the per-replication seed stream the experiment's jobs
-// use: paired (common random numbers) within the experiment, offset by
-// the experiment number — the same derivation execute's Paired batch
-// applies, via the shared runner.PairedSeeds helper so the two can
-// never drift apart.
-func (p plan) seeds(o Options) []int64 {
-	return runner.PairedSeeds(o.Seed+int64(p.num), o.Reps)
 }
 
 // execute runs the experiment's job list through the worker pool. The
@@ -670,59 +661,4 @@ func e8Plan(opt Options) plan {
 			return t, nil
 		},
 	}
-}
-
-// plans builds every experiment's plan in suite order.
-func plans(opt Options) []plan {
-	return []plan{
-		e1Plan(opt), e2Plan(opt), e3Plan(opt), e4Plan(opt),
-		e5Plan(opt), e6Plan(opt), e7Plan(opt), e8Plan(opt),
-	}
-}
-
-// All runs every experiment in order. The whole suite is flattened into
-// one global worker-pool batch: every scenario of every experiment is in
-// flight together, so narrow experiments (E1's single job, E4/E5's pairs)
-// no longer serialise the pool behind wide ones. Each job pins the seeds
-// its experiment would derive on its own, so the flattened suite renders
-// byte-identical tables to per-experiment execution at any worker count.
-func All(opt Options) ([]*Table, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	ps := plans(opt)
-	var flat []runner.Job
-	for _, p := range ps {
-		seeds := p.seeds(opt)
-		for _, j := range p.jobs {
-			j.Seeds = seeds
-			flat = append(flat, j)
-		}
-	}
-	res, err := runner.Run(flat, runner.Options{
-		BaseSeed:       opt.Seed,
-		Reps:           opt.Reps,
-		Parallel:       opt.Parallel,
-		MeasureWorkers: opt.MeasureWorkers,
-		Obs:            opt.Obs,
-	})
-	out := make([]*Table, 0, len(ps))
-	if err != nil {
-		return out, fmt.Errorf("suite: %w", err)
-	}
-	if err := opt.writeTraces(res); err != nil {
-		return out, fmt.Errorf("suite: %w", err)
-	}
-	idx := 0
-	for _, p := range ps {
-		sub := res[idx : idx+len(p.jobs)]
-		idx += len(p.jobs)
-		tbl, rerr := p.render(sub)
-		if rerr != nil {
-			return out, rerr
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
 }

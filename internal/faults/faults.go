@@ -82,11 +82,6 @@ type Plan struct {
 	Fades    []FadeSpec
 }
 
-// Empty reports whether the plan injects no faults at all.
-func (p *Plan) Empty() bool {
-	return len(p.Outages) == 0 && len(p.Degrades) == 0 && len(p.Fades) == 0
-}
-
 // Validate rejects degenerate specs before a single event is scheduled.
 func (p *Plan) Validate() error {
 	checkWindow := func(what string, start, dur, jitter float64) error {

@@ -1,8 +1,8 @@
 // Package geo provides the 2-D geometry used by cell coverage, radio
-// propagation and mobility models: points, vectors, distances and circular
-// coverage areas. Coordinates are metres in a flat plane, which is accurate
-// at the pico/micro/macro-cell scales the paper considers (tens of metres
-// to tens of kilometres).
+// propagation and mobility models: points, vectors, distances and
+// rectangular arenas. Coordinates are metres in a flat plane, which is
+// accurate at the pico/micro/macro-cell scales the paper considers (tens
+// of metres to tens of kilometres).
 package geo
 
 import (
@@ -56,60 +56,16 @@ func (v Vector) Unit() Vector {
 	return Vector{v.DX / l, v.DY / l}
 }
 
-// Heading returns the angle of v in radians in (-π, π].
-func (v Vector) Heading() float64 { return math.Atan2(v.DY, v.DX) }
-
 // FromHeading builds a vector of the given length pointing along the
 // heading angle (radians).
 func FromHeading(heading, length float64) Vector {
 	return Vector{math.Cos(heading) * length, math.Sin(heading) * length}
 }
 
-// Circle is a circular coverage area: the footprint of a cell.
-type Circle struct {
-	Center Point
-	Radius float64
-}
-
-// Contains reports whether p lies inside or on the circle.
-func (c Circle) Contains(p Point) bool {
-	return c.Center.DistanceTo(p) <= c.Radius
-}
-
-// DistanceToEdge returns how far p is inside the circle boundary (positive
-// inside, negative outside). Handoff hysteresis uses this to detect
-// approaching coverage edges.
-func (c Circle) DistanceToEdge(p Point) float64 {
-	return c.Radius - c.Center.DistanceTo(p)
-}
-
-// Overlaps reports whether two circles share any area.
-func (c Circle) Overlaps(d Circle) bool {
-	return c.Center.DistanceTo(d.Center) < c.Radius+d.Radius
-}
-
-// ContainsCircle reports whether d lies fully inside c. The multi-tier
-// topology builder uses this to verify micro-cells sit within their parent
-// macro-cell.
-func (c Circle) ContainsCircle(d Circle) bool {
-	return c.Center.DistanceTo(d.Center)+d.Radius <= c.Radius
-}
-
 // Rect is an axis-aligned rectangle, used as the mobility arena boundary.
 type Rect struct {
 	Min, Max Point
 }
-
-// RectFromSize returns a rectangle anchored at the origin.
-func RectFromSize(w, h float64) Rect {
-	return Rect{Min: Point{}, Max: Point{X: w, Y: h}}
-}
-
-// Width returns the horizontal extent.
-func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
-
-// Height returns the vertical extent.
-func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
 // Contains reports whether p lies inside or on the rectangle.
 func (r Rect) Contains(p Point) bool {

@@ -60,7 +60,7 @@ func TestHeadingRoundTrip(t *testing.T) {
 		if !almost(v.Length(), 10) {
 			t.Fatalf("FromHeading length = %v", v.Length())
 		}
-		if got := v.Heading(); math.Abs(got-h) > 1e-9 {
+		if got := math.Atan2(v.DY, v.DX); math.Abs(got-h) > 1e-9 {
 			t.Fatalf("heading round trip %v -> %v", h, got)
 		}
 	}
@@ -102,10 +102,7 @@ func TestCircleOverlapContain(t *testing.T) {
 }
 
 func TestRectBasics(t *testing.T) {
-	r := RectFromSize(100, 50)
-	if !almost(r.Width(), 100) || !almost(r.Height(), 50) {
-		t.Fatalf("size = %v x %v", r.Width(), r.Height())
-	}
+	r := Rect{Max: Pt(100, 50)}
 	if !r.Contains(Pt(0, 0)) || !r.Contains(Pt(100, 50)) || !r.Contains(Pt(50, 25)) {
 		t.Fatal("boundary/interior points reported outside")
 	}
@@ -123,7 +120,7 @@ func TestRectBasics(t *testing.T) {
 }
 
 func TestReflect(t *testing.T) {
-	r := RectFromSize(100, 100)
+	r := Rect{Max: Pt(100, 100)}
 	p, v := r.Reflect(Pt(-10, 50), Vec(-1, 0))
 	if !almost(p.X, 10) || !almost(p.Y, 50) {
 		t.Fatalf("reflected point = %v", p)
@@ -142,7 +139,7 @@ func TestReflect(t *testing.T) {
 }
 
 func TestReflectPropertyStaysInside(t *testing.T) {
-	r := RectFromSize(500, 300)
+	r := Rect{Max: Pt(500, 300)}
 	prop := func(x, y float64, dx, dy float64) bool {
 		// Constrain inputs to finite plausible magnitudes.
 		x = math.Mod(x, 5000)

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 )
 
 // StreamStat is a bounded-memory streaming aggregate (Welford's online
@@ -33,47 +32,8 @@ func (s *StreamStat) Observe(v float64) {
 	s.m2 += d * (v - s.mean)
 }
 
-// Count returns the number of observations.
-func (s *StreamStat) Count() uint64 { return s.n }
-
 // Mean returns the running mean, zero with no samples.
 func (s *StreamStat) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation.
-func (s *StreamStat) Min() float64 { return s.min }
-
-// Max returns the largest observation.
-func (s *StreamStat) Max() float64 { return s.max }
-
-// Std returns the sample standard deviation.
-func (s *StreamStat) Std() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n-1))
-}
-
-// Merge folds other into s (parallel-variance combination).
-func (s *StreamStat) Merge(other *StreamStat) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	n := float64(s.n + other.n)
-	d := other.mean - s.mean
-	s.m2 += other.m2 + d*d*float64(s.n)*float64(other.n)/n
-	s.mean += d * float64(other.n) / n
-	s.n += other.n
-}
 
 // Breakdown aggregates one population class (a fleet profile) with
 // strictly bounded memory: a loss account, a log-bucket latency
@@ -104,25 +64,6 @@ type Breakdown struct {
 // NewBreakdown returns an empty class aggregate.
 func NewBreakdown() *Breakdown {
 	return &Breakdown{Flows: LossAccount{Drops: make(map[DropReason]uint64)}}
-}
-
-// Merge folds another class aggregate into b, field-wise: populations
-// and counters add, the loss accounts / latency histograms / speed
-// aggregates merge through their own combination rules. Sharded scale
-// runs use this to combine per-worker class aggregates into one table
-// row; the float fields (Welford mean/variance) are associative up to
-// floating-point rounding, everything else exactly.
-func (b *Breakdown) Merge(o *Breakdown) {
-	if o == nil {
-		return
-	}
-	b.Population += o.Population
-	b.Flows.Merge(&o.Flows)
-	b.Latency.Merge(&o.Latency)
-	b.Handoffs.Add(o.Handoffs.Value())
-	b.Speed.Merge(&o.Speed)
-	b.LocationUpdates.Add(o.LocationUpdates.Value())
-	b.Pages.Add(o.Pages.Value())
 }
 
 // String summarises the class on one line.

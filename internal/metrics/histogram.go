@@ -68,34 +68,12 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum returns the total of all samples.
-func (h *Histogram) Sum() time.Duration { return h.sum }
-
 // Mean returns the average sample, or zero with no samples.
 func (h *Histogram) Mean() time.Duration {
 	if h.count == 0 {
 		return 0
 	}
 	return h.sum / time.Duration(h.count)
-}
-
-// Min returns the smallest sample, or zero with no samples.
-func (h *Histogram) Min() time.Duration { return h.min }
-
-// Max returns the largest sample.
-func (h *Histogram) Max() time.Duration { return h.max }
-
-// Stddev returns the sample standard deviation.
-func (h *Histogram) Stddev() time.Duration {
-	if h.count < 2 {
-		return 0
-	}
-	mean := h.Mean().Seconds()
-	variance := h.sumSq/float64(h.count) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return time.Duration(math.Sqrt(variance) * float64(time.Second))
 }
 
 // Quantile estimates the p-quantile (p in [0,1]) from the log buckets.

@@ -105,39 +105,12 @@ func (l *LossAccount) Dropped() uint64 {
 	return total
 }
 
-// InFlight returns packets sent but neither delivered nor dropped.
-func (l *LossAccount) InFlight() uint64 {
-	done := l.Delivered + l.Dropped()
-	if done > l.Sent {
-		return 0
-	}
-	return l.Sent - done
-}
-
 // LossRate returns dropped/sent in [0,1], zero when nothing was sent.
 func (l *LossAccount) LossRate() float64 {
 	if l.Sent == 0 {
 		return 0
 	}
 	return float64(l.Dropped()) / float64(l.Sent)
-}
-
-// Merge folds another account into this one. A zero-value receiver (nil
-// Drops map, as in an embedded LossAccount that never saw a drop) grows
-// its map on demand instead of panicking.
-func (l *LossAccount) Merge(o *LossAccount) {
-	if o == nil {
-		return
-	}
-	l.Sent += o.Sent
-	l.Delivered += o.Delivered
-	l.Bytes += o.Bytes
-	if l.Drops == nil && len(o.Drops) > 0 {
-		l.Drops = make(map[DropReason]uint64, len(o.Drops))
-	}
-	for r, n := range o.Drops {
-		l.Drops[r] += n
-	}
 }
 
 // String summarises the account.

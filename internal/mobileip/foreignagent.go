@@ -1,14 +1,12 @@
 package mobileip
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/addr"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/packet"
-	"repro/internal/simtime"
 )
 
 // visitor is one mobile node currently served by the FA.
@@ -19,12 +17,10 @@ type visitor struct {
 
 // ForeignAgent serves visiting mobile nodes on a foreign link (Fig 2.2):
 // it relays their registrations to the Home Agent, de-tunnels packets
-// arriving for its care-of address, and delivers them over the air. It
-// also beacons agent advertisements to attached visitors.
+// arriving for its care-of address, and delivers them over the air.
 type ForeignAgent struct {
 	node   *netsim.Node
 	router *netsim.StaticRouter
-	sched  *simtime.Scheduler
 	stats  *Stats
 
 	careOf   addr.IP
@@ -33,9 +29,6 @@ type ForeignAgent struct {
 	// AirDelay and AirLoss characterise the wireless hop to visitors.
 	AirDelay time.Duration
 	AirLoss  float64
-
-	advSeq    uint16
-	advTicker *simtime.Ticker
 }
 
 var _ netsim.Handler = (*ForeignAgent)(nil)
@@ -47,7 +40,6 @@ var _ netsim.Handler = (*ForeignAgent)(nil)
 func NewForeignAgent(node *netsim.Node, careOf addr.IP, stats *Stats) *ForeignAgent {
 	fa := &ForeignAgent{
 		node:     node,
-		sched:    node.Network().Scheduler(),
 		stats:    stats,
 		careOf:   careOf,
 		visitors: make(map[addr.IP]*visitor),
@@ -67,16 +59,6 @@ func (fa *ForeignAgent) Router() *netsim.StaticRouter { return fa.router }
 // CareOf returns the care-of address this agent offers.
 func (fa *ForeignAgent) CareOf() addr.IP { return fa.careOf }
 
-// VisitorCount returns the number of attached visitors.
-func (fa *ForeignAgent) VisitorCount() int { return len(fa.visitors) }
-
-// HasVisitor reports whether the node with the given home address is
-// attached.
-func (fa *ForeignAgent) HasVisitor(home addr.IP) bool {
-	_, ok := fa.visitors[home]
-	return ok
-}
-
 // Attach adds a mobile node to the visitor list (radio association). It
 // does not register with the HA — that is the mobile node's job.
 func (fa *ForeignAgent) Attach(home addr.IP, node *netsim.Node) {
@@ -93,45 +75,6 @@ func (fa *ForeignAgent) OrphanVisitors() int {
 	n := len(fa.visitors)
 	clear(fa.visitors)
 	return n
-}
-
-// StartAdvertising beacons agent advertisements to every attached visitor
-// at the given interval (Fig 2.2 step 1a). Advertisements count as
-// signalling overhead.
-func (fa *ForeignAgent) StartAdvertising(interval, lifetime time.Duration) {
-	if fa.advTicker != nil {
-		fa.advTicker.Stop()
-	}
-	fa.advTicker = fa.sched.Every(interval, func() {
-		adv := &AgentAdvertisement{
-			Agent:    fa.node.Addr(),
-			CareOf:   fa.careOf,
-			Seq:      fa.advSeq,
-			Lifetime: lifetime,
-		}
-		fa.advSeq++
-		// Beacon order draws the loss rng once per visitor, so it must
-		// not follow map iteration order.
-		homes := make([]addr.IP, 0, len(fa.visitors))
-		for home := range fa.visitors {
-			homes = append(homes, home)
-		}
-		sort.Slice(homes, func(i, j int) bool { return homes[i] < homes[j] })
-		for _, home := range homes {
-			v := fa.visitors[home]
-			pkt := packet.NewControl(fa.node.Addr(), v.home, packet.ProtoMobileIP, adv.Marshal())
-			fa.stats.Signaling.Inc()
-			fa.stats.SignalingBytes.Add(uint64(pkt.Size()))
-			_ = fa.node.Network().DeliverDirect(fa.node, v.node, pkt, fa.AirDelay, fa.AirLoss)
-		}
-	})
-}
-
-// StopAdvertising halts the beacon.
-func (fa *ForeignAgent) StopAdvertising() {
-	if fa.advTicker != nil {
-		fa.advTicker.Stop()
-	}
 }
 
 // RelayRegistration forwards a mobile node's registration request to its

@@ -37,10 +37,7 @@ type HomeAgent struct {
 	atHome map[addr.IP]*netsim.Node
 	// homeAirDelay is the home-link delivery latency.
 	homeAirDelay time.Duration
-	// maxLifetime caps granted registration lifetimes; zero means accept
-	// whatever is requested.
-	maxLifetime time.Duration
-	generation  map[addr.IP]uint64 // expiry-sweep generation per binding
+	generation   map[addr.IP]uint64 // expiry-sweep generation per binding
 	// auth, when armed, requires every registration to carry a fresh
 	// MHAE token inside authWindow of the HA's clock.
 	auth       *auth.Authenticator
@@ -70,17 +67,8 @@ func NewHomeAgent(node *netsim.Node, prefix addr.Prefix, stats *Stats) *HomeAgen
 	return ha
 }
 
-// Node returns the underlying network node.
-func (ha *HomeAgent) Node() *netsim.Node { return ha.node }
-
 // Router returns the embedded router for wired route configuration.
 func (ha *HomeAgent) Router() *netsim.StaticRouter { return ha.router }
-
-// Prefix returns the served home prefix.
-func (ha *HomeAgent) Prefix() addr.Prefix { return ha.prefix }
-
-// SetMaxLifetime caps granted registration lifetimes.
-func (ha *HomeAgent) SetMaxLifetime(d time.Duration) { ha.maxLifetime = d }
 
 // SetAuth arms MHAE verification: registrations without a token, with a
 // bad token, with a replayed nonce, or with a nonce older than window
@@ -124,12 +112,6 @@ func (ha *HomeAgent) authorize(req *RegistrationRequest) bool {
 	return true
 }
 
-// AttachHome marks a mobile node as present on the home link.
-func (ha *HomeAgent) AttachHome(home addr.IP, node *netsim.Node) { ha.atHome[home] = node }
-
-// DetachHome removes a node from the home link.
-func (ha *HomeAgent) DetachHome(home addr.IP) { delete(ha.atHome, home) }
-
 // Binding returns the current binding for home, or nil.
 func (ha *HomeAgent) Binding(home addr.IP) *Binding {
 	b := ha.bindings[home]
@@ -137,17 +119,6 @@ func (ha *HomeAgent) Binding(home addr.IP) *Binding {
 		return nil
 	}
 	return b
-}
-
-// BindingCount returns the number of live bindings.
-func (ha *HomeAgent) BindingCount() int {
-	n := 0
-	for _, b := range ha.bindings {
-		if b.Expires >= ha.sched.Now() {
-			n++
-		}
-	}
-	return n
 }
 
 // Receive implements netsim.Handler.
@@ -184,23 +155,18 @@ func (ha *HomeAgent) handleControl(pkt *packet.Packet) {
 		Lifetime: req.Lifetime,
 		ID:       req.ID,
 	}
+	old := ha.bindings[req.Home]
 	switch {
 	case !ha.authorize(req):
 		reply.Code = CodeDeniedAuth
 	case !ha.prefix.Contains(req.Home):
 		reply.Code = CodeDeniedUnknownHome
-	case ha.maxLifetime > 0 && req.Lifetime > ha.maxLifetime:
-		reply.Code = CodeAccepted
-		reply.Lifetime = ha.maxLifetime
+	case old != nil && req.ID < old.LastID:
+		// Out-of-order retransmission of an older move: deny it so a
+		// late-arriving stale request cannot clobber a newer binding.
+		reply.Code = CodeDeniedIdentification
 	default:
 		reply.Code = CodeAccepted
-	}
-	if reply.Code == CodeAccepted {
-		if old := ha.bindings[req.Home]; old != nil && req.ID < old.LastID {
-			// Out-of-order retransmission of an older move: ignore it so a
-			// late-arriving stale request cannot clobber a newer binding.
-			reply.Code = CodeDeniedLifetime
-		}
 	}
 	if reply.Code == CodeAccepted {
 		if req.CareOf.IsUnspecified() {

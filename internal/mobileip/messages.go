@@ -34,7 +34,10 @@ const (
 	CodeAccepted ReplyCode = iota + 1
 	CodeDeniedUnknownHome
 	CodeDeniedAuth
-	CodeDeniedLifetime
+	// CodeDeniedIdentification answers a request older than the binding
+	// it would replace (RFC 5944 §3.4 code 133, "registration
+	// Identification mismatch").
+	CodeDeniedIdentification
 )
 
 // String implements fmt.Stringer.
@@ -46,8 +49,8 @@ func (c ReplyCode) String() string {
 		return "denied-unknown-home"
 	case CodeDeniedAuth:
 		return "denied-auth"
-	case CodeDeniedLifetime:
-		return "denied-lifetime"
+	case CodeDeniedIdentification:
+		return "denied-identification"
 	default:
 		return fmt.Sprintf("code(%d)", uint8(c))
 	}
@@ -138,7 +141,12 @@ type AgentAdvertisement struct {
 
 const agentAdvSize = 1 + 4 + 4 + 2 + 8
 
-// Marshal renders the advertisement to wire bytes.
+// Marshal renders the advertisement to wire bytes. No run path beacons
+// advertisements; the message and fuzz tests encode them so the
+// advertisement branch of ParseMessage, which runs on every control
+// packet, stays covered.
+//
+//mmlint:testref wire format: FuzzParseMessage and the round-trip test encode advertisements
 func (a *AgentAdvertisement) Marshal() []byte {
 	b := make([]byte, agentAdvSize)
 	b[0] = msgAgentAdvertisement

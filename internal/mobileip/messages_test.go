@@ -90,7 +90,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 }
 
 func TestReplyCodeStrings(t *testing.T) {
-	for _, c := range []ReplyCode{CodeAccepted, CodeDeniedUnknownHome, CodeDeniedAuth, CodeDeniedLifetime, ReplyCode(77)} {
+	for _, c := range []ReplyCode{CodeAccepted, CodeDeniedUnknownHome, CodeDeniedAuth, CodeDeniedIdentification, ReplyCode(77)} {
 		if c.String() == "" {
 			t.Fatal("empty code string")
 		}

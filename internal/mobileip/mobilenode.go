@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/auth"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -116,9 +115,6 @@ func NewMobileNode(node *netsim.Node, home, ha addr.IP, cfg MNConfig, stats *Sta
 	return mn
 }
 
-// Node returns the underlying network node.
-func (mn *MobileNode) Node() *netsim.Node { return mn.node }
-
 // SetRand installs the seeded stream retry jitter draws from. Without
 // it (the default) the retransmission schedule is exact and draw-free.
 func (mn *MobileNode) SetRand(r *simtime.Rand) { mn.rng = r }
@@ -136,9 +132,6 @@ func (mn *MobileNode) SetTrace(tr *obs.Trace, actor int32) {
 	mn.trace = tr
 	mn.traceActor = actor
 }
-
-// Home returns the permanent home address.
-func (mn *MobileNode) Home() addr.IP { return mn.home }
 
 // Registered reports whether the current location is registered with the
 // Home Agent.
@@ -163,17 +156,6 @@ func (mn *MobileNode) MoveTo(fa *ForeignAgent) {
 	mn.registered = false
 	fa.Attach(mn.home, mn.node)
 	mn.startRegistration(fa.CareOf())
-}
-
-// ReturnHome deregisters: the node detaches from its agent and asks the HA
-// to drop the binding (care-of = 0).
-func (mn *MobileNode) ReturnHome() {
-	if mn.current != nil {
-		mn.current.Detach(mn.home)
-		mn.current = nil
-	}
-	mn.registered = false
-	mn.startRegistration(addr.Unspecified)
 }
 
 func (mn *MobileNode) startRegistration(careOf addr.IP) {
@@ -363,22 +345,4 @@ func (mn *MobileNode) Receive(pkt *packet.Packet, from *netsim.Node, link *netsi
 			})
 		}
 	}
-}
-
-// SendData emits an uplink data packet through the current agent (or the
-// home link when at home), as Fig 2.2 step 2b: uplink traffic follows
-// ordinary IP routing.
-func (mn *MobileNode) SendData(pkt *packet.Packet) {
-	if mn.current != nil {
-		_ = mn.node.Network().DeliverDirect(mn.node, mn.current.Node(), pkt, mn.cfg.AirDelay, mn.cfg.AirLoss)
-		return
-	}
-	haNode := mn.node.Network().NodeByAddr(mn.ha)
-	if haNode == nil {
-		// No serving agent and no home link: account the loss like the
-		// other mobiles do instead of leaking the packet.
-		mn.node.Network().Drop(mn.node, pkt, metrics.DropNoRoute)
-		return
-	}
-	_ = mn.node.Network().DeliverDirect(mn.node, haNode, pkt, mn.cfg.AirDelay, mn.cfg.AirLoss)
 }

@@ -135,7 +135,11 @@ type Linear struct {
 
 var _ Model = (*Linear)(nil)
 
-// NewLinear returns a straight-line trajectory at speed m/s.
+// NewLinear returns a straight-line trajectory at speed m/s. No scenario
+// builds one yet: the mobility tests do, and a closed-form oracle (the
+// registration latency of one Linear crossing) will.
+//
+//mmlint:testref mobility tests; kept for the Linear-crossing closed-form oracle
 func NewLinear(from, to geo.Point, speed float64) *Linear {
 	l := &Linear{from: from, to: to, speed: speed}
 	dist := from.DistanceTo(to)
@@ -299,7 +303,11 @@ type WalkConfig struct {
 	Start geo.Point     // zero value = arena centre
 }
 
-// NewWalk returns a random-walk trajectory drawing from rng.
+// NewWalk returns a random-walk trajectory drawing from rng. No scenario
+// builds one yet: the mobility tests do, and a closed-form oracle (the
+// fluid-flow crossing rate of a uniform walk) will.
+//
+//mmlint:testref mobility tests; kept for the Walk fluid-flow closed-form oracle
 func NewWalk(cfg WalkConfig, rng *simtime.Rand) *Walk {
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 10 * time.Second

@@ -100,7 +100,7 @@ func TestPingPongDegenerate(t *testing.T) {
 }
 
 func TestWaypointStaysInArenaAndIsDeterministic(t *testing.T) {
-	arena := geo.RectFromSize(1000, 800)
+	arena := geo.Rect{Max: geo.Pt(1000, 800)}
 	cfg := WaypointConfig{Arena: arena, MinSpeed: 1, MaxSpeed: 20, MinPause: 0, MaxPause: 5 * time.Second}
 	w1 := NewWaypoint(cfg, simtime.NewRand(7))
 	w2 := NewWaypoint(cfg, simtime.NewRand(7))
@@ -116,7 +116,7 @@ func TestWaypointStaysInArenaAndIsDeterministic(t *testing.T) {
 }
 
 func TestWaypointSpeedBounds(t *testing.T) {
-	arena := geo.RectFromSize(1000, 800)
+	arena := geo.Rect{Max: geo.Pt(1000, 800)}
 	w := NewWaypoint(WaypointConfig{Arena: arena, MinSpeed: 5, MaxSpeed: 10}, simtime.NewRand(3))
 	var moving int
 	for at := time.Second; at < 30*time.Minute; at += 7 * time.Second {
@@ -149,7 +149,7 @@ type namedTrack struct {
 // Pauses and a tiny Manhattan spacing give zero-length and back-to-back
 // segments for the cursor to step over.
 func trackModels(seed int64) []namedTrack {
-	arena := geo.RectFromSize(500, 500)
+	arena := geo.Rect{Max: geo.Pt(500, 500)}
 	return []namedTrack{
 		{"waypoint", NewWaypoint(WaypointConfig{Arena: arena, MinSpeed: 1, MaxSpeed: 10, MaxPause: time.Second},
 			simtime.NewRand(seed))},
@@ -242,7 +242,7 @@ func TestTrackQueryAllocFree(t *testing.T) {
 }
 
 func TestWalkStaysInArena(t *testing.T) {
-	arena := geo.RectFromSize(300, 300)
+	arena := geo.Rect{Max: geo.Pt(300, 300)}
 	w := NewWalk(WalkConfig{Arena: arena, Speed: 25, Epoch: 5 * time.Second}, simtime.NewRand(5))
 	for at := time.Duration(0); at < time.Hour; at += 3 * time.Second {
 		if p := w.Position(at); !arena.Contains(p) {
@@ -252,7 +252,7 @@ func TestWalkStaysInArena(t *testing.T) {
 }
 
 func TestWalkDefaults(t *testing.T) {
-	arena := geo.RectFromSize(100, 100)
+	arena := geo.Rect{Max: geo.Pt(100, 100)}
 	w := NewWalk(WalkConfig{Arena: arena, Speed: -5}, simtime.NewRand(1))
 	if got := w.Position(time.Minute); got != arena.Center() {
 		t.Fatalf("negative speed should pin to start, got %v", got)
@@ -260,7 +260,7 @@ func TestWalkDefaults(t *testing.T) {
 }
 
 func TestManhattanStaysOnGrid(t *testing.T) {
-	arena := geo.RectFromSize(1000, 1000)
+	arena := geo.Rect{Max: geo.Pt(1000, 1000)}
 	spacing := 100.0
 	m := NewManhattan(ManhattanConfig{Arena: arena, Spacing: spacing, Speed: 10}, simtime.NewRand(9))
 	blockDur := time.Duration(spacing / 10 * float64(time.Second))
@@ -279,7 +279,7 @@ func TestManhattanStaysOnGrid(t *testing.T) {
 }
 
 func TestManhattanMovesAxisAligned(t *testing.T) {
-	arena := geo.RectFromSize(1000, 1000)
+	arena := geo.Rect{Max: geo.Pt(1000, 1000)}
 	m := NewManhattan(ManhattanConfig{Arena: arena, Spacing: 100, Speed: 10}, simtime.NewRand(2))
 	for at := time.Second; at < 10*time.Minute; at += 7 * time.Second {
 		v := m.Velocity(at)
@@ -296,7 +296,7 @@ func TestManhattanMovesAxisAligned(t *testing.T) {
 }
 
 func TestManhattanTinyArena(t *testing.T) {
-	arena := geo.RectFromSize(10, 10) // smaller than one block
+	arena := geo.Rect{Max: geo.Pt(10, 10)} // smaller than one block
 	m := NewManhattan(ManhattanConfig{Arena: arena, Spacing: 100, Speed: 10}, simtime.NewRand(2))
 	p0 := m.Position(0)
 	if p := m.Position(time.Minute); p != p0 {
@@ -308,7 +308,7 @@ func TestManhattanTinyArena(t *testing.T) {
 // (no teleporting): over a small dt the displacement is bounded by
 // maxSpeed*dt plus epsilon.
 func TestContinuityProperty(t *testing.T) {
-	arena := geo.RectFromSize(1000, 1000)
+	arena := geo.Rect{Max: geo.Pt(1000, 1000)}
 	models := []Model{
 		NewWaypoint(WaypointConfig{Arena: arena, MinSpeed: 1, MaxSpeed: 30, MaxPause: 2 * time.Second}, simtime.NewRand(21)),
 		NewWalk(WalkConfig{Arena: arena, Speed: 30, Epoch: 4 * time.Second}, simtime.NewRand(22)),

@@ -94,55 +94,3 @@ func (f *Fabric) External(root topology.CellID) *netsim.StaticRouter {
 	}
 	return st.external
 }
-
-// TotalTableRecords sums live records across all stations — the E3 state
-// metric.
-func (f *Fabric) TotalTableRecords() int {
-	n := 0
-	for _, st := range f.Stations {
-		n += st.tables.Micro.Len()
-		if st.tables.Macro != nil {
-			n += st.tables.Macro.Len()
-		}
-	}
-	return n
-}
-
-// TierUtilization summarises per-cell peak channel occupancy for one
-// tier.
-type TierUtilization struct {
-	// Cells is the number of stations on the tier.
-	Cells int
-	// MeanPeak and MaxPeak aggregate the per-cell peak occupancies: a
-	// high MaxPeak with a low MeanPeak means load concentrated on a few
-	// hot cells — the dimensioning planner's headroom factor exists for
-	// exactly that skew.
-	MeanPeak, MaxPeak float64
-}
-
-// Utilization rolls per-cell peak occupancy up per tier, walking cells
-// in id order so the result is deterministic.
-func (f *Fabric) Utilization() map[topology.Tier]TierUtilization {
-	out := make(map[topology.Tier]TierUtilization, 4)
-	for _, cell := range f.Top.Cells {
-		st := f.Stations[cell.ID]
-		if st == nil {
-			continue
-		}
-		u := out[cell.Tier]
-		u.Cells++
-		peak := st.PeakUtilization()
-		u.MeanPeak += peak
-		if peak > u.MaxPeak {
-			u.MaxPeak = peak
-		}
-		out[cell.Tier] = u
-	}
-	for tier, u := range out {
-		if u.Cells > 0 {
-			u.MeanPeak /= float64(u.Cells)
-			out[tier] = u
-		}
-	}
-	return out
-}

@@ -52,11 +52,6 @@ func (k HandoffKind) String() string {
 	}
 }
 
-// Inter reports whether the kind crosses a domain boundary.
-func (k HandoffKind) Inter() bool {
-	return k == KindInterSameUpper || k == KindInterDiffUpper
-}
-
 // Classify determines the handoff kind for a move from old to new.
 // Pico-tier cells classify like micro (they sit inside the micro-tier for
 // mobility purposes), and the upper-layer root BS classifies like macro:
@@ -155,8 +150,9 @@ func (f tierFilter) admits(t topology.Tier) bool {
 	}
 }
 
-// Choose picks the cell the MN should camp on. It returns
-// topology.NoCell when nothing is usable.
+// choose picks the cell the MN should camp on. It returns
+// topology.NoCell when nothing is usable. Mobile keeps one
+// decisionScratch per MN so the per-tick decision allocates nothing.
 //
 // Order of consideration:
 //  1. Signal: discard unusable cells (out of range or under the floor).
@@ -167,14 +163,6 @@ func (f tierFilter) admits(t topology.Tier) bool {
 //     Fig 3.2).
 //  4. Hysteresis: keep the current cell unless the winner beats it by the
 //     selector margin.
-func Choose(top *topology.Topology, current topology.CellID, signals []radio.Signal,
-	speedMPS float64, probe ResourceProbe, pol Policy) topology.CellID {
-	var sc decisionScratch
-	return sc.choose(top, current, signals, speedMPS, probe, pol)
-}
-
-// choose is the scratch-reusing form of Choose; Mobile keeps one
-// decisionScratch per MN so the per-tick decision allocates nothing.
 func (sc *decisionScratch) choose(top *topology.Topology, current topology.CellID,
 	signals []radio.Signal, speedMPS float64, probe ResourceProbe, pol Policy) topology.CellID {
 

@@ -62,9 +62,6 @@ func TestClassifyKinds(t *testing.T) {
 			t.Fatal("empty kind string")
 		}
 	}
-	if KindInterSameUpper.Inter() != true || KindIntraMicroMicro.Inter() != false {
-		t.Fatal("Inter() misclassifies")
-	}
 }
 
 func TestChooseSlowPrefersSmallTier(t *testing.T) {
@@ -72,8 +69,8 @@ func TestChooseSlowPrefersSmallTier(t *testing.T) {
 	micro := top.CellsOfTier(topology.TierMicro)[0]
 	// At a micro centre a slow MN must pick the pico/micro tier even
 	// though the macro signal is stronger in absolute dBm.
-	sig := top.Signals(micro.Pos, nil)
-	got := Choose(top, topology.NoCell, sig, mobilitySpeedSlow, nil, DefaultPolicy())
+	sig := top.MeasureInto(nil, micro.Pos, nil, topology.TierPico)
+	got := new(decisionScratch).choose(top, topology.NoCell, sig, mobilitySpeedSlow, nil, DefaultPolicy())
 	if got == topology.NoCell {
 		t.Fatal("no cell chosen")
 	}
@@ -91,8 +88,8 @@ const (
 func TestChooseFastPrefersMacroTier(t *testing.T) {
 	top := buildTop(t)
 	micro := top.CellsOfTier(topology.TierMicro)[0]
-	sig := top.Signals(micro.Pos, nil)
-	got := Choose(top, topology.NoCell, sig, mobilitySpeedFast, nil, DefaultPolicy())
+	sig := top.MeasureInto(nil, micro.Pos, nil, topology.TierPico)
+	got := new(decisionScratch).choose(top, topology.NoCell, sig, mobilitySpeedFast, nil, DefaultPolicy())
 	if got == topology.NoCell {
 		t.Fatal("no cell chosen")
 	}
@@ -105,14 +102,14 @@ func TestChooseFastPrefersMacroTier(t *testing.T) {
 func TestChooseResourceFallback(t *testing.T) {
 	top := buildTop(t)
 	micro := top.CellsOfTier(topology.TierMicro)[0]
-	sig := top.Signals(micro.Pos, nil)
+	sig := top.MeasureInto(nil, micro.Pos, nil, topology.TierPico)
 	// Probe refuses every micro/pico cell: the slow MN must fall back to
 	// the macro tier (§3.2 fallback).
 	probe := func(cell topology.CellID, _ bool) bool {
 		tier := top.TierOf(cell)
 		return tier == topology.TierMacro || tier == topology.TierRoot
 	}
-	got := Choose(top, topology.NoCell, sig, mobilitySpeedSlow, probe, DefaultPolicy())
+	got := new(decisionScratch).choose(top, topology.NoCell, sig, mobilitySpeedSlow, probe, DefaultPolicy())
 	if got == topology.NoCell {
 		t.Fatal("no cell chosen despite usable macro")
 	}
@@ -124,9 +121,9 @@ func TestChooseResourceFallback(t *testing.T) {
 func TestChooseAllRefusedReturnsNoCell(t *testing.T) {
 	top := buildTop(t)
 	micro := top.CellsOfTier(topology.TierMicro)[0]
-	sig := top.Signals(micro.Pos, nil)
+	sig := top.MeasureInto(nil, micro.Pos, nil, topology.TierPico)
 	probe := func(topology.CellID, bool) bool { return false }
-	if got := Choose(top, topology.NoCell, sig, mobilitySpeedSlow, probe, DefaultPolicy()); got != topology.NoCell {
+	if got := new(decisionScratch).choose(top, topology.NoCell, sig, mobilitySpeedSlow, probe, DefaultPolicy()); got != topology.NoCell {
 		t.Fatalf("got %v, want NoCell", got)
 	}
 }
@@ -151,15 +148,15 @@ func TestChooseHysteresisKeepsIncumbent(t *testing.T) {
 		t.Fatal("need two micros")
 	}
 	// Exactly at m1's centre, camped on m1: stay.
-	sig := top.Signals(m1.Pos, nil)
-	if got := Choose(top, m1.ID, sig, mobilitySpeedSlow, nil, DefaultPolicy()); got != m1.ID {
+	sig := top.MeasureInto(nil, m1.Pos, nil, topology.TierPico)
+	if got := new(decisionScratch).choose(top, m1.ID, sig, mobilitySpeedSlow, nil, DefaultPolicy()); got != m1.ID {
 		t.Fatalf("left incumbent at own centre: %v", got)
 	}
 }
 
 func TestChooseEmptySignals(t *testing.T) {
 	top := buildTop(t)
-	if got := Choose(top, topology.NoCell, nil, 1, nil, DefaultPolicy()); got != topology.NoCell {
+	if got := new(decisionScratch).choose(top, topology.NoCell, nil, 1, nil, DefaultPolicy()); got != topology.NoCell {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -172,7 +169,7 @@ func TestChooseFastFallsBackWhenNoMacroUsable(t *testing.T) {
 		{Cell: int(micro.ID), RSSIDBm: -70, InRange: true},
 		{Cell: int(top.DomainRoot(micro.ID)), RSSIDBm: -99, InRange: true},
 	}
-	got := Choose(top, topology.NoCell, sig, mobilitySpeedFast, nil, DefaultPolicy())
+	got := new(decisionScratch).choose(top, topology.NoCell, sig, mobilitySpeedFast, nil, DefaultPolicy())
 	if got != micro.ID {
 		t.Fatalf("fast MN refused the only usable cell: %v", got)
 	}

@@ -62,9 +62,6 @@ func (d *Directory) Profile(mn addr.IP) (*Profile, error) {
 	return p, nil
 }
 
-// Profiles returns the number of registered MNs.
-func (d *Directory) Profiles() int { return len(d.profiles) }
-
 // registerStation records the station serving a cell (called by
 // NewStation).
 func (d *Directory) registerStation(s *Station) {

@@ -23,7 +23,7 @@ func marshal(t *testing.T, m Message) []byte {
 	case *HandoffReply:
 		return m.Marshal()
 	}
-	t.Fatalf("ParseMessage returned unknown message %T", m)
+	t.Fatalf("decode returned unknown message %T", m)
 	return nil
 }
 
@@ -59,7 +59,7 @@ func FuzzParseMessage(f *testing.F) {
 		f.Add(b[:len(b)-1])
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := ParseMessage(b)
+		m, err := new(msgScratch).decode(b)
 		if err != nil {
 			if !errors.Is(err, ErrBadMessage) {
 				t.Fatalf("error %v is not ErrBadMessage", err)
@@ -75,7 +75,7 @@ func FuzzParseMessage(f *testing.F) {
 		if !bytes.Equal(wire, want) {
 			t.Fatalf("Marshal(Parse(%x)) = %x", b, wire)
 		}
-		again, err := ParseMessage(wire)
+		again, err := new(msgScratch).decode(wire)
 		if err != nil {
 			t.Fatalf("re-parse of %x: %v", wire, err)
 		}
@@ -83,7 +83,7 @@ func FuzzParseMessage(f *testing.F) {
 			t.Fatalf("Parse(Marshal(m)) drifted: %x -> %x", wire, w)
 		}
 		if len(wire) > 1 {
-			if _, err := ParseMessage(wire[:len(wire)-1]); err == nil {
+			if _, err := new(msgScratch).decode(wire[:len(wire)-1]); err == nil {
 				t.Fatalf("truncated %x parsed without error", wire[:len(wire)-1])
 			}
 		}

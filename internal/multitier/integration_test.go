@@ -212,7 +212,7 @@ func TestLocationTablesPopulateThePath(t *testing.T) {
 	b.evaluateAt(micro, 1.5)
 	b.run(t, 2*time.Second)
 	serving := b.mn.ServingCell()
-	for _, cid := range b.top.PathToRoot(serving) {
+	for cid := serving; cid != topology.NoCell; cid = b.top.Cells[cid].Parent {
 		st := b.fab.Station(cid)
 		if _, ok := st.Tables().Lookup(b.mn.Home()); !ok {
 			t.Fatalf("station %s has no record", st.Cell().Name)
@@ -507,15 +507,6 @@ func TestAdmissionTelemetryReasonCoded(t *testing.T) {
 	root := b.top.RootOf(b.mn.ServingCell())
 	if got, want := b.stats.RootOccupancy(root).Count(), occ.Count(); got != want {
 		t.Fatalf("root %v occupancy count = %d, want the serving tier's %d", root, got, want)
-	}
-	// Fabric rollup agrees: exactly the serving cell's tier has a
-	// non-zero peak.
-	util := b.fab.Utilization()
-	if util[servingTier].MaxPeak <= 0 {
-		t.Fatalf("fabric utilization for %v = %+v", servingTier, util[servingTier])
-	}
-	if st := b.fab.Station(b.mn.ServingCell()); st.PeakUtilization() <= 0 {
-		t.Fatal("serving station reports zero peak utilization")
 	}
 }
 

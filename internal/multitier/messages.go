@@ -168,9 +168,6 @@ func (*DeleteLocation) isMultiTierMessage()  {}
 func (*HandoffRequest) isMultiTierMessage()  {}
 func (*HandoffReply) isMultiTierMessage()    {}
 
-// ParseMessage decodes a multi-tier control payload into a fresh message.
-func ParseMessage(b []byte) (Message, error) { return new(msgScratch).decode(b) }
-
 // msgScratch is caller-owned decode storage, one message of each type. A
 // receiver that finishes with each message before it decodes the next
 // decodes into one without allocating: a station handles a control

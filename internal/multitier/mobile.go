@@ -3,8 +3,6 @@ package multitier
 import (
 	"time"
 
-	"repro/internal/addr"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -151,18 +149,6 @@ func (m *Mobile) probeResources(cell topology.CellID, handoff bool) bool {
 	}
 	return st.CanAdmit(m.profile.DemandBPS, handoff)
 }
-
-// Node returns the underlying network node.
-func (m *Mobile) Node() *netsim.Node { return m.node }
-
-// Home returns the MN's permanent address.
-func (m *Mobile) Home() addr.IP { return m.profile.Home }
-
-// ServingCell returns the current cell, NoCell when detached.
-func (m *Mobile) ServingCell() topology.CellID { return m.servingCell }
-
-// State returns active or idle.
-func (m *Mobile) State() HostState { return m.state }
 
 // EvaluateSignals runs one decision round on the MN's measured
 // signals: run the three-factor engine and start a handoff when the
@@ -377,16 +363,6 @@ func (m *Mobile) sendLocation() {
 	if m.OnLocationSignal != nil {
 		m.OnLocationSignal()
 	}
-}
-
-// SendData emits uplink data through the serving station.
-func (m *Mobile) SendData(pkt *packet.Packet) {
-	if m.serving == nil {
-		m.node.Network().Drop(m.node, pkt, metrics.DropNoRoute)
-		return
-	}
-	m.goActive()
-	_ = m.node.Network().DeliverDirect(m.node, m.serving.Node(), pkt, m.cfg.AirDelay, m.cfg.AirLoss)
 }
 
 // Receive implements netsim.Handler. The MN is a terminal receiver and

@@ -79,9 +79,6 @@ type Station struct {
 	regLife    time.Duration
 	anchorAuth *auth.Authenticator // signs anchor registrations when armed
 
-	// peakUtil is the highest channel occupancy this cell ever reached —
-	// the per-cell utilization figure the capacity experiments read.
-	peakUtil float64
 	// rootOcc streams this cell's occupancy into its root's aggregate —
 	// the per-root load-balance telemetry dimensioned grids report.
 	rootOcc *metrics.Sample
@@ -129,9 +126,6 @@ func (s *Station) Cell() *topology.Cell { return s.cell }
 // Node returns the underlying network node.
 func (s *Station) Node() *netsim.Node { return s.node }
 
-// Tables exposes the cell tables for tests and experiments.
-func (s *Station) Tables() *CellTables { return s.tables }
-
 // Resources exposes the admission state.
 func (s *Station) Resources() *qos.CellResources { return s.resources }
 
@@ -148,9 +142,6 @@ func (s *Station) SetDegrade(h *DegradeHooks) { s.degrade = h }
 // SetRegPacer installs the registration-storm breaker on a root anchor.
 // Nil disarms pacing.
 func (s *Station) SetRegPacer(p RegPacer) { s.regPacer = p }
-
-// Controller returns the installed RSMC hook, if any.
-func (s *Station) Controller() Controller { return s.controller }
 
 // ConnectChild wires child beneath s.
 func (s *Station) ConnectChild(child *Station, linkCfg netsim.LinkConfig) *netsim.Link {
@@ -174,10 +165,6 @@ func (s *Station) MakeAnchor(anchorAddr addr.IP) *netsim.StaticRouter {
 	s.external = netsim.NewDetachedRouter(s.node)
 	return s.external
 }
-
-// AnchorAddr returns the root's care-of address (unspecified when not an
-// anchor).
-func (s *Station) AnchorAddr() addr.IP { return s.anchorAddr }
 
 // SetAnchorAuth arms MHAE signing of the root's anchor registrations
 // with the Home Agents (the same extension mobile nodes use in the flat
@@ -292,25 +279,17 @@ func (s *Station) ReleaseSession(mn addr.IP) {
 	}
 }
 
-// PeakUtilization returns the highest channel occupancy the cell
-// reached over the run, in [0, 1].
-func (s *Station) PeakUtilization() float64 { return s.peakUtil }
-
 // Utilization returns the cell's current channel occupancy in [0, 1] —
 // the instantaneous gauge the observability sampler reads on a cadence
-// (PeakUtilization and the streaming samples stay event-driven).
+// (the streaming samples stay event-driven).
 func (s *Station) Utilization() float64 { return s.resources.Channels.Utilization() }
 
 // observeOccupancy folds the cell's current channel occupancy into the
-// tier's streaming sample, the owning root's load-balance sample and the
-// cell's peak. Called after every admission grant and session release, so
-// both occupancy distributions are exact without retaining per-event
-// state.
+// tier's streaming sample and the owning root's load-balance sample.
+// Called after every admission grant and session release, so both
+// occupancy distributions are exact without retaining per-event state.
 func (s *Station) observeOccupancy() {
 	u := s.resources.Channels.Utilization()
-	if u > s.peakUtil {
-		s.peakUtil = u
-	}
 	if smp, ok := s.stats.TierOccupancy[s.cell.Tier]; ok {
 		smp.Observe(u)
 	}

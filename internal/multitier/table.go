@@ -32,9 +32,6 @@ func NewTable(timeout time.Duration, sched *simtime.Scheduler) *Table {
 	return &Table{timeout: timeout, sched: sched, entries: make(map[addr.IP]Record)}
 }
 
-// Timeout returns the configured record lifetime.
-func (t *Table) Timeout() time.Duration { return t.timeout }
-
 // Update installs or refreshes the record for mn, ignoring stale sequence
 // numbers so a delayed old Location Message cannot clobber a newer one.
 // It reports whether the record was applied.
@@ -61,18 +58,6 @@ func (t *Table) Lookup(mn addr.IP) (Record, bool) {
 
 // Delete erases the record for mn (Delete Location Message).
 func (t *Table) Delete(mn addr.IP) { delete(t.entries, mn) }
-
-// Len returns the number of live records.
-func (t *Table) Len() int {
-	n := 0
-	now := t.sched.Now()
-	for _, r := range t.entries {
-		if r.Expires > now {
-			n++
-		}
-	}
-	return n
-}
 
 // CellTables bundles the paper's two tables. Micro-cell stations hold only
 // a micro_table; macro and root stations hold both, and lookups search the

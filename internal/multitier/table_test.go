@@ -177,7 +177,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		case *HandoffReply:
 			b = m.Marshal()
 		}
-		got, err := ParseMessage(b)
+		got, err := new(msgScratch).decode(b)
 		if err != nil {
 			t.Fatalf("msg %d: %v", i, err)
 		}
@@ -209,7 +209,7 @@ func TestHandoffRequestRoundTripWithToken(t *testing.T) {
 	for i := range req.Token {
 		req.Token[i] = byte(i)
 	}
-	got, err := ParseMessage(req.Marshal())
+	got, err := new(msgScratch).decode(req.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 	cases := [][]byte{nil, {}, {99}, {msgLocation, 1}, {msgUpdateLocation}, {msgDeleteLocation, 1, 2},
 		{msgHandoffRequest, 0}, {msgHandoffReply}}
 	for i, b := range cases {
-		if _, err := ParseMessage(b); err == nil {
+		if _, err := new(msgScratch).decode(b); err == nil {
 			t.Fatalf("case %d parsed", i)
 		}
 	}

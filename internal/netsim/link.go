@@ -46,9 +46,6 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	return l
 }
 
-// Endpoints returns the two attached nodes.
-func (l *Link) Endpoints() (*Node, *Node) { return l.a, l.b }
-
 // Peer returns the node at the other end from n, or nil when n is not an
 // endpoint.
 func (l *Link) Peer(n *Node) *Node {
@@ -74,7 +71,10 @@ func (l *Link) SetLoss(p float64) { l.cfg.Loss = p }
 func (l *Link) SetDelay(d time.Duration) { l.cfg.Delay = d }
 
 // SetDown marks the link failed. Packets already in flight still arrive;
-// new sends fail.
+// new sends fail. Only tests cut links (fault injection downs nodes):
+// the netsim and Mobile IP retry tests use it.
+//
+//mmlint:testref netsim and Mobile IP retry tests cut a link
 func (l *Link) SetDown(down bool) { l.down = down }
 
 // Down reports the failure state.
@@ -82,17 +82,6 @@ func (l *Link) Down() bool { return l.down }
 
 // String implements fmt.Stringer.
 func (l *Link) String() string { return fmt.Sprintf("%s<->%s", l.a, l.b) }
-
-// QueueDepth returns the packets awaiting transmission from n.
-func (l *Link) QueueDepth(n *Node) int {
-	if n == l.a {
-		return l.dirs[0].queued
-	}
-	if n == l.b {
-		return l.dirs[1].queued
-	}
-	return 0
-}
 
 // txDelay returns the serialization time for a packet of the given size.
 func (l *Link) txDelay(size int) time.Duration {

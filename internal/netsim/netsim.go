@@ -144,18 +144,8 @@ func New(sched *simtime.Scheduler, rng *simtime.Rand) *Network {
 // Scheduler returns the network's clock.
 func (n *Network) Scheduler() *simtime.Scheduler { return n.sched }
 
-// Now returns the current virtual time.
-func (n *Network) Now() time.Duration { return n.sched.Now() }
-
 // SetObserver installs the packet-fate observer (may be nil).
 func (n *Network) SetObserver(o Observer) { n.observer = o }
-
-// Nodes returns all nodes in creation order. The slice is a copy.
-func (n *Network) Nodes() []*Node {
-	out := make([]*Node, len(n.nodes))
-	copy(out, n.nodes)
-	return out
-}
 
 // Links returns all wired links in creation order. The slice is a copy;
 // fault injection indexes into it to pick degradation targets.
@@ -189,9 +179,6 @@ type Node struct {
 // ID returns the node's network-unique id.
 func (nd *Node) ID() NodeID { return nd.id }
 
-// Name returns the diagnostic name.
-func (nd *Node) Name() string { return nd.name }
-
 // Network returns the owning network.
 func (nd *Node) Network() *Network { return nd.net }
 
@@ -205,19 +192,6 @@ func (nd *Node) SetHandler(h Handler) { nd.handler = h }
 func (nd *Node) AddAddr(ip addr.IP) {
 	nd.addrs = append(nd.addrs, ip)
 	nd.net.byAddr[ip] = nd
-}
-
-// RemoveAddr releases ownership of an address (care-of address churn).
-func (nd *Node) RemoveAddr(ip addr.IP) {
-	for i, a := range nd.addrs {
-		if a == ip {
-			nd.addrs = append(nd.addrs[:i], nd.addrs[i+1:]...)
-			break
-		}
-	}
-	if nd.net.byAddr[ip] == nd {
-		delete(nd.net.byAddr, ip)
-	}
 }
 
 // HasAddr reports whether the node owns ip.
@@ -236,13 +210,6 @@ func (nd *Node) Addr() addr.IP {
 		return addr.Unspecified
 	}
 	return nd.addrs[0]
-}
-
-// Links returns the node's attached links. The slice is a copy.
-func (nd *Node) Links() []*Link {
-	out := make([]*Link, len(nd.links))
-	copy(out, nd.links)
-	return out
 }
 
 // SetDown marks the node failed (failure injection). A down node neither

@@ -28,7 +28,7 @@ func newSink(n *Network) *sink { return &sink{net: n} }
 func (s *sink) Receive(pkt *packet.Packet, from *Node, link *Link) {
 	s.got = append(s.got, pkt)
 	s.from = append(s.from, from)
-	s.at = append(s.at, s.net.Now())
+	s.at = append(s.at, s.net.Scheduler().Now())
 }
 
 func mkPkt(size int) *packet.Packet {

@@ -46,9 +46,6 @@ func NewDetachedRouter(node *Node) *StaticRouter {
 	return &StaticRouter{node: node}
 }
 
-// Node returns the underlying node.
-func (r *StaticRouter) Node() *Node { return r.node }
-
 // AddRoute installs a route. Routes are matched longest-prefix-first;
 // among equal lengths, the earliest installed wins.
 func (r *StaticRouter) AddRoute(prefix addr.Prefix, via *Link) {

@@ -166,49 +166,6 @@ func (m *Monitor) AddRule(r Rule) error {
 	return nil
 }
 
-// Rules reports how many rules are registered.
-func (m *Monitor) Rules() int {
-	if m == nil {
-		return 0
-	}
-	return len(m.rules)
-}
-
-// Active reports whether the named rule's alert is currently raised.
-func (m *Monitor) Active(name string) bool {
-	if m == nil {
-		return false
-	}
-	for i := range m.rules {
-		if m.rules[i].Name == name {
-			return m.rules[i].active
-		}
-	}
-	return false
-}
-
-// Raised and Cleared count alert transitions across all rules.
-func (m *Monitor) Raised() int {
-	n := 0
-	if m != nil {
-		for i := range m.rules {
-			n += m.rules[i].raises
-		}
-	}
-	return n
-}
-
-// Cleared counts clear transitions across all rules.
-func (m *Monitor) Cleared() int {
-	n := 0
-	if m != nil {
-		for i := range m.rules {
-			n += m.rules[i].clears
-		}
-	}
-	return n
-}
-
 // alertValPPM encodes the evaluated value into the event's Val operand
 // as parts-per-million fixed point (occupancies and fractions survive
 // the int64 round-trip at this resolution).

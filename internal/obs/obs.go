@@ -232,9 +232,6 @@ func New(cfg Config) *Trace {
 	}
 }
 
-// Enabled reports whether the trace records anything.
-func (t *Trace) Enabled() bool { return t != nil }
-
 // Emit appends one event. Past capacity it drops (counted); on a nil
 // receiver it is a no-op. This is the hot-path hook: no allocation, no
 // rng, sim-time stamp supplied by the caller.

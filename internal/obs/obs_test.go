@@ -14,7 +14,7 @@ func TestNilTraceIsInert(t *testing.T) {
 	tr.Emit(time.Second, KindRegAttempt, 0, -1, 0, 0)
 	tr.AddProbe("x", func() float64 { return 1 })
 	tr.SampleAll(time.Second)
-	if tr.Enabled() || tr.Events() != nil || tr.Dropped() != 0 || tr.Samples() != 0 {
+	if tr != nil || tr.Events() != nil || tr.Dropped() != 0 || tr.Samples() != 0 {
 		t.Fatal("nil trace must observe nothing")
 	}
 	var buf bytes.Buffer

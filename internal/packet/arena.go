@@ -58,15 +58,16 @@ func (a *Arena) Put(p *Packet) {
 	a.free = append(a.free, p)
 }
 
-// Allocated returns the number of packets the arena created fresh — the
-// scenario's peak packet working set, and the number the bounded-memory
-// acceptance watches: it must plateau once the pipeline fills.
-func (a *Arena) Allocated() uint64 { return a.allocated }
-
-// Reused returns the number of Gets served from the free list.
+// Reused returns the number of Gets served from the free list. Only
+// tests read it: the packet and qos tests use it as the recycling oracle.
+//
+//mmlint:testref recycling oracle for the packet and qos arena tests
 func (a *Arena) Reused() uint64 { return a.reused }
 
-// FreeLen returns the current free-list length.
+// FreeLen returns the current free-list length. Only tests read it: the
+// packet and qos tests use it as the recycling oracle.
+//
+//mmlint:testref recycling oracle for the packet and qos arena tests
 func (a *Arena) FreeLen() int { return len(a.free) }
 
 // Live returns the number of packets currently checked out.

@@ -241,8 +241,10 @@ const (
 
 // New returns a data packet with a full TTL. The packet comes from the
 // global free list; hand it back with Release when it leaves the network.
+// Only tests call it: runs draw data packets through NewFrom.
 //
 //mmlint:noalloc
+//mmlint:testref tests across the simulator build data packets without an arena
 func New(src, dst addr.IP, class Class, flowID, seq uint32, payload []byte) *Packet {
 	return NewFrom(nil, src, dst, class, flowID, seq, payload)
 }
@@ -321,19 +323,6 @@ func (p *Packet) Clone() *Packet {
 	return q
 }
 
-// WritablePayload returns a payload slice safe to mutate, copying the
-// bytes first when they are shared with a clone or the static zero
-// buffer. Protocol code must use this instead of writing Payload directly.
-func (p *Packet) WritablePayload() []byte {
-	if p.sharedPayload && p.Payload != nil {
-		own := make([]byte, len(p.Payload))
-		copy(own, p.Payload)
-		p.Payload = own
-		p.sharedPayload = false
-	}
-	return p.Payload
-}
-
 // DecrementTTL ages the packet by one hop, returning ErrTTLExceeded when
 // the TTL hits zero. Routers call this before forwarding.
 func (p *Packet) DecrementTTL() error {
@@ -401,6 +390,10 @@ func (p *Packet) Decapsulate() (*Packet, error) {
 
 // Marshal renders the packet to wire bytes: 20-byte header + payload.
 // Encapsulated inner packets are marshalled recursively into the payload.
+// Runs never serialise packets; the wire round-trip tests, the
+// FuzzUnmarshal seeds and BenchmarkPacketMarshalUnmarshal encode with it.
+//
+//mmlint:testref wire format: round-trip tests, fuzz seeds and the root benchmark encode with it
 func (p *Packet) Marshal() ([]byte, error) {
 	if p == nil {
 		return nil, ErrNilPacket

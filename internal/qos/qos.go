@@ -58,9 +58,6 @@ func (p *ChannelPool) Total() int { return p.total }
 // InUse returns the busy channel count.
 func (p *ChannelPool) InUse() int { return p.inUse }
 
-// Free returns the idle channel count.
-func (p *ChannelPool) Free() int { return p.total - p.inUse }
-
 // Utilization returns inUse/total in [0,1].
 func (p *ChannelPool) Utilization() float64 {
 	if p.total == 0 {
@@ -134,9 +131,6 @@ func NewBandwidthPool(capacityBps float64) *BandwidthPool {
 // Capacity returns the configured capacity in bps.
 func (b *BandwidthPool) Capacity() float64 { return b.capacity }
 
-// Used returns the reserved bandwidth in bps.
-func (b *BandwidthPool) Used() float64 { return b.used }
-
 // Available returns the unreserved bandwidth in bps.
 func (b *BandwidthPool) Available() float64 { return b.capacity - b.used }
 
@@ -196,9 +190,6 @@ func (s *Session) Release() error {
 	}
 	return s.cell.Bandwidth.Release(s.bps)
 }
-
-// BPS returns the session's reserved bandwidth.
-func (s *Session) BPS() float64 { return s.bps }
 
 // Class returns the traffic class recorded at admission (zero when the
 // request carried none). The degradation ladder's preemption policy
@@ -291,9 +282,6 @@ func (b *SwitchBuffer) Buffer(p *packet.Packet) bool {
 	b.pkts = append(b.pkts, p)
 	return true
 }
-
-// Len returns the buffered packet count.
-func (b *SwitchBuffer) Len() int { return len(b.pkts) }
 
 // Drain delivers all buffered packets to deliver in arrival order and
 // empties the buffer.

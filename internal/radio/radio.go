@@ -98,30 +98,6 @@ func (p Params) RSSI(d float64, rng *simtime.Rand) float64 {
 	return mean + rng.Normal(0, p.ShadowSigmaDB)
 }
 
-// SNR converts an RSSI sample to a signal-to-noise ratio in dB.
-func (p Params) SNR(rssiDBm float64) float64 { return rssiDBm - p.NoiseFloorDBm }
-
-// RangeForRSSI returns the distance at which the mean RSSI equals the given
-// threshold — the usable radius for a receiver sensitivity.
-func (p Params) RangeForRSSI(thresholdDBm float64) float64 {
-	// threshold = TxPower - RefLoss - 10*n*log10(d)
-	exp := (p.TxPowerDBm - p.RefLossDB - thresholdDBm) / (10 * p.Exponent)
-	return math.Pow(10, exp)
-}
-
-// LossProbability maps an SNR in dB to a per-packet loss probability on
-// the wireless hop with a logistic curve: ~50% at 3 dB, <1% above 10 dB,
-// saturating to 1 below 0 dB. The exact curve is a substitution for real
-// fading (see DESIGN.md); experiments depend only on its monotonicity.
-func LossProbability(snrDB float64) float64 {
-	const midpoint, steepness = 3.0, 1.2
-	p := 1 / (1 + math.Exp(steepness*(snrDB-midpoint)))
-	if p < 0.0005 { // floor: residual interference loss
-		p = 0.0005
-	}
-	return p
-}
-
 // Signal is one measured candidate cell.
 type Signal struct {
 	// Cell is an opaque identifier meaningful to the caller (topology
@@ -192,7 +168,11 @@ func (s Selector) Best(current int, candidates []Signal) int {
 }
 
 // MeasureAt computes the Signal for a transmitter at txPos with the given
-// params, observed from rxPos.
+// params, observed from rxPos. Runs measure through topology's
+// Cell.MeasureInRange; the topology and radio tests keep MeasureAt as
+// its reference.
+//
+//mmlint:testref reference result for Cell.MeasureInRange in the topology tests
 func MeasureAt(cell int, p Params, txPos, rxPos geo.Point, rng *simtime.Rand) Signal {
 	d := txPos.DistanceTo(rxPos)
 	return Signal{

@@ -79,19 +79,6 @@ func New(station *multitier.Station, authenticator *auth.Authenticator, stats *S
 	return r
 }
 
-// Domain returns the controlled domain id.
-func (r *RSMC) Domain() int { return r.domain }
-
-// Station returns the domain-head station.
-func (r *RSMC) Station() *multitier.Station { return r.station }
-
-// MemberCount returns the MNs currently served inside the domain head's
-// own cell (macro-tier air).
-func (r *RSMC) MemberCount() int { return len(r.members) }
-
-// Member reports whether mn is attached at the domain head.
-func (r *RSMC) Member(mn addr.IP) bool { return r.members[mn] }
-
 // Authorize implements multitier.Controller: verify the MN's HMAC token
 // with replay protection.
 func (r *RSMC) Authorize(mn addr.IP, nonce uint64, token []byte) error {

@@ -34,10 +34,12 @@ var mn = addr.MustParse("172.16.0.5")
 func TestRSMCInstallsAsController(t *testing.T) {
 	head, reg := buildHead(t)
 	r := New(head, nil, NewStats(reg, 0))
-	if head.Controller() != multitier.Controller(r) {
+	// The station's attach hook reaches the RSMC only once it is installed.
+	head.AttachMN(mn, head.Node().Network().NewNode("mn"))
+	if !r.members[mn] {
 		t.Fatal("RSMC not installed on station")
 	}
-	if r.Domain() != 0 || r.Station() != head {
+	if r.domain != 0 || r.station != head {
 		t.Fatal("RSMC identity wrong")
 	}
 }
@@ -88,11 +90,11 @@ func TestRSMCMembershipTracking(t *testing.T) {
 	net := head.Node().Network()
 	mnNode := net.NewNode("mn")
 	head.AttachMN(mn, mnNode)
-	if !r.Member(mn) || r.MemberCount() != 1 {
+	if !r.members[mn] || len(r.members) != 1 {
 		t.Fatal("attach not tracked")
 	}
 	head.DetachMN(mn)
-	if r.Member(mn) || r.MemberCount() != 0 {
+	if r.members[mn] || len(r.members) != 0 {
 		t.Fatal("detach not tracked")
 	}
 	if r.stats.Attaches.Value() != 1 || r.stats.Detaches.Value() != 1 {

@@ -104,19 +104,6 @@ func PairedSeed(base int64, rep int) int64 {
 	return Seed(base, 0, rep)
 }
 
-// PairedSeeds returns the full paired seed stream for reps replications.
-// It is the single source of truth shared by Run's Paired mode and by
-// callers that pin Job.Seeds to merge several paired batches into one
-// (the flattened experiment suite) — using it on both sides is what
-// keeps a flattened batch bit-identical to per-batch execution.
-func PairedSeeds(base int64, reps int) []int64 {
-	s := make([]int64, reps)
-	for r := range s {
-		s[r] = PairedSeed(base, r)
-	}
-	return s
-}
-
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -55,11 +55,6 @@ func (r *Rand) UniformDuration(lo, hi time.Duration) time.Duration {
 	return lo + time.Duration(r.rng.Int64N(int64(hi-lo)))
 }
 
-// Exponential returns an exponentially distributed value with the given
-// mean. It is the inter-arrival law for Poisson processes (session
-// arrivals, data packet gaps).
-func (r *Rand) Exponential(mean float64) float64 { return r.rng.ExpFloat64() * mean }
-
 // ExponentialDuration returns an exponentially distributed duration with
 // the given mean.
 func (r *Rand) ExponentialDuration(mean time.Duration) time.Duration {

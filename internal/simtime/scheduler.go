@@ -77,15 +77,6 @@ func (a heapEntry) less(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// At reports the virtual time the event is scheduled for, or zero when the
-// event already fired or was cancelled.
-func (e Event) At() time.Duration {
-	if sl := e.slot(); sl != nil {
-		return sl.at
-	}
-	return 0
-}
-
 // Cancel prevents the event from firing. Cancelling an event that already
 // fired or was already cancelled is a no-op. Cancel reports whether the
 // event was still pending.
@@ -179,19 +170,17 @@ func NewScheduler() *Scheduler { return &Scheduler{} }
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// Len returns the number of live pending events. Cancelled events that
-// have not yet been discarded by the run loop are not counted; an armed
-// ticker or pending AfterFIFO entry counts as one live event (its line's
-// single heap entry is bookkeeping, not a logical event, and is excluded).
-func (s *Scheduler) Len() int { return len(s.heap) - s.canceled - s.groupEvts + s.members }
-
 // Queued returns the raw queue occupancy: pending heap entries, including
 // cancelled events that lazy removal has not collected yet, but not line
 // entries (each line contributes at most one heap entry, which is what
 // keeps Queued O(distinct intervals) under thousands of tickers).
 func (s *Scheduler) Queued() int { return len(s.heap) }
 
-// Fired returns the total number of events executed so far.
+// Fired returns the total number of events executed so far. Only tests
+// read it: the scheduler and netsim tests use it as the event-count
+// oracle.
+//
+//mmlint:testref event-count oracle for the simtime and netsim tests
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // GroupCount returns the number of distinct ticker intervals pooled
@@ -270,15 +259,21 @@ func (s *Scheduler) After(d time.Duration, fn func()) Event {
 }
 
 // Stop makes the current Run / RunUntil call return ErrStopped after the
-// in-flight event completes. Pending events remain queued.
+// in-flight event completes. Pending events remain queued. Only tests
+// call it, to stop a run mid-flight (simtime's stop tests, core's
+// stopped-run prime join).
+//
+//mmlint:testref simtime and core tests stop a run mid-flight
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // Step fires the single earliest pending event, advancing virtual time to
 // its timestamp. It reports false when the queue is empty. A delay line
 // that event belongs to may also run its further entries due at that
-// same instant (see delayLine.fire), never a later one.
+// same instant (see delayLine.fire), never a later one. Only tests call
+// it: the alloc tests and root benchmarks price one event at a time.
 //
 //mmlint:noalloc
+//mmlint:testref alloc tests and benchmarks step one event at a time
 func (s *Scheduler) Step() bool { return s.step(0) }
 
 // step is the run loop's unit: pop the earliest live event, advance the
@@ -310,7 +305,10 @@ func (s *Scheduler) step(horizon time.Duration) bool {
 }
 
 // Run executes events until the queue drains or Stop is called. It returns
-// ErrStopped in the latter case, nil otherwise.
+// ErrStopped in the latter case, nil otherwise. Only tests call it, to
+// drain a queue that has no horizon; runs use RunUntil.
+//
+//mmlint:testref simtime, netsim, cellularip and multitier tests drain the queue
 func (s *Scheduler) Run() error {
 	s.stopped = false
 	for !s.stopped {

@@ -79,6 +79,3 @@ func (t *Ticker) Stop() {
 
 // Stopped reports whether the ticker has been stopped.
 func (t *Ticker) Stopped() bool { return t.stopped }
-
-// Ticks returns how many times the ticker has fired.
-func (t *Ticker) Ticks() uint64 { return t.ticks }

@@ -76,11 +76,6 @@ type Cell struct {
 // NoDomain marks cells above the domain level.
 const NoDomain = -1
 
-// Coverage returns the cell's nominal coverage circle.
-func (c *Cell) Coverage() geo.Circle {
-	return geo.Circle{Center: c.Pos, Radius: c.Radio.MaxRange}
-}
-
 // MeasureInRange returns the signal of c at p, exactly
 // radio.MeasureAt(int(c.ID), c.Radio, c.Pos, p, rng), or false without
 // computing an RSSI or drawing shadowing from rng when p lies beyond c's
@@ -496,26 +491,6 @@ func (t *Topology) CellsOfTier(tier Tier) []*Cell {
 	return out
 }
 
-// Covering returns the ids of cells whose nominal coverage contains p,
-// in id order. The grid restricts the scan to the neighbourhood of p.
-func (t *Topology) Covering(p geo.Point) []CellID {
-	var out []CellID
-	for _, id := range t.Nearby(p) {
-		if t.Cells[id].Coverage().Contains(p) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Signals measures the in-range cells of every tier at p (see
-// MeasureInto). The radio.Signal Cell field carries the CellID.
-// Allocates a fresh slice per call; hot paths should hold a scratch
-// buffer and use MeasureInto.
-func (t *Topology) Signals(p geo.Point, rng *simtime.Rand) []radio.Signal {
-	return t.MeasureInto(nil, p, rng, TierPico)
-}
-
 // MeasureInto measures, into dst (reusing its capacity), every cell of
 // tier minTier or above whose nominal range reaches p, in id order, and
 // returns the filled slice. Each signal has InRange set and draws its
@@ -523,9 +498,10 @@ func (t *Topology) Signals(p geo.Point, rng *simtime.Rand) []radio.Signal {
 // neighbourhood of p bounds the scan; a neighbour below minTier is
 // dropped before any RSSI, and one out of range before its RSSI or any
 // shadowing draw. An out-of-range cell can never be selected
-// (Selector.Best and Choose ignore out-of-range candidates, and an
-// unmeasured incumbent behaves exactly like an out-of-range one), so the
-// per-tick cost is O(nearby) instead of O(all cells).
+// (Selector.Best and multitier's cell choice ignore out-of-range
+// candidates, and an unmeasured incumbent behaves exactly like an
+// out-of-range one), so the per-tick cost is O(nearby) instead of
+// O(all cells).
 func (t *Topology) MeasureInto(dst []radio.Signal, p geo.Point, rng *simtime.Rand, minTier Tier) []radio.Signal {
 	dst = dst[:0]
 	for _, id := range t.Nearby(p) {
@@ -538,48 +514,6 @@ func (t *Topology) MeasureInto(dst []radio.Signal, p geo.Point, rng *simtime.Ran
 		}
 	}
 	return dst
-}
-
-// PathToRoot returns the cell ids from c up to its top-level ancestor,
-// inclusive of both.
-func (t *Topology) PathToRoot(c CellID) []CellID {
-	var out []CellID
-	for c != NoCell {
-		out = append(out, c)
-		c = t.Cells[c].Parent
-	}
-	return out
-}
-
-// Crossover returns the lowest common ancestor of a and b — the paper's
-// "crossover base station" where old and new handoff paths merge — or
-// NoCell when they share no ancestor (different roots).
-func (t *Topology) Crossover(a, b CellID) CellID {
-	onPath := make(map[CellID]bool)
-	for _, c := range t.PathToRoot(a) {
-		onPath[c] = true
-	}
-	for _, c := range t.PathToRoot(b) {
-		if onPath[c] {
-			return c
-		}
-	}
-	return NoCell
-}
-
-// HopsToCrossover returns how many parent-hops up from `from` the
-// crossover with `to` sits, or -1 when there is none. Handoff latency in
-// Cellular IP scales with this depth.
-func (t *Topology) HopsToCrossover(from, to CellID) int {
-	x := t.Crossover(from, to)
-	if x == NoCell {
-		return -1
-	}
-	hops := 0
-	for c := from; c != x; c = t.Cells[c].Parent {
-		hops++
-	}
-	return hops
 }
 
 // SameDomain reports whether two cells belong to the same domain.

@@ -147,22 +147,34 @@ func TestCoverageNesting(t *testing.T) {
 			continue
 		}
 		root := top.Cell(top.RootOf(c.ID))
-		if !root.Coverage().Contains(c.Pos) {
+		if !covers(root, c.Pos) {
 			t.Fatalf("%s centre outside root coverage", c.Name)
 		}
 		if c.Tier == TierMicro || c.Tier == TierPico {
 			dm := top.Cell(top.DomainRoot(c.ID))
-			if !dm.Coverage().Contains(c.Pos) {
+			if !covers(dm, c.Pos) {
 				t.Fatalf("%s centre outside domain macro coverage", c.Name)
 			}
 		}
 	}
 }
 
+// covering returns the ids of cells whose nominal coverage contains p,
+// in id order, from the grid neighbourhood of p.
+func covering(top *Topology, p geo.Point) []CellID {
+	var out []CellID
+	for _, id := range top.Nearby(p) {
+		if covers(top.Cells[id], p) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 func TestCoveringQuery(t *testing.T) {
 	top := build(t, DefaultConfig())
 	micro := top.CellsOfTier(TierMicro)[0]
-	ids := top.Covering(micro.Pos)
+	ids := covering(top, micro.Pos)
 	foundSelf, foundMacro := false, false
 	for _, id := range ids {
 		if id == micro.ID {
@@ -176,14 +188,14 @@ func TestCoveringQuery(t *testing.T) {
 		t.Fatalf("Covering at micro centre = %v", ids)
 	}
 	// A point far outside the arena is covered by nothing.
-	if ids := top.Covering(geo.Pt(-1e6, -1e6)); len(ids) != 0 {
+	if ids := covering(top, geo.Pt(-1e6, -1e6)); len(ids) != 0 {
 		t.Fatalf("far point covered by %v", ids)
 	}
 }
 
 func TestSignalsMeasureCandidates(t *testing.T) {
 	top := build(t, DefaultConfig())
-	sigs := top.Signals(top.Cells[0].Pos, nil)
+	sigs := top.MeasureInto(nil, top.Cells[0].Pos, nil, TierPico)
 	if len(sigs) == 0 {
 		t.Fatal("no signals at a root centre")
 	}
@@ -204,7 +216,7 @@ func TestSignalsMeasureCandidates(t *testing.T) {
 		t.Fatalf("measured %d in-range cells, want %d", measured, inRange)
 	}
 	// Deterministic without rng.
-	sigs2 := top.Signals(top.Cells[0].Pos, nil)
+	sigs2 := top.MeasureInto(nil, top.Cells[0].Pos, nil, TierPico)
 	for i := range sigs {
 		if sigs[i] != sigs2[i] {
 			t.Fatal("nil-rng signals nondeterministic")
@@ -212,7 +224,7 @@ func TestSignalsMeasureCandidates(t *testing.T) {
 	}
 	// A shadowing rng measures the same in-range cells in the same order:
 	// shadowing moves RSSIs, never which cells are measured.
-	shadowed := top.Signals(top.Cells[0].Pos, simtime.NewRand(1))
+	shadowed := top.MeasureInto(nil, top.Cells[0].Pos, simtime.NewRand(1), TierPico)
 	if len(shadowed) != len(sigs) {
 		t.Fatalf("shadowed measurement has %d signals, want %d", len(shadowed), len(sigs))
 	}
@@ -323,29 +335,26 @@ func TestCrossoverAndHops(t *testing.T) {
 	if len(micros) < 2 {
 		t.Fatal("domain has fewer than 2 micros")
 	}
-	x := top.Crossover(micros[0], micros[1])
+	x, _ := crossover(top, micros[0], micros[1])
 	if x == NoCell || !top.SameDomain(micros[0], x) && top.TierOf(x) != TierRoot {
 		t.Fatalf("crossover = %v", x)
 	}
 	// micros[1] chains under micros[0], so their crossover is micros[0]
 	// itself at zero hops from it.
-	if top.Crossover(micros[0], micros[1]) != micros[0] {
+	if x != micros[0] {
 		t.Fatal("ancestor crossover should be the ancestor")
 	}
-	if h := top.HopsToCrossover(micros[1], micros[0]); h != 1 {
+	if _, h := crossover(top, micros[1], micros[0]); h != 1 {
 		t.Fatalf("child->parent hops = %d, want 1", h)
 	}
 	// micros[1] (chained) and micros[2] (sibling branch) merge at the
 	// domain macro: two hops up from the chained micro.
-	if h := top.HopsToCrossover(micros[1], micros[2]); h != 2 {
+	if _, h := crossover(top, micros[1], micros[2]); h != 2 {
 		t.Fatalf("chained->sibling hops = %d, want 2", h)
 	}
 	// Same cell: crossover is itself, zero hops.
-	if top.Crossover(micros[0], micros[0]) != micros[0] {
-		t.Fatal("self crossover wrong")
-	}
-	if top.HopsToCrossover(micros[0], micros[0]) != 0 {
-		t.Fatal("self hops wrong")
+	if x, h := crossover(top, micros[0], micros[0]); x != micros[0] || h != 0 {
+		t.Fatalf("self crossover = %d at %d hops, want %d at 0", x, h, micros[0])
 	}
 	// Cells under different roots share no ancestor.
 	r0 := top.CellsOfTier(TierMacro)[0].ID
@@ -359,12 +368,23 @@ func TestCrossoverAndHops(t *testing.T) {
 	if r1 == NoCell {
 		t.Fatal("no macro under a different root")
 	}
-	if top.Crossover(r0, r1) != NoCell {
-		t.Fatal("different-root crossover should be NoCell")
+	if x, h := crossover(top, r0, r1); x != NoCell || h != -1 {
+		t.Fatalf("different-root crossover = %d at %d hops, want NoCell at -1", x, h)
 	}
-	if top.HopsToCrossover(r0, r1) != -1 {
-		t.Fatal("different-root hops should be -1")
+}
+
+// crossover returns the lowest common ancestor of a and b — the paper's
+// "crossover base station" where old and new handoff paths merge — and
+// how many parent-hops up from a it sits, or NoCell and -1 when they
+// share no ancestor (different roots).
+func crossover(top *Topology, a, b CellID) (CellID, int) {
+	pb := pathToRoot(top, b)
+	for i, c := range pathToRoot(top, a) {
+		if contains(pb, c) {
+			return c, i
+		}
 	}
+	return NoCell, -1
 }
 
 func TestDomainAndUpperBSPredicates(t *testing.T) {
@@ -398,7 +418,7 @@ func TestDomainAndUpperBSPredicates(t *testing.T) {
 func TestPathToRootEndsAtRoot(t *testing.T) {
 	top := build(t, DefaultConfig())
 	for _, c := range top.Cells {
-		path := top.PathToRoot(c.ID)
+		path := pathToRoot(top, c.ID)
 		if path[0] != c.ID {
 			t.Fatal("path must start at the cell")
 		}
@@ -419,7 +439,7 @@ func TestArenaCoversEverything(t *testing.T) {
 			t.Fatalf("cell %s outside arena", c.Name)
 		}
 	}
-	if top.Arena.Width() <= 0 || top.Arena.Height() <= 0 {
+	if size := top.Arena.Max.Sub(top.Arena.Min); size.DX <= 0 || size.DY <= 0 {
 		t.Fatal("degenerate arena")
 	}
 }
@@ -485,12 +505,12 @@ func TestMultiRootGridLayout(t *testing.T) {
 		t.Fatal("first grid column not vertical")
 	}
 	// Grid arenas are two-dimensional: taller than one root band.
-	if top.Arena.Height() <= top.Arena.Width()/2 {
-		t.Fatalf("3x3 grid arena %gx%g is still row-shaped", top.Arena.Width(), top.Arena.Height())
+	if size := top.Arena.Max.Sub(top.Arena.Min); size.DY <= size.DX/2 {
+		t.Fatalf("3x3 grid arena %gx%g is still row-shaped", size.DX, size.DY)
 	}
 	// The hierarchy invariants hold on grids too.
 	for _, c := range top.Cells {
-		if c.Tier != TierRoot && !top.Cell(top.RootOf(c.ID)).Coverage().Contains(c.Pos) {
+		if c.Tier != TierRoot && !covers(top.Cell(top.RootOf(c.ID)), c.Pos) {
 			t.Fatalf("%s outside its root's coverage on the grid", c.Name)
 		}
 	}
@@ -588,7 +608,7 @@ func TestRadioOverrides(t *testing.T) {
 		if c.Tier == TierRoot {
 			continue
 		}
-		if !top.Cell(top.RootOf(c.ID)).Coverage().Contains(c.Pos) {
+		if !covers(top.Cell(top.RootOf(c.ID)), c.Pos) {
 			t.Fatalf("%s outside root coverage under radio overrides", c.Name)
 		}
 	}
@@ -701,10 +721,9 @@ func TestNearbyCachedPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestAncestorWalksMatchPathToRoot pins Crossover, RootOf (a slice-free
-// parent walk) and HopsToCrossover to a reference built from
-// PathToRoot, for every ordered cell pair of the default layout and of
-// a three-root arena with chained micros and picos.
+// TestAncestorWalksMatchPathToRoot pins RootOf (a slice-free parent
+// walk) to a reference built from PathToRoot, for every cell of the
+// default layout and of a three-root arena with chained micros and picos.
 func TestAncestorWalksMatchPathToRoot(t *testing.T) {
 	for _, cfg := range []Config{
 		DefaultConfig(),
@@ -713,27 +732,26 @@ func TestAncestorWalksMatchPathToRoot(t *testing.T) {
 	} {
 		top := build(t, cfg)
 		for _, a := range top.Cells {
-			pa := top.PathToRoot(a.ID)
+			pa := pathToRoot(top, a.ID)
 			if got := top.RootOf(a.ID); got != pa[len(pa)-1] {
 				t.Fatalf("%d roots: RootOf(%d) = %d, want %d", cfg.Roots, a.ID, got, pa[len(pa)-1])
 			}
-			for _, b := range top.Cells {
-				want, hops := NoCell, -1
-				for i, c := range pa {
-					if contains(top.PathToRoot(b.ID), c) {
-						want, hops = c, i
-						break
-					}
-				}
-				if got := top.Crossover(a.ID, b.ID); got != want {
-					t.Fatalf("%d roots: Crossover(%d, %d) = %d, want %d", cfg.Roots, a.ID, b.ID, got, want)
-				}
-				if got := top.HopsToCrossover(a.ID, b.ID); got != hops {
-					t.Fatalf("%d roots: HopsToCrossover(%d, %d) = %d, want %d", cfg.Roots, a.ID, b.ID, got, hops)
-				}
-			}
 		}
 	}
+}
+
+// covers reports whether p lies inside c's nominal coverage circle.
+func covers(c *Cell, p geo.Point) bool { return c.Pos.DistanceTo(p) <= c.Radio.MaxRange }
+
+// pathToRoot returns the cell ids from c up to its top-level ancestor,
+// inclusive of both.
+func pathToRoot(top *Topology, c CellID) []CellID {
+	var out []CellID
+	for c != NoCell {
+		out = append(out, c)
+		c = top.Cells[c].Parent
+	}
+	return out
 }
 
 func contains(ids []CellID, id CellID) bool {

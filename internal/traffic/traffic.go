@@ -180,9 +180,6 @@ func (v *VBRVideo) SetLevel(scale float64) {
 	v.scale = scale
 }
 
-// Level returns the current rate-adaptation scale (1 = full rate).
-func (v *VBRVideo) Level() float64 { return v.scale }
-
 // Start implements Generator.
 func (v *VBRVideo) Start(sched *simtime.Scheduler) {
 	if v.ticker != nil && !v.ticker.Stopped() {

@@ -18,11 +18,14 @@ import (
 )
 
 // Analyzer is one static check. Run inspects a single type-checked package
-// and reports findings through the Pass.
+// and reports findings through the Pass. A module analyzer sets RunModule
+// instead: it sees every loaded package at once, so only the standalone
+// driver can run it (the vet driver hands the tool one package at a time).
 type Analyzer struct {
-	Name string // short lower-case identifier, e.g. "packetrelease"
-	Doc  string // one-paragraph description shown by -help
-	Run  func(*Pass) error
+	Name      string // short lower-case identifier, e.g. "packetrelease"
+	Doc       string // one-paragraph description shown by -help
+	Run       func(*Pass) error
+	RunModule func(*ModulePass) error
 }
 
 // Diagnostic is one finding, anchored to a source position.
@@ -46,6 +49,19 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.report(Diagnostic{Analyzer: p.Analyzer.Name, Pos: pos, Message: fmt.Sprintf(format, args...)})
+}
+
+// ModulePass carries every loaded package to a module analyzer.
+type ModulePass struct {
+	Analyzer *Analyzer
+	Pkgs     []*Package
+
+	report func(Diagnostic)
+}
+
+// Reportf records a finding at pos.
+func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Analyzer: p.Analyzer.Name, Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
@@ -137,12 +153,25 @@ func parseDirective(text, want string) (string, bool) {
 	return arg, true
 }
 
-// RunAnalyzers applies every analyzer to every package and returns the
-// findings sorted by position then analyzer then message.
+// RunAnalyzers applies every package analyzer to every package, and every
+// module analyzer once to all of them, and returns the findings sorted by
+// position then analyzer then message.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
+	report := func(d Diagnostic) { diags = append(diags, d) }
+	for _, a := range analyzers {
+		if a.RunModule == nil {
+			continue
+		}
+		if err := a.RunModule(&ModulePass{Analyzer: a, Pkgs: pkgs, report: report}); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
+		}
+	}
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
 			pass := &Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,
@@ -150,7 +179,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 			}
-			pass.report = func(d Diagnostic) { diags = append(diags, d) }
+			pass.report = report
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 			}

@@ -26,7 +26,8 @@ import (
 )
 
 // Run checks analyzer a against the fixture packages at the given import
-// paths under testdata/src.
+// paths under testdata/src. Fixture packages load with their _test.go
+// files, so a fixture can show that test-only uses count for nothing.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join(testdata, "src"))
@@ -37,17 +38,21 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
+	var pkgs []*analysis.Package
 	for _, path := range paths {
 		pkg, err := ld.load(path)
 		if err != nil {
 			t.Fatalf("loading %s: %v", path, err)
 		}
-		diags, err := analysis.RunAnalyzers([]*analysis.Package{pkg}, []*analysis.Analyzer{a})
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		check(t, pkg, diags)
+		pkgs = append(pkgs, pkg)
 	}
+	// One run over every named package: a module analyzer sees them all
+	// at once, a package analyzer one at a time.
+	diags, err := analysis.RunAnalyzers(pkgs, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, pkgs, diags)
 }
 
 // want is one expected diagnostic.
@@ -58,11 +63,14 @@ type want struct {
 	hit  bool
 }
 
-func check(t *testing.T, pkg *analysis.Package, diags []analysis.Diagnostic) {
+func check(t *testing.T, pkgs []*analysis.Package, diags []analysis.Diagnostic) {
 	t.Helper()
-	wants := collectWants(t, pkg)
+	var wants []*want
+	for _, pkg := range pkgs {
+		wants = append(wants, collectWants(t, pkg)...)
+	}
 	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
+		pos := pkgs[0].Fset.Position(d.Pos) // the loader shares one FileSet
 		matched := false
 		for _, w := range wants {
 			if !w.hit && w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {

@@ -56,7 +56,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	}
 
 	exports := make(map[string]string)
-	var targets []*listPackage
+	var module []*listPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		p := new(listPackage)
@@ -71,15 +71,27 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly {
-			targets = append(targets, p)
+		if !p.Standard {
+			module = append(module, p)
 		}
 	}
 
+	// Every non-standard package, target or dependency, is type-checked
+	// from source (go list -deps orders dependencies first), and imports
+	// of them resolve to that one copy. A types.Object then has a single
+	// identity across the module, which module analyzers rely on; only
+	// the standard library comes from export data.
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
+	std := exportImporter(fset, exports)
+	checked := make(map[string]*types.Package)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})
 	var pkgs []*Package
-	for _, lp := range targets {
+	for _, lp := range module {
 		if len(lp.CgoFiles) > 0 {
 			return nil, fmt.Errorf("%s: cgo packages are not supported", lp.ImportPath)
 		}
@@ -87,10 +99,17 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		checked[lp.ImportPath] = pkg.Types
+		if !lp.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	return pkgs, nil
 }
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // typecheck parses and type-checks one package from source.
 func typecheck(fset *token.FileSet, path, dir string, goFiles []string, imp types.Importer) (*Package, error) {

@@ -33,7 +33,8 @@ type vetConfig struct {
 // RunUnit executes the analyzers under the go vet driver protocol: read
 // the package config, type-check from the provided file lists with
 // imports resolved through the compiler's export data, print findings to
-// stderr, and exit non-zero when any finding exists. mmlint keeps no
+// stderr, and exit non-zero when any finding exists. Module analyzers
+// need the whole module and are skipped here. mmlint keeps no
 // cross-package facts, so the vetx output is always an empty placeholder
 // (vet requires the file to exist for caching).
 func RunUnit(cfgPath string, analyzers []*Analyzer) {
@@ -98,7 +99,13 @@ func RunUnit(cfgPath string, analyzers []*Analyzer) {
 	if cfg.Standard[cfg.ImportPath] {
 		os.Exit(0)
 	}
-	diags, err := RunAnalyzers([]*Package{pkg}, analyzers)
+	var perPkg []*Analyzer
+	for _, a := range analyzers {
+		if a.Run != nil {
+			perPkg = append(perPkg, a)
+		}
+	}
+	diags, err := RunAnalyzers([]*Package{pkg}, perPkg)
 	if err != nil {
 		fatalf("mmlint: %v", err)
 	}

@@ -11,7 +11,13 @@
 // or an ownership sink on all paths), detorder (no nondeterministic map
 // iteration, wall clocks, global rand or bare goroutines), noalloc
 // (//mmlint:noalloc functions stay allocation-free), simtimeonly (all
-// timing flows through internal/simtime).
+// timing flows through internal/simtime), deadapi (every exported
+// internal/ function has a non-test use or a //mmlint:testref waiver).
+//
+// deadapi is a module analyzer: it runs only standalone over the whole
+// module (`mmlint ./...`, what `make lint` runs), never under the vet
+// driver, which hands the tool one package at a time. The separate bench/
+// module is invisible to it.
 package main
 
 import (
@@ -22,6 +28,7 @@ import (
 	"strings"
 
 	"repro/tools/mmlint/internal/analysis"
+	"repro/tools/mmlint/internal/deadapi"
 	"repro/tools/mmlint/internal/detorder"
 	"repro/tools/mmlint/internal/noalloc"
 	"repro/tools/mmlint/internal/packetrelease"
@@ -33,6 +40,7 @@ var analyzers = []*analysis.Analyzer{
 	detorder.Analyzer,
 	noalloc.Analyzer,
 	simtimeonly.Analyzer,
+	deadapi.Analyzer,
 }
 
 func main() {
@@ -68,13 +76,26 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	run := analyzers
+	if len(patterns) != 1 || patterns[0] != "./..." {
+		// A module analyzer judges uses across the whole module; over a
+		// narrower load it would report every API used elsewhere.
+		run = nil
+		for _, a := range analyzers {
+			if a.RunModule == nil {
+				run = append(run, a)
+			} else {
+				fmt.Fprintf(os.Stderr, "mmlint: %s skipped: it runs only over ./...\n", a.Name)
+			}
+		}
+	}
 
 	pkgs, err := analysis.Load(".", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mmlint: %v\n", err)
 		os.Exit(1)
 	}
-	diags, err := analysis.RunAnalyzers(pkgs, analyzers)
+	diags, err := analysis.RunAnalyzers(pkgs, run)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mmlint: %v\n", err)
 		os.Exit(1)
