@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/topology"
 )
 
@@ -81,10 +84,26 @@ func TestRunDeterministicForSeed(t *testing.T) {
 }
 
 func TestRunConservation(t *testing.T) {
+	storm, err := faults.ProfileByName("storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := map[string]Config{}
 	for _, scheme := range Schemes() {
-		scheme := scheme
-		t.Run(string(scheme), func(t *testing.T) {
-			res, err := Run(shortCfg(scheme))
+		cells[string(scheme)] = shortCfg(scheme)
+	}
+	stormCfg := shortCfg(SchemeMultiTier)
+	stormCfg.NumMNs = 40
+	stormCfg.Faults = storm.Plan
+	cells["storm/"+string(SchemeMultiTier)] = stormCfg
+	for _, name := range slices.Sorted(maps.Keys(cells)) {
+		cfg := cells[name]
+		t.Run(name, func(t *testing.T) {
+			s, err := newScenario(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,6 +116,20 @@ func TestRunConservation(t *testing.T) {
 			}
 			if sum.Delivered+sum.Dropped == 0 {
 				t.Fatal("no packet fates recorded")
+			}
+			// Hop conservation: every link or air send the network
+			// accepted was delivered to a handler, dropped before
+			// delivery (loss, queue-full, down node, no handler), or is
+			// still in flight at the deadline. Protocol-level discards
+			// after delivery are not send fates.
+			n := s.net
+			transit := n.Dropped - n.Discarded
+			if n.Sent != n.Delivered+transit+uint64(n.InFlight()) {
+				t.Fatalf("hops: sent %d != delivered %d + dropped in transit %d + in flight %d",
+					n.Sent, n.Delivered, transit, n.InFlight())
+			}
+			if n.Sent == 0 || n.InFlight() == 0 {
+				t.Fatalf("hops: sent %d, in flight %d at the deadline: the check saw no traffic", n.Sent, n.InFlight())
 			}
 		})
 	}

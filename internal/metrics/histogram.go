@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -30,15 +31,74 @@ const (
 	bucketCount  = 390
 )
 
+// bucketIndex returns the bucket of d: int(log2(d/floor) * bucketsPerOA),
+// clamped to [0, bucketCount-1]. It reads the answer from the tables
+// below instead of calling math.Log2: the key of d's bit length and the
+// next four bits after its leading one names a sixteenth of an octave,
+// which spans at most two bucket starts, so the walk is short.
+//
+//mmlint:noalloc
 func bucketIndex(d time.Duration) int {
 	if d <= bucketFloor {
 		return 0
 	}
-	idx := int(math.Log2(float64(d)/float64(bucketFloor)) * bucketsPerOA)
-	if idx >= bucketCount {
-		return bucketCount - 1
+	i := int(bucketGuess[prefixKey(d)])
+	for i+1 < bucketCount && bucketStart[i+1] <= d {
+		i++
 	}
-	return idx
+	return i
+}
+
+// bucketFormula is the bucket definition bucketIndex tabulates.
+func bucketFormula(d time.Duration) int {
+	if d <= bucketFloor {
+		return 0
+	}
+	return min(int(math.Log2(float64(d)/float64(bucketFloor))*bucketsPerOA), bucketCount-1)
+}
+
+// prefixKey names the sixteenth of an octave d lies in: its bit length
+// and the four bits after its leading one. d must exceed bucketFloor,
+// which has ten bits.
+func prefixKey(d time.Duration) int {
+	n := bits.Len64(uint64(d))
+	return n<<4 | int(uint64(d)>>(n-5))&15
+}
+
+var (
+	// bucketStart[i] is the smallest duration bucketFormula puts in
+	// bucket i or above (bucketStart[0] is 0).
+	bucketStart [bucketCount]time.Duration
+	// bucketGuess[prefixKey(d)] is the bucket of the smallest duration
+	// above the floor with d's prefix: a lower bound for d's bucket.
+	bucketGuess [65 << 4]uint16
+)
+
+func init() {
+	// The formula is monotone in d, so a binary search finds each start.
+	for i := 1; i < bucketCount; i++ {
+		lo, hi := bucketFloor+1, time.Duration(math.MaxInt64)
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if bucketFormula(mid) >= i {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		bucketStart[i] = lo
+	}
+	// Keys ascend with their smallest durations, so one walk fills them.
+	i := 0
+	for n := bits.Len64(uint64(bucketFloor + 1)); n <= 63; n++ {
+		for top := 0; top < 16; top++ {
+			smallest := max(time.Duration(16|top)<<(n-5), bucketFloor+1)
+			for i+1 < bucketCount && bucketStart[i+1] <= smallest {
+				i++
+			}
+			bucketGuess[n<<4|top] = uint16(i)
+		}
+	}
 }
 
 func bucketUpper(i int) time.Duration {

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -363,5 +364,56 @@ func TestLossAccountMergeIntoZeroValue(t *testing.T) {
 	l2.Merge(nil)
 	if l2.Dropped() != 0 {
 		t.Fatalf("empty merges produced drops: %+v", l2)
+	}
+}
+
+// refBucketIndex is the bucket definition bucketIndex must reproduce:
+// the log formula it replaced.
+func refBucketIndex(d time.Duration) int {
+	if d <= bucketFloor {
+		return 0
+	}
+	idx := int(math.Log2(float64(d)/float64(bucketFloor)) * bucketsPerOA)
+	if idx >= bucketCount {
+		return bucketCount - 1
+	}
+	return idx
+}
+
+// The table lookup must agree with the log formula on every bucket
+// boundary ±1 ns, on every octave prefix edge, and on random durations
+// spread over the whole int64 range.
+func TestBucketIndexMatchesFormula(t *testing.T) {
+	check := func(d time.Duration) {
+		t.Helper()
+		if d < 0 {
+			return
+		}
+		if got, want := bucketIndex(d), refBucketIndex(d); got != want {
+			t.Fatalf("bucketIndex(%d) = %d, formula %d", d, got, want)
+		}
+	}
+	for i := 1; i < bucketCount; i++ {
+		b := bucketStart[i]
+		if refBucketIndex(b) < i || refBucketIndex(b-1) >= i {
+			t.Fatalf("bucketStart[%d] = %d is not the formula's first duration of bucket %d", i, b, i)
+		}
+		check(b - 1)
+		check(b)
+		check(b + 1)
+	}
+	for n := 5; n < 63; n++ {
+		for top := time.Duration(0); top < 16; top++ {
+			e := (16 | top) << (n - 5)
+			check(e - 1)
+			check(e)
+			check(e + 1)
+		}
+	}
+	check(math.MaxInt64)
+	r := rand.New(rand.NewPCG(1, 2))
+	for k := 0; k < 1_000_000; k++ {
+		// A uniform exponent first, so every octave gets samples.
+		check(time.Duration(r.Uint64N(1 << (1 + r.IntN(62)))))
 	}
 }

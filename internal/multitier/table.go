@@ -49,7 +49,10 @@ func seqBefore(a, b uint32) bool { return int32(a-b) < 0 }
 // Lookup returns the live record for mn.
 func (t *Table) Lookup(mn addr.IP) (Record, bool) {
 	r, ok := t.entries[mn]
-	if !ok || r.Expires <= t.sched.Now() {
+	if !ok {
+		return Record{}, false
+	}
+	if r.Expires <= t.sched.Now() {
 		delete(t.entries, mn)
 		return Record{}, false
 	}

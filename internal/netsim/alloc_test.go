@@ -10,38 +10,54 @@ import (
 )
 
 // The wired send → deliver → release cycle must be allocation-free in
-// steady state: packets come from the free list, the two per-send events
-// ride pooled flight records, and the receiver returns the packet to the
-// pool. Asserted (not benchmarked) so a regression fails go test.
+// steady state, on an unlimited link (hops ride the delay FIFO) and on a
+// rate-limited one (hops ride the direction's FIFO behind two heap
+// events): packets come from the free list, hops are held by value in
+// rings that stop growing once warm, and the receiver returns the packet
+// to the pool. Asserted (not benchmarked) so a regression fails go test.
 func TestLinkSendDeliverAllocFree(t *testing.T) {
-	sched := simtime.NewScheduler()
-	net := New(sched, simtime.NewRand(1))
-	a := net.NewNode("a")
-	b := net.NewNode("b")
-	l := net.Connect(a, b, LinkConfig{Delay: time.Millisecond, RateBps: 1e6, QueueLimit: 16})
-	b.SetHandler(HandlerFunc(func(p *packet.Packet, _ *Node, _ *Link) { packet.Release(p) }))
+	for _, tc := range []struct {
+		name string
+		cfg  LinkConfig
+	}{
+		{"unlimited", LinkConfig{Delay: time.Millisecond}},
+		{"rate-limited", LinkConfig{Delay: time.Millisecond, RateBps: 1e6, QueueLimit: 16}},
+	} {
+		cfg := tc.cfg
+		t.Run(tc.name, func(t *testing.T) {
+			sched := simtime.NewScheduler()
+			net := New(sched, simtime.NewRand(1))
+			a := net.NewNode("a")
+			b := net.NewNode("b")
+			l := net.Connect(a, b, cfg)
+			b.SetHandler(HandlerFunc(func(p *packet.Packet, _ *Node, _ *Link) { packet.Release(p) }))
 
-	src, dst := addr.MustParse("10.0.0.1"), addr.MustParse("10.0.0.2")
-	payload := packet.ZeroPayload(160)
-	seq := uint32(0)
-	cycle := func() {
-		p := packet.New(src, dst, packet.ClassConversational, 1, seq, payload)
-		seq++
-		if err := a.Send(l, p); err != nil {
-			t.Fatal(err)
-		}
-		for sched.Step() {
-		}
-	}
-	for i := 0; i < 512; i++ { // warm packet pool, flights, event arena
-		cycle()
-	}
-	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
-		t.Fatalf("link send/deliver allocates %.1f allocs/op, want 0", avg)
+			src, dst := addr.MustParse("10.0.0.1"), addr.MustParse("10.0.0.2")
+			payload := packet.ZeroPayload(160)
+			seq := uint32(0)
+			cycle := func() {
+				for k := 0; k < 4; k++ { // a burst, so several hops are in flight at once
+					p := packet.New(src, dst, packet.ClassConversational, 1, seq, payload)
+					seq++
+					if err := a.Send(l, p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for sched.Step() {
+				}
+			}
+			for i := 0; i < 512; i++ { // warm packet pool, rings, event arena
+				cycle()
+			}
+			if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
+				t.Fatalf("link send/deliver allocates %.1f allocs/op, want 0", avg)
+			}
+		})
 	}
 }
 
-// The air interface (DeliverDirect) must be allocation-free too.
+// The air interface (DeliverDirect) must be allocation-free too, with
+// deliveries of two delays in flight at once.
 func TestDeliverDirectAllocFree(t *testing.T) {
 	sched := simtime.NewScheduler()
 	net := New(sched, simtime.NewRand(1))
@@ -53,10 +69,12 @@ func TestDeliverDirectAllocFree(t *testing.T) {
 	payload := packet.ZeroPayload(160)
 	seq := uint32(0)
 	cycle := func() {
-		p := packet.New(src, dst, packet.ClassStreaming, 2, seq, payload)
-		seq++
-		if err := net.DeliverDirect(bs, mn, p, 4*time.Millisecond, 0.01); err != nil {
-			t.Fatal(err)
+		for k := 0; k < 4; k++ { // two air delays, two deliveries each
+			p := packet.New(src, dst, packet.ClassStreaming, 2, seq, payload)
+			seq++
+			if err := net.DeliverDirect(bs, mn, p, time.Duration(2+2*(k%2))*time.Millisecond, 0.01); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for sched.Step() {
 		}

@@ -30,16 +30,37 @@ type Link struct {
 	cfg  LinkConfig
 	dirs [2]direction
 	down bool
+	// fifo is the in-flight FIFO of the link's delay, resolved on the
+	// first unlimited send after creation or a SetDelay.
+	fifo *delayFIFO
 }
 
+// direction is one transmit side of a link. A link with a rate or a
+// queue bound keeps its in-flight hops here, not in a delay FIFO: each
+// send schedules its serialization end (txDone) and its arrival (arrive)
+// as heap events, bound once per direction, and arrive takes the hop due
+// at that instant. Serialization ends never go backwards, so txDone only
+// counts down the queue.
 type direction struct {
+	link      *Link
 	busyUntil time.Duration
 	queued    int
+	hops      hopRing
+	txFn      func()
+	arriveFn  func()
 }
 
 // Connect joins two nodes with a new duplex link.
 func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	l := &Link{net: n, a: a, b: b, cfg: cfg}
+	if cfg.RateBps > 0 || cfg.QueueLimit > 0 {
+		for i := range l.dirs {
+			d := &l.dirs[i]
+			d.link = l
+			d.txFn = d.txDone
+			d.arriveFn = d.arrive
+		}
+	}
 	n.links = append(n.links, l)
 	a.links = append(a.links, l)
 	b.links = append(b.links, l)
@@ -68,7 +89,10 @@ func (l *Link) SetLoss(p float64) { l.cfg.Loss = p }
 // SetDelay changes the link's propagation delay (failure injection:
 // backbone latency degradation). Packets already in flight keep the
 // delay they were sent with.
-func (l *Link) SetDelay(d time.Duration) { l.cfg.Delay = d }
+func (l *Link) SetDelay(d time.Duration) {
+	l.cfg.Delay = d
+	l.fifo = nil
+}
 
 // SetDown marks the link failed. Packets already in flight still arrive;
 // new sends fail. Only tests cut links (fault injection downs nodes):
@@ -109,11 +133,12 @@ func (nd *Node) Send(l *Link, pkt *packet.Packet) error {
 		return fmt.Errorf("%w: %s", ErrLinkDown, l) //mmlint:alloc-ok error path, not steady state
 	}
 	var dir *direction
+	var to *Node
 	switch nd {
 	case l.a:
-		dir = &l.dirs[0]
+		dir, to = &l.dirs[0], l.b
 	case l.b:
-		dir = &l.dirs[1]
+		dir, to = &l.dirs[1], l.a
 	default:
 		return fmt.Errorf("%w: %s on %s", ErrNotOnLink, nd, l) //mmlint:alloc-ok error path, not steady state
 	}
@@ -125,18 +150,19 @@ func (nd *Node) Send(l *Link, pkt *packet.Packet) error {
 		return nil
 	}
 
-	f := net.getFlight()
-	f.to, f.from, f.link, f.pkt, f.dir = l.Peer(nd), nd, l, pkt, dir
-	f.lost = net.rng.Bool(l.cfg.Loss)
+	h := hop{to: to, from: nd, link: l, pkt: pkt, lost: net.rng.Bool(l.cfg.Loss)}
 	if l.cfg.RateBps <= 0 && l.cfg.QueueLimit <= 0 {
 		// No serialization delay and no queue bound: the transmitter is
 		// never busy (done == now for every packet), so the queue counter
 		// could only ever be observed at zero and the txDone event would
 		// be a same-instant no-op. Skip both and ride the constant-delay
-		// FIFO line: arrival == now + Delay for every packet of the link,
-		// and the scheduler heap stays flat no matter how many packets
-		// are in flight.
-		net.sched.AfterFIFO(l.cfg.Delay, f.fireFn)
+		// FIFO: arrival == now + Delay for every packet of the link, and
+		// the scheduler heap stays flat no matter how many packets are in
+		// flight.
+		if l.fifo == nil {
+			l.fifo = net.fifo(l.cfg.Delay)
+		}
+		l.fifo.post(h)
 		return nil
 	}
 	now := net.sched.Now()
@@ -147,9 +173,41 @@ func (nd *Node) Send(l *Link, pkt *packet.Packet) error {
 	done := start + l.txDelay(pkt.Size())
 	dir.busyUntil = done
 	dir.queued++
-	net.sched.At(done, f.txFn)
-	net.sched.At(done+l.cfg.Delay, f.fireFn)
+	h.at = done + l.cfg.Delay
+	dir.hops.push(h)
+	net.sched.At(done, dir.txFn)
+	net.sched.At(h.at, dir.arriveFn)
 	return nil
+}
+
+// txDone marks the direction's transmitter free at a serialization end.
+//
+//mmlint:noalloc
+func (d *direction) txDone() { d.queued-- }
+
+// arrive resolves the hop due now. Arrivals leave in send order — the
+// front hop — unless a SetDelay that shortened the link let a later
+// send overtake earlier ones; then the first hop due now is taken. Hops
+// due at one instant fire in send order either way, since their events
+// drew increasing sequence numbers.
+//
+//mmlint:noalloc
+func (d *direction) arrive() {
+	r := &d.hops
+	now := d.link.net.sched.Now()
+	mask := len(r.buf) - 1
+	k := 0
+	for r.buf[(r.head+k)&mask].at != now {
+		k++
+	}
+	// Close the gap: shift the hops ahead of k back by one cell, so the
+	// taken hop ends up at the front and leaves by pop.
+	h := r.buf[(r.head+k)&mask]
+	for ; k > 0; k-- {
+		r.buf[(r.head+k)&mask] = r.buf[(r.head+k-1)&mask]
+	}
+	r.buf[r.head] = h
+	d.link.net.arrive(r.pop())
 }
 
 // SendVia finds the first up link from nd to peer and sends on it.

@@ -8,6 +8,13 @@
 // per-delivery call (Network.DeliverDirect) because radio "links" between a
 // mobile node and whichever base station currently serves it appear and
 // disappear with movement.
+//
+// Packets in flight are held by value, never in per-send records: a
+// constant-delay hop waits in the FIFO of its delay, which posts one
+// handle-less callback per hop on the scheduler's line of that delay; a
+// hop over a link with a rate or a queue bound waits in the FIFO of its
+// link direction. Every accepted send is therefore delivered, dropped,
+// or counted by InFlight.
 package netsim
 
 import (
@@ -63,72 +70,136 @@ type Network struct {
 	links    []*Link
 	byAddr   map[addr.IP]*Node
 	observer Observer
-	flights  []*flight // free list of in-flight delivery records
+	// fifos holds one in-flight FIFO per distinct constant delay, in
+	// creation order; links and air deliveries of equal delay share one.
+	fifos []*delayFIFO
 
-	// Totals for integration-test conservation checks.
+	// Totals for integration-test conservation checks. Every accepted
+	// send (Sent) ends in exactly one way: delivered to a handler
+	// (Delivered), dropped before delivery (Dropped minus Discarded), or
+	// still in flight (InFlight). Discarded counts the protocol-level
+	// drops of Network.Drop, which are not send fates.
 	Sent      uint64
 	Delivered uint64
 	Dropped   uint64
+	Discarded uint64
 }
 
-// flight is one pooled in-flight delivery: the state a packet needs while
-// crossing a link or the air interface. Each flight binds its callback
-// funcs once at creation, so the steady-state send path schedules events
-// without allocating closures.
-type flight struct {
-	net    *Network
-	to     *Node
-	from   *Node
-	link   *Link
-	pkt    *packet.Packet
-	dir    *direction
-	lost   bool
-	fireFn func()
-	txFn   func()
+// hop is one packet in flight across a link or the air interface: the
+// state its arrival needs, held by value in a FIFO ring. at is the
+// arrival instant on a rate-limited link direction (see direction) and
+// unused elsewhere.
+type hop struct {
+	to   *Node
+	from *Node
+	link *Link // nil for an air delivery
+	pkt  *packet.Packet
+	at   time.Duration
+	lost bool
 }
 
-// getFlight takes a flight from the free list (or makes one).
+// hopRing is a FIFO of in-flight hops: a circular buffer whose length is
+// a power of two, so push and pop index with a mask.
+type hopRing struct {
+	buf   []hop
+	head  int
+	count int
+}
+
+// push appends h at the tail, doubling the ring when it is full.
 //
 //mmlint:noalloc
-func (n *Network) getFlight() *flight {
-	if k := len(n.flights); k > 0 {
-		f := n.flights[k-1]
-		n.flights = n.flights[:k-1]
-		return f
+func (r *hopRing) push(h hop) {
+	if r.count == len(r.buf) {
+		grown := make([]hop, max(2*len(r.buf), 16)) //mmlint:alloc-ok ring growth is amortized doubling
+		for k := 0; k < r.count; k++ {
+			grown[k] = r.buf[(r.head+k)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
 	}
-	f := &flight{net: n} //mmlint:alloc-ok pool miss grows the flight pool; steady state recycles
-	f.fireFn = f.fire
-	f.txFn = f.txDone
-	return f
+	r.buf[(r.head+r.count)&(len(r.buf)-1)] = h
+	r.count++
 }
 
-// putFlight recycles a flight after its arrival event ran.
+// pop removes and returns the front hop, clearing its cell so the ring
+// does not keep the packet reachable.
 //
 //mmlint:noalloc
-func (n *Network) putFlight(f *flight) {
-	f.to, f.from, f.link, f.pkt, f.dir = nil, nil, nil, nil, nil
-	f.lost = false
-	n.flights = append(n.flights, f) //mmlint:alloc-ok free-list growth is amortized against recycled capacity
+func (r *hopRing) pop() hop {
+	h := r.buf[r.head]
+	r.buf[r.head] = hop{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.count--
+	return h
 }
 
-// txDone marks the link direction free at serialization end. It always
-// fires no later than fire (delay >= 0), so the flight is still live.
+// delayFIFO carries every in-flight hop of one constant delay d. Each
+// send pushes its hop and posts the FIFO's callback, bound once, on the
+// scheduler's line of delay d. A line runs its entries in push order and
+// a post is never cancelled, so the k-th callback to fire is the k-th
+// post, and the FIFO front is always the hop whose arrival is due.
+type delayFIFO struct {
+	net    *Network
+	d      time.Duration
+	line   *simtime.Line
+	hops   hopRing
+	fireFn func()
+}
+
+// fifo returns (creating on first use) the in-flight FIFO of delay d.
+// Networks see a handful of distinct delays (wired hops, a few air
+// profiles, degraded links), so a scan beats a map.
+func (n *Network) fifo(d time.Duration) *delayFIFO {
+	for _, q := range n.fifos {
+		if q.d == d {
+			return q
+		}
+	}
+	q := &delayFIFO{net: n, d: d, line: n.sched.Line(d)}
+	q.fireFn = q.fire
+	n.fifos = append(n.fifos, q)
+	return q
+}
+
+// post puts h in flight: it arrives d from now.
 //
 //mmlint:noalloc
-func (f *flight) txDone() { f.dir.queued-- }
+func (q *delayFIFO) post(h hop) {
+	q.hops.push(h)
+	q.line.Post(q.fireFn)
+}
 
-// fire resolves the arrival: loss or delivery. The loss was decided at
+// fire resolves the front hop's arrival.
+//
+//mmlint:noalloc
+func (q *delayFIFO) fire() { q.net.arrive(q.hops.pop()) }
+
+// arrive resolves one hop: loss or delivery. The loss was decided at
 // send time but is attributed here so traces read causally.
 //
 //mmlint:noalloc
-func (f *flight) fire() {
-	n, to, from, link, pkt, lost := f.net, f.to, f.from, f.link, f.pkt, f.lost
-	n.putFlight(f)
-	if lost {
-		n.observeDrop(to, pkt, metrics.DropLinkLoss)
+func (n *Network) arrive(h hop) {
+	if h.lost {
+		n.observeDrop(h.to, h.pkt, metrics.DropLinkLoss)
 		return
 	}
-	n.deliver(to, pkt, from, link)
+	n.deliver(h.to, h.pkt, h.from, h.link)
+}
+
+// InFlight returns the packets sent but not yet arrived: every hop still
+// in a FIFO. Only tests read it, to check that every send is accounted
+// for (see Network.Sent).
+//
+//mmlint:testref hop-conservation checks in the netsim and core tests
+func (n *Network) InFlight() int {
+	k := 0
+	for _, q := range n.fifos {
+		k += q.hops.count
+	}
+	for _, l := range n.links {
+		k += l.dirs[0].hops.count + l.dirs[1].hops.count
+	}
+	return k
 }
 
 // New creates an empty network on the given scheduler, drawing loss
@@ -266,6 +337,7 @@ func (n *Network) deliver(to *Node, pkt *packet.Packet, from *Node, link *Link) 
 //
 //mmlint:noalloc
 func (n *Network) Drop(at *Node, pkt *packet.Packet, reason metrics.DropReason) {
+	n.Discarded++
 	n.observeDrop(at, pkt, reason)
 }
 
@@ -288,11 +360,8 @@ func (n *Network) DeliverDirect(from, to *Node, pkt *packet.Packet, delay time.D
 		return fmt.Errorf("%w: %s", ErrNodeDown, from) //mmlint:alloc-ok error path, not steady state
 	}
 	n.Sent++
-	f := n.getFlight()
-	f.to, f.from, f.pkt = to, from, pkt
-	f.lost = n.rng.Bool(loss)
 	// Air delays are per-station constants, so deliveries ride the
-	// constant-delay FIFO lines instead of the scheduler heap.
-	n.sched.AfterFIFO(delay, f.fireFn)
+	// constant-delay FIFOs instead of the scheduler heap.
+	n.fifo(delay).post(hop{to: to, from: from, pkt: pkt, lost: n.rng.Bool(loss)})
 	return nil
 }

@@ -102,3 +102,28 @@ func TestRunUntilSweepAllocFree(t *testing.T) {
 		t.Fatalf("RunUntil sweep allocates %.1f allocs/op, want 0", avg)
 	}
 }
+
+// A handle-less post on a held line — the packet-flight pattern — must be
+// allocation-free and must take no arena slot.
+func TestLinePostFireCycleAllocFree(t *testing.T) {
+	s := NewScheduler()
+	ln := s.Line(time.Millisecond)
+	fn := func() {}
+	cycle := func() {
+		for k := 0; k < 8; k++ {
+			ln.Post(fn)
+		}
+		for s.Step() {
+		}
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	slots := len(s.slots)
+	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
+		t.Fatalf("line post/fire cycle allocates %.1f allocs/op, want 0", avg)
+	}
+	if len(s.slots) != slots || slots > 1 {
+		t.Fatalf("posts grew the slot arena to %d (from %d); only the pooled event takes one", len(s.slots), slots)
+	}
+}

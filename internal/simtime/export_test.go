@@ -21,9 +21,25 @@ func (e Event) At() time.Duration {
 
 // Len returns the number of live pending events. Cancelled events that
 // have not yet been discarded by the run loop are not counted; an armed
-// ticker or pending AfterFIFO entry counts as one live event (its line's
-// single heap entry is bookkeeping, not a logical event, and is excluded).
-func (s *Scheduler) Len() int { return len(s.heap) - s.canceled - s.groupEvts + s.members }
+// ticker or pending AfterFIFO or posted entry counts as one live event
+// (its line's single heap entry is bookkeeping, not a logical event, and
+// is excluded). It walks every line, so it costs O(pending entries).
+func (s *Scheduler) Len() int {
+	n := len(s.heap) - s.canceled
+	for _, lines := range []map[time.Duration]*Line{s.groups, s.lines} {
+		for _, ln := range lines {
+			if ln.event.idx != 0 {
+				n--
+			}
+			for k := 0; k < ln.count; k++ {
+				if ln.live(&ln.ring[(ln.head+k)&(len(ln.ring)-1)]) {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
 
 // Ticks returns how many times the ticker has fired.
 func (t *Ticker) Ticks() uint64 { return t.ticks }

@@ -7,9 +7,11 @@ import "time"
 // for every entry of a line, due times are non-decreasing in scheduling
 // order, so the line is a plain ring buffer and the whole line occupies a
 // single scheduler-heap entry (for its front member) instead of one per
-// pending callback. Use it for hot constant-delay work — link flights,
-// air deliveries, protocol timeouts with a fixed horizon — and keep After
-// for variable delays. Negative d clamps to zero.
+// pending callback. Use it for constant-delay work that needs a handle —
+// protocol timeouts with a fixed horizon — and keep After for variable
+// delays. Work that is never cancelled, such as packet flights, posts on
+// the line directly (see Line.Post) and skips the handle. Negative d
+// clamps to zero.
 //
 // Semantics are identical to After, including Cancel/Pending on the
 // returned Event and FIFO tie-breaks against unrelated events (each entry
@@ -19,45 +21,65 @@ import "time"
 //
 //mmlint:noalloc
 func (s *Scheduler) AfterFIFO(d time.Duration, fn func()) Event {
+	ln := s.Line(d)
+	return ln.schedule(s.now+ln.d, fn)
+}
+
+// Line returns (creating on first use) the FIFO line of delay d, the one
+// AfterFIFO(d, …) schedules on. Negative d clamps to zero. A caller that
+// sends many callbacks of one delay resolves the line once and posts on
+// it, skipping AfterFIFO's per-call map lookup.
+//
+//mmlint:noalloc
+func (s *Scheduler) Line(d time.Duration) *Line {
 	if d < 0 {
 		d = 0
 	}
-	return s.line(&s.lines, d).schedule(s.now+d, fn)
+	return s.line(&s.lines, d)
 }
 
 // line returns (creating on first use) the delay line for d in lines —
-// s.lines for AfterFIFO, s.groups for tickers.
-func (s *Scheduler) line(lines *map[time.Duration]*delayLine, d time.Duration) *delayLine {
+// s.lines for AfterFIFO and Line, s.groups for tickers.
+func (s *Scheduler) line(lines *map[time.Duration]*Line, d time.Duration) *Line {
 	if *lines == nil {
-		*lines = make(map[time.Duration]*delayLine, 8)
+		*lines = make(map[time.Duration]*Line, 8)
 	}
 	ln := (*lines)[d]
 	if ln == nil {
-		ln = &delayLine{s: s, d: d}
+		ln = &Line{s: s, d: d}
 		ln.fireFn = ln.fire
 		(*lines)[d] = ln
 	}
 	return ln
 }
 
-// delayLine pools every pending AfterFIFO(d, …) one-shot, or every armed
-// ticker of interval d, behind a single scheduler event. Entries live in the shared slot arena (so Event
-// handles, Cancel and generation safety work unchanged) and are threaded
-// through a FIFO ring of (slot, generation) handles. Cancel frees an
-// entry's slot at once (see Event.Cancel); the bumped generation marks
-// its 8-byte ring handle stale, and stale handles are dropped when they
-// reach the ring front or when a full ring is compacted. A pooled event
-// that fires onto a cancelled front simply re-syncs to the next live
-// entry.
-type delayLine struct {
+// Line pools every pending callback of one constant delay d — AfterFIFO
+// one-shots and Posts, or every armed ticker of interval d — behind a
+// single scheduler event. Each entry is held by value in a power-of-two
+// FIFO ring: its due time, its sequence number and its callback. A firing
+// line reads its ring in order and touches nothing else per entry.
+//
+// Only entries that hand out an Event (AfterFIFO one-shots, ticker
+// firings) also take an arena slot, so that Cancel and generation safety
+// work unchanged; the ring entry records the slot and the generation it
+// was scheduled under. Cancel frees the slot at once (see Event.Cancel);
+// the bumped generation marks the ring entry stale, and stale entries are
+// dropped when they reach the ring front or when a full ring is
+// compacted. A pooled event that fires onto a cancelled front simply
+// re-syncs to the next live entry. Posted entries have no slot and are
+// always live.
+type Line struct {
 	s *Scheduler
 	d time.Duration
 
-	ring  []lineEntry // circular buffer of entry handles
+	ring  []lineEntry // circular buffer; its length is a power of two
 	head  int         // index of the front entry
 	count int         // occupied ring cells (live + stale)
 
-	event  Event // pending scheduler event for the front entry
+	// event is the pending scheduler event for the front entry, or the
+	// zero Event. Only the line cancels or clears it, so a non-zero
+	// handle always names a live heap entry.
+	event  Event
 	evAt   time.Duration
 	evSeq  uint64
 	fireFn func() // bound once so re-scheduling never allocates
@@ -68,62 +90,79 @@ type delayLine struct {
 	firing bool
 }
 
-// lineEntry is a ring handle: the entry's arena slot and the slot
-// generation it was scheduled under. A cancelled (freed) or recycled slot
-// carries a newer generation, which is what marks the handle stale.
+// lineEntry is one pending callback: its (at, seq) ordering key, the
+// callback, and — for an entry that handed out an Event — its arena slot
+// (index + 1; 0 for a posted entry) and the slot generation it was
+// scheduled under. A cancelled (freed) or recycled slot carries a newer
+// generation, which is what marks the entry stale.
 type lineEntry struct {
+	at  time.Duration
+	seq uint64
+	fn  func()
 	idx int32
 	gen uint32
 }
 
-// live reports whether e still names the entry it was pushed for.
+// live reports whether e is still pending: a posted entry always is; a
+// slot-backed one while its slot keeps the generation it was pushed with.
 //
 //mmlint:noalloc
-func (ln *delayLine) live(e lineEntry) bool { return ln.s.slots[e.idx].gen == e.gen }
+func (ln *Line) live(e *lineEntry) bool {
+	return e.idx == 0 || ln.s.slots[e.idx-1].gen == e.gen
+}
 
-// schedule files one entry due at at and keeps the pooled event on the
-// front. An entry due at now+d (every AfterFIFO call and every ticker
-// re-arm) sorts after everything already in the line: a plain append.
-// Any other at, which only a ticker's EveryNow first firing uses, is
-// moved back from the tail past the stale handles and the handles due
-// after at — one move per handle behind it, none when no other entry of
-// the line is due later than at.
+// Post schedules fn to run d after the current virtual time on this
+// line, without a handle: it cannot be cancelled, and it takes no arena
+// slot. Ordering is exactly AfterFIFO's — the entry draws its sequence
+// number from the shared counter here.
 //
 //mmlint:noalloc
-func (ln *delayLine) schedule(at time.Duration, fn func()) Event {
+func (ln *Line) Post(fn func()) {
+	s := ln.s
+	ln.push(lineEntry{at: s.now + ln.d, seq: s.takeSeq(), fn: fn})
+	ln.sync()
+}
+
+// schedule files one slot-backed entry due at at and keeps the pooled
+// event on the front. An entry due at now+d (every AfterFIFO call and
+// every ticker re-arm) sorts after everything already in the line: a
+// plain append. Any other at, which only a ticker's EveryNow first
+// firing uses, is moved back from the tail past the stale entries and the
+// entries due after at — one move per entry behind it, none when no other
+// entry of the line is due later than at.
+//
+//mmlint:noalloc
+func (ln *Line) schedule(at time.Duration, fn func()) Event {
 	s := ln.s
 	i := s.allocSlot()
 	sl := &s.slots[i]
 	sl.at = at
-	sl.seq = s.takeSeq()
-	sl.fn = fn
 	sl.canceled = false
 	sl.pos = posInLine
-	e := lineEntry{idx: i, gen: sl.gen}
+	e := lineEntry{at: at, seq: s.takeSeq(), fn: fn, idx: i + 1, gen: sl.gen}
 	ln.push(e)
 	if at != s.now+ln.d {
-		n := len(ln.ring)
+		mask := len(ln.ring) - 1
 		k := ln.count - 1
 		for ; k > 0; k-- {
-			prev := ln.ring[(ln.head+k-1)%n]
-			if ln.live(prev) && s.slots[prev.idx].at <= at {
+			prev := &ln.ring[(ln.head+k-1)&mask]
+			if ln.live(prev) && prev.at <= at {
 				break
 			}
-			ln.ring[(ln.head+k)%n] = prev
+			ln.ring[(ln.head+k)&mask] = *prev
 		}
-		ln.ring[(ln.head+k)%n] = e
+		ln.ring[(ln.head+k)&mask] = e
 	}
-	s.members++
 	ln.sync()
 	return Event{s: s, idx: i + 1, gen: sl.gen}
 }
 
-// dropCanceled pops the stale handles of cancelled entries sitting at the
-// ring front; their slots were already freed by Cancel.
+// dropCanceled pops the stale entries of cancelled callbacks sitting at
+// the ring front; their slots were already freed by Cancel.
 //
 //mmlint:noalloc
-func (ln *delayLine) dropCanceled() {
-	for ln.count > 0 && !ln.live(ln.ring[ln.head]) {
+func (ln *Line) dropCanceled() {
+	for ln.count > 0 && !ln.live(&ln.ring[ln.head]) {
 		ln.pop()
 	}
 }
@@ -132,28 +171,24 @@ func (ln *delayLine) dropCanceled() {
 // no-op while the line is firing; fire syncs once when its batch ends.
 //
 //mmlint:noalloc
-func (ln *delayLine) sync() {
+func (ln *Line) sync() {
 	if ln.firing {
 		return
 	}
 	ln.dropCanceled()
 	if ln.count == 0 {
-		if ln.event.Cancel() {
-			ln.s.groupEvts--
-		}
+		ln.event.Cancel()
 		ln.event = Event{}
 		return
 	}
-	front := &ln.s.slots[ln.ring[ln.head].idx]
-	if ln.event.Pending() {
+	front := &ln.ring[ln.head]
+	if ln.event.idx != 0 {
 		if ln.evAt == front.at && ln.evSeq == front.seq {
 			return
 		}
 		ln.event.Cancel()
-		ln.s.groupEvts--
 	}
 	ln.event = ln.s.atSeq(front.at, front.seq, ln.fireFn)
-	ln.s.groupEvts++
 	ln.evAt, ln.evSeq = front.at, front.seq
 }
 
@@ -178,44 +213,30 @@ func (ln *delayLine) sync() {
 // front's own (at, seq) and is never strictly earlier.
 //
 //mmlint:noalloc
-func (ln *delayLine) fire() {
+func (ln *Line) fire() {
 	s := ln.s
 	ln.event = Event{}
-	s.groupEvts--
 	ln.firing = true
 	ran := false
 	ln.dropCanceled()
-	if ln.count > 0 {
-		i := ln.ring[ln.head].idx
-		sl := &s.slots[i]
-		if sl.seq == ln.evSeq {
-			ran = true
-			fn := sl.fn
-			ln.pop()
-			s.freeSlot(i)
-			s.members--
-			fn()
-			for !s.stopped {
-				ln.dropCanceled()
-				if ln.count == 0 {
-					break
-				}
-				i := ln.ring[ln.head].idx
-				sl := &s.slots[i]
-				if sl.at > s.horizon {
-					break
-				}
-				if at, seq, ok := s.peekMin(); ok && (at < sl.at || (at == sl.at && seq < sl.seq)) {
-					break
-				}
-				s.now = sl.at
-				fn := sl.fn
-				ln.pop()
-				s.freeSlot(i)
-				s.members--
-				s.fired++
-				fn()
+	if ln.count > 0 && ln.ring[ln.head].seq == ln.evSeq {
+		ran = true
+		ln.runFront()
+		for !s.stopped {
+			ln.dropCanceled()
+			if ln.count == 0 {
+				break
 			}
+			e := &ln.ring[ln.head]
+			if e.at > s.horizon {
+				break
+			}
+			if at, seq, ok := s.peekMin(); ok && (at < e.at || (at == e.at && seq < e.seq)) {
+				break
+			}
+			s.now = e.at
+			s.fired++
+			ln.runFront()
 		}
 	}
 	// A pooled event whose front was cancelled after it went up runs
@@ -229,33 +250,50 @@ func (ln *delayLine) fire() {
 	ln.sync()
 }
 
-// push appends an entry handle at the ring tail. A full ring is first
-// compacted (see compact), so it stays sized by live entries however many
+// runFront pops the live front entry, frees its slot if it has one, and
+// runs its callback.
+//
+//mmlint:noalloc
+func (ln *Line) runFront() {
+	e := &ln.ring[ln.head]
+	fn := e.fn
+	if e.idx != 0 {
+		ln.s.freeSlot(e.idx - 1)
+	}
+	ln.pop()
+	fn()
+}
+
+// push appends an entry at the ring tail. A full ring is first compacted
+// (see compact), so it stays sized by live entries however many
 // cancelled ones a re-arming timer leaves behind.
 //
 //mmlint:noalloc
-func (ln *delayLine) push(e lineEntry) {
+func (ln *Line) push(e lineEntry) {
 	if ln.count == len(ln.ring) {
 		ln.compact()
 	}
-	ln.ring[(ln.head+ln.count)%len(ln.ring)] = e
+	ln.ring[(ln.head+ln.count)&(len(ln.ring)-1)] = e
 	ln.count++
 }
 
-// compact drops every stale handle from a full ring in place, keeping
-// live ones in FIFO order, and doubles the ring when live handles still
+// compact drops every stale entry from a full ring in place, keeping
+// live ones in FIFO order, and doubles the ring when live entries still
 // fill more than half of it. Either way the next compaction is at least
 // half a ring of pushes away, so the copying is amortized O(1) per push.
+// The ring starts at 16 cells and only ever doubles, so its length stays
+// a power of two.
 //
 //mmlint:noalloc
-func (ln *delayLine) compact() {
+func (ln *Line) compact() {
 	n := len(ln.ring)
+	mask := n - 1
 	// The write position w never passes the read position k, so no unread
-	// handle is overwritten.
+	// entry is overwritten.
 	w := 0
 	for k := 0; k < ln.count; k++ {
-		if e := ln.ring[(ln.head+k)%n]; ln.live(e) {
-			ln.ring[(ln.head+w)%n] = e
+		if e := &ln.ring[(ln.head+k)&mask]; ln.live(e) {
+			ln.ring[(ln.head+w)&mask] = *e
 			w++
 		}
 	}
@@ -263,17 +301,19 @@ func (ln *delayLine) compact() {
 	if 2*w > n || n == 0 {
 		grown := make([]lineEntry, max(2*n, 16)) //mmlint:alloc-ok ring growth is amortized doubling
 		for k := 0; k < w; k++ {
-			grown[k] = ln.ring[(ln.head+k)%n]
+			grown[k] = ln.ring[(ln.head+k)&mask]
 		}
 		ln.ring = grown
 		ln.head = 0
 	}
 }
 
-// pop removes the front entry.
+// pop removes the front entry, dropping its callback so the ring does
+// not keep it reachable.
 //
 //mmlint:noalloc
-func (ln *delayLine) pop() {
-	ln.head = (ln.head + 1) % len(ln.ring)
+func (ln *Line) pop() {
+	ln.ring[ln.head].fn = nil
+	ln.head = (ln.head + 1) & (len(ln.ring) - 1)
 	ln.count--
 }

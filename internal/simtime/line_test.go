@@ -352,24 +352,26 @@ var relayDelays = []time.Duration{0, 2 * time.Millisecond, 5 * time.Millisecond,
 // entries in a firing line, and Stops of a ticker due now in its own
 // firing line.
 type relayCover struct {
-	relayMidBatch, cancelFiring, stopFiring int
+	relayMidBatch, cancelFiring, stopFiring, posts, cancelPosted int
 }
 
 // dueNow reports whether ln still holds a live entry due at the current
 // instant, i.e. whether a relay into it lands in the middle of a batch.
-func dueNow(ln *delayLine) bool {
+func dueNow(ln *Line) bool {
 	for k := 0; ln != nil && k < ln.count; k++ {
-		if e := ln.ring[(ln.head+k)%len(ln.ring)]; ln.live(e) {
-			return ln.s.slots[e.idx].at == ln.s.Now()
+		if e := &ln.ring[(ln.head+k)&(len(ln.ring)-1)]; ln.live(e) {
+			return e.at == ln.s.Now()
 		}
 	}
 	return false
 }
 
 // runRelayScript drives one seeded random script of packet relays,
-// Cancels, Ticker Stops and unrelated At one-shots. With fifo set,
-// packets ride AfterFIFO and tickers are real Tickers; otherwise every
-// packet is a dedicated After event and every ticker a refTicker. As in
+// Cancels, Ticker Stops and unrelated At and After one-shots. With fifo
+// set, packets ride AfterFIFO or handle-less Line posts and tickers are
+// real Tickers (Every and EveryNow); otherwise every packet is a
+// dedicated After event and every ticker a refTicker — a heap-only
+// reference. As in
 // runTickerScript, every decision is drawn inside a callback from one
 // script rng, so the two runs stay in lockstep while their logs agree.
 // A successful Cancel is logged as a record with id -1-k.
@@ -385,7 +387,10 @@ func runRelayScript(seed int64, fifo bool) ([]fireRec, uint64, int, relayCover) 
 		nextID  = 1000 // packet and one-shot ids; ticker ids are their index
 	)
 	record := func(id int) { log = append(log, fireRec{s.Now(), id, s.Len(), s.Fired()}) }
-	var send func(d time.Duration, hops int)
+	var (
+		send func(d time.Duration, hops int)
+		arm  func(interval time.Duration, now bool)
+	)
 	// act is the random step every callback takes; d is the caller's own
 	// line (or interval) and hops bounds how far a relay chain goes.
 	act := func(d time.Duration, hops int) {
@@ -400,6 +405,9 @@ func runRelayScript(seed int64, fifo bool) ([]fireRec, uint64, int, relayCover) 
 			if fifo && evs[k].Pending() && s.lines[lineOf[k]].firing {
 				cov.cancelFiring++
 			}
+			if evs[k] == (Event{}) {
+				cov.cancelPosted++
+			}
 			if evs[k].Cancel() {
 				log = append(log, fireRec{s.Now(), -1 - k, s.Len(), s.Fired()})
 			}
@@ -412,9 +420,15 @@ func runRelayScript(seed int64, fifo bool) ([]fireRec, uint64, int, relayCover) 
 		case p < 0.80:
 			id := nextID
 			nextID++
-			s.At(s.Now()+time.Duration(r.Intn(3))*time.Millisecond, func() { record(id) })
+			if d := time.Duration(r.Intn(3)) * time.Millisecond; r.Bool(0.5) {
+				s.At(s.Now()+d, func() { record(id) })
+			} else {
+				s.After(d, func() { record(id) })
+			}
 		case p < 0.90 && hops > 0:
 			send(relayDelays[r.Intn(len(relayDelays))], hops-1)
+		case p < 0.93 && len(tickers) < 24:
+			arm(relayDelays[1+r.Intn(len(relayDelays)-1)], r.Bool(0.5))
 		}
 	}
 	send = func(d time.Duration, hops int) {
@@ -424,14 +438,25 @@ func runRelayScript(seed int64, fifo bool) ([]fireRec, uint64, int, relayCover) 
 			record(id)
 			act(d, hops)
 		}
-		if fifo {
+		// A third of the packets are posted without a handle; both runs
+		// record the zero Event for them, so a Cancel of one is a no-op
+		// on either side.
+		switch post := r.Bool(0.35); {
+		case post && fifo:
+			s.Line(d).Post(fn)
+			evs = append(evs, Event{})
+			cov.posts++
+		case post:
+			s.After(d, fn)
+			evs = append(evs, Event{})
+		case fifo:
 			evs = append(evs, s.AfterFIFO(d, fn))
-		} else {
+		default:
 			evs = append(evs, s.After(d, fn))
 		}
 		lineOf = append(lineOf, d)
 	}
-	arm := func(interval time.Duration, now bool) {
+	arm = func(interval time.Duration, now bool) {
 		id := len(tickers)
 		fn := func() {
 			record(id)
@@ -474,10 +499,11 @@ func runRelayScript(seed int64, fifo bool) ([]fireRec, uint64, int, relayCover) 
 	return log, s.Fired(), s.Len(), cov
 }
 
-// A line whose callbacks relay into it, cancel its entries or stop
-// tickers in the firing ticker line mid-batch must stay observably
-// identical to dedicated After events: same (time, id) fire and cancel
-// log, same Len and Fired as every callback saw them and at the end.
+// A line whose callbacks relay into it — through AfterFIFO or a
+// handle-less post — cancel its entries or stop tickers in the firing
+// ticker line mid-batch must stay observably identical to dedicated
+// After events: same (time, id) fire and cancel log, same Len and Fired
+// as every callback saw them and at the end.
 func TestAfterFIFORelayMatchesAfter(t *testing.T) {
 	var total relayCover
 	for seed := int64(1); seed <= 40; seed++ {
@@ -503,8 +529,11 @@ func TestAfterFIFORelayMatchesAfter(t *testing.T) {
 		total.relayMidBatch += cov.relayMidBatch
 		total.cancelFiring += cov.cancelFiring
 		total.stopFiring += cov.stopFiring
+		total.posts += cov.posts
+		total.cancelPosted += cov.cancelPosted
 	}
-	if total.relayMidBatch == 0 || total.cancelFiring == 0 || total.stopFiring == 0 {
+	if total.relayMidBatch == 0 || total.cancelFiring == 0 || total.stopFiring == 0 ||
+		total.posts == 0 || total.cancelPosted == 0 {
 		t.Fatalf("script missed a case: %+v", total)
 	}
 	t.Logf("covered: %+v", total)

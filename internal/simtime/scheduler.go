@@ -43,8 +43,7 @@ type Event struct {
 // for a heap entry.
 type slot struct {
 	at       time.Duration
-	seq      uint64
-	fn       func()
+	fn       func() // heap entries only: a line entry keeps its own callback
 	gen      uint32
 	pos      int8 // where the slot lives: posFree, posInHeap or posInLine
 	canceled bool // set on heap entries only: Cancel frees a line entry's slot
@@ -89,10 +88,9 @@ func (e Event) Cancel() bool {
 	}
 	if sl.pos == posInLine {
 		// A line entry frees its slot at once: the generation bump marks
-		// its 8-byte ring handle stale, and the line drops that handle at
-		// the ring front or when it compacts a full ring. Line entries
-		// never sit in the heap, so there is no purge pressure.
-		e.s.members--
+		// its ring entry stale, and the line drops that entry at the ring
+		// front or when it compacts a full ring. Line entries never sit
+		// in the heap, so there is no purge pressure.
 		e.s.freeSlot(e.idx - 1)
 		return true
 	}
@@ -145,18 +143,11 @@ type Scheduler struct {
 	// scheduler event, so the heap stays O(distinct intervals + distinct
 	// delays) no matter how many tickers tick or packets fly. The two
 	// maps stay apart so GroupCount and LineCount count them separately.
-	groups map[time.Duration]*delayLine
-	lines  map[time.Duration]*delayLine
-	// members counts live delay-line entries (armed tickers included);
-	// groupEvts counts the pooled line events currently occupying the
-	// heap. Together they let Len keep reporting one live event per
-	// logical pending callback, exactly as when each owned its own heap
-	// entry.
-	members   int
-	groupEvts int
+	groups map[time.Duration]*Line
+	lines  map[time.Duration]*Line
 	// horizon is the latest instant a firing delay line may run its
 	// entries up to without going back through the heap (see
-	// delayLine.fire): RunUntil's deadline, the end of time under Run,
+	// Line.fire): RunUntil's deadline, the end of time under Run,
 	// and the popped event's own instant under a bare Step.
 	horizon time.Duration
 	// pops counts heap-root removals; tests read it to pin how often a
@@ -225,7 +216,6 @@ func (s *Scheduler) atSeq(t time.Duration, seq uint64, fn func()) Event {
 	i := s.allocSlot()
 	sl := &s.slots[i]
 	sl.at = t
-	sl.seq = seq
 	sl.fn = fn
 	sl.canceled = false
 	sl.pos = posInHeap
@@ -269,7 +259,7 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Step fires the single earliest pending event, advancing virtual time to
 // its timestamp. It reports false when the queue is empty. A delay line
 // that event belongs to may also run its further entries due at that
-// same instant (see delayLine.fire), never a later one. Only tests call
+// same instant (see Line.fire), never a later one. Only tests call
 // it: the alloc tests and root benchmarks price one event at a time.
 //
 //mmlint:noalloc
@@ -279,7 +269,7 @@ func (s *Scheduler) Step() bool { return s.step(0) }
 // step is the run loop's unit: pop the earliest live event, advance the
 // clock to it and run it. horizon bounds how far ahead in virtual time a
 // firing delay line may keep running its own entries (see
-// delayLine.fire); a horizon before the event's instant means that
+// Line.fire); a horizon before the event's instant means that
 // instant only.
 //
 //mmlint:noalloc
@@ -349,7 +339,7 @@ func (s *Scheduler) peekAt() (time.Duration, bool) {
 // peekMin returns the (at, seq) coordinates of the earliest live heap
 // event, discarding cancelled heads along the way. Delay lines use it to
 // decide whether their next front entry is globally next (see
-// delayLine.fire's batch).
+// Line.fire's batch).
 //
 //mmlint:noalloc
 func (s *Scheduler) peekMin() (time.Duration, uint64, bool) {

@@ -19,7 +19,7 @@ import "time"
 // have, and the line's pooled event runs under its front entry's own
 // (at, seq), so FIFO tie-breaks against unrelated events are preserved.
 type Ticker struct {
-	ln      *delayLine // the interval's line; nil for a ticker created stopped
+	ln      *Line // the interval's line; nil for a ticker created stopped
 	fn      func()
 	fireFn  func() // t.fire, bound once so re-arming never allocates
 	ev      Event  // the pending firing while armed

@@ -10,11 +10,18 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/simtime"
 )
 
 func effectInRange(node *netsim.Node, l *netsim.Link, peers map[uint32]*netsim.Node) {
 	for range peers {
 		_ = node.Send(l, packet.New()) // want "Node.Send inside a map range"
+	}
+}
+
+func postInRange(ln *simtime.Line, fns map[uint32]func()) {
+	for _, fn := range fns {
+		ln.Post(fn) // want "Line.Post inside a map range"
 	}
 }
 

@@ -24,6 +24,11 @@ func (s *Scheduler) At(t Time, fn func())            {}
 func (s *Scheduler) After(d Time, fn func())         {}
 func (s *Scheduler) AfterFIFO(d Time, fn func())     {}
 func (s *Scheduler) Every(d Time, fn func()) *Ticker { return &Ticker{Period: d} }
+func (s *Scheduler) Line(d Time) *Line               { return &Line{d: d} }
+
+type Line struct{ d Time }
+
+func (ln *Line) Post(fn func()) {}
 
 type Rand struct{ state uint64 }
 
