@@ -199,7 +199,7 @@ func BenchmarkE14Degradation(b *testing.B) {
 }
 
 // benchAll runs the full E1–E8 suite, one experiment after another as
-// cmd/mmbench does, with the given worker count; the sequential/parallel
+// cmd/mmscale -suite does, with the given worker count; the sequential/parallel
 // pair quantifies the worker-pool speedup on the whole regeneration.
 func benchAll(b *testing.B, parallel int) {
 	b.Helper()

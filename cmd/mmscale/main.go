@@ -1,4 +1,6 @@
-// Command mmscale runs the population-scale experiments: the E9 scale
+// Command mmscale runs every experiment. With -suite it runs the E1–E8
+// suite, one table per figure or claim of the paper (-only narrows it to
+// one experiment). Otherwise it runs a population-scale matrix: the E9 scale
 // sweep (heterogeneous fleet workloads swept across mobile-node
 // populations and mobility-management schemes, reporting a per-profile
 // QoE table) and, with -dimension, the E10 capacity×population matrix
@@ -28,12 +30,17 @@
 //
 // Example:
 //
+//	mmscale -suite                              # E1–E8, full length
+//	mmscale -suite -scale 0.1                   # 10x shorter scenarios
+//	mmscale -suite -only E6 -reps 5 -seed 42    # one experiment, 5 replications per cell
 //	mmscale                                     # E9: 500 → 10k MNs, every scheme
+//	mmscale -mns 500,1000,2000                  # the reduced E9 sweep
 //	mmscale -mns 5000 -schemes multitier-rsmc   # one cell at scale
 //	mmscale -mns 500,2000 -reps 3 -seed 42      # error bars
 //	mmscale -fleet pedestrian-voice=80,vehicular-video=20
 //	mmscale -signalling                         # per-profile location updates + pages
 //	mmscale -dimension                          # E10: fixed vs dimensioned matrix
+//	mmscale -dimension -mns 500,1000 -schemes multitier-rsmc  # the reduced E10 matrix
 //	mmscale -dimension -density dense -headroom 1.5
 //	mmscale -measureworkers 0                   # parallel measurement phase (0 = GOMAXPROCS)
 //	mmscale -dimension -rootocc                 # per-root occupancy column (load balance)
@@ -83,6 +90,7 @@ type axes struct {
 	profiles            []faults.NamedPlan
 	signalling, rootocc bool
 	planner             capacity.PlannerConfig
+	only                string
 }
 
 // override replaces the axes that were set explicitly. A mode passes nil
@@ -106,66 +114,110 @@ func (a axes) override(pops *[]int, schemes *[]core.Scheme, dur *time.Duration, 
 	}
 }
 
-// mode is one matrix mmscale runs: the flag selecting it ("" for the
+// mode is one run mmscale makes: the flag selecting it ("" for the
 // default E9 sweep), the flags it reads beyond the common ones, and how
-// it builds and runs its matrix. run reports the population and scheme
-// axes that actually ran.
+// it builds and runs its experiments. run returns the tables to print —
+// one per matrix mode, one per experiment of the suite — and the shape
+// that ran, for the summary line.
 type mode struct {
 	flag, usage string
 	reads       []string
-	run         func(experiments.Options, axes) (tbl *experiments.Table, pops, schemes int, err error)
+	run         func(experiments.Options, axes) (tables []*experiments.Table, shape string, err error)
 }
 
 var modes = []mode{
 	{"", "", []string{"mns", "schemes", "duration", "fleet", "signalling"},
-		func(opt experiments.Options, a axes) (*experiments.Table, int, int, error) {
+		func(opt experiments.Options, a axes) ([]*experiments.Table, string, error) {
 			m := experiments.DefaultScaleSweep()
 			a.override(&m.Populations, &m.Schemes, &m.Duration, &m.Spec, nil)
 			m.PerProfileSignalling = a.signalling
 			tbl, err := experiments.E9ScaleSweep(opt, m)
-			return tbl, len(m.Populations), len(m.Schemes), err
+			return matrixRan(tbl, err, len(m.Populations), len(m.Schemes))
+		}},
+	{"suite", "run the E1–E8 experiment suite: one table per figure or claim of the paper",
+		[]string{"only"},
+		func(opt experiments.Options, a axes) ([]*experiments.Table, string, error) {
+			var out []*experiments.Table
+			for _, e := range suite {
+				if a.only != "" && e.id != a.only {
+					continue
+				}
+				tbl, err := e.run(opt)
+				if err != nil {
+					return out, "", fmt.Errorf("%s: %w", e.id, err)
+				}
+				out = append(out, tbl)
+			}
+			return out, fmt.Sprintf("%d experiment(s)", len(out)), nil
 		}},
 	{"dimension", "run the E10 capacity matrix: fixed vs dimensioned topology",
 		[]string{"mns", "schemes", "duration", "fleet", "rootocc", "density", "headroom"},
-		func(opt experiments.Options, a axes) (*experiments.Table, int, int, error) {
+		func(opt experiments.Options, a axes) ([]*experiments.Table, string, error) {
 			m := experiments.DefaultCapacityMatrix()
 			a.override(&m.Populations, &m.Schemes, &m.Duration, &m.Spec, nil)
 			m.Planner, m.PerRootOccupancy = a.planner, a.rootocc
 			tbl, err := experiments.E10CapacityMatrix(opt, m)
-			return tbl, len(m.Populations), len(m.Schemes), err
+			return matrixRan(tbl, err, len(m.Populations), len(m.Schemes))
 		}},
 	{"faults", "run the E11 resilience matrix: deterministic fault injection x scheme",
 		[]string{"mns", "schemes", "duration", "fleet", "faultprofiles"},
-		func(opt experiments.Options, a axes) (*experiments.Table, int, int, error) {
+		func(opt experiments.Options, a axes) ([]*experiments.Table, string, error) {
 			m := experiments.DefaultResilienceMatrix()
 			a.override(&m.Populations, &m.Schemes, &m.Duration, &m.Spec, nil)
 			m.Profiles = a.profiles
 			tbl, err := experiments.E11Resilience(opt, m)
-			return tbl, len(m.Populations), len(m.Schemes), err
+			return matrixRan(tbl, err, len(m.Populations), len(m.Schemes))
 		}},
 	{"closedloop", "run the E13 closed-loop matrix: open vs closed QoE feedback loop x fault profile",
 		[]string{"mns", "duration", "fleet", "sample"},
-		func(opt experiments.Options, a axes) (*experiments.Table, int, int, error) {
+		func(opt experiments.Options, a axes) ([]*experiments.Table, string, error) {
 			m := experiments.DefaultClosedLoopMatrix()
 			a.override(&m.Populations, nil, &m.Duration, &m.Spec, &m.SampleInterval)
 			tbl, err := experiments.E13ClosedLoop(opt, m)
-			return tbl, len(m.Populations), 1, err
+			return matrixRan(tbl, err, len(m.Populations), 1)
 		}},
 	{"degrade", "run the E14 degradation matrix: cliff vs graceful degradation x fault profile",
 		[]string{"mns", "duration", "fleet", "sample", "faultprofiles"},
-		func(opt experiments.Options, a axes) (*experiments.Table, int, int, error) {
+		func(opt experiments.Options, a axes) ([]*experiments.Table, string, error) {
 			m := experiments.DefaultDegradationMatrix()
 			a.override(&m.Populations, nil, &m.Duration, &m.Spec, &m.SampleInterval)
 			m.Profiles = a.profiles
 			tbl, err := experiments.E14Degradation(opt, m)
-			return tbl, len(m.Populations), 1, err
+			return matrixRan(tbl, err, len(m.Populations), 1)
 		}},
+}
+
+// matrixRan is a matrix mode's result: its one table and the population
+// and scheme axes that ran.
+func matrixRan(tbl *experiments.Table, err error, pops, schemes int) ([]*experiments.Table, string, error) {
+	if err != nil {
+		return nil, "", err
+	}
+	return []*experiments.Table{tbl}, fmt.Sprintf("%d population(s) x %d scheme(s)", pops, schemes), nil
+}
+
+// experiment is one entry of the suite.
+type experiment struct {
+	id  string
+	run func(experiments.Options) (*experiments.Table, error)
+}
+
+// suite is the E1–E8 experiment suite in table order.
+var suite = []experiment{
+	{"E1", experiments.E1MobileIPProcedures},
+	{"E2", experiments.E2CellularIPHandoff},
+	{"E3", experiments.E3LocationManagement},
+	{"E4", experiments.E4InterDomain},
+	{"E5", experiments.E5IntraDomain},
+	{"E6", experiments.E6SchemeComparison},
+	{"E7", experiments.E7ResourceSwitching},
+	{"E8", experiments.E8PagingAndRSMCLoad},
 }
 
 // common are the flags every mode reads; with -trace, sample and
 // traceout are read too.
 var common = []string{"seed", "scale", "reps", "parallel", "measureworkers", "memstats", "trace",
-	"dimension", "faults", "closedloop", "degrade"}
+	"suite", "dimension", "faults", "closedloop", "degrade"}
 
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("mmscale", flag.ContinueOnError)
@@ -185,6 +237,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.String("schemes", "", "comma-separated schemes to sweep (default: every scheme; E9–E11 only)")
 	fs.String("fleet", "", "population mix as name=share,... of built-in profiles (default: the mode's mix)")
 	fs.String("faultprofiles", "", "with -faults or -degrade, comma-separated fault profiles to inject (default: the mode's standard profiles)")
+	fs.StringVar(&a.only, "only", "", "with -suite, run a single experiment (E1..E8)")
 	fs.DurationVar(&a.duration, "duration", 0, "virtual span of each scenario (default: the mode's matrix)")
 	fs.DurationVar(&a.sample, "sample", 0, "with -trace, time-series sampling cadence (0 = events only); with -closedloop or -degrade also the telemetry cadence (0 = duration/100)")
 	fs.BoolVar(&a.signalling, "signalling", false, "add per-profile location-update and paging columns to the E9 sweep (E10 always includes them)")
@@ -223,6 +276,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 			a.spec, ferr = fleet.ParseSpec(v)
 		case f.Name == "faultprofiles":
 			a.profiles, ferr = parseFaultProfiles(v)
+		case f.Name == "only":
+			if !slices.ContainsFunc(suite, func(e experiment) bool { return e.id == v }) {
+				ferr = fmt.Errorf("unknown experiment %q", v)
+			}
 		}
 		if ferr != nil && err == nil {
 			err = fmt.Errorf("-%s: %w", f.Name, ferr)
@@ -246,13 +303,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	start := time.Now()
-	tbl, pops, nschemes, err := md.run(opt, a)
+	tables, shape, err := md.run(opt, a)
+	for _, tbl := range tables {
+		fmt.Fprintln(stdout, tbl)
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(stdout, tbl)
-	fmt.Fprintf(stderr, "mmscale: %d population(s) x %d scheme(s), %d rep(s), %d worker(s), %d measure worker(s) in %v\n",
-		pops, nschemes, *reps, *parallel, mw, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "mmscale: %s, %d rep(s), %d worker(s), %d measure worker(s) in %v\n",
+		shape, *reps, *parallel, mw, time.Since(start).Round(time.Millisecond))
 	if *memstats {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)

@@ -2,9 +2,78 @@ package main
 
 import (
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
+
+// goldenDir holds the experiments' checked-in goldens; the CLI must
+// print them byte for byte.
+const goldenDir = "../../internal/experiments/testdata/"
+
+// TestRunMatchesGoldens runs the CLI at each golden's options and
+// compares stdout with the checked-in file. It never rewrites them.
+func TestRunMatchesGoldens(t *testing.T) {
+	for _, c := range []struct{ golden, args string }{
+		{"golden_suite.txt", "-suite -reps 2"},
+		{"golden_e9.txt", "-reps 2 -mns 40,80 -duration 10s"},
+		{"golden_e10.txt", "-dimension -reps 1 -mns 40,80 -duration 10s"},
+	} {
+		want, err := os.ReadFile(goldenDir + c.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := strings.Fields("-seed 7 -scale 0.05 -parallel 1 " + c.args)
+		var stdout strings.Builder
+		if err := run(args, &stdout, io.Discard); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
+		if stdout.String() != string(want) {
+			t.Errorf("run(%v) diverged from %s:\n%s", args, c.golden, stdout.String())
+		}
+	}
+}
+
+// suiteFirstTable runs -suite -only E1 at the suite golden's options
+// plus extra and checks that it printed the golden's first table: E1
+// leads the suite golden.
+func suiteFirstTable(t *testing.T, extra ...string) {
+	t.Helper()
+	want, err := os.ReadFile(goldenDir + "golden_suite.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := append([]string{"-suite", "-only", "E1", "-seed", "7", "-scale", "0.05", "-reps", "2"}, extra...)
+	var stdout strings.Builder
+	if err := run(args, &stdout, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if got := stdout.String(); got == "" || !strings.HasPrefix(string(want), got) || strings.Count(got, "\n\n") != 1 {
+		t.Fatalf("run(%v) printed something other than the golden's first table:\n%s", args, got)
+	}
+}
+
+func TestRunSingleExperiment(t *testing.T) {
+	suiteFirstTable(t, "-parallel", "1")
+}
+
+func TestRunReplicatedParallel(t *testing.T) {
+	// Replications spread over workers render the same bytes.
+	suiteFirstTable(t, "-parallel", "2")
+}
+
+func TestRunSummaryRecordsWorkerCounts(t *testing.T) {
+	runSummary(t, "mmscale: 1 experiment(s), 2 rep(s), 2 worker(s), 3 measure worker(s) in ",
+		"-suite", "-only", "E1", "-scale", "0.05", "-reps", "2", "-parallel", "2", "-measureworkers", "3")
+}
+
+func TestRunUnknownExperiment(t *testing.T) {
+	for _, only := range []string{"E99", "E9", "e1", ""} {
+		if err := run([]string{"-suite", "-only", only}, io.Discard, io.Discard); err == nil {
+			t.Errorf("-only %q accepted", only)
+		}
+	}
+}
 
 func TestRunSmallSweep(t *testing.T) {
 	if err := run([]string{"-mns", "20,40", "-schemes", "multitier-rsmc",
@@ -16,6 +85,20 @@ func TestRunSmallSweep(t *testing.T) {
 func TestRunRejectsBadFlag(t *testing.T) {
 	if err := run([]string{"-nope"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+}
+
+func TestRunSuiteRejectsBadFlag(t *testing.T) {
+	// The retired experiment CLI's -json and profiling flags are unknown here.
+	for _, args := range [][]string{
+		{"-suite", "-nope"},
+		{"-suite", "-json", "run.json"},
+		{"-suite", "-cpuprofile", "cpu.out"},
+		{"-suite", "-memprofile", "mem.out"},
+	} {
+		if err := run(args, io.Discard, io.Discard); err == nil {
+			t.Errorf("run(%v) accepted", args)
+		}
 	}
 }
 
@@ -69,11 +152,23 @@ func TestRunRejectsBadFleet(t *testing.T) {
 }
 
 func TestRunRejectsDegenerateOptions(t *testing.T) {
-	if err := run([]string{"-mns", "10", "-scale", "0"}, io.Discard, io.Discard); err == nil {
-		t.Fatal("zero scale accepted")
-	}
-	if err := run([]string{"-mns", "10", "-reps", "0"}, io.Discard, io.Discard); err == nil {
-		t.Fatal("zero reps accepted")
+	rejectDegenerate(t, "-mns", "10")
+}
+
+func TestRunSuiteRejectsDegenerateOptions(t *testing.T) {
+	rejectDegenerate(t, "-suite")
+}
+
+// rejectDegenerate checks that mode refuses a non-positive -scale, -reps
+// or -parallel.
+func rejectDegenerate(t *testing.T, mode ...string) {
+	t.Helper()
+	for _, bad := range [][]string{
+		{"-scale", "0"}, {"-scale", "-1"}, {"-reps", "0"}, {"-parallel", "0"},
+	} {
+		if err := run(append(append([]string{}, mode...), bad...), io.Discard, io.Discard); err == nil {
+			t.Errorf("%v %v accepted", mode, bad)
+		}
 	}
 }
 
@@ -136,6 +231,11 @@ func TestRunRejectsFlagsItsModeIgnores(t *testing.T) {
 		{"-closedloop", "-mns", "100", "-faultprofiles", "storm"},
 		{"-degrade", "-mns", "100", "-schemes", "multitier-rsmc"},
 		{"-degrade", "-mns", "100", "-rootocc"},
+		{"-only", "E1"},
+		{"-dimension", "-only", "E1"},
+		{"-suite", "-mns", "40"},
+		{"-suite", "-schemes", "multitier-rsmc"},
+		{"-suite", "-signalling"},
 	} {
 		if err := run(args, io.Discard, io.Discard); err == nil {
 			t.Errorf("run(%v) accepted", args)
@@ -151,6 +251,8 @@ func TestRunRejectsConflictingModes(t *testing.T) {
 		{"-degrade", "-faults"},
 		{"-degrade", "-closedloop"},
 		{"-degrade", "-dimension"},
+		{"-suite", "-dimension"},
+		{"-suite", "-faults"},
 	} {
 		if err := run(args, io.Discard, io.Discard); err == nil {
 			t.Fatalf("run(%v) accepted", args)

@@ -1,5 +1,5 @@
 // Command mmsim runs one mobility-management scenario and prints its
-// metrics. It is the single-run counterpart to cmd/mmbench. With
+// metrics. It is the single-run counterpart to cmd/mmscale. With
 // -reps > 1 the scenario is replicated with runner-derived seeds across
 // -parallel workers and per-replication plus aggregate statistics are
 // printed.

@@ -111,9 +111,8 @@ func (c LadderConfig) Validate() error {
 // direction, so reactions are rate-limited by the sampling cadence and
 // recovery is as observable as degradation.
 type Ladder struct {
-	cfg    LadderConfig
-	level  int
-	forced int // floor imposed by Force; no run path sets one
+	cfg   LadderConfig
+	level int
 }
 
 // NewLadder builds a ladder at level 0. The config must be valid.
@@ -137,7 +136,7 @@ func (l *Ladder) VideoScale() float64 { return l.cfg.VideoScales[l.level] }
 // Eval steps the ladder from one occupancy observation: at or above
 // Critical it deepens one rung, at or above Elevated it holds (entering
 // level 1 if still at 0), and below Elevated-Hysteresis it relaxes one
-// rung toward the forced floor. It returns the resulting level and
+// rung toward 0. It returns the resulting level and
 // whether this evaluation changed it.
 func (l *Ladder) Eval(occ float64) (level int, changed bool) {
 	prev := l.level
@@ -151,7 +150,7 @@ func (l *Ladder) Eval(occ float64) (level int, changed bool) {
 			l.level = 1
 		}
 	case occ < l.cfg.Elevated-l.cfg.Hysteresis:
-		if l.level > l.forced {
+		if l.level > 0 {
 			l.level--
 		}
 	}

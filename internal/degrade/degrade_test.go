@@ -107,38 +107,6 @@ func TestLadderElevatedEntersLevelOne(t *testing.T) {
 	}
 }
 
-func TestLadderForce(t *testing.T) {
-	l := mustLadder(t)
-	if lvl, changed := l.Force(1); lvl != 1 || !changed {
-		t.Fatalf("Force(1): level %d changed %v", lvl, changed)
-	}
-	// Occupancy cannot relax below the floor...
-	if lvl, _ := l.Eval(0.10); lvl != 1 {
-		t.Fatalf("eval under floor relaxed to %d", lvl)
-	}
-	// ...but can deepen past it and relax back down to it.
-	if lvl, _ := l.Eval(0.95); lvl != 2 {
-		t.Fatalf("eval past floor reached %d", lvl)
-	}
-	if lvl, _ := l.Eval(0.10); lvl != 1 {
-		t.Fatalf("relax toward floor reached %d", lvl)
-	}
-	// Releasing the floor lets occupancy finish the descent. Out-of-range
-	// floors clamp.
-	if _, changed := l.Force(0); changed {
-		t.Fatal("Force(0) at level 1 reported a level change")
-	}
-	if lvl, _ := l.Eval(0.10); lvl != 0 {
-		t.Fatalf("post-release relax reached %d", lvl)
-	}
-	if lvl, _ := l.Force(99); lvl != l.MaxLevel() {
-		t.Fatalf("clamped Force(99) reached %d", lvl)
-	}
-	if lvl, _ := l.Force(-5); lvl != l.MaxLevel() {
-		t.Fatalf("Force(-5) lowered the level to %d (floors never lower)", lvl)
-	}
-}
-
 func TestLadderDeferNew(t *testing.T) {
 	l := mustLadder(t)
 	// Level 0: nothing defers.

@@ -53,17 +53,6 @@ func DefaultCapacityMatrix() CapacityMatrix {
 	}
 }
 
-// SuiteCapacityMatrix is the reduced matrix mmbench's E10 entry and the
-// benchmark harness run: the low end of the population axis, multi-tier
-// only (the scheme with an admission model — the one the matrix is
-// about), both topology columns.
-func SuiteCapacityMatrix() CapacityMatrix {
-	m := DefaultCapacityMatrix()
-	m.Populations = []int{500, 1000}
-	m.Schemes = []core.Scheme{core.SchemeMultiTier}
-	return m
-}
-
 // E10CapacityMatrix measures admission outcomes, utilization and QoE
 // across the capacity×population matrix. The honest-scaling claim it
 // pins: on the fixed topology the multi-tier scheme's capacity-shed rate
@@ -73,7 +62,7 @@ func SuiteCapacityMatrix() CapacityMatrix {
 //
 // Like E9 it is not part of the E1–E8 suite: its cost axis is population
 // and topology size, so it is invoked deliberately (cmd/mmscale -dimension,
-// mmbench E10, BenchmarkE10CapacityMatrix, or the pinned golden test).
+// BenchmarkE10CapacityMatrix, or the pinned golden test).
 func E10CapacityMatrix(opt Options, m CapacityMatrix) (*Table, error) {
 	return runMatrix(opt, m.matrix(), m.table)
 }

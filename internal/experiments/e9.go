@@ -42,15 +42,6 @@ func DefaultScaleSweep() ScaleSweep {
 	}
 }
 
-// SuiteScaleSweep is the reduced sweep mmbench's E9 entry runs so the
-// full table suite stays regenerable in minutes: the same mix and
-// schemes at the lower end of the population axis.
-func SuiteScaleSweep() ScaleSweep {
-	sw := DefaultScaleSweep()
-	sw.Populations = []int{500, 1000, 2000}
-	return sw
-}
-
 // E9ScaleSweep measures per-profile QoE as the population grows: for
 // each (population, scheme) cell it runs the fleet mix and reports the
 // overall and per-profile loss, delivery delay and handoff rate. This is
@@ -64,8 +55,8 @@ func SuiteScaleSweep() ScaleSweep {
 //
 // E9 is not part of the E1–E8 suite: its cost axis is population, not
 // duration, so the golden E1–E8 suite stays byte-identical and scale
-// runs are invoked deliberately (cmd/mmscale, mmbench E9, or the pinned
-// golden E9 test).
+// runs are invoked deliberately (cmd/mmscale or the pinned golden E9
+// test).
 func E9ScaleSweep(opt Options, sw ScaleSweep) (*Table, error) {
 	return runMatrix(opt, sw.matrix(), sw.table)
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // The flattened E1–E8 suite the golden, the suite-shape test and the
-// sequential-vs-parallel test run. cmd/mmbench runs the experiments one
-// at a time; All must render byte-identical tables to that.
+// sequential-vs-parallel test run. cmd/mmscale -suite runs the
+// experiments one at a time; All must render byte-identical tables to
+// that.
 
 // seeds returns the per-replication seed stream the experiment's jobs
 // use: paired (common random numbers) within the experiment, offset by

@@ -14,7 +14,7 @@ import (
 	"repro/internal/runner"
 )
 
-// Table is one experiment's output: the rows cmd/mmbench prints.
+// Table is one experiment's output: the rows cmd/mmscale prints.
 type Table struct {
 	ID     string
 	Title  string

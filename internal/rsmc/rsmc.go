@@ -4,8 +4,8 @@
 // attached to the domain-head (macro) station: the station's cell tables
 // provide the "store the location information of MN" role and its
 // forwarding machinery the "forward data packets to MN" role, while the
-// RSMC itself contributes MN authentication, domain membership tracking
-// and the load accounting the paper argues stays low ("Because it is in a
+// RSMC itself contributes MN authentication and the membership-churn and
+// load accounting the paper argues stays low ("Because it is in a
 // limited area, the load of RSMC is very low").
 package rsmc
 
@@ -58,7 +58,6 @@ type RSMC struct {
 	station *multitier.Station
 	auth    *auth.Authenticator // nil disables authentication
 	stats   *Stats
-	members map[addr.IP]bool
 }
 
 var _ multitier.Controller = (*RSMC)(nil)
@@ -73,7 +72,6 @@ func New(station *multitier.Station, authenticator *auth.Authenticator, stats *S
 		station: station,
 		auth:    authenticator,
 		stats:   stats,
-		members: make(map[addr.IP]bool),
 	}
 	station.SetController(r)
 	return r
@@ -101,14 +99,12 @@ func (r *RSMC) Authorize(mn addr.IP, nonce uint64, token []byte) error {
 
 // OnAttach implements multitier.Controller.
 func (r *RSMC) OnAttach(mn addr.IP) {
-	r.members[mn] = true
 	r.stats.Attaches.Inc()
 	r.stats.Operations.Inc()
 }
 
 // OnDetach implements multitier.Controller.
 func (r *RSMC) OnDetach(mn addr.IP) {
-	delete(r.members, mn)
 	r.stats.Detaches.Inc()
 	r.stats.Operations.Inc()
 }

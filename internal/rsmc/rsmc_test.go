@@ -36,7 +36,7 @@ func TestRSMCInstallsAsController(t *testing.T) {
 	r := New(head, nil, NewStats(reg, 0))
 	// The station's attach hook reaches the RSMC only once it is installed.
 	head.AttachMN(mn, head.Node().Network().NewNode("mn"))
-	if !r.members[mn] {
+	if r.stats.Attaches.Value() != 1 {
 		t.Fatal("RSMC not installed on station")
 	}
 	if r.domain != 0 || r.station != head {
@@ -90,15 +90,12 @@ func TestRSMCMembershipTracking(t *testing.T) {
 	net := head.Node().Network()
 	mnNode := net.NewNode("mn")
 	head.AttachMN(mn, mnNode)
-	if !r.members[mn] || len(r.members) != 1 {
+	if r.stats.Attaches.Value() != 1 || r.stats.Detaches.Value() != 0 || r.stats.Operations.Value() != 1 {
 		t.Fatal("attach not tracked")
 	}
 	head.DetachMN(mn)
-	if r.members[mn] || len(r.members) != 0 {
-		t.Fatal("detach not tracked")
-	}
 	if r.stats.Attaches.Value() != 1 || r.stats.Detaches.Value() != 1 {
-		t.Fatal("membership counters wrong")
+		t.Fatal("detach not tracked")
 	}
 	if r.stats.Operations.Value() != 2 {
 		t.Fatalf("operations = %d", r.stats.Operations.Value())

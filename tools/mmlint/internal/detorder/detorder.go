@@ -58,8 +58,8 @@ var effects = map[analysis.FuncRef]bool{
 	{Pkg: simtimePkg, Recv: "Scheduler", Name: "After"}:     true,
 	{Pkg: simtimePkg, Recv: "Scheduler", Name: "AfterFIFO"}: true,
 	{Pkg: simtimePkg, Recv: "Scheduler", Name: "Every"}:     true,
+	{Pkg: simtimePkg, Recv: "Scheduler", Name: "EveryNow"}:  true,
 	{Pkg: simtimePkg, Recv: "Line", Name: "Post"}:           true,
-	{Pkg: simtimePkg, Recv: "Ticker", Name: "Reset"}:        true,
 
 	{Pkg: netsimPkg, Recv: "Node", Name: "Send"}:             true,
 	{Pkg: netsimPkg, Recv: "Node", Name: "SendVia"}:          true,

@@ -25,6 +25,12 @@ func postInRange(ln *simtime.Line, fns map[uint32]func()) {
 	}
 }
 
+func armInRange(s *simtime.Scheduler, fns map[uint32]func()) {
+	for _, fn := range fns {
+		s.EveryNow(1, fn) // want "Scheduler.EveryNow inside a map range"
+	}
+}
+
 func sortedKeysClean(node *netsim.Node, l *netsim.Link, peers map[uint32]*netsim.Node) {
 	keys := make([]uint32, 0, len(peers))
 	for k := range peers {

@@ -14,17 +14,17 @@ type Ticker struct {
 	Period Time
 }
 
-func (t *Ticker) Stop()  {}
-func (t *Ticker) Reset() {}
+func (t *Ticker) Stop() {}
 
 type Scheduler struct{ now Time }
 
-func (s *Scheduler) Now() Time                       { return s.now }
-func (s *Scheduler) At(t Time, fn func())            {}
-func (s *Scheduler) After(d Time, fn func())         {}
-func (s *Scheduler) AfterFIFO(d Time, fn func())     {}
-func (s *Scheduler) Every(d Time, fn func()) *Ticker { return &Ticker{Period: d} }
-func (s *Scheduler) Line(d Time) *Line               { return &Line{d: d} }
+func (s *Scheduler) Now() Time                          { return s.now }
+func (s *Scheduler) At(t Time, fn func())               {}
+func (s *Scheduler) After(d Time, fn func())            {}
+func (s *Scheduler) AfterFIFO(d Time, fn func())        {}
+func (s *Scheduler) Every(d Time, fn func()) *Ticker    { return &Ticker{Period: d} }
+func (s *Scheduler) EveryNow(d Time, fn func()) *Ticker { return &Ticker{Period: d} }
+func (s *Scheduler) Line(d Time) *Line                  { return &Line{d: d} }
 
 type Line struct{ d Time }
 
