@@ -151,10 +151,8 @@ func writeTrace(res *core.Result, path string) error {
 	if cerr != nil {
 		return cerr
 	}
-	fmt.Fprintf(os.Stderr, "mmsim: trace %s: %d events (%d dropped), %d samples, measure=%v decide=%v\n",
-		path, len(tr.Events()), tr.Dropped(), tr.Samples(),
-		time.Duration(tr.Wall.MeasureNS).Round(time.Microsecond),
-		time.Duration(tr.Wall.DecideNS).Round(time.Microsecond))
+	fmt.Fprintf(os.Stderr, "mmsim: trace %s: %d events (%d dropped), %d samples\n",
+		path, len(tr.Events()), tr.Dropped(), tr.Samples())
 	return nil
 }
 

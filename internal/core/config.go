@@ -130,8 +130,8 @@ type Config struct {
 	// applies this cycle's handoff decisions. Decisions still apply sequentially, in
 	// id order, at their original virtual instants, so results are
 	// byte-identical to sequential execution for any worker count, and
-	// Run joins any prime still in flight before it returns. 0 or 1
-	// measures inline; a negative count is rejected.
+	// no worker outlives Run. 0 or 1 measures inline; a negative count
+	// is rejected.
 	MeasureWorkers int
 	// ResourceSwitching toggles RSMC buffering (multi-tier only).
 	ResourceSwitching bool

@@ -96,6 +96,14 @@ func TestRunConservation(t *testing.T) {
 	stormCfg.NumMNs = 40
 	stormCfg.Faults = storm.Plan
 	cells["storm/"+string(SchemeMultiTier)] = stormCfg
+	// A dimensioned default-fleet cell on its own packet arena, and a
+	// Mobile IP population past 1024 MNs, whose registrations grow the
+	// Home Agent's binding array beyond its first doublings.
+	cells["fleet-dimensioned/"+string(SchemeMultiTier)] = dimensionedConfig(t, 200)
+	bigMIP := shortCfg(SchemeMobileIP)
+	bigMIP.NumMNs = 1100
+	bigMIP.Duration = 3 * time.Second
+	cells["1100/"+string(SchemeMobileIP)] = bigMIP
 	for _, name := range slices.Sorted(maps.Keys(cells)) {
 		cfg := cells[name]
 		t.Run(name, func(t *testing.T) {
@@ -103,10 +111,7 @@ func TestRunConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := s.run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := s.run()
 			sum := res.Summary
 			// Every sent packet is delivered, dropped or still in flight
 			// (bicast clones can add drops beyond sent under semisoft, so

@@ -113,28 +113,15 @@ func (s *scenario) measure(d *measureDriver, m *measureSlot, at time.Duration) {
 // next cycle's prime in the background, so the workers measure while
 // this cycle's decisions run. Decisions read only the current slot; the
 // workers write only the other one.
-//
-// With tracing armed the two halves also accumulate wall-clock spend
-// into the trace (measure vs decide), the one place the engine is
-// allowed to read the host clock; the totals are diagnostics only and
-// never feed back into simulation state or the exported trace bytes.
 func (s *scenario) measureTick(i int) {
-	w := s.obsWall()
 	now := s.sched.Now()
 	if i == 0 && s.measureWorkers > 1 {
-		var t0 time.Time
-		if w != nil {
-			t0 = time.Now()
-		}
 		if s.priming {
 			s.parity ^= 1
 		} else {
 			s.startPrime(s.parity, now) // first cycle: nothing primed it yet
 		}
 		s.prime.Wait()
-		if w != nil {
-			w.MeasureNS += time.Since(t0).Nanoseconds()
-		}
 		next := now + s.cfg.MeasureInterval
 		if s.priming = next <= s.cfg.Duration; s.priming {
 			s.startPrime(s.parity^1, next)
@@ -143,24 +130,10 @@ func (s *scenario) measureTick(i int) {
 	d := &s.drivers[i]
 	m := &d.slots[s.parity]
 	if !m.primed {
-		var t0 time.Time
-		if w != nil {
-			t0 = time.Now()
-		}
 		s.measure(d, m, now)
-		if w != nil {
-			w.MeasureNS += time.Since(t0).Nanoseconds()
-		}
 	}
 	m.primed = false
-	var t0 time.Time
-	if w != nil {
-		t0 = time.Now()
-	}
 	d.decide(m.speed, m.sigs)
-	if w != nil {
-		w.DecideNS += time.Since(t0).Nanoseconds()
-	}
 }
 
 // startPrime starts pre-computing, into slots[slot], every MN's

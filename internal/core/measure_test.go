@@ -1,14 +1,9 @@
 package core
 
 import (
-	"errors"
 	"runtime"
 	"testing"
 	"time"
-
-	"repro/internal/geo"
-	"repro/internal/mobility"
-	"repro/internal/simtime"
 )
 
 // runOnce executes one scenario and returns its result.
@@ -91,26 +86,9 @@ func TestMeasureWorkersExceedingPopulation(t *testing.T) {
 	}
 }
 
-// gatedModel holds every position query at or after from until gate is
-// closed, so a prime of that cycle stays in flight as long as the test
-// wants.
-type gatedModel struct {
-	mobility.Model
-	from time.Duration
-	gate chan struct{}
-}
-
-func (g gatedModel) Position(at time.Duration) geo.Point {
-	if at >= g.from {
-		<-g.gate
-	}
-	return g.Model.Position(at)
-}
-
-// TestMeasurePrimeJoinedByRun: no prime goroutine outlives a run. A run
-// that reaches its deadline collects its last prime at the last cycle's
-// tick; a run stopped mid-cycle still has the next cycle's prime in
-// flight, and must wait for it before returning.
+// TestMeasurePrimeJoinedByRun: no prime goroutine outlives a run. The
+// tick that starts a cycle's prime is always followed, within the
+// deadline, by the tick that collects it.
 func TestMeasurePrimeJoinedByRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 2 * time.Second
@@ -118,35 +96,6 @@ func TestMeasurePrimeJoinedByRun(t *testing.T) {
 	cfg.MeasureWorkers = 3
 	base := runtime.NumGoroutine()
 	runOnce(t, cfg)
-	waitGoroutines(t, base)
-
-	s, err := newScenario(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MN 0's tick at open starts cycle 6's prime, which blocks on the
-	// gate; the scheduler stops just after it.
-	open := s.measureOffset(0) + 5*cfg.MeasureInterval
-	gate := make(chan struct{})
-	for i := range s.drivers {
-		d := &s.drivers[i]
-		d.model = gatedModel{Model: d.model, from: open + cfg.MeasureInterval, gate: gate}
-	}
-	s.sched.At(open+1, s.sched.Stop)
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.run()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("stopped run returned (%v) while its prime was still measuring", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(gate)
-	if err := <-done; !errors.Is(err, simtime.ErrStopped) {
-		t.Fatalf("stopped run: err = %v, want ErrStopped", err)
-	}
 	waitGoroutines(t, base)
 }
 

@@ -88,13 +88,3 @@ func (s *scenario) installObsProbes() {
 		s.degradeTick(now)
 	})
 }
-
-// obsWall exposes the trace's wall-clock accumulator to the measurement
-// engine (nil when tracing is off). Wall times are diagnostics only —
-// they are excluded from the deterministic exporters.
-func (s *scenario) obsWall() *obs.Wall {
-	if s.trace == nil {
-		return nil
-	}
-	return &s.trace.Wall
-}

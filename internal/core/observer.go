@@ -77,45 +77,38 @@ func (o *flowObserver) OnDrop(at *netsim.Node, pkt *packet.Packet, reason metric
 	}
 }
 
-// latencyTracker aggregates end-to-end delay/jitter per QoS class.
+// latencyTracker aggregates end-to-end delay/jitter per QoS class, in
+// an array indexed by class.
 type latencyTracker struct {
 	reg     *metrics.Registry
-	byClass map[packet.Class]*metrics.Histogram
-	jitter  map[packet.Class]*jitterState
+	byClass [256]classLatency
 }
 
-type jitterState struct {
-	last time.Duration
-	hist *metrics.Histogram
+// classLatency is one class's delay and jitter histograms, registered on
+// the class's first delivery, and the delay of its last delivered packet.
+type classLatency struct {
+	latency, jitter *metrics.Histogram
+	last            time.Duration
 }
 
 func newLatencyTracker(reg *metrics.Registry) *latencyTracker {
-	return &latencyTracker{
-		reg:     reg,
-		byClass: make(map[packet.Class]*metrics.Histogram),
-		jitter:  make(map[packet.Class]*jitterState),
-	}
+	return &latencyTracker{reg: reg}
 }
 
 // observe records one delivered packet.
 func (lt *latencyTracker) observe(now time.Duration, pkt *packet.Packet) {
 	d := now - pkt.SentAt
-	h, ok := lt.byClass[pkt.Class]
-	if !ok {
-		h = lt.reg.Histogram("e2e.latency." + pkt.Class.String())
-		lt.byClass[pkt.Class] = h
-	}
-	h.Observe(d)
-	js, ok := lt.jitter[pkt.Class]
-	if !ok {
-		js = &jitterState{hist: lt.reg.Histogram("e2e.jitter." + pkt.Class.String())}
-		lt.jitter[pkt.Class] = js
+	c := &lt.byClass[pkt.Class]
+	if c.latency == nil {
+		c.latency = lt.reg.Histogram("e2e.latency." + pkt.Class.String())
+		c.jitter = lt.reg.Histogram("e2e.jitter." + pkt.Class.String())
 	} else {
-		delta := d - js.last
+		delta := d - c.last
 		if delta < 0 {
 			delta = -delta
 		}
-		js.hist.Observe(delta)
+		c.jitter.Observe(delta)
 	}
-	js.last = d
+	c.latency.Observe(d)
+	c.last = d
 }

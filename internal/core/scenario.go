@@ -134,7 +134,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.run()
+	return s.run(), nil
 }
 
 // newScenario validates cfg and builds the scenario ready to run: the
@@ -249,16 +249,12 @@ func newScenario(cfg Config) (*scenario, error) {
 	return s, nil
 }
 
-// run executes the scenario to its deadline. It waits for a measurement
-// prime still in flight before returning, on every path, so no worker
-// outlives the run: a run that reaches its deadline has collected its
-// last prime at the last cycle's tick, but a stopped one may not have.
-func (s *scenario) run() (*Result, error) {
-	defer s.prime.Wait()
-	if err := s.sched.RunUntil(s.cfg.Duration); err != nil {
-		return nil, fmt.Errorf("run: %w", err)
-	}
-	return &Result{Config: s.cfg, Registry: s.reg, Summary: s.summarize(), Trace: s.trace}, nil
+// run executes the scenario to its deadline. No measurement worker
+// outlives it: MN 0's tick starts a cycle's prime only when that cycle's
+// tick falls within the deadline, and that tick collects it.
+func (s *scenario) run() *Result {
+	s.sched.RunUntil(s.cfg.Duration)
+	return &Result{Config: s.cfg, Registry: s.reg, Summary: s.summarize(), Trace: s.trace}
 }
 
 // buildMobility creates one model per MN: the homogeneous config kind,

@@ -94,8 +94,7 @@ func TestGoldenTraceByteIdentical(t *testing.T) {
 
 // TestGoldenTraceParallelMeasurementMatches proves tracing composes with
 // the parallel measurement phase: the traced run with measurement
-// workers must export the exact golden bytes. (Wall-clock spend is
-// excluded from the export precisely so this identity can hold.)
+// workers must export the exact golden bytes.
 func TestGoldenTraceParallelMeasurementMatches(t *testing.T) {
 	want, err := os.ReadFile(goldenTracePath)
 	if err != nil {

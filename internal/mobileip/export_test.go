@@ -14,7 +14,7 @@ import (
 func (ha *HomeAgent) Node() *netsim.Node { return ha.node }
 
 // AttachHome marks a mobile node as present on the home link.
-func (ha *HomeAgent) AttachHome(home addr.IP, node *netsim.Node) { ha.atHome[home] = node }
+func (ha *HomeAgent) AttachHome(home addr.IP, node *netsim.Node) { ha.grow(home).atHome = node }
 
 // Node returns the underlying network node.
 func (mn *MobileNode) Node() *netsim.Node { return mn.node }

@@ -20,6 +20,18 @@ type Binding struct {
 	LastID  uint64        // highest registration ID accepted
 }
 
+// bindingSlot is the HA's record for one home address, kept by value in
+// the HA's binding array: the binding while bound, the expiry-sweep
+// generation, which outlives the binding so that a lapsed registration's
+// sweep cannot drop a newer one, and the node while the MN is on the
+// home link.
+type bindingSlot struct {
+	Binding
+	generation uint64
+	bound      bool
+	atHome     *netsim.Node
+}
+
 // HomeAgent serves a home network prefix: it answers registrations for
 // mobile nodes whose home addresses lie in the prefix and intercepts data
 // packets addressed to them, tunnelling to the registered care-of address
@@ -31,13 +43,13 @@ type HomeAgent struct {
 	sched  *simtime.Scheduler
 	stats  *Stats
 
-	bindings map[addr.IP]*Binding
-	// atHome maps home addresses to node handles for nodes currently on
-	// the home link, reachable without tunnelling.
-	atHome map[addr.IP]*netsim.Node
+	// bindings holds one record per home address, indexed by home −
+	// prefix base. Home addresses are dense at the bottom of the prefix,
+	// so the array grows by doubling to the highest one seen and never
+	// past the prefix: an index inside it is an address inside it.
+	bindings []bindingSlot
 	// homeAirDelay is the home-link delivery latency.
 	homeAirDelay time.Duration
-	generation   map[addr.IP]uint64 // expiry-sweep generation per binding
 	// auth, when armed, requires every registration to carry a fresh
 	// MHAE token inside authWindow of the HA's clock.
 	auth       *auth.Authenticator
@@ -57,10 +69,7 @@ func NewHomeAgent(node *netsim.Node, prefix addr.Prefix, stats *Stats) *HomeAgen
 		prefix:       prefix,
 		sched:        node.Network().Scheduler(),
 		stats:        stats,
-		bindings:     make(map[addr.IP]*Binding),
-		atHome:       make(map[addr.IP]*netsim.Node),
 		homeAirDelay: 2 * time.Millisecond,
-		generation:   make(map[addr.IP]uint64),
 	}
 	ha.router = netsim.NewStaticRouter(node)
 	node.SetHandler(ha)
@@ -112,13 +121,42 @@ func (ha *HomeAgent) authorize(req *RegistrationRequest) bool {
 	return true
 }
 
-// Binding returns the current binding for home, or nil.
-func (ha *HomeAgent) Binding(home addr.IP) *Binding {
-	b := ha.bindings[home]
-	if b == nil || b.Expires < ha.sched.Now() {
-		return nil
+// slot returns home's record, or nil when no registration ever reached
+// it (or home lies outside the prefix).
+//
+//mmlint:noalloc
+func (ha *HomeAgent) slot(home addr.IP) *bindingSlot {
+	if i := uint32(home - ha.prefix.Base); uint64(i) < uint64(len(ha.bindings)) {
+		return &ha.bindings[i]
 	}
-	return b
+	return nil
+}
+
+// grow returns home's record, doubling the array until it reaches home.
+// home must lie inside the prefix.
+func (ha *HomeAgent) grow(home addr.IP) *bindingSlot {
+	i := uint64(home - ha.prefix.Base)
+	if n := uint64(len(ha.bindings)); i >= n {
+		n = max(n, 64)
+		for n <= i {
+			n *= 2
+		}
+		grown := make([]bindingSlot, min(n, ha.prefix.Size()))
+		copy(grown, ha.bindings)
+		ha.bindings = grown
+	}
+	return &ha.bindings[i]
+}
+
+// Binding returns the current binding for home, if there is one.
+//
+//mmlint:noalloc
+func (ha *HomeAgent) Binding(home addr.IP) (Binding, bool) {
+	b := ha.slot(home)
+	if b == nil || !b.bound || b.Expires < ha.sched.Now() {
+		return Binding{}, false
+	}
+	return b.Binding, true
 }
 
 // Receive implements netsim.Handler.
@@ -155,13 +193,13 @@ func (ha *HomeAgent) handleControl(pkt *packet.Packet) {
 		Lifetime: req.Lifetime,
 		ID:       req.ID,
 	}
-	old := ha.bindings[req.Home]
+	old := ha.slot(req.Home)
 	switch {
 	case !ha.authorize(req):
 		reply.Code = CodeDeniedAuth
 	case !ha.prefix.Contains(req.Home):
 		reply.Code = CodeDeniedUnknownHome
-	case old != nil && req.ID < old.LastID:
+	case old != nil && old.bound && req.ID < old.LastID:
 		// Out-of-order retransmission of an older move: deny it so a
 		// late-arriving stale request cannot clobber a newer binding.
 		reply.Code = CodeDeniedIdentification
@@ -170,20 +208,24 @@ func (ha *HomeAgent) handleControl(pkt *packet.Packet) {
 	}
 	if reply.Code == CodeAccepted {
 		if req.CareOf.IsUnspecified() {
-			delete(ha.bindings, req.Home)
+			if old != nil {
+				old.bound = false
+			}
 		} else {
-			ha.generation[req.Home]++
-			gen := ha.generation[req.Home]
-			ha.bindings[req.Home] = &Binding{
+			b := ha.grow(req.Home)
+			b.generation++
+			gen := b.generation
+			b.Binding = Binding{
 				Home:    req.Home,
 				CareOf:  req.CareOf,
 				Expires: ha.sched.Now() + reply.Lifetime,
 				LastID:  req.ID,
 			}
+			b.bound = true
 			// Soft-state expiry: drop the binding unless refreshed.
 			ha.sched.After(reply.Lifetime, func() {
-				if ha.generation[req.Home] == gen {
-					delete(ha.bindings, req.Home)
+				if b := ha.slot(req.Home); b.generation == gen {
+					b.bound = false
 				}
 			})
 		}
@@ -200,12 +242,12 @@ func (ha *HomeAgent) handleControl(pkt *packet.Packet) {
 // intercept tunnels a data packet for a registered visitor, delivers it on
 // the home link when the node is home, or drops it.
 func (ha *HomeAgent) intercept(pkt *packet.Packet) {
-	if node, ok := ha.atHome[pkt.Dst]; ok {
-		_ = ha.node.Network().DeliverDirect(ha.node, node, pkt, ha.homeAirDelay, 0)
+	if b := ha.slot(pkt.Dst); b != nil && b.atHome != nil {
+		_ = ha.node.Network().DeliverDirect(ha.node, b.atHome, pkt, ha.homeAirDelay, 0)
 		return
 	}
-	b := ha.Binding(pkt.Dst)
-	if b == nil {
+	b, ok := ha.Binding(pkt.Dst)
+	if !ok {
 		// No binding and not at home: Mobile IP loses the packet while the
 		// node is between registrations.
 		ha.node.Network().Drop(ha.node, pkt, metrics.DropStale)

@@ -101,15 +101,13 @@ func TestRegistrationCompletes(t *testing.T) {
 	var regLatency time.Duration
 	tb.mn.OnRegistered = func(l time.Duration) { regLatency = l }
 	tb.mn.MoveTo(tb.fa1)
-	if err := tb.sched.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(2 * time.Second)
 	if !tb.mn.Registered() {
 		t.Fatal("MN not registered")
 	}
-	b := tb.ha.Binding(tb.mn.Home())
-	if b == nil || b.CareOf != tb.fa1.CareOf() {
-		t.Fatalf("binding = %+v", b)
+	b, ok := tb.ha.Binding(tb.mn.Home())
+	if !ok || b.CareOf != tb.fa1.CareOf() {
+		t.Fatalf("binding = %+v, %v", b, ok)
 	}
 	// Round trip: MN->FA air (5ms) + FA->inet->HA (10ms) + back (10ms) +
 	// FA->MN air (5ms) = 30ms.
@@ -124,13 +122,9 @@ func TestRegistrationCompletes(t *testing.T) {
 func TestTriangleRoutingDeliversToVisitor(t *testing.T) {
 	tb := newTestbed(t)
 	tb.mn.MoveTo(tb.fa1)
-	if err := tb.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(time.Second)
 	tb.cnSend(1)
-	if err := tb.sched.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(2 * time.Second)
 	if len(tb.mnGot) != 1 {
 		t.Fatalf("MN received %d packets", len(tb.mnGot))
 	}
@@ -149,9 +143,7 @@ func TestDeliveryAtHomeWithoutTunnel(t *testing.T) {
 	tb := newTestbed(t)
 	tb.ha.AttachHome(tb.mn.Home(), tb.mn.Node())
 	tb.cnSend(1)
-	if err := tb.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(time.Second)
 	if len(tb.mnGot) != 1 {
 		t.Fatalf("MN at home received %d packets", len(tb.mnGot))
 	}
@@ -164,9 +156,7 @@ func TestUnboundPacketDropsAsStale(t *testing.T) {
 	tb := newTestbed(t)
 	// MN neither home nor registered.
 	tb.cnSend(1)
-	if err := tb.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(time.Second)
 	if len(tb.mnGot) != 0 {
 		t.Fatal("unbound packet delivered")
 	}
@@ -178,17 +168,13 @@ func TestUnboundPacketDropsAsStale(t *testing.T) {
 func TestHandoffLosesInFlightPackets(t *testing.T) {
 	tb := newTestbed(t)
 	tb.mn.MoveTo(tb.fa1)
-	if err := tb.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(time.Second)
 	// Move to FA2 and immediately send packets: they are tunnelled to FA1
 	// (stale binding) until re-registration completes.
 	tb.mn.MoveTo(tb.fa2)
 	tb.cnSend(1)
 	tb.cnSend(2)
-	if err := tb.sched.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(10 * time.Second)
 	if !tb.mn.Registered() {
 		t.Fatal("MN failed to re-register")
 	}
@@ -200,9 +186,7 @@ func TestHandoffLosesInFlightPackets(t *testing.T) {
 	}
 	// After re-registration, traffic flows to FA2.
 	tb.cnSend(3)
-	if err := tb.sched.RunUntil(11 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(11 * time.Second)
 	if len(tb.mnGot) != 1 {
 		t.Fatalf("post-handoff delivery count = %d", len(tb.mnGot))
 	}
@@ -220,9 +204,7 @@ func TestRegistrationRetriesOnLoss(t *testing.T) {
 		tb.fa1Core.SetDown(false)
 	})
 	tb.mn.MoveTo(tb.fa1)
-	if err := tb.sched.RunUntil(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(30 * time.Second)
 	if retriesWhileDown == 0 {
 		t.Fatal("no retransmission before the links came up")
 	}
@@ -237,9 +219,7 @@ func TestRegistrationFailureAfterMaxRetries(t *testing.T) {
 	failed := false
 	tb.mn.OnRegistrationFailed = func() { failed = true }
 	tb.mn.MoveTo(tb.fa1)
-	if err := tb.sched.RunUntil(time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(time.Minute)
 	if tb.mn.Registered() {
 		t.Fatal("registered through a dead link")
 	}
@@ -255,19 +235,15 @@ func TestBindingExpiresWithoutRenewal(t *testing.T) {
 	mn2Node := tb.net.NewNode("mn2")
 	mn2 := NewMobileNode(mn2Node, addr.MustParse("172.16.0.6"), addr.MustParse("172.16.0.1"), cfg, tb.stats)
 	mn2.MoveTo(tb.fa1)
-	if err := tb.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if tb.ha.Binding(mn2.Home()) == nil {
+	tb.sched.RunUntil(time.Second)
+	if _, ok := tb.ha.Binding(mn2.Home()); !ok {
 		t.Fatal("binding missing")
 	}
 	// Detach the node so it cannot renew; binding must expire.
 	tb.fa1.Detach(mn2.Home())
 	mn2.cancelTimers()
-	if err := tb.sched.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if tb.ha.Binding(mn2.Home()) != nil {
+	tb.sched.RunUntil(10 * time.Second)
+	if _, ok := tb.ha.Binding(mn2.Home()); ok {
 		t.Fatal("binding survived past lifetime")
 	}
 }
@@ -279,10 +255,8 @@ func TestRenewalKeepsBindingAlive(t *testing.T) {
 	mn2Node := tb.net.NewNode("mn2")
 	mn2 := NewMobileNode(mn2Node, addr.MustParse("172.16.0.7"), addr.MustParse("172.16.0.1"), cfg, tb.stats)
 	mn2.MoveTo(tb.fa1)
-	if err := tb.sched.RunUntil(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if tb.ha.Binding(mn2.Home()) == nil {
+	tb.sched.RunUntil(20 * time.Second)
+	if _, ok := tb.ha.Binding(mn2.Home()); !ok {
 		t.Fatal("binding not kept alive by renewals")
 	}
 }
@@ -290,21 +264,15 @@ func TestRenewalKeepsBindingAlive(t *testing.T) {
 func TestDeregistrationOnReturnHome(t *testing.T) {
 	tb := newTestbed(t)
 	tb.mn.MoveTo(tb.fa1)
-	if err := tb.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(time.Second)
 	tb.mn.ReturnHome()
 	tb.ha.AttachHome(tb.mn.Home(), tb.mn.Node())
-	if err := tb.sched.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if tb.ha.Binding(tb.mn.Home()) != nil {
+	tb.sched.RunUntil(2 * time.Second)
+	if _, ok := tb.ha.Binding(tb.mn.Home()); ok {
 		t.Fatal("binding survived deregistration")
 	}
 	tb.cnSend(9)
-	if err := tb.sched.RunUntil(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(3 * time.Second)
 	if len(tb.mnGot) != 1 {
 		t.Fatal("home delivery after deregistration failed")
 	}
@@ -317,14 +285,10 @@ func TestUplinkDataPath(t *testing.T) {
 		cnGot = append(cnGot, p)
 	})
 	tb.mn.MoveTo(tb.fa1)
-	if err := tb.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(time.Second)
 	up := packet.New(tb.mn.Home(), tb.cn.Addr(), packet.ClassInteractive, 3, 0, []byte("up"))
 	tb.mn.SendData(up)
-	if err := tb.sched.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(2 * time.Second)
 	if len(cnGot) != 1 {
 		t.Fatalf("CN received %d uplink packets", len(cnGot))
 	}
@@ -333,14 +297,10 @@ func TestUplinkDataPath(t *testing.T) {
 func TestMoveToSameAgentIsNoop(t *testing.T) {
 	tb := newTestbed(t)
 	tb.mn.MoveTo(tb.fa1)
-	if err := tb.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(time.Second)
 	sig := tb.stats.Signaling.Value()
 	tb.mn.MoveTo(tb.fa1)
-	if err := tb.sched.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(2 * time.Second)
 	if tb.stats.Signaling.Value() != sig {
 		t.Fatal("re-moving to the same FA generated signalling")
 	}
@@ -349,9 +309,7 @@ func TestMoveToSameAgentIsNoop(t *testing.T) {
 func TestStaleRegistrationCannotClobberNewer(t *testing.T) {
 	tb := newTestbed(t)
 	tb.mn.MoveTo(tb.fa1)
-	if err := tb.sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(time.Second)
 	// Hand-craft a stale request (older ID) arriving late at the HA.
 	stale := &RegistrationRequest{
 		Home:     tb.mn.Home(),
@@ -373,14 +331,12 @@ func TestStaleRegistrationCannotClobberNewer(t *testing.T) {
 	pkt := packet.NewControl(tb.cn.Addr(), addr.MustParse("172.16.0.1"),
 		packet.ProtoMobileIP, stale.Marshal())
 	tb.cnRouter.Forward(pkt)
-	if err := tb.sched.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	tb.sched.RunUntil(2 * time.Second)
 	if len(codes) != 1 || codes[0] != CodeDeniedIdentification {
 		t.Fatalf("reply codes = %v, want [%v]", codes, CodeDeniedIdentification)
 	}
-	b := tb.ha.Binding(tb.mn.Home())
-	if b == nil || b.CareOf != tb.fa1.CareOf() {
-		t.Fatalf("stale request clobbered binding: %+v", b)
+	b, ok := tb.ha.Binding(tb.mn.Home())
+	if !ok || b.CareOf != tb.fa1.CareOf() {
+		t.Fatalf("stale request clobbered binding: %+v, %v", b, ok)
 	}
 }

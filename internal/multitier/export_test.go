@@ -48,8 +48,8 @@ func (s *Station) AnchorAddr() addr.IP { return s.anchorAddr }
 func (t *Table) Len() int {
 	n := 0
 	now := t.sched.Now()
-	for _, r := range t.entries {
-		if r.Expires > now {
+	for _, r := range t.slots {
+		if r.MN != addr.Unspecified && r.Expires > now {
 			n++
 		}
 	}

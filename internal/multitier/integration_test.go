@@ -107,9 +107,7 @@ func newTierBed(t *testing.T, stationCfg func(topology.Tier) StationConfig) *tie
 
 func (b *tierBed) run(t *testing.T, until time.Duration) {
 	t.Helper()
-	if err := b.sched.RunUntil(until); err != nil {
-		t.Fatal(err)
-	}
+	b.sched.RunUntil(until)
 }
 
 func (b *tierBed) cnSend(seq uint32) {
@@ -163,7 +161,7 @@ func TestInitialAttachAndEndToEndDelivery(t *testing.T) {
 	if !root.AnchorRegistered(b.mn.Home()) {
 		t.Fatal("root anchor never registered with HA")
 	}
-	if b.ha.Binding(b.mn.Home()) == nil {
+	if _, ok := b.ha.Binding(b.mn.Home()); !ok {
 		t.Fatal("HA holds no binding")
 	}
 	// Downlink end to end.
@@ -374,9 +372,9 @@ func TestInterDomainDifferentUpper(t *testing.T) {
 	if !newRoot.AnchorRegistered(b.mn.Home()) {
 		t.Fatal("new root never registered")
 	}
-	bind := b.ha.Binding(b.mn.Home())
-	if bind == nil || bind.CareOf != newRoot.AnchorAddr() {
-		t.Fatalf("HA binding = %+v, want care-of %v", bind, newRoot.AnchorAddr())
+	bind, ok := b.ha.Binding(b.mn.Home())
+	if !ok || bind.CareOf != newRoot.AnchorAddr() {
+		t.Fatalf("HA binding = %+v, %v, want care-of %v", bind, ok, newRoot.AnchorAddr())
 	}
 	if regs := b.stats.AnchorRegistrations.Value(); regs < 2 {
 		t.Fatalf("anchor registrations = %d, want >= 2", regs)

@@ -97,9 +97,7 @@ func TestRateLimitedArrivalsFIFOPerDirection(t *testing.T) {
 		}
 		drops++
 	}))
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	for from, to := range map[*Node]*Node{a: b, b: a} {
 		m := models[from]
 		if len(got[to]) != len(m.want) {
@@ -148,9 +146,7 @@ func TestRateLimitedSetDelayOvertake(t *testing.T) {
 	l.SetDelay(9 * time.Millisecond)
 	send(4) // done 5 ms, arrives 14 ms
 	send(5) // done 6 ms, arrives 15 ms
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	ms := time.Millisecond
 	want := []arrival{{2, 4 * ms}, {3, 5 * ms}, {0, 11 * ms}, {1, 12 * ms}, {4, 14 * ms}, {5, 15 * ms}}
 	if len(got) != len(want) {
@@ -209,16 +205,12 @@ func TestHopConservation(t *testing.T) {
 			check()
 		})
 	}
-	if err := sched.RunUntil(50 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	sched.RunUntil(50 * time.Millisecond)
 	check()
 	if net.InFlight() == 0 {
 		t.Fatal("no packet in flight mid-run")
 	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	check()
 	if net.InFlight() != 0 || net.Discarded == 0 || net.Dropped == net.Discarded {
 		t.Fatalf("in flight %d, discarded %d, dropped %d: a fate went unexercised",

@@ -150,7 +150,7 @@ func (nd *Node) Send(l *Link, pkt *packet.Packet) error {
 		return nil
 	}
 
-	h := hop{to: to, from: nd, link: l, pkt: pkt, lost: net.rng.Bool(l.cfg.Loss)}
+	lost := net.rng.Bool(l.cfg.Loss)
 	if l.cfg.RateBps <= 0 && l.cfg.QueueLimit <= 0 {
 		// No serialization delay and no queue bound: the transmitter is
 		// never busy (done == now for every packet), so the queue counter
@@ -162,7 +162,7 @@ func (nd *Node) Send(l *Link, pkt *packet.Packet) error {
 		if l.fifo == nil {
 			l.fifo = net.fifo(l.cfg.Delay)
 		}
-		l.fifo.post(h)
+		l.fifo.post(to, nd, l, pkt, lost)
 		return nil
 	}
 	now := net.sched.Now()
@@ -173,10 +173,12 @@ func (nd *Node) Send(l *Link, pkt *packet.Packet) error {
 	done := start + l.txDelay(pkt.Size())
 	dir.busyUntil = done
 	dir.queued++
-	h.at = done + l.cfg.Delay
-	dir.hops.push(h)
+	at := done + l.cfg.Delay
+	h := dir.hops.tail()
+	h.put(to, nd, l, pkt, lost)
+	h.at = at
 	net.sched.At(done, dir.txFn)
-	net.sched.At(h.at, dir.arriveFn)
+	net.sched.At(at, dir.arriveFn)
 	return nil
 }
 
@@ -200,14 +202,16 @@ func (d *direction) arrive() {
 	for r.buf[(r.head+k)&mask].at != now {
 		k++
 	}
-	// Close the gap: shift the hops ahead of k back by one cell, so the
-	// taken hop ends up at the front and leaves by pop.
-	h := r.buf[(r.head+k)&mask]
-	for ; k > 0; k-- {
-		r.buf[(r.head+k)&mask] = r.buf[(r.head+k-1)&mask]
+	if k > 0 {
+		// Close the gap: shift the hops ahead of k back by one cell, so
+		// the taken hop ends up at the front.
+		h := r.buf[(r.head+k)&mask]
+		for ; k > 0; k-- {
+			r.buf[(r.head+k)&mask] = r.buf[(r.head+k-1)&mask]
+		}
+		r.buf[r.head] = h
 	}
-	r.buf[r.head] = h
-	d.link.net.arrive(r.pop())
+	r.arriveFront(d.link.net)
 }
 
 // SendVia finds the first up link from nd to peer and sends on it.

@@ -15,6 +15,14 @@
 // hop over a link with a rate or a queue bound waits in the FIFO of its
 // link direction. Every accepted send is therefore delivered, dropped,
 // or counted by InFlight.
+//
+// A hop is written into its ring cell field by field (hopRing.tail, then
+// hop.put) and its arrival reads the front cell's fields into locals
+// (hopRing.arriveFront); no hop value is passed to a push or returned by
+// a pop. A struct passed by value is spilled to the stack as narrow
+// stores and copied with wide loads the CPU cannot forward from them —
+// the same store-forwarding stall that cost simtime's line append 0.86 s
+// of its 1.09 s flat time on the 1k-MN media workload (see simtime.Line).
 package netsim
 
 import (
@@ -106,10 +114,12 @@ type hopRing struct {
 	count int
 }
 
-// push appends h at the tail, doubling the ring when it is full.
+// tail reserves the cell at the ring tail, doubling the ring when it is
+// full, and returns it for the caller to fill field by field (see the
+// package comment for why hops are never stored whole).
 //
 //mmlint:noalloc
-func (r *hopRing) push(h hop) {
+func (r *hopRing) tail() *hop {
 	if r.count == len(r.buf) {
 		grown := make([]hop, max(2*len(r.buf), 16)) //mmlint:alloc-ok ring growth is amortized doubling
 		for k := 0; k < r.count; k++ {
@@ -117,20 +127,35 @@ func (r *hopRing) push(h hop) {
 		}
 		r.buf, r.head = grown, 0
 	}
-	r.buf[(r.head+r.count)&(len(r.buf)-1)] = h
+	h := &r.buf[(r.head+r.count)&(len(r.buf)-1)]
 	r.count++
+	return h
 }
 
-// pop removes and returns the front hop, clearing its cell so the ring
-// does not keep the packet reachable.
+// put fills the reserved cell h with one hop.
 //
 //mmlint:noalloc
-func (r *hopRing) pop() hop {
-	h := r.buf[r.head]
-	r.buf[r.head] = hop{}
+func (h *hop) put(to, from *Node, link *Link, pkt *packet.Packet, lost bool) {
+	h.to = to
+	h.from = from
+	h.link = link
+	h.pkt = pkt
+	h.lost = lost
+}
+
+// arriveFront removes the front hop, clearing its cell so the ring does
+// not keep the packet reachable, and resolves its arrival. The hop's
+// fields are read into locals before the cell is cleared, never copied
+// out as one value.
+//
+//mmlint:noalloc
+func (r *hopRing) arriveFront(n *Network) {
+	h := &r.buf[r.head]
+	to, from, link, pkt, lost := h.to, h.from, h.link, h.pkt, h.lost
+	*h = hop{}
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.count--
-	return h
+	n.arrive(to, from, link, pkt, lost)
 }
 
 // delayFIFO carries every in-flight hop of one constant delay d. Each
@@ -161,29 +186,29 @@ func (n *Network) fifo(d time.Duration) *delayFIFO {
 	return q
 }
 
-// post puts h in flight: it arrives d from now.
+// post puts a hop in flight: it arrives d from now.
 //
 //mmlint:noalloc
-func (q *delayFIFO) post(h hop) {
-	q.hops.push(h)
+func (q *delayFIFO) post(to, from *Node, link *Link, pkt *packet.Packet, lost bool) {
+	q.hops.tail().put(to, from, link, pkt, lost)
 	q.line.Post(q.fireFn)
 }
 
 // fire resolves the front hop's arrival.
 //
 //mmlint:noalloc
-func (q *delayFIFO) fire() { q.net.arrive(q.hops.pop()) }
+func (q *delayFIFO) fire() { q.hops.arriveFront(q.net) }
 
 // arrive resolves one hop: loss or delivery. The loss was decided at
 // send time but is attributed here so traces read causally.
 //
 //mmlint:noalloc
-func (n *Network) arrive(h hop) {
-	if h.lost {
-		n.observeDrop(h.to, h.pkt, metrics.DropLinkLoss)
+func (n *Network) arrive(to, from *Node, link *Link, pkt *packet.Packet, lost bool) {
+	if lost {
+		n.observeDrop(to, pkt, metrics.DropLinkLoss)
 		return
 	}
-	n.deliver(h.to, h.pkt, h.from, h.link)
+	n.deliver(to, pkt, from, link)
 }
 
 // InFlight returns the packets sent but not yet arrived: every hop still
@@ -362,6 +387,6 @@ func (n *Network) DeliverDirect(from, to *Node, pkt *packet.Packet, delay time.D
 	n.Sent++
 	// Air delays are per-station constants, so deliveries ride the
 	// constant-delay FIFOs instead of the scheduler heap.
-	n.fifo(delay).post(hop{to: to, from: from, pkt: pkt, lost: n.rng.Bool(loss)})
+	n.fifo(delay).post(to, from, nil, pkt, n.rng.Bool(loss))
 	return nil
 }

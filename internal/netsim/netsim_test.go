@@ -46,9 +46,7 @@ func TestLinkDeliveryDelay(t *testing.T) {
 	if err := a.Send(l, mkPkt(100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if len(rx.got) != 1 {
 		t.Fatalf("delivered %d packets", len(rx.got))
 	}
@@ -74,9 +72,7 @@ func TestLinkSerializationDelay(t *testing.T) {
 	if err := a.Send(l, mkPkt(100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if len(rx.got) != 2 {
 		t.Fatalf("delivered %d packets", len(rx.got))
 	}
@@ -99,9 +95,7 @@ func TestLinkDuplexIndependentDirections(t *testing.T) {
 	if err := b.Send(l, mkPkt(100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	// Directions do not contend: both arrive at 100ms.
 	if len(rxA.got) != 1 || len(rxB.got) != 1 {
 		t.Fatalf("deliveries %d/%d", len(rxA.got), len(rxB.got))
@@ -129,9 +123,7 @@ func TestLinkQueueOverflow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if len(rx.got) != 3 || drops != 2 {
 		t.Fatalf("delivered=%d dropped=%d, want 3/2", len(rx.got), drops)
 	}
@@ -157,9 +149,7 @@ func TestLinkLossStatistical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	rate := float64(len(rx.got)) / n
 	if rate < 0.67 || rate > 0.73 {
 		t.Fatalf("delivery rate %v with 30%% loss", rate)
@@ -180,9 +170,7 @@ func TestNodeDownDropsArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.SetDown(true) // fails while packet in flight
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if len(rx.got) != 0 {
 		t.Fatal("down node received a packet")
 	}
@@ -269,9 +257,7 @@ func TestDeliverDirect(t *testing.T) {
 	if err := net.DeliverDirect(a, m, mkPkt(60), 2*time.Millisecond, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if len(rx.got) != 1 || rx.at[0] != 2*time.Millisecond {
 		t.Fatalf("air delivery: n=%d at=%v", len(rx.got), rx.at)
 	}
@@ -292,9 +278,7 @@ func TestDeliverDirectLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	rate := float64(len(rx.got)) / n
 	if rate < 0.46 || rate > 0.54 {
 		t.Fatalf("air delivery rate %v with 50%% loss", rate)
@@ -309,9 +293,7 @@ func TestHandlerlessNodeDrops(t *testing.T) {
 	if err := a.Send(l, mkPkt(50)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if net.Dropped != 1 || net.Delivered != 0 {
 		t.Fatalf("handlerless delivery: dropped=%d delivered=%d", net.Dropped, net.Delivered)
 	}
@@ -334,9 +316,7 @@ func TestQueueDepthAccounting(t *testing.T) {
 	if l.QueueDepth(b) != 0 {
 		t.Fatal("reverse direction should be empty")
 	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if l.QueueDepth(a) != 0 {
 		t.Fatalf("QueueDepth after drain = %d", l.QueueDepth(a))
 	}

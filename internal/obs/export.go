@@ -13,9 +13,8 @@ import (
 // The JSONL export is one JSON object per line: a header carrying the
 // run Meta, the events in emission order, every series point in series
 // registration order, and a trailer with the event/drop/sample totals.
-// All numbers are virtual-time nanoseconds or plain scalars; wall-clock
-// phase timings (Trace.Wall) are deliberately absent so the file is
-// byte-identical across sequential and parallel runs.
+// All numbers are virtual-time nanoseconds or plain scalars, so the file
+// is byte-identical across sequential and parallel runs.
 
 // jsonLine is the union of every JSONL record shape; the populated
 // fields identify the record (TraceVersion → header, Kind → event,

@@ -9,9 +9,9 @@
 // buffer is pre-allocated — so with tracing on, the exported trace is
 // byte-identical between sequential and parallel-measurement runs, and
 // with tracing off (a nil *Trace) every hook is a nil-receiver no-op
-// that adds zero events, zero rng draws and zero allocations. Wall-time
-// probes (measure/decide phase timings) are collected separately in
-// Wall and excluded from the deterministic exporters.
+// that adds zero events, zero rng draws and zero allocations. Nothing in
+// a trace reads the host clock: wall-time attribution belongs to
+// benchmarks and profiles.
 package obs
 
 import (
@@ -168,18 +168,6 @@ type Meta struct {
 	Duration time.Duration
 }
 
-// Wall accumulates wall-clock phase timings (collected only in the
-// detorder-allowlisted measurement engine). MeasureNS is the time the
-// simulation goroutine spends measuring inline or waiting on a parallel
-// prime (work the workers overlap with decisions is not in it); DecideNS
-// is the time spent in handoff decisions. They are intentionally NOT
-// part of the deterministic export: two byte-identical traces may carry
-// different wall times.
-type Wall struct {
-	MeasureNS int64
-	DecideNS  int64
-}
-
 // Series is one sampled time series: parallel (At, Val) columns in
 // observation order.
 type Series struct {
@@ -204,7 +192,6 @@ type probe struct {
 // instrumentation hooks can call unconditionally.
 type Trace struct {
 	Meta Meta
-	Wall Wall
 
 	events  []Event
 	dropped uint64

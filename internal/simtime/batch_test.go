@@ -17,9 +17,7 @@ func staggerTickers(t *testing.T, s *Scheduler, n int, interval, phase time.Dura
 			s.Every(interval, func() { *fired = append(*fired, s.Now()) })
 		})
 	}
-	if err := s.RunUntil(time.Duration(n-1) * phase); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	s.RunUntil(time.Duration(n-1) * phase)
 }
 
 // A batch that runs ahead in time stops at the RunUntil deadline: no
@@ -38,9 +36,7 @@ func TestBatchStopsAtHorizon(t *testing.T) {
 	} {
 		fired = fired[:0]
 		from := s.Now()
-		if err := s.RunUntil(deadline); err != nil {
-			t.Fatalf("RunUntil(%v): %v", deadline, err)
-		}
+		s.RunUntil(deadline)
 		if s.Now() != deadline {
 			t.Fatalf("clock at %v after RunUntil(%v)", s.Now(), deadline)
 		}
@@ -106,9 +102,7 @@ func TestStaggeredTickersPopHeapOncePerBatch(t *testing.T) {
 	pops0 := s.pops
 	const slices = 5
 	for k := 1; k <= slices; k++ {
-		if err := s.RunUntil(time.Duration(k) * interval); err != nil {
-			t.Fatalf("RunUntil: %v", err)
-		}
+		s.RunUntil(time.Duration(k) * interval)
 	}
 	if len(fired) < (slices-1)*n {
 		t.Fatalf("%d ticks ran, want at least %d", len(fired), (slices-1)*n)

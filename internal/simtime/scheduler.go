@@ -17,14 +17,9 @@
 package simtime
 
 import (
-	"errors"
 	"math"
 	"time"
 )
-
-// ErrStopped is returned by Run variants when the scheduler was stopped
-// explicitly before the event queue drained.
-var ErrStopped = errors.New("simtime: scheduler stopped")
 
 // Event is a handle to scheduled work, returned by Scheduler.At /
 // Scheduler.After. It is a small value (not a pointer): copy it freely,
@@ -126,13 +121,12 @@ func (e Event) slot() *slot {
 // ready to use. Scheduler is not safe for concurrent use; the simulation
 // core is intentionally single-threaded (see DESIGN.md §4).
 type Scheduler struct {
-	now     time.Duration
-	slots   []slot
-	heap    []heapEntry // 4-ary min-heap ordered by (at, seq)
-	free    []int32     // recycled slot indices
-	seq     uint64
-	stopped bool
-	fired   uint64
+	now   time.Duration
+	slots []slot
+	heap  []heapEntry // 4-ary min-heap ordered by (at, seq)
+	free  []int32     // recycled slot indices
+	seq   uint64
+	fired uint64
 	// canceled counts cancelled-but-unpopped heap entries, so Len can
 	// report live events and maybePurge knows when lazy removal is no
 	// longer cheap.
@@ -248,14 +242,6 @@ func (s *Scheduler) After(d time.Duration, fn func()) Event {
 	return s.At(s.now+d, fn)
 }
 
-// Stop makes the current Run / RunUntil call return ErrStopped after the
-// in-flight event completes. Pending events remain queued. Only tests
-// call it, to stop a run mid-flight (simtime's stop tests, core's
-// stopped-run prime join).
-//
-//mmlint:testref simtime and core tests stop a run mid-flight
-func (s *Scheduler) Stop() { s.stopped = true }
-
 // Step fires the single earliest pending event, advancing virtual time to
 // its timestamp. It reports false when the queue is empty. A delay line
 // that event belongs to may also run its further entries due at that
@@ -294,37 +280,29 @@ func (s *Scheduler) step(horizon time.Duration) bool {
 	return false
 }
 
-// Run executes events until the queue drains or Stop is called. It returns
-// ErrStopped in the latter case, nil otherwise. Only tests call it, to
+// Run executes events until the queue drains. Only tests call it, to
 // drain a queue that has no horizon; runs use RunUntil.
 //
 //mmlint:testref simtime, netsim, cellularip and multitier tests drain the queue
-func (s *Scheduler) Run() error {
-	s.stopped = false
-	for !s.stopped {
-		if !s.step(math.MaxInt64) {
-			return nil
-		}
+func (s *Scheduler) Run() {
+	for s.step(math.MaxInt64) {
 	}
-	return ErrStopped
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to exactly deadline. Events scheduled beyond the deadline remain
-// queued. It returns ErrStopped if Stop was called.
-func (s *Scheduler) RunUntil(deadline time.Duration) error {
-	s.stopped = false
-	for !s.stopped {
+// queued.
+func (s *Scheduler) RunUntil(deadline time.Duration) {
+	for {
 		at, ok := s.peekAt()
 		if !ok || at > deadline {
-			if s.now < deadline {
-				s.now = deadline
-			}
-			return nil
+			break
 		}
 		s.step(deadline)
 	}
-	return ErrStopped
+	if s.now < deadline {
+		s.now = deadline
+	}
 }
 
 // peekAt returns the timestamp of the earliest live event, discarding

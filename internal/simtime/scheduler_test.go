@@ -15,9 +15,7 @@ func TestSchedulerFiresInTimeOrder(t *testing.T) {
 		d := d
 		s.At(d*time.Millisecond, func() { got = append(got, s.Now()) })
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	want := []time.Duration{5, 10, 10, 20, 30}
 	if len(got) != len(want) {
 		t.Fatalf("fired %d events, want %d", len(got), len(want))
@@ -36,9 +34,7 @@ func TestSchedulerFIFOTieBreak(t *testing.T) {
 		i := i
 		s.At(time.Second, func() { order = append(order, i) })
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-instant events fired out of order: %v", order)
@@ -52,9 +48,7 @@ func TestSchedulerPastClampsToNow(t *testing.T) {
 	s.At(10*time.Millisecond, func() {
 		s.At(time.Millisecond, func() { fired = true }) // in the past
 	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if !fired {
 		t.Fatal("past-scheduled event never fired")
 	}
@@ -76,9 +70,7 @@ func TestSchedulerCancel(t *testing.T) {
 	if ev.Cancel() {
 		t.Fatal("second Cancel should report false")
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -113,9 +105,7 @@ func TestSchedulerStaleHandleAfterRecycle(t *testing.T) {
 	if !fresh.Pending() {
 		t.Fatal("fresh event lost")
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if !fired {
 		t.Fatal("recycled-slot event never fired")
 	}
@@ -214,9 +204,7 @@ func TestHeapMatchesSortedModel(t *testing.T) {
 		if q := s.Queued(); q >= 600 {
 			t.Fatalf("seed %d: %d cancels left Queued=%d, want a purge", seed, len(canceled), q)
 		}
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
+		s.Run()
 		var want []int
 		slices.SortFunc(keys, func(a, b key) int {
 			if a.at != b.at {
@@ -245,9 +233,7 @@ func TestSchedulerRunUntil(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		s.At(time.Duration(i)*time.Second, func() { count++ })
 	}
-	if err := s.RunUntil(5 * time.Second); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	s.RunUntil(5 * time.Second)
 	if count != 5 {
 		t.Fatalf("fired %d events by 5s, want 5", count)
 	}
@@ -258,9 +244,7 @@ func TestSchedulerRunUntil(t *testing.T) {
 		t.Fatalf("%d events left, want 5", s.Len())
 	}
 	// Continue to drain.
-	if err := s.RunUntil(time.Hour); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	s.RunUntil(time.Hour)
 	if count != 10 {
 		t.Fatalf("fired %d events total, want 10", count)
 	}
@@ -268,37 +252,9 @@ func TestSchedulerRunUntil(t *testing.T) {
 
 func TestSchedulerRunUntilAdvancesEmptyClock(t *testing.T) {
 	s := NewScheduler()
-	if err := s.RunUntil(3 * time.Second); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	s.RunUntil(3 * time.Second)
 	if s.Now() != 3*time.Second {
 		t.Fatalf("empty RunUntil left clock at %v", s.Now())
-	}
-}
-
-func TestSchedulerStop(t *testing.T) {
-	s := NewScheduler()
-	var count int
-	for i := 1; i <= 10; i++ {
-		s.At(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	if err := s.Run(); err != ErrStopped {
-		t.Fatalf("Run returned %v, want ErrStopped", err)
-	}
-	if count != 3 {
-		t.Fatalf("fired %d events, want 3", count)
-	}
-	// A fresh Run resumes.
-	if err := s.Run(); err != nil {
-		t.Fatalf("resumed Run: %v", err)
-	}
-	if count != 10 {
-		t.Fatalf("fired %d events after resume, want 10", count)
 	}
 }
 
@@ -308,9 +264,7 @@ func TestSchedulerAfterNegativeClamps(t *testing.T) {
 	s.At(time.Second, func() {
 		s.After(-5*time.Second, func() { at = s.Now() })
 	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if at != time.Second {
 		t.Fatalf("negative After fired at %v, want 1s", at)
 	}
@@ -323,9 +277,7 @@ func TestSchedulerFiredCount(t *testing.T) {
 	}
 	ev := s.After(time.Hour, func() {})
 	ev.Cancel()
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if s.Fired() != 7 {
 		t.Fatalf("Fired=%d, want 7 (cancelled events must not count)", s.Fired())
 	}
@@ -353,9 +305,7 @@ func TestSchedulerOrderProperty(t *testing.T) {
 				last = s.Now()
 			})
 		}
-		if err := s.Run(); err != nil {
-			return false
-		}
+		s.Run()
 		return ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -380,9 +330,7 @@ func TestSchedulerNestedOrderProperty(t *testing.T) {
 				s.After(time.Duration(off)*time.Microsecond, check)
 			}
 		})
-		if err := s.Run(); err != nil {
-			return false
-		}
+		s.Run()
 		return ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {

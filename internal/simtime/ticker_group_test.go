@@ -20,9 +20,7 @@ func TestTickerStopOtherMemberDuringSweep(t *testing.T) {
 	})
 	b = s.Every(10*time.Millisecond, func() { fired = append(fired, "b") })
 	s.Every(10*time.Millisecond, func() { fired = append(fired, "c") })
-	if err := s.RunUntil(25 * time.Millisecond); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	s.RunUntil(25 * time.Millisecond)
 	// Sweep 1: a fires and stops b; c must still fire. Sweep 2: a, c.
 	want := []string{"a", "c", "a", "c"}
 	if len(fired) != len(want) {
@@ -58,9 +56,7 @@ func TestTickerStopLaterPhaseMember(t *testing.T) {
 	s.At(6*time.Millisecond, func() {
 		s.Every(10*time.Millisecond, func() { fired = append(fired, "c") })
 	})
-	if err := s.RunUntil(30 * time.Millisecond); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	s.RunUntil(30 * time.Millisecond)
 	// a at 10/20/30, b at 13 (stopped at 20), c at 16/26.
 	want := []string{"a", "b", "c", "a", "c", "a"}
 	if len(fired) != len(want) {
@@ -84,9 +80,7 @@ func TestTickerStopSelfDuringSweep(t *testing.T) {
 		a.Stop()
 	})
 	s.Every(5*time.Millisecond, func() { bFires++ })
-	if err := s.RunUntil(20 * time.Millisecond); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	s.RunUntil(20 * time.Millisecond)
 	if aFires != 1 {
 		t.Fatalf("self-stopped ticker fired %d times, want 1", aFires)
 	}
@@ -163,9 +157,7 @@ func TestGroupPreservesStaggeredPhases(t *testing.T) {
 			s.Every(10*time.Millisecond, func() { fired = append(fired, i) })
 		})
 	}
-	if err := s.RunUntil(34 * time.Millisecond); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	s.RunUntil(34 * time.Millisecond)
 	// Member i fires at i+10, i+20, i+30 ms: three full sweeps in id order.
 	want := []int{0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4}
 	if len(fired) != len(want) {
@@ -185,9 +177,7 @@ func TestTickerStopMovesPooledEvent(t *testing.T) {
 	s := NewScheduler()
 	a := s.Every(10*time.Millisecond, func() {})
 	s.At(4*time.Millisecond, func() { s.Every(10*time.Millisecond, func() {}) })
-	if err := s.RunUntil(5 * time.Millisecond); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	s.RunUntil(5 * time.Millisecond)
 	a.Stop()
 	if at, ok := s.peekAt(); !ok || at != 14*time.Millisecond {
 		t.Fatalf("earliest live event at %v (ok=%v) after stopping the front ticker, want 14ms", at, ok)

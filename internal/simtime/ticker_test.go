@@ -9,9 +9,7 @@ func TestTickerFiresPeriodically(t *testing.T) {
 	s := NewScheduler()
 	var at []time.Duration
 	tk := s.Every(100*time.Millisecond, func() { at = append(at, s.Now()) })
-	if err := s.RunUntil(time.Second); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	s.RunUntil(time.Second)
 	tk.Stop()
 	if len(at) != 10 {
 		t.Fatalf("ticker fired %d times in 1s at 100ms, want 10", len(at))
@@ -31,9 +29,7 @@ func TestTickerEveryNowFiresImmediately(t *testing.T) {
 	s := NewScheduler()
 	var at []time.Duration
 	s.EveryNow(100*time.Millisecond, func() { at = append(at, s.Now()) })
-	if err := s.RunUntil(250 * time.Millisecond); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	s.RunUntil(250 * time.Millisecond)
 	want := []time.Duration{0, 100 * time.Millisecond, 200 * time.Millisecond}
 	if len(at) != len(want) {
 		t.Fatalf("fired at %v, want %v", at, want)
@@ -55,9 +51,7 @@ func TestTickerStopInsideCallback(t *testing.T) {
 			tk.Stop()
 		}
 	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if count != 3 {
 		t.Fatalf("ticker fired %d times, want 3", count)
 	}
@@ -71,9 +65,7 @@ func TestTickerStopIdempotent(t *testing.T) {
 	tk := s.Every(time.Millisecond, func() {})
 	tk.Stop()
 	tk.Stop()
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 	if tk.Ticks() != 0 {
 		t.Fatalf("stopped ticker fired %d times", tk.Ticks())
 	}
@@ -89,7 +81,5 @@ func TestTickerNonPositiveIntervalNeverFires(t *testing.T) {
 	if !tk2.Stopped() {
 		t.Fatal("negative-interval ticker should start stopped")
 	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	s.Run()
 }

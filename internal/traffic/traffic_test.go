@@ -24,9 +24,7 @@ func TestCBRRateAndSequence(t *testing.T) {
 	var got []*packet.Packet
 	g := NewCBR(testFlow(), 100, 10*time.Millisecond, func(p *packet.Packet) { got = append(got, p) })
 	g.Start(sched)
-	if err := sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	sched.RunUntil(time.Second)
 	g.Stop()
 	// EveryNow: fires at 0,10,...,1000ms inclusive = 101 packets.
 	if len(got) != 101 {
@@ -53,9 +51,7 @@ func TestVoicePreset(t *testing.T) {
 	var got []*packet.Packet
 	g := NewVoice(testFlow(), func(p *packet.Packet) { got = append(got, p) })
 	g.Start(sched)
-	if err := sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	sched.RunUntil(time.Second)
 	g.Stop()
 	if len(got) != 51 {
 		t.Fatalf("voice emitted %d packets in 1s, want 51", len(got))
@@ -79,9 +75,7 @@ func TestCBRDoubleStartIsNoop(t *testing.T) {
 	g := NewCBR(testFlow(), 10, 100*time.Millisecond, func(*packet.Packet) { count++ })
 	g.Start(sched)
 	g.Start(sched) // must not double-emit
-	if err := sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	sched.RunUntil(time.Second)
 	g.Stop()
 	if count != 11 {
 		t.Fatalf("emitted %d, want 11", count)
@@ -94,9 +88,7 @@ func TestCBRStopHalts(t *testing.T) {
 	g := NewCBR(testFlow(), 10, 10*time.Millisecond, func(*packet.Packet) { count++ })
 	g.Start(sched)
 	sched.At(100*time.Millisecond, g.Stop)
-	if err := sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	sched.RunUntil(time.Second)
 	// Stop was scheduled (at t=0) before the 100ms tick was armed (at
 	// t=90ms), so the FIFO tie-break runs Stop first: ticks 0..90ms = 10.
 	if count != 10 {
@@ -104,9 +96,7 @@ func TestCBRStopHalts(t *testing.T) {
 	}
 	// Restart works.
 	g.Start(sched)
-	if err := sched.RunUntil(1100 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	sched.RunUntil(1100 * time.Millisecond)
 	if count <= 11 {
 		t.Fatal("restart did not resume emission")
 	}
@@ -123,9 +113,7 @@ func TestVBRVideoMeanRate(t *testing.T) {
 	})
 	g.Start(sched)
 	const secs = 100
-	if err := sched.RunUntil(secs * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	sched.RunUntil(secs * time.Second)
 	g.Stop()
 	frames := secs * int(time.Second/cfg.FrameInterval)
 	meanFrame := float64(bytes) / float64(frames)
@@ -149,9 +137,7 @@ func TestVBRVideoRespectsMTU(t *testing.T) {
 		}
 	})
 	g.Start(sched)
-	if err := sched.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	sched.RunUntil(10 * time.Second)
 	g.Stop()
 }
 
@@ -168,9 +154,7 @@ func TestVBRVideoSetLevel(t *testing.T) {
 		})
 		g.SetLevel(scale)
 		g.Start(sched)
-		if err := sched.RunUntil(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
+		sched.RunUntil(10 * time.Second)
 		g.Stop()
 		return bytes, sizes
 	}
@@ -210,9 +194,7 @@ func TestVBRVideoDefaultsOnZeroConfig(t *testing.T) {
 	n := 0
 	g := NewVBRVideo(testFlow(), VideoConfig{}, simtime.NewRand(1), func(*packet.Packet) { n++ })
 	g.Start(sched)
-	if err := sched.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	sched.RunUntil(time.Second)
 	if n == 0 {
 		t.Fatal("zero config produced no packets")
 	}
@@ -224,9 +206,7 @@ func TestPoissonMeanRate(t *testing.T) {
 	g := NewPoisson(testFlow(), 200, 50*time.Millisecond, simtime.NewRand(8), func(*packet.Packet) { count++ })
 	g.Start(sched)
 	const secs = 500
-	if err := sched.RunUntil(secs * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	sched.RunUntil(secs * time.Second)
 	g.Stop()
 	rate := float64(count) / secs // want ~20/s
 	if math.Abs(rate-20) > 1 {
@@ -240,23 +220,17 @@ func TestPoissonStopAndRestart(t *testing.T) {
 	g := NewPoisson(testFlow(), 100, 10*time.Millisecond, simtime.NewRand(9), func(*packet.Packet) { count++ })
 	g.Start(sched)
 	sched.At(time.Second, g.Stop)
-	if err := sched.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	sched.RunUntil(2 * time.Second)
 	after := count
 	if after == 0 {
 		t.Fatal("no packets before stop")
 	}
-	if err := sched.RunUntil(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	sched.RunUntil(3 * time.Second)
 	if count != after {
 		t.Fatal("packets emitted while stopped")
 	}
 	g.Start(sched)
-	if err := sched.RunUntil(4 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	sched.RunUntil(4 * time.Second)
 	if count == after {
 		t.Fatal("restart did not resume")
 	}
@@ -272,9 +246,7 @@ func TestPoissonSequenceMonotone(t *testing.T) {
 		last = int64(p.Seq)
 	})
 	g.Start(sched)
-	if err := sched.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	sched.RunUntil(10 * time.Second)
 	g.Stop()
 }
 

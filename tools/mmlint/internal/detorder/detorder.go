@@ -18,9 +18,8 @@
 //  2. Ambient nondeterminism: time.Now/Since/Until and the global
 //     math/rand and math/rand/v2 draw functions are banned; simulated
 //     time comes from simtime.Scheduler and randomness from seeded
-//     simtime.Rand. The one exception is core/measure.go, where obs
-//     wall-time diagnostics may read the host clock (never feeding sim
-//     state).
+//     simtime.Rand. There is no exception: wall-time attribution lives
+//     in benchmarks and profiles.
 //  3. Concurrency: bare `go` statements are banned. The measurement
 //     fan-out in internal/core/measure.go and everything under
 //     internal/runner are the sanctioned exceptions.
@@ -142,7 +141,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, allowConcurrency bool) {
 				pass.Reportf(n.Pos(), "bare goroutine in simulator code: concurrency is reserved for internal/runner and core's measurement fan-out")
 			}
 		case *ast.CallExpr:
-			checkBannedCall(pass, n, allowConcurrency)
+			checkBannedCall(pass, n)
 		case *ast.RangeStmt:
 			checkRange(pass, n, sorted)
 		}
@@ -150,21 +149,16 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, allowConcurrency bool) {
 	})
 }
 
-// checkBannedCall flags wall-clock and global-rand calls. allowHost is
-// true only for core/measure.go — the same file whose measurement
-// fan-out is the sanctioned concurrency exception — where obs wall-time
-// diagnostics (Trace.Wall) may read the host clock; those readings
-// never feed simulation state and are excluded from trace exporters.
-func checkBannedCall(pass *analysis.Pass, call *ast.CallExpr, allowHost bool) {
+// checkBannedCall flags wall-clock and global-rand calls, everywhere in
+// simulator code: core/measure.go's exemption covers its goroutines, not
+// the host clock.
+func checkBannedCall(pass *analysis.Pass, call *ast.CallExpr) {
 	ref := analysis.Callee(pass.Info, call)
 	if ref.Recv != "" {
 		return
 	}
 	switch {
 	case ref.Pkg == "time" && bannedTime[ref.Name]:
-		if allowHost {
-			return
-		}
 		pass.Reportf(call.Pos(), "time.%s in simulator code: use the simtime.Scheduler clock", ref.Name)
 	case (ref.Pkg == "math/rand" || ref.Pkg == "math/rand/v2") && bannedRand[ref.Name]:
 		pass.Reportf(call.Pos(), "global %s.%s draw: use a seeded *simtime.Rand", ref.Pkg, ref.Name)

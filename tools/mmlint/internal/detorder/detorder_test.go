@@ -8,5 +8,5 @@ import (
 )
 
 func TestDetOrder(t *testing.T) {
-	atest.Run(t, "../../testdata", detorder.Analyzer, "repro/internal/dofix")
+	atest.Run(t, "../../testdata", detorder.Analyzer, "repro/internal/dofix", "repro/internal/core")
 }
