@@ -67,6 +67,8 @@ type BaseStation struct {
 	// bicast is scratch for deliverDown's duplicate list, reused so the
 	// semisoft bicast path stays allocation-free per packet.
 	bicast []*packet.Packet
+	// msgs is handleControl's decode scratch.
+	msgs msgScratch
 
 	// external is the gateway's wired-side router; nil on ordinary
 	// stations.
@@ -214,7 +216,7 @@ func (bs *BaseStation) refreshFromData(src addr.IP, hop Mapping) {
 // handleControl applies a route/paging update and propagates it toward the
 // gateway.
 func (bs *BaseStation) handleControl(pkt *packet.Packet, hop Mapping) {
-	msg, err := ParseMessage(pkt.Payload)
+	msg, err := bs.msgs.decode(pkt.Payload)
 	if err != nil {
 		packet.Release(pkt)
 		return

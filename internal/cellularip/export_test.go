@@ -10,6 +10,10 @@ import (
 // Accessors, cache edits and host actions no run path calls: the
 // Cellular IP tests drive hosts and inspect caches through them.
 
+// ParseMessage decodes a Cellular IP control payload into a fresh
+// message.
+func ParseMessage(b []byte) (Message, error) { return new(msgScratch).decode(b) }
+
 // RoutingCache exposes the routing cache.
 func (bs *BaseStation) RoutingCache() *SoftCache { return bs.routing }
 
@@ -17,14 +21,25 @@ func (bs *BaseStation) RoutingCache() *SoftCache { return bs.routing }
 func (bs *BaseStation) PagingCache() *SoftCache { return bs.paging }
 
 // Remove deletes every mapping for host.
-func (c *SoftCache) Remove(host addr.IP) { delete(c.entries, host) }
+func (c *SoftCache) Remove(host addr.IP) {
+	if host == addr.Unspecified {
+		return
+	}
+	if i := c.find(host); i >= 0 {
+		c.deleteAt(i)
+	}
+}
 
 // Len returns the number of hosts with at least one live mapping.
 func (c *SoftCache) Len() int {
+	now := c.sched.Now()
 	n := 0
-	for host := range c.entries {
-		if len(c.Lookup(host)) > 0 {
-			n++
+	for i := range c.slots {
+		for _, m := range c.mappings(&c.slots[i]) {
+			if m.Expires > now {
+				n++
+				break
+			}
 		}
 	}
 	return n

@@ -74,8 +74,18 @@ type Message interface{ isCellularIPMessage() }
 func (*RouteUpdate) isCellularIPMessage()  {}
 func (*PagingUpdate) isCellularIPMessage() {}
 
-// ParseMessage decodes a Cellular IP control payload.
-func ParseMessage(b []byte) (Message, error) {
+// msgScratch is caller-owned decode storage, one message of each type. A
+// base station handles a control packet to completion before it decodes
+// the next — it applies the update and forwards the packet itself, never
+// the message — so it decodes into one without allocating.
+type msgScratch struct {
+	route  RouteUpdate
+	paging PagingUpdate
+}
+
+// decode decodes a Cellular IP control payload into the scratch message
+// of its type and returns it; the next decode of that type overwrites it.
+func (sc *msgScratch) decode(b []byte) (Message, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("%w: empty", ErrBadMessage)
 	}
@@ -84,19 +94,21 @@ func ParseMessage(b []byte) (Message, error) {
 		if len(b) != routeUpdateSize {
 			return nil, fmt.Errorf("%w: route update %d bytes", ErrBadMessage, len(b))
 		}
-		return &RouteUpdate{
+		sc.route = RouteUpdate{
 			Host:     addr.IP(binary.BigEndian.Uint32(b[1:5])),
 			Seq:      binary.BigEndian.Uint32(b[5:9]),
 			Semisoft: b[9] == 1,
-		}, nil
+		}
+		return &sc.route, nil
 	case msgPagingUpdate:
 		if len(b) != pagingUpdateSize {
 			return nil, fmt.Errorf("%w: paging update %d bytes", ErrBadMessage, len(b))
 		}
-		return &PagingUpdate{
+		sc.paging = PagingUpdate{
 			Host: addr.IP(binary.BigEndian.Uint32(b[1:5])),
 			Seq:  binary.BigEndian.Uint32(b[5:9]),
-		}, nil
+		}
+		return &sc.paging, nil
 	default:
 		return nil, fmt.Errorf("%w: type %d", ErrBadMessage, b[0])
 	}

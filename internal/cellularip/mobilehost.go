@@ -40,8 +40,9 @@ type MobileHost struct {
 
 	state HostState
 	seq   uint32
-	// Bound once so per-packet idle re-arms and per-handoff ticker
-	// restarts never allocate method-value closures.
+	// Bound once so per-packet idle re-arms and the tickers' first arming
+	// never allocate method-value closures; each ticker is made at its
+	// first arming and Reset at every restart after it.
 	goIdleFn     func()
 	routeFn      func()
 	pagingFn     func()
@@ -157,10 +158,10 @@ func (h *MobileHost) abortSemisoft() {
 func (h *MobileHost) restartTickers() {
 	h.stopTickers()
 	if h.state == StateActive {
-		h.routeTicker = h.sched.Every(h.cfg.RouteUpdateTime, h.routeFn)
+		h.routeTicker = h.sched.Rearm(h.routeTicker, h.cfg.RouteUpdateTime, h.routeFn)
 		h.armIdleTimer()
 	} else {
-		h.pagingTicker = h.sched.Every(h.cfg.PagingUpdateTime, h.pagingFn)
+		h.pagingTicker = h.sched.Rearm(h.pagingTicker, h.cfg.PagingUpdateTime, h.pagingFn)
 	}
 }
 

@@ -123,15 +123,17 @@ type Config struct {
 	// 100 ms and a negative interval is rejected.
 	MeasureInterval time.Duration
 	// MeasureWorkers > 1 runs the per-MN measurement phase (position +
-	// signal computation — pure per MN, shadowing included) across that
-	// many goroutines, one cycle ahead: the tick that opens a cycle
-	// collects the prime started one cycle earlier and starts the next
-	// cycle's, so the workers measure while the simulation goroutine
-	// applies this cycle's handoff decisions. Decisions still apply sequentially, in
-	// id order, at their original virtual instants, so results are
-	// byte-identical to sequential execution for any worker count, and
-	// no worker outlives Run. 0 or 1 measures inline; a negative count
-	// is rejected.
+	// signal computation — pure per MN, shadowing included) on that many
+	// goroutines, the simulation goroutine included: MeasureWorkers−1
+	// persistent workers fill a ring of three cycles' measurements, up to
+	// two cycles ahead of the one whose handoff decisions the simulation
+	// goroutine is applying, and the simulation goroutine measures
+	// alongside them whenever the cycle it opens is not done. Decisions
+	// still apply sequentially, in id order, at their original virtual
+	// instants, so results are byte-identical to sequential execution for
+	// any worker count. Run starts the workers and joins them at its
+	// deadline, so none outlives it. 0 or 1 measures inline; a negative
+	// count is rejected.
 	MeasureWorkers int
 	// ResourceSwitching toggles RSMC buffering (multi-tier only).
 	ResourceSwitching bool

@@ -86,9 +86,8 @@ func TestMeasureWorkersExceedingPopulation(t *testing.T) {
 	}
 }
 
-// TestMeasurePrimeJoinedByRun: no prime goroutine outlives a run. The
-// tick that starts a cycle's prime is always followed, within the
-// deadline, by the tick that collects it.
+// TestMeasurePrimeJoinedByRun: no measurement worker outlives a run: Run
+// joins them at its deadline.
 func TestMeasurePrimeJoinedByRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 2 * time.Second
@@ -97,6 +96,70 @@ func TestMeasurePrimeJoinedByRun(t *testing.T) {
 	base := runtime.NumGoroutine()
 	runOnce(t, cfg)
 	waitGoroutines(t, base)
+}
+
+// TestMeasurePipelineMatchesInline drives the measurement pipeline over
+// a population of several 64-MN chunks, the last one partial: a flat
+// scheme and the multi-tier scheme, shadowing off and on, with 2, 3 and 5
+// measure workers (one, two and four background workers beside the
+// simulation goroutine) must each reproduce the inline run's summary and
+// registry byte for byte. The durations end inside the last cycle, after
+// MN 0 has opened it but before the later MNs' ticks read their slots
+// (4.05 s), and before a second cycle opens, so the workers measure
+// cycles no tick reads (80 ms). After every run the goroutine count is
+// back where it started.
+func TestMeasurePipelineMatchesInline(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, dur := range []time.Duration{4050 * time.Millisecond, 80 * time.Millisecond} {
+		for _, scheme := range []Scheme{SchemeCellularIPHard, SchemeMultiTier} {
+			for _, shadowing := range []bool{false, true} {
+				cfg := DefaultConfig()
+				cfg.Scheme = scheme
+				cfg.Mobility = MobilityManhattan
+				cfg.SpeedMPS = 20
+				cfg.Duration = dur
+				cfg.NumMNs = 150
+				cfg.Shadowing = shadowing
+				seq := runOnce(t, cfg)
+				want, wantReg := seq.Summary, seq.Registry.Render()
+				for _, workers := range []int{2, 3, 5} {
+					cfg.MeasureWorkers = workers
+					par := runOnce(t, cfg)
+					if par.Summary != want {
+						t.Fatalf("%v %s shadowing=%v: %d measure workers diverged\nseq: %v\npar: %v",
+							dur, scheme, shadowing, workers, want, par.Summary)
+					}
+					if got := par.Registry.Render(); got != wantReg {
+						t.Fatalf("%v %s shadowing=%v: %d measure workers changed the registry\nseq:\n%s\npar:\n%s",
+							dur, scheme, shadowing, workers, wantReg, got)
+					}
+					waitGoroutines(t, base)
+				}
+			}
+		}
+	}
+}
+
+// TestMeasurePipelineFewerMNsThanWorkers: three MNs make one chunk, so
+// every cycle is a single item; five measure workers still match the
+// inline run for both scheme kinds, and none outlives the run.
+func TestMeasurePipelineFewerMNsThanWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, scheme := range []Scheme{SchemeMobileIP, SchemeMultiTier} {
+		cfg := DefaultConfig()
+		cfg.Scheme = scheme
+		cfg.Mobility = MobilityWaypoint
+		cfg.Duration = 5 * time.Second
+		cfg.NumMNs = 3
+		cfg.Shadowing = true
+		seq := runOnce(t, cfg)
+		cfg.MeasureWorkers = 5
+		par := runOnce(t, cfg)
+		if par.Summary != seq.Summary || par.Registry.Render() != seq.Registry.Render() {
+			t.Fatalf("%s: 5 workers over 3 MNs diverged\nseq: %v\npar: %v", scheme, seq.Summary, par.Summary)
+		}
+		waitGoroutines(t, base)
+	}
 }
 
 // waitGoroutines polls until the goroutine count is back to base: a

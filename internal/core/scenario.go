@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/addr"
@@ -88,15 +87,13 @@ type scenario struct {
 	models   []mobility.Model
 	handoffs *metrics.Counter
 
-	// drivers holds one measurement pipeline per MN (see measure.go);
-	// measureWorkers > 1 turns on the parallel measurement phase. parity
-	// picks each MN's slot for the current cycle; prime tracks the
-	// workers filling the other slot, in flight while priming is set.
+	// drivers holds one measurement pipeline per MN and slots their
+	// measurements (see measure.go); measureWorkers > 1 turns on the
+	// measurement workers, which pipe runs while the scheduler does.
 	drivers        []measureDriver
+	slots          []measureSlot
 	measureWorkers int
-	parity         int
-	prime          sync.WaitGroup
-	priming        bool
+	pipe           *measurePipe
 
 	// fleet is the per-run resolution of cfg.Fleet (nil when unset).
 	fleet *fleetState
@@ -214,6 +211,11 @@ func newScenario(cfg Config) (*scenario, error) {
 
 	s.buildMobility()
 	s.drivers = make([]measureDriver, cfg.NumMNs)
+	slots := cfg.NumMNs
+	if cfg.MeasureWorkers > 1 {
+		slots *= measureRing
+	}
+	s.slots = make([]measureSlot, slots)
 	s.measureWorkers = cfg.MeasureWorkers
 	if err := s.validateControl(); err != nil {
 		return nil, err
@@ -250,10 +252,12 @@ func newScenario(cfg Config) (*scenario, error) {
 }
 
 // run executes the scenario to its deadline. No measurement worker
-// outlives it: MN 0's tick starts a cycle's prime only when that cycle's
-// tick falls within the deadline, and that tick collects it.
+// outlives it: the workers start with the run and are joined at the
+// deadline.
 func (s *scenario) run() *Result {
+	s.startPipe()
 	s.sched.RunUntil(s.cfg.Duration)
+	s.stopPipe()
 	return &Result{Config: s.cfg, Registry: s.reg, Summary: s.summarize(), Trace: s.trace}
 }
 

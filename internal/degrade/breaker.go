@@ -84,13 +84,6 @@ type Breaker struct {
 	// queued is the number of deferred sends admitted but not yet sent.
 	queued int
 
-	// paced counts deferred sends and the rest count state transitions;
-	// the breaker tests read them.
-	paced     uint64
-	opens     uint64
-	halfOpens uint64
-	closes    uint64
-
 	// OnState, when set, observes every state transition at the virtual
 	// time of the Admit or Sent call that caused it.
 	OnState func(now time.Duration, s BreakerState)
@@ -116,14 +109,6 @@ func (b *Breaker) transition(now time.Duration, s BreakerState) {
 		return
 	}
 	b.state = s
-	switch s {
-	case BreakerOpen:
-		b.opens++
-	case BreakerHalfOpen:
-		b.halfOpens++
-	case BreakerClosed:
-		b.closes++
-	}
 	if b.OnState != nil {
 		b.OnState(now, s)
 	}
@@ -149,7 +134,6 @@ func (b *Breaker) Admit(now time.Duration) time.Duration {
 	}
 	delay := b.tat - tol - now
 	b.tat += b.gap
-	b.paced++
 	b.queued++
 	if b.state == BreakerClosed && b.queued >= b.cfg.OpenBacklog {
 		b.transition(now, BreakerOpen)

@@ -59,11 +59,15 @@ type haBed struct {
 	stats  *Stats
 	haAddr addr.IP
 	tunnel addr.IP // outer destination of the last tunnel the sink got
+	// arena backs the intercepted packets: the 0-alloc budget must not
+	// depend on the global sync.Pool, which the race build drops items
+	// from at random.
+	arena *packet.Arena
 }
 
 func newHABed(t *testing.T) *haBed {
 	t.Helper()
-	b := &haBed{sched: simtime.NewScheduler(), haAddr: addr.MustParse("172.16.0.1")}
+	b := &haBed{sched: simtime.NewScheduler(), haAddr: addr.MustParse("172.16.0.1"), arena: packet.NewArena()}
 	net := netsim.New(b.sched, simtime.NewRand(1))
 	haNode := net.NewNode("ha")
 	haNode.AddAddr(b.haAddr)
@@ -93,7 +97,7 @@ var cnAddr = addr.MustParse("192.0.2.10")
 // intercept hands the HA a data packet for home and delivers whatever
 // it sends on.
 func (b *haBed) intercept(home addr.IP) {
-	b.ha.Receive(packet.New(cnAddr, home, packet.ClassStreaming, 1, 1, nil), nil, nil)
+	b.ha.Receive(packet.NewFrom(b.arena, cnAddr, home, packet.ClassStreaming, 1, 1, nil), nil, nil)
 	b.sched.RunUntil(b.sched.Now())
 }
 

@@ -5,10 +5,10 @@
 // scenario re-run reproduces identical movement.
 //
 // The paper's handoff decision uses mobile-node speed as its first factor;
-// Velocity exposes it. The models cover the boundary-crossing patterns the
-// experiments need: random roaming (waypoint/walk), urban grids
-// (Manhattan), and controlled straight-line crossings (Linear/PingPong)
-// for deterministic handoff scenarios.
+// Velocity and Sample expose it. The models cover the boundary-crossing
+// patterns the experiments need: random roaming (waypoint/walk), urban
+// grids (Manhattan), and controlled straight-line crossings
+// (Linear/PingPong) for deterministic handoff scenarios.
 package mobility
 
 import (
@@ -24,6 +24,10 @@ type Model interface {
 	Position(t time.Duration) geo.Point
 	// Velocity returns the instantaneous velocity in m/s at time t.
 	Velocity(t time.Duration) geo.Vector
+	// Sample returns Position(t) and the scalar speed
+	// Velocity(t).Length(), bit for bit, from one trajectory lookup —
+	// the pair the paper's handoff decision consumes each tick.
+	Sample(t time.Duration) (geo.Point, float64)
 }
 
 // Speed presets in m/s for scenario configuration.
@@ -44,7 +48,7 @@ type segment struct {
 	speed      float64
 }
 
-func (s segment) positionAt(t time.Duration) geo.Point {
+func (s *segment) positionAt(t time.Duration) geo.Point {
 	if s.End <= s.Start || t <= s.Start {
 		return s.From
 	}
@@ -55,7 +59,7 @@ func (s segment) positionAt(t time.Duration) geo.Point {
 	return geo.Lerp(s.From, s.To, frac)
 }
 
-func (s segment) velocity() geo.Vector {
+func (s *segment) velocity() geo.Vector {
 	if s.End <= s.Start {
 		return geo.Vector{}
 	}
@@ -84,10 +88,11 @@ func (tr *segmentTrack) ensure(t time.Duration) {
 }
 
 // at returns the segment in force at t: the first one ending at or after
-// t, extending the track as far as t first.
+// t, extending the track as far as t first. The pointer is valid until
+// the next extension.
 //
 //mmlint:noalloc
-func (tr *segmentTrack) at(t time.Duration) segment {
+func (tr *segmentTrack) at(t time.Duration) *segment {
 	if t < 0 {
 		t = 0
 	}
@@ -96,7 +101,7 @@ func (tr *segmentTrack) at(t time.Duration) segment {
 	for i := tr.cur; i <= tr.cur+1 && i < len(segs); i++ {
 		if segs[i].End >= t && (i == 0 || segs[i-1].End < t) {
 			tr.cur = i
-			return segs[i]
+			return &segs[i]
 		}
 	}
 	lo, hi := 0, len(segs)-1
@@ -109,7 +114,15 @@ func (tr *segmentTrack) at(t time.Duration) segment {
 		}
 	}
 	tr.cur = lo
-	return segs[lo]
+	return &segs[lo]
+}
+
+// sample implements Model.Sample for the segment-track models.
+//
+//mmlint:noalloc
+func (tr *segmentTrack) sample(t time.Duration) (geo.Point, float64) {
+	seg := tr.at(t)
+	return seg.positionAt(t), seg.speed
 }
 
 // Stationary is a node that never moves.
@@ -125,6 +138,9 @@ func (s Stationary) Position(time.Duration) geo.Point { return s.At }
 
 // Velocity implements Model.
 func (s Stationary) Velocity(time.Duration) geo.Vector { return geo.Vector{} }
+
+// Sample implements Model.
+func (s Stationary) Sample(time.Duration) (geo.Point, float64) { return s.At, 0 }
 
 // Linear moves from A toward B at a constant speed and stays at B.
 type Linear struct {
@@ -166,6 +182,11 @@ func (l *Linear) Velocity(t time.Duration) geo.Vector {
 		return geo.Vector{}
 	}
 	return l.to.Sub(l.from).Unit().Scale(l.speed)
+}
+
+// Sample implements Model.
+func (l *Linear) Sample(t time.Duration) (geo.Point, float64) {
+	return l.Position(t), l.Velocity(t).Length()
 }
 
 // PingPong shuttles between A and B at constant speed forever — the
@@ -218,6 +239,11 @@ func (p *PingPong) Velocity(t time.Duration) geo.Vector {
 		dir = dir.Scale(-1)
 	}
 	return dir
+}
+
+// Sample implements Model.
+func (p *PingPong) Sample(t time.Duration) (geo.Point, float64) {
+	return p.Position(t), p.Velocity(t).Length()
 }
 
 // Waypoint is the classic random-waypoint model: pick a uniform destination
@@ -282,10 +308,10 @@ func (w *Waypoint) Position(t time.Duration) geo.Point { return w.track.at(t).po
 // Velocity implements Model.
 func (w *Waypoint) Velocity(t time.Duration) geo.Vector { return w.track.at(t).velocity() }
 
-// Speed returns the scalar speed at t, bit-equal to Velocity(t).Length().
+// Sample implements Model.
 //
 //mmlint:noalloc
-func (w *Waypoint) Speed(t time.Duration) float64 { return w.track.at(t).speed }
+func (w *Waypoint) Sample(t time.Duration) (geo.Point, float64) { return w.track.sample(t) }
 
 // Walk is a random-walk (random direction) model: constant speed, new
 // uniform heading every epoch, reflecting off the arena boundary.
@@ -339,10 +365,10 @@ func (w *Walk) Position(t time.Duration) geo.Point { return w.track.at(t).positi
 // Velocity implements Model.
 func (w *Walk) Velocity(t time.Duration) geo.Vector { return w.track.at(t).velocity() }
 
-// Speed returns the scalar speed at t, bit-equal to Velocity(t).Length().
+// Sample implements Model.
 //
 //mmlint:noalloc
-func (w *Walk) Speed(t time.Duration) float64 { return w.track.at(t).speed }
+func (w *Walk) Sample(t time.Duration) (geo.Point, float64) { return w.track.sample(t) }
 
 // Manhattan moves along a rectangular street grid: straight through each
 // intersection with probability 1/2, else turn left or right with equal
@@ -418,22 +444,7 @@ func (m *Manhattan) Position(t time.Duration) geo.Point { return m.track.at(t).p
 // Velocity implements Model.
 func (m *Manhattan) Velocity(t time.Duration) geo.Vector { return m.track.at(t).velocity() }
 
-// Speed returns the scalar speed at t, bit-equal to Velocity(t).Length().
+// Sample implements Model.
 //
 //mmlint:noalloc
-func (m *Manhattan) Speed(t time.Duration) float64 { return m.track.at(t).speed }
-
-// speeder is a Model that keeps its scalar speed at hand, so Speed need
-// not rebuild it from the velocity vector.
-type speeder interface {
-	Speed(t time.Duration) float64
-}
-
-// Speed returns the scalar speed of a model at time t — the quantity the
-// paper's handoff decision consumes.
-func Speed(m Model, t time.Duration) float64 {
-	if sp, ok := m.(speeder); ok {
-		return sp.Speed(t)
-	}
-	return m.Velocity(t).Length()
-}
+func (m *Manhattan) Sample(t time.Duration) (geo.Point, float64) { return m.track.sample(t) }

@@ -17,7 +17,7 @@ func TestStationary(t *testing.T) {
 		if s.Position(at) != geo.Pt(3, 4) {
 			t.Fatalf("moved at %v", at)
 		}
-		if Speed(s, at) != 0 {
+		if _, sp := s.Sample(at); sp != 0 {
 			t.Fatalf("nonzero speed at %v", at)
 		}
 	}
@@ -87,8 +87,28 @@ func TestPingPongShuttles(t *testing.T) {
 	if v0.DX <= 0 || v1.DX >= 0 {
 		t.Fatalf("velocities %v / %v, want opposite signs", v0, v1)
 	}
-	if math.Abs(Speed(p, 5*time.Second)-10) > 1e-9 {
-		t.Fatalf("speed = %v", Speed(p, 5*time.Second))
+	if _, sp := p.Sample(5 * time.Second); math.Abs(sp-10) > 1e-9 {
+		t.Fatalf("speed = %v", sp)
+	}
+}
+
+// The closed-form models' Sample is (Position(t), Velocity(t).Length())
+// bit for bit, before, on and after their legs' turning points.
+func TestClosedFormSampleMatchesPositionAndVelocity(t *testing.T) {
+	models := []Model{
+		NewStationary(geo.Pt(3, 4)),
+		NewLinear(geo.Pt(0, 0), geo.Pt(100, 30), 7),
+		NewPingPong(geo.Pt(0, 0), geo.Pt(100, 30), 7),
+		NewPingPong(geo.Pt(1, 1), geo.Pt(1, 1), 10),
+	}
+	for _, m := range models {
+		for at := -time.Second; at < 60*time.Second; at += 250 * time.Millisecond {
+			pos, speed := m.Sample(at)
+			if pos != m.Position(at) || math.Float64bits(speed) != math.Float64bits(m.Velocity(at).Length()) {
+				t.Fatalf("%T at %v: Sample = %v, %v; want %v, %v",
+					m, at, pos, speed, m.Position(at), m.Velocity(at).Length())
+			}
+		}
 	}
 }
 
@@ -120,7 +140,7 @@ func TestWaypointSpeedBounds(t *testing.T) {
 	w := NewWaypoint(WaypointConfig{Arena: arena, MinSpeed: 5, MaxSpeed: 10}, simtime.NewRand(3))
 	var moving int
 	for at := time.Second; at < 30*time.Minute; at += 7 * time.Second {
-		sp := Speed(w, at)
+		_, sp := w.Sample(at)
 		if sp != 0 {
 			moving++
 			if sp < 5-1e-9 || sp > 10+1e-9 {
@@ -133,16 +153,10 @@ func TestWaypointSpeedBounds(t *testing.T) {
 	}
 }
 
-// trackModel is a segment-track model: a Model with a cached Speed.
-type trackModel interface {
-	Model
-	Speed(t time.Duration) float64
-}
-
 // namedTrack is one trackModels entry.
 type namedTrack struct {
 	name string
-	m    trackModel
+	m    Model
 }
 
 // trackModels builds one model of each segment-track kind from seed.
@@ -177,8 +191,8 @@ func (nt namedTrack) track() *segmentTrack {
 // before it: one model queried at ascending times (the cursor's common
 // case) and a twin queried at the same times shuffled (cursor misses,
 // backward jumps, lazy extension far ahead) agree bit for bit on
-// position, velocity and speed, and Speed(t) is bit-equal to
-// Velocity(t).Length().
+// position, velocity and speed, and Sample(t) is bit-equal to
+// (Position(t), Velocity(t).Length()).
 func TestWaypointQueriesAreOrderIndependent(t *testing.T) {
 	for i, tm := range trackModels(11) {
 		t.Run(tm.name, func(t *testing.T) {
@@ -203,18 +217,18 @@ func TestWaypointQueriesAreOrderIndependent(t *testing.T) {
 			}
 			want := make(map[time.Duration]answer, len(times))
 			for _, at := range times {
-				a := answer{fwd.Position(at), fwd.Velocity(at), fwd.Speed(at)}
-				if math.Float64bits(a.speed) != math.Float64bits(a.vel.Length()) {
-					t.Fatalf("Speed(%v) = %v, Velocity(%v).Length() = %v", at, a.speed, at, a.vel.Length())
-				}
-				if got := Speed(fwd, at); math.Float64bits(got) != math.Float64bits(a.speed) {
-					t.Fatalf("mobility.Speed(%v) = %v, want %v", at, got, a.speed)
+				pos, speed := fwd.Sample(at)
+				a := answer{fwd.Position(at), fwd.Velocity(at), speed}
+				if pos != a.pos || math.Float64bits(a.speed) != math.Float64bits(a.vel.Length()) {
+					t.Fatalf("Sample(%v) = %v, %v; Position = %v, Velocity.Length() = %v",
+						at, pos, speed, a.pos, a.vel.Length())
 				}
 				want[at] = a
 			}
 			for _, k := range r.Perm(len(times)) {
 				at := times[k]
-				got := answer{shuf.Position(at), shuf.Velocity(at), shuf.Speed(at)}
+				_, speed := shuf.Sample(at)
+				got := answer{shuf.Position(at), shuf.Velocity(at), speed}
 				if got != want[at] {
 					t.Fatalf("shuffled query at %v: %+v, want %+v", at, got, want[at])
 				}
@@ -223,8 +237,7 @@ func TestWaypointQueriesAreOrderIndependent(t *testing.T) {
 	}
 }
 
-// A warm position + speed query — the measurement tick's — allocates
-// nothing.
+// A warm Sample — the measurement tick's query — allocates nothing.
 func TestTrackQueryAllocFree(t *testing.T) {
 	for _, tm := range trackModels(3) {
 		m := tm.m
@@ -232,8 +245,7 @@ func TestTrackQueryAllocFree(t *testing.T) {
 		at := time.Duration(0)
 		allocs := testing.AllocsPerRun(1000, func() {
 			at += 100 * time.Millisecond
-			_ = m.Position(at)
-			_ = Speed(m, at)
+			_, _ = m.Sample(at)
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: %v allocs per warm query, want 0", tm.name, allocs)

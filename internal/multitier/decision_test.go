@@ -166,8 +166,8 @@ func TestChooseFastFallsBackWhenNoMacroUsable(t *testing.T) {
 	micro := top.CellsOfTier(topology.TierMicro)[0]
 	// Hand-craft signals where only the micro cell is usable.
 	sig := []radio.Signal{
-		{Cell: int(micro.ID), RSSIDBm: -70, InRange: true},
-		{Cell: int(top.DomainRoot(micro.ID)), RSSIDBm: -99, InRange: true},
+		{Cell: int32(micro.ID), RSSIDBm: -70, InRange: true},
+		{Cell: int32(top.DomainRoot(micro.ID)), RSSIDBm: -99, InRange: true},
 	}
 	got := new(decisionScratch).choose(top, topology.NoCell, sig, mobilitySpeedFast, nil, DefaultPolicy())
 	if got != micro.ID {

@@ -55,3 +55,11 @@ func (t *Table) Len() int {
 	}
 	return n
 }
+
+// Marshal renders the message to fresh wire bytes; a Mobile writes its
+// requests into its pending record's buffer instead.
+func (m *HandoffRequest) Marshal() []byte {
+	b := new([handoffReqSize]byte)
+	m.marshalTo(b)
+	return b[:]
+}

@@ -121,9 +121,8 @@ type HandoffRequest struct {
 
 const handoffReqSize = 1 + 4 + 4 + 4 + 8 + 8 + 4 + 8 + TokenSize
 
-// Marshal renders the message to wire bytes.
-func (m *HandoffRequest) Marshal() []byte {
-	b := make([]byte, handoffReqSize)
+// marshalTo renders the message into b.
+func (m *HandoffRequest) marshalTo(b *[handoffReqSize]byte) {
 	b[0] = msgHandoffRequest
 	binary.BigEndian.PutUint32(b[1:5], uint32(m.MN))
 	binary.BigEndian.PutUint32(b[5:9], uint32(m.From))
@@ -133,7 +132,6 @@ func (m *HandoffRequest) Marshal() []byte {
 	binary.BigEndian.PutUint32(b[29:33], m.Seq)
 	binary.BigEndian.PutUint64(b[33:41], m.Nonce)
 	copy(b[41:41+TokenSize], m.Token[:])
-	return b
 }
 
 // HandoffReply accepts or rejects a handoff request.

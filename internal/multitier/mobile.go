@@ -22,7 +22,11 @@ type MobileConfig struct {
 	ActiveTimeout time.Duration
 	// HandoffTimeout abandons an unanswered handoff request.
 	HandoffTimeout time.Duration
-	// AirDelay and AirLoss characterise the MN's uplink.
+	// AirDelay and AirLoss characterise the MN's uplink. AirDelay must
+	// be shorter than HandoffTimeout: every handoff request is sent from
+	// one per-MN buffer, and a request packet is consumed at its target
+	// station (decoded, never re-wrapped) one AirDelay after it is sent,
+	// while the next request waits for a reply or for HandoffTimeout.
 	AirDelay time.Duration
 	AirLoss  float64
 }
@@ -38,12 +42,15 @@ func DefaultMobileConfig() MobileConfig {
 	}
 }
 
-// pendingHandoff tracks one in-flight handoff request.
+// pendingHandoff tracks one in-flight handoff request. A Mobile makes
+// one at its first request and reuses it request after request.
 type pendingHandoff struct {
 	target  topology.CellID
 	seq     uint32
 	sentAt  time.Duration
 	timeout simtime.Event
+	// wire holds the request's bytes (see MobileConfig.AirDelay).
+	wire [handoffReqSize]byte
 }
 
 // Mobile is the multi-tier mobile node: it runs the paper's MN-controlled
@@ -61,23 +68,26 @@ type Mobile struct {
 
 	servingCell topology.CellID
 	serving     *Station
-	pending     *pendingHandoff
-	seq         uint32
-	nonce       uint64
-	state       HostState
-	locTicker   *simtime.Ticker
-	idleTimer   simtime.Event
-	dedupe      packet.Dedup
+	// pending is rec while a handoff request is in flight, else nil.
+	pending   *pendingHandoff
+	rec       *pendingHandoff
+	seq       uint32
+	nonce     uint64
+	state     HostState
+	locTicker *simtime.Ticker
+	idleTimer simtime.Event
+	dedupe    packet.Dedup
 
 	// Per-MN scratch for the decision tick, so steady-state
 	// EvaluateSignals calls allocate nothing.
 	decScratch decisionScratch
 	probeFn    ResourceProbe // bound once in NewMobile
-	// goIdleFn and sendLocationFn are bound once so the per-packet idle
-	// timer re-arm and the per-handoff ticker restart never allocate a
-	// method-value closure.
-	goIdleFn       func()
-	sendLocationFn func()
+	// goIdleFn and handoffTimeoutFn are bound once so the per-packet
+	// idle timer re-arm and the per-request timeout never allocate a
+	// method-value closure; locTicker is made at the first attach and
+	// Reset at every restart after it.
+	goIdleFn         func()
+	handoffTimeoutFn func()
 
 	// trace receives handoff-span events when armed; nil is inert.
 	trace      *obs.Trace
@@ -129,7 +139,7 @@ func NewMobile(node *netsim.Node, profile *Profile, top *topology.Topology, dir 
 	node.SetHandler(m)
 	m.probeFn = m.probeResources
 	m.goIdleFn = m.goIdle
-	m.sendLocationFn = m.sendLocation
+	m.handoffTimeoutFn = m.handoffTimedOut
 	return m
 }
 
@@ -208,7 +218,7 @@ func (m *Mobile) requestHandoff(target topology.CellID, speedMPS float64) {
 		return
 	}
 	m.seq++
-	req := &HandoffRequest{
+	req := HandoffRequest{
 		MN:       m.profile.Home,
 		From:     m.servingCell,
 		To:       target,
@@ -222,15 +232,22 @@ func (m *Mobile) requestHandoff(target topology.CellID, speedMPS float64) {
 		copy(req.Token[:], a.Token(m.profile.Home, m.nonce))
 	}
 	m.trace.Emit(m.sched.Now(), obs.KindHandoffRequest, m.traceActor, int32(target), 0, 0)
-	seq := m.seq
-	m.pending = &pendingHandoff{target: target, seq: seq, sentAt: m.sched.Now()}
-	m.pending.timeout = m.sched.AfterFIFO(m.cfg.HandoffTimeout, func() {
-		if m.pending != nil && m.pending.seq == seq {
-			m.pending = nil // abandoned; next Evaluate retries
-		}
-	})
-	m.sendControlTo(st, req.Marshal())
+	if m.rec == nil {
+		m.rec = new(pendingHandoff)
+	}
+	p := m.rec
+	p.target, p.seq, p.sentAt = target, m.seq, m.sched.Now()
+	p.timeout = m.sched.AfterFIFO(m.cfg.HandoffTimeout, m.handoffTimeoutFn)
+	m.pending = p
+	req.marshalTo(&p.wire)
+	m.sendControlTo(st, p.wire[:])
 }
+
+// handoffTimedOut abandons the pending request its timeout was armed
+// for: a reply, accepted or refused, cancels the timeout, so a timeout
+// that fires always belongs to the request still pending. The next
+// decision round retries.
+func (m *Mobile) handoffTimedOut() { m.pending = nil }
 
 // commitHandoff completes an accepted handoff: attach the new air link,
 // send the Update Location Message up the new path, and send the Delete
@@ -297,11 +314,13 @@ func (m *Mobile) restartTickers() {
 	if m.serving == nil {
 		return
 	}
+	interval := m.cfg.PagingInterval
 	if m.state == StateActive {
-		m.locTicker = m.sched.Every(m.cfg.LocationInterval, m.sendLocationFn)
+		interval = m.cfg.LocationInterval
+	}
+	m.locTicker = m.sched.Rearm(m.locTicker, interval, m.sendLocation)
+	if m.state == StateActive {
 		m.armIdleTimer()
-	} else {
-		m.locTicker = m.sched.Every(m.cfg.PagingInterval, m.sendLocationFn)
 	}
 }
 

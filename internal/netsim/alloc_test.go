@@ -15,6 +15,8 @@ import (
 // events): packets come from the free list, hops are held by value in
 // rings that stop growing once warm, and the receiver returns the packet
 // to the pool. Asserted (not benchmarked) so a regression fails go test.
+// Packets come from a private arena, not the global sync.Pool, which the
+// race detector's build drops items from at random.
 func TestLinkSendDeliverAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -34,10 +36,11 @@ func TestLinkSendDeliverAllocFree(t *testing.T) {
 
 			src, dst := addr.MustParse("10.0.0.1"), addr.MustParse("10.0.0.2")
 			payload := packet.ZeroPayload(160)
+			arena := packet.NewArena()
 			seq := uint32(0)
 			cycle := func() {
 				for k := 0; k < 4; k++ { // a burst, so several hops are in flight at once
-					p := packet.New(src, dst, packet.ClassConversational, 1, seq, payload)
+					p := packet.NewFrom(arena, src, dst, packet.ClassConversational, 1, seq, payload)
 					seq++
 					if err := a.Send(l, p); err != nil {
 						t.Fatal(err)
@@ -57,7 +60,8 @@ func TestLinkSendDeliverAllocFree(t *testing.T) {
 }
 
 // The air interface (DeliverDirect) must be allocation-free too, with
-// deliveries of two delays in flight at once.
+// deliveries of two delays in flight at once. Packets come from a
+// private arena, as above.
 func TestDeliverDirectAllocFree(t *testing.T) {
 	sched := simtime.NewScheduler()
 	net := New(sched, simtime.NewRand(1))
@@ -67,10 +71,11 @@ func TestDeliverDirectAllocFree(t *testing.T) {
 
 	src, dst := addr.MustParse("10.0.0.1"), addr.MustParse("10.0.0.9")
 	payload := packet.ZeroPayload(160)
+	arena := packet.NewArena()
 	seq := uint32(0)
 	cycle := func() {
 		for k := 0; k < 4; k++ { // two air delays, two deliveries each
-			p := packet.New(src, dst, packet.ClassStreaming, 2, seq, payload)
+			p := packet.NewFrom(arena, src, dst, packet.ClassStreaming, 2, seq, payload)
 			seq++
 			if err := net.DeliverDirect(bs, mn, p, time.Duration(2+2*(k%2))*time.Millisecond, 0.01); err != nil {
 				t.Fatal(err)

@@ -4,6 +4,13 @@ import "math"
 
 // Link-budget helpers no run path calls; the radio tests keep them.
 
+// MeanRSSI returns the shadowing-free received power in dBm at distance d
+// metres. Distances under one metre clamp to the reference distance.
+func (p Params) MeanRSSI(d float64) float64 {
+	b := p.Budget()
+	return b.MeanRSSI(d)
+}
+
 // SNR converts an RSSI sample to a signal-to-noise ratio in dB.
 func (p Params) SNR(rssiDBm float64) float64 { return rssiDBm - p.NoiseFloorDBm }
 

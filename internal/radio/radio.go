@@ -78,36 +78,64 @@ func PicoParams() Params {
 	}
 }
 
-// MeanRSSI returns the shadowing-free received power in dBm at distance d
-// metres. Distances under one metre clamp to the reference distance.
-func (p Params) MeanRSSI(d float64) float64 {
-	if d < 1 {
-		d = 1
-	}
-	pathLoss := p.RefLossDB + 10*p.Exponent*math.Log10(d)
-	return p.TxPowerDBm - pathLoss
-}
-
 // RSSI returns a shadowed RSSI sample at distance d, drawing shadowing
 // from rng. A nil rng yields the mean (deterministic mode for tests).
 func (p Params) RSSI(d float64, rng *simtime.Rand) float64 {
-	mean := p.MeanRSSI(d)
-	if rng == nil || p.ShadowSigmaDB == 0 {
-		return mean
-	}
-	return mean + rng.Normal(0, p.ShadowSigmaDB)
+	b := p.Budget()
+	return b.RSSI(d, rng)
 }
 
-// Signal is one measured candidate cell.
+// Budget is the part of Params one RSSI sample reads, flattened to four
+// words: a per-tick measurement over many cells reads these instead of
+// copying whole Params.
+type Budget struct {
+	TxPowerDBm, RefLossDB float64
+	// Exp10 is ten times the path-loss exponent, the factor of log10 d.
+	Exp10         float64
+	ShadowSigmaDB float64
+}
+
+// Budget returns p's link budget.
+func (p Params) Budget() Budget {
+	return Budget{TxPowerDBm: p.TxPowerDBm, RefLossDB: p.RefLossDB, Exp10: 10 * p.Exponent, ShadowSigmaDB: p.ShadowSigmaDB}
+}
+
+// MeanRSSI returns the shadowing-free received power in dBm at distance
+// d metres, TxPowerDBm − (RefLossDB + Exp10·log10 d). Distances under one
+// metre clamp to the reference distance.
+//
+//mmlint:noalloc
+func (b *Budget) MeanRSSI(d float64) float64 {
+	if d < 1 {
+		d = 1
+	}
+	pathLoss := b.RefLossDB + b.Exp10*math.Log10(d)
+	return b.TxPowerDBm - pathLoss
+}
+
+// RSSI returns a shadowed RSSI sample at distance d: MeanRSSI plus one
+// shadowing draw from rng. A nil rng or a zero deviation yields the mean.
+//
+//mmlint:noalloc
+func (b *Budget) RSSI(d float64, rng *simtime.Rand) float64 {
+	mean := b.MeanRSSI(d)
+	if rng == nil || b.ShadowSigmaDB == 0 {
+		return mean
+	}
+	return mean + rng.Normal(0, b.ShadowSigmaDB)
+}
+
+// Signal is one measured candidate cell: 16 bytes, so a tick's signals
+// pack four to a cache line.
 type Signal struct {
 	// Cell is an opaque identifier meaningful to the caller (topology
 	// cell index).
-	Cell int
-	// RSSIDBm is the measured signal strength.
-	RSSIDBm float64
+	Cell int32
 	// InRange reports whether the measurement position lies inside the
 	// transmitter's nominal MaxRange.
 	InRange bool
+	// RSSIDBm is the measured signal strength.
+	RSSIDBm float64
 }
 
 // Selector chooses the serving cell from measurements, with hysteresis to
@@ -138,7 +166,7 @@ func (s Selector) Best(current int, candidates []Signal) int {
 	bestRSSI := math.Inf(-1)
 	for i := range candidates {
 		c := &candidates[i]
-		if c.Cell == current {
+		if int(c.Cell) == current {
 			curSig = c
 		}
 		if !c.InRange || c.RSSIDBm < s.MinRSSIDBm {
@@ -159,24 +187,24 @@ func (s Selector) Best(current int, candidates []Signal) int {
 	}
 	best := candidates[bestIdx]
 	if current == NoCell || curSig == nil || !curSig.InRange || curSig.RSSIDBm < s.MinRSSIDBm {
-		return best.Cell
+		return int(best.Cell)
 	}
-	if best.Cell != current && best.RSSIDBm >= curSig.RSSIDBm+s.HysteresisDB {
-		return best.Cell
+	if int(best.Cell) != current && best.RSSIDBm >= curSig.RSSIDBm+s.HysteresisDB {
+		return int(best.Cell)
 	}
 	return current
 }
 
 // MeasureAt computes the Signal for a transmitter at txPos with the given
 // params, observed from rxPos. Runs measure through topology's
-// Cell.MeasureInRange; the topology and radio tests keep MeasureAt as
-// its reference.
+// MeasureInto; the topology and radio tests keep MeasureAt as its
+// reference.
 //
-//mmlint:testref reference result for Cell.MeasureInRange in the topology tests
+//mmlint:testref reference result for Topology.MeasureInto in the topology tests
 func MeasureAt(cell int, p Params, txPos, rxPos geo.Point, rng *simtime.Rand) Signal {
 	d := txPos.DistanceTo(rxPos)
 	return Signal{
-		Cell:    cell,
+		Cell:    int32(cell),
 		RSSIDBm: p.RSSI(d, rng),
 		InRange: d <= p.MaxRange,
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/geo"
 	"repro/internal/simtime"
@@ -204,7 +205,7 @@ func TestSelectorSoundnessProperty(t *testing.T) {
 		candidates := make([]Signal, 0, len(raw))
 		for i, v := range raw {
 			candidates = append(candidates, Signal{
-				Cell:    i,
+				Cell:    int32(i),
 				RSSIDBm: float64(v%60) - 100, // -100..-41
 				InRange: v%3 != 0,
 			})
@@ -221,7 +222,7 @@ func TestSelectorSoundnessProperty(t *testing.T) {
 			return true
 		}
 		for _, c := range candidates {
-			if c.Cell == got {
+			if int(c.Cell) == got {
 				return c.InRange && c.RSSIDBm >= sel.MinRSSIDBm
 			}
 		}
@@ -245,5 +246,39 @@ func TestMeasureAt(t *testing.T) {
 	}
 	if near.RSSIDBm <= far.RSSIDBm {
 		t.Fatal("near RSSI should beat far")
+	}
+}
+
+// A Budget evaluates the log-distance formula exactly as written on
+// Params, (10·Exponent) folded ahead of time, bit for bit, over the
+// clamped, sub-metre, in-range and far distances of every preset; with
+// shadowing both draw the same sample from equal-seeded streams.
+func TestBudgetMatchesParams(t *testing.T) {
+	rng := simtime.NewRand(3)
+	for _, p := range []Params{MacroParams(), MicroParams(), PicoParams()} {
+		b := p.Budget()
+		for trial := 0; trial < 2000; trial++ {
+			d := rng.Uniform(0, 1.5*p.MaxRange)
+			if trial%10 == 0 {
+				d = rng.Uniform(0, 2)
+			}
+			clamped := math.Max(d, 1)
+			want := p.TxPowerDBm - (p.RefLossDB + 10*p.Exponent*math.Log10(clamped))
+			if got := b.MeanRSSI(d); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v at %v m: Budget.MeanRSSI = %v, want %v", p, d, got, want)
+			}
+			seed := int64(trial) + 1
+			if a, c := p.RSSI(d, simtime.NewRand(seed)), b.RSSI(d, simtime.NewRand(seed)); math.Float64bits(a) != math.Float64bits(c) {
+				t.Fatalf("%+v at %v m: shadowed Budget.RSSI = %v, Params.RSSI = %v", p, d, c, a)
+			}
+		}
+	}
+}
+
+// Signal stays at 16 bytes: the cell id and the range flag share one
+// word beside the RSSI.
+func TestSignalIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Signal{}); n != 16 {
+		t.Fatalf("Signal is %d bytes, want 16", n)
 	}
 }

@@ -19,12 +19,16 @@ import "time"
 // have, and the line's pooled event runs under its front entry's own
 // (at, seq), so FIFO tie-breaks against unrelated events are preserved.
 type Ticker struct {
-	ln      *Line // the interval's line; nil for a ticker created stopped
+	s       *Scheduler
+	ln      *Line // the interval's line; nil until first armed
 	fn      func()
 	fireFn  func() // t.fire, bound once so re-arming never allocates
 	ev      Event  // the pending firing while armed
 	stopped bool
-	ticks   uint64
+	// arms counts Resets, so a firing whose callback reset the ticker
+	// does not arm it a second time.
+	arms  uint64
+	ticks uint64
 }
 
 // Every schedules fn to run every interval, with the first firing one full
@@ -43,24 +47,61 @@ func (s *Scheduler) EveryNow(interval time.Duration, fn func()) *Ticker {
 
 // every arms a ticker of the given interval with its first firing at first.
 func (s *Scheduler) every(interval, first time.Duration, fn func()) *Ticker {
-	t := &Ticker{fn: fn, stopped: interval <= 0}
-	if !t.stopped {
-		t.ln = s.line(&s.groups, interval)
-		t.fireFn = t.fire
-		t.ev = t.ln.schedule(first, t.fireFn)
-	}
+	t := &Ticker{s: s, fn: fn, stopped: true}
+	t.fireFn = t.fire
+	t.arm(interval, first)
 	return t
 }
 
-// fire runs one tick and, unless the callback stopped the ticker, re-arms
-// it one interval later under a fresh seq — exactly like a dedicated
-// event re-scheduling itself.
+// arm arms a stopped ticker on interval with its first firing at first;
+// a non-positive interval leaves it stopped.
+//
+//mmlint:noalloc
+func (t *Ticker) arm(interval, first time.Duration) {
+	if interval <= 0 {
+		return
+	}
+	t.stopped = false
+	t.ln = t.s.line(&t.s.groups, interval)
+	t.ev = t.ln.schedule(first, t.fireFn)
+}
+
+// Reset stops t and re-arms it on interval, exactly as stopping it and
+// arming a new Every(interval, fn) with its callback would: the first
+// firing is one full interval from now, under the sequence number Every
+// would have drawn. It reuses t, so a protocol timer that changes
+// cadence or restarts (a host going idle or active, a handoff restarting
+// its refresh) allocates nothing. It may be called from t's own
+// callback. A non-positive interval leaves t stopped.
+//
+//mmlint:noalloc
+func (t *Ticker) Reset(interval time.Duration) {
+	t.Stop()
+	t.arms++
+	t.arm(interval, t.s.now+interval)
+}
+
+// Rearm Resets t on interval and returns it, or, when t is nil, returns
+// Every(interval, fn): a protocol timer made at its first arming and
+// reused at every restart after it.
+func (s *Scheduler) Rearm(t *Ticker, interval time.Duration, fn func()) *Ticker {
+	if t == nil {
+		return s.Every(interval, fn)
+	}
+	t.Reset(interval)
+	return t
+}
+
+// fire runs one tick and, unless the callback stopped or reset the
+// ticker, re-arms it one interval later under a fresh seq — exactly like
+// a dedicated event re-scheduling itself.
 //
 //mmlint:noalloc
 func (t *Ticker) fire() {
 	t.ticks++
+	arms := t.arms
 	t.fn()
-	if !t.stopped {
+	if !t.stopped && t.arms == arms {
 		t.ev = t.ln.schedule(t.ln.s.now+t.ln.d, t.fireFn)
 	}
 }

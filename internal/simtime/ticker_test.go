@@ -83,3 +83,85 @@ func TestTickerNonPositiveIntervalNeverFires(t *testing.T) {
 	}
 	s.Run()
 }
+
+// runRestartScript drives seeded hosts that restart their periodic timer
+// the way protocol hosts do — switching between two intervals from
+// outside the timer, from the timer's own callback, or stopping it — on
+// one scheduler, with the restart done either by Stop plus a fresh Every
+// or by Rearm (the ticker made at the first restart and Reset after it),
+// and logs every firing with the clock, Len and Fired it saw.
+func runRestartScript(seed int64, reset bool) []fireRec {
+	s := NewScheduler()
+	r := NewRand(seed)
+	var log []fireRec
+	const hosts = 6
+	tickers := make([]*Ticker, hosts)
+	intervals := []time.Duration{3 * time.Millisecond, 7 * time.Millisecond, 0}
+	var restart func(h int, interval time.Duration)
+	fire := func(h int) func() {
+		return func() {
+			log = append(log, fireRec{s.Now(), h, s.Len(), s.Fired()})
+			if r.Bool(0.2) {
+				restart(h, intervals[r.Intn(len(intervals))]) // from its own callback
+			}
+		}
+	}
+	fns := make([]func(), hosts)
+	for h := range fns {
+		fns[h] = fire(h)
+	}
+	restart = func(h int, interval time.Duration) {
+		if reset {
+			tickers[h] = s.Rearm(tickers[h], interval, fns[h])
+			return
+		}
+		tickers[h].Stop()
+		tickers[h] = s.Every(interval, fns[h])
+	}
+	if !reset {
+		for h := range tickers {
+			tickers[h] = s.Every(0, fns[h]) // created stopped
+		}
+	}
+	for i := 0; i < 60; i++ {
+		at := time.Duration(r.Intn(100)) * time.Millisecond / 2
+		h, k := r.Intn(hosts), r.Intn(len(intervals))
+		s.At(at, func() {
+			log = append(log, fireRec{s.Now(), -1 - h, s.Len(), s.Fired()})
+			restart(h, intervals[k])
+		})
+	}
+	s.RunUntil(200 * time.Millisecond)
+	return append(log, fireRec{s.Now(), -100, s.Len(), s.Fired()})
+}
+
+// Rearm and Reset are observably identical to Stop plus a fresh Every:
+// same firing order, clock, Len and Fired in every callback, whether the
+// restart comes from outside, from the timer's own callback, or stops it.
+func TestTickerResetMatchesFreshEvery(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		want, got := runRestartScript(seed, false), runRestartScript(seed, true)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d records with Reset, %d with fresh tickers", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d record %d: Reset %+v, fresh %+v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// A warm Reset — the ticker's interval line exists — allocates nothing.
+func TestTickerResetAllocFree(t *testing.T) {
+	s := NewScheduler()
+	tk := s.Every(time.Second, func() {})
+	s.Every(2*time.Second, func() {}).Stop()
+	i := 0
+	if avg := testing.AllocsPerRun(1000, func() {
+		i++
+		tk.Reset(time.Duration(1+i%2) * time.Second)
+	}); avg != 0 {
+		t.Fatalf("Reset allocates %.1f allocs/op, want 0", avg)
+	}
+}

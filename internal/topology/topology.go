@@ -76,26 +76,6 @@ type Cell struct {
 // NoDomain marks cells above the domain level.
 const NoDomain = -1
 
-// MeasureInRange returns the signal of c at p, exactly
-// radio.MeasureAt(int(c.ID), c.Radio, c.Pos, p, rng), or false without
-// computing an RSSI or drawing shadowing from rng when p lies beyond c's
-// nominal range. The per-axis test drops most far cells before the
-// hypot; it is exact because hypot(dx, dy) ≥ max(|dx|, |dy|).
-//
-//mmlint:noalloc
-func (c *Cell) MeasureInRange(p geo.Point, rng *simtime.Rand) (radio.Signal, bool) {
-	r := c.Radio.MaxRange
-	dx, dy := c.Pos.X-p.X, c.Pos.Y-p.Y
-	if math.Abs(dx) > r || math.Abs(dy) > r {
-		return radio.Signal{}, false
-	}
-	d := math.Hypot(dx, dy)
-	if !(d <= r) {
-		return radio.Signal{}, false
-	}
-	return radio.Signal{Cell: int(c.ID), RSSIDBm: c.Radio.RSSI(d, rng), InRange: true}, true
-}
-
 // Domain groups the cells of one domain-macro subtree.
 type Domain struct {
 	ID    int
@@ -178,6 +158,16 @@ type Topology struct {
 	Arena   geo.Rect
 	cfg     Config
 	grid    gridIndex
+	// sites mirrors Cells, by id, with what a measurement reads of each
+	// cell, so MeasureInto scans one flat array.
+	sites []site
+}
+
+// site is one cell as MeasureInto sees it: 64 bytes, one cache line.
+type site struct {
+	x, y, r float64 // position and nominal range
+	tier    Tier
+	budget  radio.Budget
 }
 
 // gridIndex is a uniform spatial hash over cell coverage discs: every
@@ -398,6 +388,10 @@ func Build(cfg Config) (*Topology, error) {
 	}
 	t.computeArena()
 	t.buildGrid()
+	t.sites = make([]site, len(t.Cells))
+	for i, c := range t.Cells {
+		t.sites[i] = site{x: c.Pos.X, y: c.Pos.Y, r: c.Radio.MaxRange, tier: c.Tier, budget: c.Radio.Budget()}
+	}
 	return t, nil
 }
 
@@ -493,25 +487,41 @@ func (t *Topology) CellsOfTier(tier Tier) []*Cell {
 
 // MeasureInto measures, into dst (reusing its capacity), every cell of
 // tier minTier or above whose nominal range reaches p, in id order, and
-// returns the filled slice. Each signal has InRange set and draws its
-// shadowing from rng (nil rng = deterministic mean). The grid
+// returns the filled slice. Each signal is exactly
+// radio.MeasureAt(id, c.Radio, c.Pos, p, rng) with InRange set, drawing
+// its shadowing from rng (nil rng = deterministic mean). The grid
 // neighbourhood of p bounds the scan; a neighbour below minTier is
 // dropped before any RSSI, and one out of range before its RSSI or any
 // shadowing draw. An out-of-range cell can never be selected
 // (Selector.Best and multitier's cell choice ignore out-of-range
 // candidates, and an unmeasured incumbent behaves exactly like an
 // out-of-range one), so the per-tick cost is O(nearby) instead of
-// O(all cells).
+// O(all cells). A dst too small for the neighbourhood is replaced by
+// one sized to it, so a reused dst settles after one allocation.
+//
+//mmlint:noalloc
 func (t *Topology) MeasureInto(dst []radio.Signal, p geo.Point, rng *simtime.Rand, minTier Tier) []radio.Signal {
+	near := t.Nearby(p)
+	if cap(dst) < len(near) {
+		dst = make([]radio.Signal, 0, len(near)) //mmlint:alloc-ok once per slot, on the first visit to a bigger neighbourhood
+	}
 	dst = dst[:0]
-	for _, id := range t.Nearby(p) {
-		c := t.Cells[id]
-		if c.Tier < minTier {
+	for _, id := range near {
+		c := &t.sites[id]
+		if c.tier < minTier {
 			continue
 		}
-		if sig, ok := c.MeasureInRange(p, rng); ok {
-			dst = append(dst, sig)
+		// The per-axis test drops most far cells before the hypot; it
+		// is exact because hypot(dx, dy) ≥ max(|dx|, |dy|).
+		dx, dy := c.x-p.X, c.y-p.Y
+		if math.Abs(dx) > c.r || math.Abs(dy) > c.r {
+			continue
 		}
+		d := math.Hypot(dx, dy)
+		if !(d <= c.r) {
+			continue
+		}
+		dst = append(dst, radio.Signal{Cell: int32(id), InRange: true, RSSIDBm: c.budget.RSSI(d, rng)}) //mmlint:alloc-ok cap(dst) ≥ len(near)
 	}
 	return dst
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
@@ -240,17 +241,17 @@ func TestSignalsMeasureCandidates(t *testing.T) {
 	}
 }
 
-// Cell.MeasureInRange is radio.MeasureAt filtered to in-range cells: it
-// reports false exactly when MeasureAt's InRange is false and otherwise
-// returns MeasureAt's Signal bit for bit — at random points, on the range
-// circle, and on the axes at exactly MaxRange, where the per-axis
+// MeasureInto is radio.MeasureAt over every in-range cell of minTier or
+// above, in id order, bit for bit — at random points, on a cell's range
+// circle, and on its axes at exactly MaxRange, where the per-axis
 // prefilter sits on its edge. Each trial runs unshadowed and with
-// equal-seeded shadowing streams; in range both draw the same samples,
-// out of range MeasureInRange draws none.
-func TestMeasureInRangeMatchesMeasureAt(t *testing.T) {
+// equal-seeded shadowing streams: in range both draw the same samples,
+// out of range MeasureInto draws none.
+func TestMeasureIntoMatchesMeasureAt(t *testing.T) {
 	top := build(t, DefaultConfig())
 	rng := simtime.NewRand(7)
 	var in, out int
+	var got, want []radio.Signal
 	for trial := 0; trial < 6000; trial++ {
 		c := top.Cells[rng.Intn(len(top.Cells))]
 		r := c.Radio.MaxRange
@@ -264,25 +265,31 @@ func TestMeasureInRangeMatchesMeasureAt(t *testing.T) {
 			d := []geo.Vector{geo.Vec(r, 0), geo.Vec(-r, 0), geo.Vec(0, r), geo.Vec(0, -r)}[rng.Intn(4)]
 			p = c.Pos.Add(d.Scale(1 + rng.Uniform(-1e-15, 1e-15)))
 		}
-		want := radio.MeasureAt(int(c.ID), c.Radio, c.Pos, p, nil)
-		got, ok := c.MeasureInRange(p, nil)
-		if ok != want.InRange || (ok && got != want) {
-			t.Fatalf("cell %d at %v: MeasureInRange = %+v, %v; MeasureAt = %+v", c.ID, p, got, ok, want)
+		minTier := Tier(1 + trial%4)
+		for _, shadowed := range []bool{false, true} {
+			seed := int64(trial) + 1
+			var ref, shadow *simtime.Rand
+			if shadowed {
+				ref, shadow = simtime.NewRand(seed), simtime.NewRand(seed)
+			}
+			want = want[:0]
+			for _, cell := range top.Cells {
+				if cell.Tier < minTier || !(cell.Pos.DistanceTo(p) <= cell.Radio.MaxRange) {
+					continue
+				}
+				want = append(want, radio.MeasureAt(int(cell.ID), cell.Radio, cell.Pos, p, ref))
+			}
+			got = top.MeasureInto(got, p, shadow, minTier)
+			if !slices.Equal(got, want) {
+				t.Fatalf("at %v from tier %v (shadowed %v): MeasureInto = %+v, MeasureAt = %+v", p, minTier, shadowed, got, want)
+			}
+			if shadowed {
+				if a, b := ref.Float64(), shadow.Float64(); a != b {
+					t.Fatalf("at %v: shadowing stream left at a different draw", p)
+				}
+			}
 		}
-		seed := int64(trial) + 1
-		ref, shadow := simtime.NewRand(seed), simtime.NewRand(seed)
-		want = radio.MeasureAt(int(c.ID), c.Radio, c.Pos, p, ref)
-		got, ok = c.MeasureInRange(p, shadow)
-		if ok != want.InRange || (ok && got != want) {
-			t.Fatalf("cell %d at %v shadowed: MeasureInRange = %+v, %v; MeasureAt = %+v", c.ID, p, got, ok, want)
-		}
-		if !ok {
-			ref = simtime.NewRand(seed) // out of range: no draw expected
-		}
-		if a, b := ref.Float64(), shadow.Float64(); a != b {
-			t.Fatalf("cell %d at %v: shadowing stream left at a different draw (in range %v)", c.ID, p, ok)
-		}
-		if ok {
+		if c.Pos.DistanceTo(p) <= r {
 			in++
 		} else {
 			out++
@@ -290,6 +297,29 @@ func TestMeasureInRangeMatchesMeasureAt(t *testing.T) {
 	}
 	if in == 0 || out == 0 {
 		t.Fatalf("only one side of the range tested: %d in, %d out", in, out)
+	}
+}
+
+// A reused dst settles: once sized to the largest neighbourhood it meets,
+// MeasureInto allocates nothing.
+func TestMeasureIntoAllocFree(t *testing.T) {
+	top := build(t, DefaultConfig())
+	rng := simtime.NewRand(3)
+	pts := make([]geo.Point, 64)
+	for i := range pts {
+		pts[i] = geo.Pt(rng.Uniform(top.Arena.Min.X, top.Arena.Max.X), rng.Uniform(top.Arena.Min.Y, top.Arena.Max.Y))
+	}
+	var dst []radio.Signal
+	for _, p := range pts {
+		dst = top.MeasureInto(dst, p, rng, TierPico)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		dst = top.MeasureInto(dst, pts[i%len(pts)], rng, TierPico)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm MeasureInto: %v allocs per call, want 0", allocs)
 	}
 }
 

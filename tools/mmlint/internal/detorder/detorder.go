@@ -58,6 +58,8 @@ var effects = map[analysis.FuncRef]bool{
 	{Pkg: simtimePkg, Recv: "Scheduler", Name: "AfterFIFO"}: true,
 	{Pkg: simtimePkg, Recv: "Scheduler", Name: "Every"}:     true,
 	{Pkg: simtimePkg, Recv: "Scheduler", Name: "EveryNow"}:  true,
+	{Pkg: simtimePkg, Recv: "Ticker", Name: "Reset"}:        true,
+	{Pkg: simtimePkg, Recv: "Scheduler", Name: "Rearm"}:     true,
 	{Pkg: simtimePkg, Recv: "Line", Name: "Post"}:           true,
 
 	{Pkg: netsimPkg, Recv: "Node", Name: "Send"}:             true,

@@ -31,6 +31,18 @@ func armInRange(s *simtime.Scheduler, fns map[uint32]func()) {
 	}
 }
 
+func resetInRange(tickers map[uint32]*simtime.Ticker) {
+	for _, t := range tickers {
+		t.Reset(1) // want "Ticker.Reset inside a map range"
+	}
+}
+
+func rearmInRange(s *simtime.Scheduler, tickers map[uint32]*simtime.Ticker) {
+	for k, t := range tickers {
+		tickers[k] = s.Rearm(t, 1, nil) // want "Scheduler.Rearm inside a map range"
+	}
+}
+
 func sortedKeysClean(node *netsim.Node, l *netsim.Link, peers map[uint32]*netsim.Node) {
 	keys := make([]uint32, 0, len(peers))
 	for k := range peers {
