@@ -22,7 +22,7 @@ GATE_ONLY ?= BenchmarkE6,BenchmarkE9,BenchmarkE10,BenchmarkE11,BenchmarkE13,Benc
 GATE_BENCH = $(shell echo '$(GATE_ONLY)' | sed 's/Benchmark//g; s/,/|/g')
 GATE_LIMIT ?= 0.15
 
-.PHONY: verify build test check vet lint race race-goldens fuzz-smoke bench bench-smoke bench-save bench-json bench-compare bench-gate
+.PHONY: verify build test check vet lint race race-goldens fuzz-smoke cover-runpath bench bench-smoke bench-save bench-json bench-compare bench-gate
 
 verify: build test
 
@@ -73,6 +73,30 @@ fuzz-smoke:
 			$(GO) test "$$(dirname "$$f")" -run '^$$' -fuzz "^$$t\$$" -fuzztime 5s || exit 1; \
 		done; \
 	done
+
+# cover-runpath: statement coverage of internal/ by what the runs take —
+# every golden and cmd/ test, plus one 1 s pass of each BENCHMARK.json
+# workload from a coverage build of bench/ made outside the tree — merged
+# with go tool covdata, then every function under 100%. Code listed there
+# runs only in unit tests or not at all: a candidate to delete or to
+# drive from a run. It gates nothing; the list lands in $(COVER_OUT).
+COVER_DIR ?= $(or $(TMPDIR),/tmp)/repro-cover-runpath
+COVER_OUT ?= $(COVER_DIR)/cover-runpath.txt
+COVER_WORKLOADS = $(shell sed -n 's/.*{"name": "\([a-z0-9-]*\)", "why".*/\1/p' BENCHMARK.json)
+
+cover-runpath:
+	rm -rf $(COVER_DIR)
+	mkdir -p $(COVER_DIR)/test $(COVER_DIR)/bench $(COVER_DIR)/merged
+	$(GO) test -count=1 ./internal/experiments ./cmd/... -coverpkg=./internal/... -args -test.gocoverdir=$(COVER_DIR)/test
+	cd bench && $(GO) build -cover -coverpkg=repro/internal/... -o $(COVER_DIR)/bench.bin .
+	for w in $(COVER_WORKLOADS); do \
+		echo "bench -workload $$w -seconds 1"; \
+		GOCOVERDIR=$(COVER_DIR)/bench $(COVER_DIR)/bench.bin -workload $$w -seconds 1 > /dev/null || exit 1; \
+	done
+	$(GO) tool covdata merge -i=$(COVER_DIR)/test,$(COVER_DIR)/bench -o $(COVER_DIR)/merged
+	$(GO) tool covdata textfmt -i=$(COVER_DIR)/merged -o $(COVER_DIR)/cover.out
+	$(GO) tool cover -func=$(COVER_DIR)/cover.out | awk '$$NF != "100.0%"' > $(COVER_OUT)
+	cat $(COVER_OUT)
 
 check: vet lint race bench-smoke bench-gate
 

@@ -277,21 +277,6 @@ func BenchmarkSchedulerEventChurn(b *testing.B) {
 	}
 }
 
-func BenchmarkPacketMarshalUnmarshal(b *testing.B) {
-	p := packet.New(addr.MustParse("10.0.0.1"), addr.MustParse("10.1.0.1"),
-		packet.ClassStreaming, 7, 1, make([]byte, 512))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf, err := p.Marshal()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := packet.Unmarshal(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEncapsulateDecapsulate(b *testing.B) {
 	inner := packet.New(addr.MustParse("10.0.0.1"), addr.MustParse("10.1.0.1"),
 		packet.ClassConversational, 1, 1, make([]byte, 160))

@@ -48,8 +48,9 @@ func DefaultConfig() Config {
 
 // BaseStation is one Cellular IP node: it owns a routing cache and a
 // paging cache, knows its parent (toward the gateway) and children, and
-// serves attached hosts over the air. The gateway is a BaseStation with
-// no parent and an external router toward the Internet.
+// serves attached hosts over the air. The gateway is the BaseStation with
+// no parent; downlink data from the Internet enters the access network
+// through it.
 type BaseStation struct {
 	node  *netsim.Node
 	cfg   Config
@@ -69,14 +70,6 @@ type BaseStation struct {
 	bicast []*packet.Packet
 	// msgs is handleControl's decode scratch.
 	msgs msgScratch
-
-	// external is the gateway's wired-side router; nil on ordinary
-	// stations.
-	external *netsim.StaticRouter
-	// served is the address space of hosts inside this access network;
-	// the gateway uses it to distinguish downlink from transit. Only set
-	// on the gateway.
-	served addr.Prefix
 }
 
 var _ netsim.Handler = (*BaseStation)(nil)
@@ -99,23 +92,8 @@ func NewBaseStation(node *netsim.Node, cfg Config, stats *Stats) *BaseStation {
 	return bs
 }
 
-// NewGateway attaches gateway behaviour: a base station that also routes
-// to/from the wider Internet. served is the address space of the hosts
-// this access network anchors. stats must be non-nil; NewStats(nil)
-// gives a private registry.
-func NewGateway(node *netsim.Node, served addr.Prefix, cfg Config, stats *Stats) *BaseStation {
-	bs := NewBaseStation(node, cfg, stats)
-	bs.external = netsim.NewDetachedRouter(node)
-	bs.served = served
-	return bs
-}
-
 // Node returns the underlying network node.
 func (bs *BaseStation) Node() *netsim.Node { return bs.node }
-
-// External returns the gateway's Internet-side router (nil on ordinary
-// stations); the scenario configures its routes.
-func (bs *BaseStation) External() *netsim.StaticRouter { return bs.external }
 
 // Config returns the protocol configuration.
 func (bs *BaseStation) Config() Config { return bs.cfg }
@@ -167,50 +145,26 @@ func (bs *BaseStation) Fail() {
 // refreshes, which is the measured recovery path.
 func (bs *BaseStation) Recover() { bs.node.SetDown(false) }
 
-// Receive implements netsim.Handler. Direction is inferred from the
-// ingress interface: air (link == nil) and child links carry uplink,
-// the parent link carries downlink.
+// Receive implements netsim.Handler. Control travels uplink, from the
+// air and child links; data travels downlink, from the parent link or,
+// at the gateway (no parent), from the Internet. Hosts send no uplink
+// data, so data from the air or, below the gateway, from a child has no
+// route.
 func (bs *BaseStation) Receive(pkt *packet.Packet, from *netsim.Node, link *netsim.Link) {
 	switch {
-	case link == nil:
-		bs.receiveAir(pkt, from)
 	case from == bs.parent:
 		bs.deliverDown(pkt)
+	case pkt.Proto == packet.ProtoCellular:
+		hop := Mapping{Via: from}
+		if link == nil {
+			hop = Mapping{Air: true}
+		}
+		bs.handleControl(pkt, hop)
+	case link != nil && bs.parent == nil:
+		bs.deliverDown(pkt)
 	default:
-		bs.receiveUp(pkt, from)
+		bs.node.Network().Drop(bs.node, pkt, metrics.DropNoRoute)
 	}
-}
-
-// receiveAir handles packets from attached hosts.
-func (bs *BaseStation) receiveAir(pkt *packet.Packet, from *netsim.Node) {
-	hop := Mapping{Air: true}
-	if pkt.Proto == packet.ProtoCellular {
-		bs.handleControl(pkt, hop)
-		return
-	}
-	// Uplink data refreshes the sender's path (CIP integrates location
-	// management with routing) and heads for the gateway.
-	bs.refreshFromData(pkt.Src, hop)
-	bs.forwardUp(pkt)
-}
-
-// receiveUp handles packets arriving from a child station.
-func (bs *BaseStation) receiveUp(pkt *packet.Packet, from *netsim.Node) {
-	hop := Mapping{Via: from}
-	if pkt.Proto == packet.ProtoCellular {
-		bs.handleControl(pkt, hop)
-		return
-	}
-	bs.refreshFromData(pkt.Src, hop)
-	bs.forwardUp(pkt)
-}
-
-func (bs *BaseStation) refreshFromData(src addr.IP, hop Mapping) {
-	if src.IsUnspecified() {
-		return
-	}
-	bs.routing.Replace(src, hop)
-	bs.paging.Replace(src, hop)
 }
 
 // handleControl applies a route/paging update and propagates it toward the
@@ -244,41 +198,6 @@ func (bs *BaseStation) handleControl(pkt *packet.Packet, hop Mapping) {
 		return
 	}
 	packet.Release(pkt)
-}
-
-// forwardUp moves uplink data toward the gateway and out.
-func (bs *BaseStation) forwardUp(pkt *packet.Packet) {
-	if bs.parent != nil {
-		if err := pkt.DecrementTTL(); err != nil {
-			bs.node.Network().Drop(bs.node, pkt, metrics.DropTTL)
-			return
-		}
-		if err := bs.node.SendVia(bs.parent, pkt); err != nil {
-			bs.node.Network().Drop(bs.node, pkt, metrics.DropLinkLoss)
-		}
-		return
-	}
-	// At the gateway. Hosts inside this access network are reached by
-	// turning the packet around; everything else exits via the external
-	// router.
-	if bs.insideDst(pkt.Dst) {
-		bs.deliverDown(pkt)
-		return
-	}
-	if bs.external != nil {
-		bs.external.Forward(pkt)
-		return
-	}
-	bs.node.Network().Drop(bs.node, pkt, metrics.DropNoRoute)
-}
-
-// insideDst reports whether dst belongs to this access network (cache
-// entry or served prefix).
-func (bs *BaseStation) insideDst(dst addr.IP) bool {
-	if len(bs.routing.Lookup(dst)) > 0 || len(bs.paging.Lookup(dst)) > 0 {
-		return true
-	}
-	return bs.served.Bits > 0 && bs.served.Contains(dst)
 }
 
 // deliverDown routes a downlink packet toward its host: routing cache

@@ -21,8 +21,8 @@ func (m Mapping) sameHop(o Mapping) bool { return m.Air == o.Air && m.Via == o.V
 
 // SoftCache is a per-station soft-state location cache: host → downlink
 // mappings with per-entry expiry. It backs both the routing cache
-// (short timeout, refreshed by data and route-updates) and the paging
-// cache (long timeout, refreshed by paging-updates).
+// (short timeout, refreshed by route-updates) and the paging cache (long
+// timeout, refreshed by route- and paging-updates).
 //
 // Hosts sit by value in an open-addressed array whose length is a power
 // of two, like multitier.Table: a host's home slot is its address under
@@ -35,7 +35,13 @@ func (m Mapping) sameHop(o Mapping) bool { return m.Air == o.Air && m.Via == o.V
 // all of them, in order, in spill until a Replace collapses them again,
 // and spill slices are recycled through free. Expiry is lazy: expired
 // mappings are dropped by the next Add or Lookup of their host, and
-// Lookup erases a host with none left.
+// Lookup erases a host with none left. Every new host a Replace or Add
+// inserts also sweeps the next sweepSlots slots for hosts with none left
+// and erases them, so a table that only refresh traffic touches — a
+// routing cache in a run without data, which never looks a host up — is
+// sized by the hosts alive lately, not by every host that ever passed.
+// Erasing such a host is what its next Lookup would do, so no answer
+// changes, and refreshing a host already present sweeps nothing.
 type SoftCache struct {
 	timeout time.Duration
 	sched   *simtime.Scheduler
@@ -43,6 +49,7 @@ type SoftCache struct {
 	used    int // slots holding a host
 	spill   map[addr.IP][]Mapping
 	free    [][]Mapping // emptied spill slices
+	cursor  int         // the next slot the sweep examines
 }
 
 // cacheSlot is one host's entry, 32 bytes: n (0 or 1) mappings in maps,
@@ -56,6 +63,12 @@ type cacheSlot struct {
 
 // minCacheSlots is a cache's length at its first host.
 const minCacheSlots = 8
+
+// sweepSlots is how many slots each insertion sweeps. The cursor passes
+// every slot once per len(slots)/sweepSlots insertions, so a host that
+// expired stays at most that many insertions, and the array stops
+// growing at a small multiple of the hosts alive at once.
+const sweepSlots = 4
 
 // NewSoftCache returns a cache whose entries live for timeout after each
 // refresh.
@@ -78,6 +91,37 @@ func (c *SoftCache) Replace(host addr.IP, m Mapping) {
 	}
 	s.maps[0] = m
 	s.n = 1
+}
+
+// sweep examines the next sweepSlots slots from the cursor and erases
+// every host whose mappings have all expired. Backward-shift deletion
+// only moves hosts toward the hole it closes, so the slot just emptied
+// is examined again and no host slips behind the cursor.
+//
+//mmlint:noalloc
+func (c *SoftCache) sweep() {
+	mask := len(c.slots) - 1
+	now := c.sched.Now()
+	for k := 0; k < sweepSlots; k++ {
+		i := c.cursor & mask
+		if s := &c.slots[i]; s.host != addr.Unspecified && !anyLive(c.mappings(s), now) {
+			c.deleteAt(i)
+			continue
+		}
+		c.cursor = i + 1
+	}
+}
+
+// anyLive reports whether any of maps is still live at now.
+//
+//mmlint:noalloc
+func anyLive(maps []Mapping, now time.Duration) bool {
+	for _, m := range maps {
+		if m.Expires > now {
+			return true
+		}
+	}
+	return false
 }
 
 // Add installs m alongside existing mappings (semisoft semantics),
@@ -204,12 +248,15 @@ func (c *SoftCache) find(host addr.IP) int {
 }
 
 // slot returns host's slot, claiming an empty one (no mappings) when the
-// host has none.
+// host has none; a claim sweeps first.
 //
 //mmlint:noalloc
 func (c *SoftCache) slot(host addr.IP) *cacheSlot {
 	if i := c.find(host); i >= 0 {
 		return &c.slots[i]
+	}
+	if len(c.slots) > 0 {
+		c.sweep()
 	}
 	if 4*(c.used+1) > 3*len(c.slots) {
 		c.grow()

@@ -112,24 +112,31 @@ func checkCacheShape(t *testing.T, c *SoftCache) {
 	}
 }
 
-// checkSameHosts verifies that the cache holds a slot for exactly the
-// hosts the model holds an entry for, expired or not, with the same
-// mappings: lazy expiry keeps what the model keeps and Lookup erases
-// what the model erases.
-func checkSameHosts(t *testing.T, c *SoftCache, ref *mapCache) {
+// checkSameHosts verifies that the cache holds the hosts the model holds
+// an entry for, with the same mappings: lazy expiry keeps what the model
+// keeps and Lookup erases what the model erases. The one difference is
+// the sweep, which may already have erased a host the model still holds
+// with every mapping expired; swept counts those hosts.
+func checkSameHosts(t *testing.T, c *SoftCache, ref *mapCache) (swept int) {
 	t.Helper()
-	if c.used != len(ref.entries) {
-		t.Fatalf("cache holds %d hosts, model %d", c.used, len(ref.entries))
-	}
+	now := c.sched.Now()
 	for host, want := range ref.entries {
 		i := c.find(host)
 		if i < 0 {
-			t.Fatalf("host %v missing from the cache", host)
+			if anyLive(want, now) {
+				t.Fatalf("host %v with live mappings %+v missing from the cache", host, want)
+			}
+			swept++
+			continue
 		}
 		if got := c.mappings(&c.slots[i]); !slices.Equal(got, want) {
 			t.Fatalf("host %v: cache holds %+v, model %+v", host, got, want)
 		}
 	}
+	if c.used != len(ref.entries)-swept {
+		t.Fatalf("cache holds %d hosts, model %d of which %d swept", c.used, len(ref.entries), swept)
+	}
+	return swept
 }
 
 // TestSoftCacheMatchesMapModel runs random Replace/Add/Lookup/Clear
@@ -138,8 +145,10 @@ func checkSameHosts(t *testing.T, c *SoftCache, ref *mapCache) {
 // probe chains form, cross the array end and lose members in the middle;
 // Add draws from four hops, so semisoft mappings pile up past the one a
 // slot holds and their order matters; time steps include exactly one
-// timeout, so mappings expire at now.
+// timeout, so mappings expire at now. Insertions sweep expired hosts the
+// model keeps until their Lookup; the runs must see some swept.
 func TestSoftCacheMatchesMapModel(t *testing.T) {
+	swept := 0
 	base := addr.MustParse("10.0.0.0")
 	var pool []addr.IP
 	for i := uint32(0); i < 12; i++ {
@@ -180,11 +189,45 @@ func TestSoftCacheMatchesMapModel(t *testing.T) {
 				sched.RunUntil(sched.Now() + steps[r.Intn(len(steps))])
 			}
 			checkCacheShape(t, c)
-			checkSameHosts(t, c, ref)
+			swept += checkSameHosts(t, c, ref)
 			if c.Len() != ref.Len() {
 				t.Fatalf("seed %d op %d: Len = %d, model %d", seed, op, c.Len(), ref.Len())
 			}
 		}
+	}
+	if swept == 0 {
+		t.Fatal("no insertion swept an expired host")
+	}
+}
+
+// A station that N hosts pass, one after another, each refreshing its
+// entry a few times and then falling silent, keeps a table sized by the
+// few hosts alive at once, not by N — no Lookup ever erases the silent
+// ones, as in a routing cache in a run without data.
+func TestSoftCacheSizedByLiveHosts(t *testing.T) {
+	const (
+		timeout = time.Second
+		hosts   = 2000
+		alive   = 4 // hosts refreshing at once
+	)
+	sched := simtime.NewScheduler()
+	c := NewSoftCache(timeout, sched)
+	base := addr.MustParse("10.0.0.10")
+	for k := 0; k < hosts; k++ {
+		// Host k arrives now; hosts k-alive+1..k refresh; host k-alive
+		// has gone silent and expires within a timeout.
+		for j := max(0, k-alive+1); j <= k; j++ {
+			c.Replace(base+addr.IP(j), Mapping{Air: true})
+		}
+		sched.RunUntil(sched.Now() + timeout/alive)
+		checkCacheShape(t, c)
+	}
+	if n := len(c.slots); n > 32 {
+		t.Fatalf("%d hosts passed, at most %d alive at once, but the table has %d slots", hosts, alive, n)
+	}
+	sched.RunUntil(sched.Now() + timeout)
+	if c.Len() != 0 {
+		t.Fatalf("%d hosts still live after every host fell silent", c.Len())
 	}
 }
 

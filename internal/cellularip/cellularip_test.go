@@ -54,7 +54,7 @@ func newCIPBed(t *testing.T, cfg Config) *cipBed {
 	mk := func(name string) *netsim.Node { return b.net.NewNode(name) }
 	gwNode := mk("gw")
 	gwNode.AddAddr(addr.MustParse("10.0.0.1"))
-	b.gw = NewGateway(gwNode, addr.MustParsePrefix("10.0.0.0/16"), cfg, b.stats)
+	b.gw = NewBaseStation(gwNode, cfg, b.stats)
 	b.bsL = NewBaseStation(mk("bsL"), cfg, b.stats)
 	b.bsL.Node().AddAddr(addr.MustParse("10.0.0.2"))
 	b.bsR = NewBaseStation(mk("bsR"), cfg, b.stats)
@@ -83,7 +83,6 @@ func newCIPBed(t *testing.T, cfg Config) *cipBed {
 	inetRouter.AddRoute(addr.MustParsePrefix("10.0.0.0/16"), lGW)
 	inetRouter.AddRoute(addr.MustParsePrefix("192.0.2.0/24"), lCN)
 	b.cnRouter.Default = lCN
-	b.gw.External().Default = lGW
 
 	hostNode := mk("host")
 	b.host = NewMobileHost(hostNode, addr.MustParse(hostIP), cfg, b.stats)
@@ -102,19 +101,30 @@ func (b *cipBed) run(t *testing.T, until time.Duration) {
 	b.sched.RunUntil(until)
 }
 
-func TestUplinkDataReachesCN(t *testing.T) {
+// Hosts send no uplink data, so stations forward none: data from the air
+// drops at the serving station as unroutable, and nothing refreshes the
+// caches from it.
+func TestUplinkDataHasNoRoute(t *testing.T) {
 	b := newCIPBed(t, DefaultConfig())
-	var cnGot []*packet.Packet
-	b.cnRouter.Local = netsim.HandlerFunc(func(p *packet.Packet, _ *netsim.Node, _ *netsim.Link) {
-		cnGot = append(cnGot, p)
-	})
-	b.host.AttachHard(b.bsLL)
-	b.host.SendData(packet.New(b.host.IP(), b.cn.Addr(), packet.ClassInteractive, 1, 0, []byte("up")))
+	var drops []metrics.DropReason
+	b.net.SetObserver(dropRecorder(func(r metrics.DropReason) { drops = append(drops, r) }))
+	up := packet.New(b.host.IP(), b.cn.Addr(), packet.ClassInteractive, 1, 0, []byte("up"))
+	if err := b.net.DeliverDirect(b.host.Node(), b.bsLL.Node(), up, b.cfg.AirDelay, 0); err != nil {
+		t.Fatal(err)
+	}
 	b.run(t, time.Second)
-	if len(cnGot) != 1 {
-		t.Fatalf("CN got %d packets", len(cnGot))
+	if len(drops) != 1 || drops[0] != metrics.DropNoRoute {
+		t.Fatalf("drops %v, want one %v", drops, metrics.DropNoRoute)
+	}
+	if b.bsLL.RoutingCache().Len() != 0 || b.gw.RoutingCache().Len() != 0 {
+		t.Fatal("uplink data refreshed a routing cache")
 	}
 }
+
+// dropRecorder adapts a callback to netsim.Observer.
+type dropRecorder func(metrics.DropReason)
+
+func (f dropRecorder) OnDrop(_ *netsim.Node, _ *packet.Packet, r metrics.DropReason) { f(r) }
 
 func TestRouteUpdateBuildsChainAndDownlinkFollows(t *testing.T) {
 	b := newCIPBed(t, DefaultConfig())
@@ -157,9 +167,12 @@ func TestActiveHostRefreshesRoute(t *testing.T) {
 	cfg := DefaultConfig()
 	b := newCIPBed(t, cfg)
 	b.host.AttachHard(b.bsLL)
-	// Keep the host active with periodic data so route updates continue.
+	// Keep the host active with periodic downlink data so route updates
+	// continue.
+	seq := uint32(0)
 	tick := b.sched.Every(300*time.Millisecond, func() {
-		b.host.SendData(packet.New(b.host.IP(), b.cn.Addr(), packet.ClassInteractive, 2, 0, []byte("keep")))
+		seq++
+		b.cnSend(seq)
 	})
 	defer tick.Stop()
 	b.run(t, 5*time.Second)
@@ -309,12 +322,6 @@ func TestHandoffCountsAndDetach(t *testing.T) {
 	if b.host.Serving() != nil {
 		t.Fatal("detach left serving station")
 	}
-	// Sending while detached drops.
-	dropped := b.net.Dropped
-	b.host.SendData(packet.New(b.host.IP(), b.cn.Addr(), packet.ClassInteractive, 9, 0, nil))
-	if b.net.Dropped != dropped+1 {
-		t.Fatal("detached send not dropped")
-	}
 }
 
 // The host hands each (flow, seq) to OnData once, counts repeats as
@@ -349,25 +356,6 @@ func TestDedup(t *testing.T) {
 	deliver(1, 1)
 	if got != 2 {
 		t.Fatal("a seq 64 behind the newest was dropped")
-	}
-}
-
-func TestGatewayTurnaroundHostToHost(t *testing.T) {
-	cfg := DefaultConfig()
-	b := newCIPBed(t, cfg)
-	host2Node := b.net.NewNode("host2")
-	host2 := NewMobileHost(host2Node, addr.MustParse("10.0.0.101"), cfg, b.stats)
-	var got2 []*packet.Packet
-	host2.OnData = func(p *packet.Packet) { got2 = append(got2, p.Clone()) }
-	b.host.AttachHard(b.bsLL)
-	host2.AttachHard(b.bsRR)
-	b.run(t, 100*time.Millisecond)
-	// host -> host2 stays inside the access network, turned around at
-	// the lowest common cache holder.
-	b.host.SendData(packet.New(b.host.IP(), host2.IP(), packet.ClassInteractive, 3, 0, []byte("hi")))
-	b.run(t, 500*time.Millisecond)
-	if len(got2) != 1 {
-		t.Fatalf("host2 got %d packets", len(got2))
 	}
 }
 

@@ -2,9 +2,7 @@ package cellularip
 
 import (
 	"repro/internal/addr"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/packet"
 )
 
 // Accessors, cache edits and host actions no run path calls: the
@@ -35,11 +33,8 @@ func (c *SoftCache) Len() int {
 	now := c.sched.Now()
 	n := 0
 	for i := range c.slots {
-		for _, m := range c.mappings(&c.slots[i]) {
-			if m.Expires > now {
-				n++
-				break
-			}
+		if anyLive(c.mappings(&c.slots[i]), now) {
+			n++
 		}
 	}
 	return n
@@ -65,15 +60,4 @@ func (h *MobileHost) Detach() {
 		h.bs = nil
 	}
 	h.stopTickers()
-}
-
-// SendData emits an uplink data packet through the serving station,
-// marking the host active.
-func (h *MobileHost) SendData(pkt *packet.Packet) {
-	if h.bs == nil {
-		h.node.Network().Drop(h.node, pkt, metrics.DropNoRoute)
-		return
-	}
-	h.goActive()
-	_ = h.node.Network().DeliverDirect(h.node, h.bs.Node(), pkt, h.cfg.AirDelay, h.cfg.AirLoss)
 }

@@ -1,8 +1,10 @@
 // Package cellularip implements the Cellular IP substrate of the paper
 // (§2.2.2, Figs 2.3/2.4): an access network of base stations rooted at a
 // gateway, with per-station soft-state routing caches refreshed by
-// route-update packets and by regular uplink data, paging caches for idle
-// hosts, and both hard and semisoft handoff.
+// route-update packets, paging caches for idle hosts, and both hard and
+// semisoft handoff. The protocol also refreshes caches from uplink data;
+// no experiment sends any, so hosts here send only control uplink and
+// data flows downlink from the gateway.
 //
 // It serves double duty as the micro-tier protocol of the multi-tier
 // architecture and as a standalone baseline scheme in the experiments.

@@ -104,6 +104,44 @@ func TestRunConservation(t *testing.T) {
 	bigMIP.NumMNs = 1100
 	bigMIP.Duration = 3 * time.Second
 	cells["1100/"+string(SchemeMobileIP)] = bigMIP
+	// A Mobile IP crossing fast enough that every MN leaves its first FA:
+	// the FA-to-FA handoff, where packets still tunnelled to the old
+	// care-of address drop there as stale.
+	crossing := shortCfg(SchemeMobileIP)
+	crossing.Mobility = MobilityShuttleDomains
+	crossing.SpeedMPS = 200
+	cells["crossing/"+string(SchemeMobileIP)] = crossing
+	// Every FA down for longer than an MN's whole retry schedule: the
+	// renewals exhaust their retries, the MNs fall back to reattempts,
+	// and they re-register once the FAs recover.
+	outage := shortCfg(SchemeMobileIP)
+	outage.Duration = 40 * time.Second
+	outage.Faults = &faults.Plan{Outages: []faults.OutageSpec{
+		{Tier: topology.TierMacro, Count: 64, Start: 0.1, Duration: 0.6},
+		{Tier: topology.TierRoot, Count: 64, Start: 0.1, Duration: 0.6},
+	}}
+	cells["fa-outage/"+string(SchemeMobileIP)] = outage
+	// checks holds what a cell must show beyond conservation.
+	checks := map[string]func(t *testing.T, s *scenario, res *Result){
+		"crossing/" + string(SchemeMobileIP): func(t *testing.T, s *scenario, res *Result) {
+			if h := res.Summary.Handoffs; h <= uint64(s.cfg.NumMNs) {
+				t.Fatalf("%d handoffs for %d MNs: no MN left its first FA", h, s.cfg.NumMNs)
+			}
+			if res.Registry.Counter("mip.fa.stale_packets").Value() == 0 {
+				t.Fatal("no packet dropped as stale at an old FA")
+			}
+		},
+		"fa-outage/" + string(SchemeMobileIP): func(t *testing.T, s *scenario, res *Result) {
+			if res.Registry.Counter("mip.registration.retry_exhausted").Value() == 0 {
+				t.Fatal("no registration exhausted its retries")
+			}
+			for i := range s.cfg.NumMNs {
+				if !s.sch.registered(i) {
+					t.Fatalf("MN %d not registered after the FAs recovered", i)
+				}
+			}
+		},
+	}
 	for _, name := range slices.Sorted(maps.Keys(cells)) {
 		cfg := cells[name]
 		t.Run(name, func(t *testing.T) {
@@ -112,6 +150,9 @@ func TestRunConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 			res := s.run()
+			if check := checks[name]; check != nil {
+				check(t, s, res)
+			}
 			sum := res.Summary
 			// Every sent packet is delivered, dropped or still in flight
 			// (bicast clones can add drops beyond sent under semisoft, so
@@ -124,7 +165,7 @@ func TestRunConservation(t *testing.T) {
 			}
 			// Hop conservation: every link or air send the network
 			// accepted was delivered to a handler, dropped before
-			// delivery (loss, queue-full, down node, no handler), or is
+			// delivery (loss, down node, no handler), or is
 			// still in flight at the deadline. Protocol-level discards
 			// after delivery are not send fates.
 			n := s.net

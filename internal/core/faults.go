@@ -254,8 +254,9 @@ func (s *scenario) trackRecovery(fm *faultMetrics) {
 // enough relative to the horizon that renewals actually happen inside
 // time-scaled runs.
 // The cap and reattempt cadence scale with the horizon (clamped to sane
-// wall values) so time-scaled golden runs still reach the reattempt loop
-// inside their shortened windows.
+// wall values). No golden reaches the reattempt loop: in every E11 cell
+// the FAs recover, and re-register their MNs, before a retry schedule
+// runs out. TestRunConservation's fa-outage cell drives it.
 func faultMNConfig(cfg mobileip.MNConfig, horizon time.Duration) mobileip.MNConfig {
 	cfg.RetryBackoff = 2
 	cfg.RetryJitter = 0.1

@@ -638,11 +638,7 @@ func (s *scenario) runCellularIP(semisoft bool) (scheme, error) {
 		if ip, err := c.Prefix.Nth(1); err == nil {
 			node.AddAddr(ip)
 		}
-		if c.ID == gwCell.ID {
-			stations[c.ID] = cellularip.NewGateway(node, served, cipCfg, stats)
-		} else {
-			stations[c.ID] = cellularip.NewBaseStation(node, cipCfg, stats)
-		}
+		stations[c.ID] = cellularip.NewBaseStation(node, cipCfg, stats)
 	}
 	linkCfg := netsim.LinkConfig{Delay: 2 * time.Millisecond}
 	for _, c := range s.top.Cells {
@@ -656,7 +652,6 @@ func (s *scenario) runCellularIP(semisoft bool) (scheme, error) {
 	gw := stations[gwCell.ID]
 	lGW := s.net.Connect(s.inet, gw.Node(), netsim.LinkConfig{Delay: wiredDelay})
 	s.inetRouter.AddRoute(served, lGW)
-	gw.External().Default = lGW
 
 	byAddr := make(map[addr.IP]*metrics.Breakdown, s.cfg.NumMNs)
 	ips := make([]addr.IP, s.cfg.NumMNs)

@@ -34,10 +34,11 @@ type LossAccount struct {
 // DropReason attributes a packet drop to its cause.
 type DropReason uint8
 
-// Drop reasons.
+// Drop reasons. Traces print the numbers, so a reason keeps its number
+// for good: 1, link queue overflow, went with the rate-limited links
+// and is not reused.
 const (
-	DropQueueFull DropReason = iota + 1 // link queue overflow
-	DropLinkLoss                        // random link corruption/loss
+	DropLinkLoss  DropReason = iota + 2 // random link corruption/loss
 	DropNoRoute                         // no routing/forwarding entry
 	DropTTL                             // hop limit exceeded
 	DropHandoff                         // lost in flight during handoff
@@ -52,8 +53,6 @@ const (
 // String implements fmt.Stringer.
 func (r DropReason) String() string {
 	switch r {
-	case DropQueueFull:
-		return "queue-full"
 	case DropLinkLoss:
 		return "link-loss"
 	case DropNoRoute:

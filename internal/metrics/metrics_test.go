@@ -197,7 +197,7 @@ func TestLossAccountConservation(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		l.OnDropped(DropHandoff)
 	}
-	l.OnDropped(DropQueueFull)
+	l.OnDropped(DropTTL)
 	l.OnDropped(DropLinkLoss)
 	if l.Dropped() != 9 {
 		t.Fatalf("Dropped = %d", l.Dropped())
@@ -247,7 +247,7 @@ func TestLossAccountEmptyRate(t *testing.T) {
 func TestDropReasonStrings(t *testing.T) {
 	seen := make(map[string]DropReason)
 	defined := 0
-	for r := DropQueueFull; ; r++ {
+	for r := DropLinkLoss; ; r++ {
 		s := r.String()
 		if strings.HasPrefix(s, "drop(") {
 			break
@@ -262,12 +262,19 @@ func TestDropReasonStrings(t *testing.T) {
 		defined++
 	}
 	// The walk must cover every declared reason (DropPreempted is the last).
-	if want := int(DropPreempted-DropQueueFull) + 1; defined != want {
+	if want := int(DropPreempted-DropLinkLoss) + 1; defined != want {
 		t.Fatalf("String covers %d contiguous reasons, want %d — a reason is missing its case", defined, want)
 	}
-	// Undefined values must render distinctly, not collide with names.
+	// Undefined values must render distinctly, not collide with names;
+	// 1 is retired, and the reasons after it keep their numbers.
 	if s := DropReason(99).String(); s != "drop(99)" {
 		t.Fatalf("undefined reason renders %q", s)
+	}
+	if s := DropReason(1).String(); s != "drop(1)" {
+		t.Fatalf("retired reason 1 renders %q", s)
+	}
+	if DropLinkLoss != 2 || DropPreempted != 11 {
+		t.Fatalf("reason numbers moved: link-loss %d, preempted %d", DropLinkLoss, DropPreempted)
 	}
 }
 

@@ -21,15 +21,13 @@ type Binding struct {
 }
 
 // bindingSlot is the HA's record for one home address, kept by value in
-// the HA's binding array: the binding while bound, the expiry-sweep
+// the HA's binding array: the binding while bound, and the expiry-sweep
 // generation, which outlives the binding so that a lapsed registration's
-// sweep cannot drop a newer one, and the node while the MN is on the
-// home link.
+// sweep cannot drop a newer one.
 type bindingSlot struct {
 	Binding
 	generation uint64
 	bound      bool
-	atHome     *netsim.Node
 }
 
 // HomeAgent serves a home network prefix: it answers registrations for
@@ -48,8 +46,6 @@ type HomeAgent struct {
 	// so the array grows by doubling to the highest one seen and never
 	// past the prefix: an index inside it is an address inside it.
 	bindings []bindingSlot
-	// homeAirDelay is the home-link delivery latency.
-	homeAirDelay time.Duration
 	// auth, when armed, requires every registration to carry a fresh
 	// MHAE token inside authWindow of the HA's clock.
 	auth       *auth.Authenticator
@@ -65,11 +61,10 @@ var _ netsim.Handler = (*HomeAgent)(nil)
 // NewStats(nil) gives a private registry.
 func NewHomeAgent(node *netsim.Node, prefix addr.Prefix, stats *Stats) *HomeAgent {
 	ha := &HomeAgent{
-		node:         node,
-		prefix:       prefix,
-		sched:        node.Network().Scheduler(),
-		stats:        stats,
-		homeAirDelay: 2 * time.Millisecond,
+		node:   node,
+		prefix: prefix,
+		sched:  node.Network().Scheduler(),
+		stats:  stats,
 	}
 	ha.router = netsim.NewStaticRouter(node)
 	node.SetHandler(ha)
@@ -239,17 +234,14 @@ func (ha *HomeAgent) handleControl(pkt *packet.Packet) {
 	ha.router.Forward(out)
 }
 
-// intercept tunnels a data packet for a registered visitor, delivers it on
-// the home link when the node is home, or drops it.
+// intercept tunnels a data packet for a registered visitor, or drops
+// it. Mobile nodes never return to the home link, so a home address
+// without a binding has nowhere to go.
 func (ha *HomeAgent) intercept(pkt *packet.Packet) {
-	if b := ha.slot(pkt.Dst); b != nil && b.atHome != nil {
-		_ = ha.node.Network().DeliverDirect(ha.node, b.atHome, pkt, ha.homeAirDelay, 0)
-		return
-	}
 	b, ok := ha.Binding(pkt.Dst)
 	if !ok {
-		// No binding and not at home: Mobile IP loses the packet while the
-		// node is between registrations.
+		// No binding: Mobile IP loses the packet while the node is
+		// between registrations, or after it deregistered.
 		ha.node.Network().Drop(ha.node, pkt, metrics.DropStale)
 		return
 	}

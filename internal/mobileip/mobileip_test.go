@@ -139,19 +139,6 @@ func TestTriangleRoutingDeliversToVisitor(t *testing.T) {
 	}
 }
 
-func TestDeliveryAtHomeWithoutTunnel(t *testing.T) {
-	tb := newTestbed(t)
-	tb.ha.AttachHome(tb.mn.Home(), tb.mn.Node())
-	tb.cnSend(1)
-	tb.sched.RunUntil(time.Second)
-	if len(tb.mnGot) != 1 {
-		t.Fatalf("MN at home received %d packets", len(tb.mnGot))
-	}
-	if tb.stats.Intercepts.Value() != 0 {
-		t.Fatal("home delivery should not tunnel")
-	}
-}
-
 func TestUnboundPacketDropsAsStale(t *testing.T) {
 	tb := newTestbed(t)
 	// MN neither home nor registered.
@@ -261,38 +248,48 @@ func TestRenewalKeepsBindingAlive(t *testing.T) {
 	}
 }
 
-func TestDeregistrationOnReturnHome(t *testing.T) {
+// The HA honours RFC 5944 deregistration — a registration with care-of
+// address 0 — though no mobile node sends one: it accepts the request as
+// a wire packet, the binding goes, and a later packet for the home
+// address drops at the HA as stale.
+func TestDeregistrationDropsBinding(t *testing.T) {
 	tb := newTestbed(t)
 	tb.mn.MoveTo(tb.fa1)
 	tb.sched.RunUntil(time.Second)
-	tb.mn.ReturnHome()
-	tb.ha.AttachHome(tb.mn.Home(), tb.mn.Node())
+	if _, ok := tb.ha.Binding(tb.mn.Home()); !ok {
+		t.Fatal("no binding to deregister")
+	}
+	var codes []ReplyCode
+	tb.cn.SetHandler(netsim.HandlerFunc(func(p *packet.Packet, _ *netsim.Node, _ *netsim.Link) {
+		if msg, err := ParseMessage(p.Payload); err == nil {
+			if r, ok := msg.(*RegistrationReply); ok {
+				codes = append(codes, r.Code)
+			}
+		}
+		packet.Release(p)
+	}))
+	dereg := &RegistrationRequest{Home: tb.mn.Home(), HomeAg: addr.MustParse("172.16.0.1"), ID: 2}
+	tb.cnRouter.Forward(packet.NewControl(tb.cn.Addr(), dereg.HomeAg, packet.ProtoMobileIP, dereg.Marshal()))
 	tb.sched.RunUntil(2 * time.Second)
+	if len(codes) != 1 || codes[0] != CodeAccepted {
+		t.Fatalf("reply codes = %v, want [%v]", codes, CodeAccepted)
+	}
 	if _, ok := tb.ha.Binding(tb.mn.Home()); ok {
 		t.Fatal("binding survived deregistration")
 	}
+	var drops []metrics.DropReason
+	tb.net.SetObserver(dropRecorder(func(r metrics.DropReason) { drops = append(drops, r) }))
 	tb.cnSend(9)
 	tb.sched.RunUntil(3 * time.Second)
-	if len(tb.mnGot) != 1 {
-		t.Fatal("home delivery after deregistration failed")
+	if len(tb.mnGot) != 0 || len(drops) != 1 || drops[0] != metrics.DropStale {
+		t.Fatalf("after deregistration: %d delivered, drops %v, want one %v", len(tb.mnGot), drops, metrics.DropStale)
 	}
 }
 
-func TestUplinkDataPath(t *testing.T) {
-	tb := newTestbed(t)
-	var cnGot []*packet.Packet
-	tb.cnRouter.Local = netsim.HandlerFunc(func(p *packet.Packet, _ *netsim.Node, _ *netsim.Link) {
-		cnGot = append(cnGot, p)
-	})
-	tb.mn.MoveTo(tb.fa1)
-	tb.sched.RunUntil(time.Second)
-	up := packet.New(tb.mn.Home(), tb.cn.Addr(), packet.ClassInteractive, 3, 0, []byte("up"))
-	tb.mn.SendData(up)
-	tb.sched.RunUntil(2 * time.Second)
-	if len(cnGot) != 1 {
-		t.Fatalf("CN received %d uplink packets", len(cnGot))
-	}
-}
+// dropRecorder adapts a callback to netsim.Observer.
+type dropRecorder func(metrics.DropReason)
+
+func (f dropRecorder) OnDrop(_ *netsim.Node, _ *packet.Packet, r metrics.DropReason) { f(r) }
 
 func TestMoveToSameAgentIsNoop(t *testing.T) {
 	tb := newTestbed(t)

@@ -56,9 +56,9 @@ func DefaultMNConfig() MNConfig {
 	}
 }
 
-// MobileNode is the Mobile IP client state machine: it keeps exactly one
-// registration current — either a care-of binding through the serving
-// Foreign Agent or a deregistration when at home.
+// MobileNode is the Mobile IP client state machine: it keeps one care-of
+// binding current through its serving Foreign Agent. It never returns to
+// the home link, so it never deregisters.
 type MobileNode struct {
 	node  *netsim.Node
 	home  addr.IP
@@ -74,7 +74,7 @@ type MobileNode struct {
 	trace      *obs.Trace
 	traceActor int32
 
-	current      *ForeignAgent // nil when at home / detached
+	current      *ForeignAgent // nil before the first attach
 	registered   bool
 	nextID       uint64
 	pendingID    uint64
@@ -137,7 +137,8 @@ func (mn *MobileNode) SetTrace(tr *obs.Trace, actor int32) {
 // Home Agent.
 func (mn *MobileNode) Registered() bool { return mn.registered }
 
-// CurrentAgent returns the serving Foreign Agent, nil when at home.
+// CurrentAgent returns the serving Foreign Agent, nil before the first
+// attach.
 func (mn *MobileNode) CurrentAgent() *ForeignAgent { return mn.current }
 
 // MoveTo associates with a new Foreign Agent: the radio link to the old
@@ -195,22 +196,10 @@ func (mn *MobileNode) sendRegistration(careOf addr.IP, isRetry bool) {
 	if mn.OnLocationSignal != nil {
 		mn.OnLocationSignal()
 	}
-	if mn.current != nil {
-		// Over the air to the FA, which relays (Fig 2.2 step 1b).
-		pkt := packet.NewControl(mn.home, mn.current.Node().Addr(), packet.ProtoMobileIP, req.Marshal())
-		mn.stats.SignalingBytes.Add(uint64(pkt.Size()))
-		_ = mn.node.Network().DeliverDirect(mn.node, mn.current.Node(), pkt, mn.cfg.AirDelay, mn.cfg.AirLoss)
-	} else {
-		// Deregistration sent directly to the HA over the home link: model
-		// as an air hop to the HA node.
-		haNode := mn.node.Network().NodeByAddr(mn.ha)
-		if haNode == nil {
-			return
-		}
-		pkt := packet.NewControl(mn.home, mn.ha, packet.ProtoMobileIP, req.Marshal())
-		mn.stats.SignalingBytes.Add(uint64(pkt.Size()))
-		_ = mn.node.Network().DeliverDirect(mn.node, haNode, pkt, mn.cfg.AirDelay, mn.cfg.AirLoss)
-	}
+	// Over the air to the FA, which relays (Fig 2.2 step 1b).
+	pkt := packet.NewControl(mn.home, mn.current.Node().Addr(), packet.ProtoMobileIP, req.Marshal())
+	mn.stats.SignalingBytes.Add(uint64(pkt.Size()))
+	_ = mn.node.Network().DeliverDirect(mn.node, mn.current.Node(), pkt, mn.cfg.AirDelay, mn.cfg.AirLoss)
 	mn.retryEvt = mn.sched.AfterFIFO(mn.retryDelay(), func() { mn.onRetryTimer(careOf) })
 }
 
@@ -249,7 +238,7 @@ func (mn *MobileNode) onRetryTimer(careOf addr.IP) {
 			// Back off to the reattempt cadence instead of giving up: a
 			// downed agent eventually recovers, and this is the line that
 			// re-registers through it when it does.
-			mn.reattemptEvt = mn.sched.AfterFIFO(mn.cfg.ReattemptInterval, func() { mn.reattempt(careOf) })
+			mn.reattemptEvt = mn.sched.AfterFIFO(mn.cfg.ReattemptInterval, mn.reattempt)
 		}
 		return
 	}
@@ -257,21 +246,18 @@ func (mn *MobileNode) onRetryTimer(careOf addr.IP) {
 	mn.sendRegistration(careOf, true)
 }
 
-func (mn *MobileNode) reattempt(careOf addr.IP) {
-	if mn.registered {
-		return
-	}
-	if mn.current != nil {
+func (mn *MobileNode) reattempt() {
+	if !mn.registered {
 		mn.Reregister()
-		return
 	}
-	mn.startRegistration(careOf)
 }
 
 // Reregister re-attaches to the current agent and starts a fresh
 // registration round. It is the recovery entry point after the serving
 // agent restarts — its visitor list was wiped, so registering without
 // re-attaching would leave downlink packets dropping as stale forever.
+// An MN not yet attached has nothing to re-register; pre-paging can
+// reach one.
 func (mn *MobileNode) Reregister() {
 	if mn.current == nil {
 		return
@@ -322,10 +308,10 @@ func (mn *MobileNode) Receive(pkt *packet.Packet, from *netsim.Node, link *netsi
 		mn.OnRegistered(latency)
 	}
 	// Renew at 80% of the granted lifetime while still attached.
-	if reply.Lifetime > 0 && !reply.CareOf.IsUnspecified() {
+	if reply.Lifetime > 0 {
 		renew := time.Duration(float64(reply.Lifetime) * 0.8)
 		mn.renewEvt = mn.sched.After(renew, func() {
-			if mn.current != nil && mn.current.CareOf() == reply.CareOf {
+			if mn.current.CareOf() == reply.CareOf {
 				mn.registered = false
 				mn.startRegistration(reply.CareOf)
 			}

@@ -12,10 +12,6 @@ import (
 type FabricConfig struct {
 	// WiredDelay is the per-hop delay of the hierarchy links.
 	WiredDelay time.Duration
-	// WiredRateBps bounds hierarchy link throughput (0 = infinite).
-	WiredRateBps float64
-	// QueueLimit bounds hierarchy link queues (0 = unlimited).
-	QueueLimit int
 	// StationConfigFor overrides per-tier station configuration; nil
 	// takes DefaultStationConfig.
 	StationConfigFor func(tier topology.Tier) StationConfig
@@ -58,11 +54,7 @@ func BuildFabric(net *netsim.Network, top *topology.Topology, cfg FabricConfig,
 		st := NewStation(node, cell, top, cfgFor(cell.Tier), dir, stats)
 		f.Stations[cell.ID] = st
 	}
-	linkCfg := netsim.LinkConfig{
-		Delay:      cfg.WiredDelay,
-		RateBps:    cfg.WiredRateBps,
-		QueueLimit: cfg.QueueLimit,
-	}
+	linkCfg := netsim.LinkConfig{Delay: cfg.WiredDelay}
 	for _, cell := range top.Cells {
 		if cell.Parent == topology.NoCell {
 			continue

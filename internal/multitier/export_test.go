@@ -2,9 +2,7 @@ package multitier
 
 import (
 	"repro/internal/addr"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/packet"
 	"repro/internal/topology"
 )
 
@@ -26,16 +24,6 @@ func (m *Mobile) ServingCell() topology.CellID { return m.servingCell }
 
 // State returns active or idle.
 func (m *Mobile) State() HostState { return m.state }
-
-// SendData emits uplink data through the serving station.
-func (m *Mobile) SendData(pkt *packet.Packet) {
-	if m.serving == nil {
-		m.node.Network().Drop(m.node, pkt, metrics.DropNoRoute)
-		return
-	}
-	m.goActive()
-	_ = m.node.Network().DeliverDirect(m.node, m.serving.Node(), pkt, m.cfg.AirDelay, m.cfg.AirLoss)
-}
 
 // Tables exposes the cell tables.
 func (s *Station) Tables() *CellTables { return s.tables }

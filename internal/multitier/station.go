@@ -309,6 +309,8 @@ func (s *Station) childToward(cell topology.CellID) *Station {
 
 // Receive implements netsim.Handler. Ingress classes: air (link == nil),
 // parent (downlink), child (uplink), external (the root's Internet side).
+// MNs send no uplink data: air and child links carry control, plus
+// redirected packets climbing from a child.
 func (s *Station) Receive(pkt *packet.Packet, from *netsim.Node, link *netsim.Link) {
 	switch {
 	case link == nil:
@@ -322,13 +324,14 @@ func (s *Station) Receive(pkt *packet.Packet, from *netsim.Node, link *netsim.Li
 	}
 }
 
-// receiveAir handles packets from attached MNs.
+// receiveAir handles packets from attached MNs: control only, since MNs
+// send no data, so data has no route.
 func (s *Station) receiveAir(pkt *packet.Packet, from *netsim.Node) {
 	if pkt.Proto == packet.ProtoTier {
 		s.consumeControl(pkt, s.cell.ID, from)
 		return
 	}
-	s.forwardUp(pkt)
+	s.node.Network().Drop(s.node, pkt, metrics.DropNoRoute)
 }
 
 // receiveDown handles wired packets from the parent station.
@@ -370,7 +373,8 @@ func (s *Station) receiveUp(pkt *packet.Packet, child *Station) {
 		s.deliverDown(pkt)
 		return
 	}
-	s.forwardUp(pkt)
+	// Uplink data: MNs send none, so it has no route.
+	s.node.Network().Drop(s.node, pkt, metrics.DropNoRoute)
 }
 
 // receiveExternal handles the root's Internet-side traffic: tunnelled
@@ -729,25 +733,6 @@ func (s *Station) sendControlTo(st *Station, pkt *packet.Packet) {
 	if err := s.node.SendVia(st.node, out); err != nil {
 		s.node.Network().Drop(s.node, out, metrics.DropLinkLoss)
 	}
-}
-
-// forwardUp moves uplink data toward the root, with a table turnaround at
-// crossover stations for intra-network destinations.
-func (s *Station) forwardUp(pkt *packet.Packet) {
-	if r, ok := s.tables.Lookup(pkt.Dst); ok {
-		_ = r
-		s.deliverDown(pkt)
-		return
-	}
-	if s.parent != nil {
-		s.sendUpData(pkt)
-		return
-	}
-	if s.external != nil {
-		s.external.Forward(pkt)
-		return
-	}
-	s.node.Network().Drop(s.node, pkt, metrics.DropNoRoute)
 }
 
 func (s *Station) sendUpData(pkt *packet.Packet) {

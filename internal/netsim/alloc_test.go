@@ -10,20 +10,18 @@ import (
 )
 
 // The wired send → deliver → release cycle must be allocation-free in
-// steady state, on an unlimited link (hops ride the delay FIFO) and on a
-// rate-limited one (hops ride the direction's FIFO behind two heap
-// events): packets come from the free list, hops are held by value in
-// rings that stop growing once warm, and the receiver returns the packet
-// to the pool. Asserted (not benchmarked) so a regression fails go test.
-// Packets come from a private arena, not the global sync.Pool, which the
-// race detector's build drops items from at random.
+// steady state: packets come from the free list, hops are held by value
+// in the delay FIFO's ring, which stops growing once warm, and the
+// receiver returns the packet to the pool. Asserted (not benchmarked) so
+// a regression fails go test. Packets come from a private arena, not the
+// global sync.Pool, which the race detector's build drops items from at
+// random.
 func TestLinkSendDeliverAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  LinkConfig
 	}{
 		{"unlimited", LinkConfig{Delay: time.Millisecond}},
-		{"rate-limited", LinkConfig{Delay: time.Millisecond, RateBps: 1e6, QueueLimit: 16}},
 	} {
 		cfg := tc.cfg
 		t.Run(tc.name, func(t *testing.T) {

@@ -22,133 +22,35 @@ type arrival struct {
 	at  time.Duration
 }
 
-// A rate-limited link keeps each direction FIFO: both directions send
-// bursts of mixed sizes at mixed instants, and every packet must arrive
-// at its own serialization end plus the delay, in send order per
-// direction, with QueueLimit drops and QueueDepth exactly as a
-// hand-kept transmitter model predicts.
-func TestRateLimitedArrivalsFIFOPerDirection(t *testing.T) {
-	const (
-		rate  = 80_000 // 10 bytes per ms
-		delay = 3 * time.Millisecond
-		limit = 4
-	)
+// Shortening a link's delay lets a later packet overtake the ones
+// already in flight: each packet keeps the delay it was sent with, and
+// packets sent with one delay arrive in send order.
+func TestSetDelayOvertake(t *testing.T) {
 	net, sched := testNet()
 	a := net.NewNode("a")
 	b := net.NewNode("b")
-	l := net.Connect(a, b, LinkConfig{Delay: delay, RateBps: rate, QueueLimit: limit})
-	got := map[*Node][]arrival{}
-	for _, nd := range []*Node{a, b} {
-		nd := nd
-		nd.SetHandler(HandlerFunc(func(p *packet.Packet, _ *Node, _ *Link) {
-			got[nd] = append(got[nd], arrival{p.Seq, sched.Now()})
-		}))
-	}
-	// model is the transmitter of one direction as the link must behave:
-	// a serialization queue with at most limit packets not yet sent.
-	type model struct {
-		busyUntil time.Duration
-		txEnds    []time.Duration // serialization ends still ahead
-		want      []arrival
-		drops     int
-	}
-	models := map[*Node]*model{a: {}, b: {}}
-	depth := func(m *model) int {
-		n := 0
-		for _, e := range m.txEnds {
-			if e > sched.Now() {
-				n++
-			}
-		}
-		return n
-	}
-	r := simtime.NewRand(7)
-	seq := uint32(0)
-	for k := 0; k < 60; k++ {
-		at := time.Duration(r.Intn(40)) * time.Millisecond
-		from, size := a, 20+r.Intn(200)
-		if r.Bool(0.5) {
-			from = b
-		}
-		s := seq
-		seq++
-		sched.At(at, func() {
-			m := models[from]
-			if q := depth(m); q != l.QueueDepth(from) {
-				t.Fatalf("at %v: QueueDepth(%s) = %d, model %d", sched.Now(), from, l.QueueDepth(from), q)
-			}
-			if depth(m) >= limit {
-				m.drops++
-			} else {
-				start := max(sched.Now(), m.busyUntil)
-				m.busyUntil = start + time.Duration(size*8)*time.Second/rate
-				m.txEnds = append(m.txEnds, m.busyUntil)
-				m.want = append(m.want, arrival{s, m.busyUntil + delay})
-			}
-			if err := from.Send(l, seqPkt(size, s)); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	drops := 0
-	net.SetObserver(obsFunc(func(_ *Node, _ *packet.Packet, reason metrics.DropReason) {
-		if reason != metrics.DropQueueFull {
-			t.Fatalf("unexpected drop %v", reason)
-		}
-		drops++
-	}))
-	sched.Run()
-	for from, to := range map[*Node]*Node{a: b, b: a} {
-		m := models[from]
-		if len(got[to]) != len(m.want) {
-			t.Fatalf("%s -> %s: %d arrivals, want %d", from, to, len(got[to]), len(m.want))
-		}
-		for i := range m.want {
-			if got[to][i] != m.want[i] {
-				t.Fatalf("%s -> %s: arrival %d is %+v, want %+v", from, to, i, got[to][i], m.want[i])
-			}
-		}
-		if l.QueueDepth(from) != 0 {
-			t.Fatalf("QueueDepth(%s) = %d after the drain", from, l.QueueDepth(from))
-		}
-	}
-	if want := models[a].drops + models[b].drops; drops != want || want == 0 {
-		t.Fatalf("queue-full drops = %d, model %d (want some)", drops, want)
-	}
-	if net.InFlight() != 0 || net.Sent != net.Delivered+net.Dropped {
-		t.Fatalf("sent %d, delivered %d, dropped %d, in flight %d", net.Sent, net.Delivered, net.Dropped, net.InFlight())
-	}
-}
-
-// Shortening a rate-limited link's delay lets a later packet overtake
-// the ones already in flight: each packet still arrives at its own
-// instant, carrying its own payload.
-func TestRateLimitedSetDelayOvertake(t *testing.T) {
-	net, sched := testNet()
-	a := net.NewNode("a")
-	b := net.NewNode("b")
-	l := net.Connect(a, b, LinkConfig{Delay: 10 * time.Millisecond, RateBps: 8e6})
+	l := net.Connect(a, b, LinkConfig{Delay: 10 * time.Millisecond})
 	var got []arrival
 	b.SetHandler(HandlerFunc(func(p *packet.Packet, _ *Node, _ *Link) {
 		got = append(got, arrival{p.Seq, sched.Now()})
 	}))
-	// 1000-byte packets serialize in 1 ms at 8 Mb/s.
 	send := func(seq uint32) {
 		if err := a.Send(l, seqPkt(1000, seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	send(0) // done 1 ms, arrives 11 ms
-	send(1) // done 2 ms, arrives 12 ms
+	send(0) // arrives 10 ms
+	sched.RunUntil(time.Millisecond)
+	send(1) // arrives 11 ms
 	l.SetDelay(time.Millisecond)
-	send(2) // done 3 ms, arrives 4 ms
-	send(3) // done 4 ms, arrives 5 ms
+	send(2) // arrives 2 ms
+	send(3) // arrives 2 ms
 	l.SetDelay(9 * time.Millisecond)
-	send(4) // done 5 ms, arrives 14 ms
-	send(5) // done 6 ms, arrives 15 ms
+	send(4) // arrives 10 ms, behind seq 0
+	send(5) // arrives 10 ms
 	sched.Run()
 	ms := time.Millisecond
-	want := []arrival{{2, 4 * ms}, {3, 5 * ms}, {0, 11 * ms}, {1, 12 * ms}, {4, 14 * ms}, {5, 15 * ms}}
+	want := []arrival{{2, 2 * ms}, {3, 2 * ms}, {0, 10 * ms}, {4, 10 * ms}, {5, 10 * ms}, {1, 11 * ms}}
 	if len(got) != len(want) {
 		t.Fatalf("arrivals %+v, want %+v", got, want)
 	}
@@ -160,10 +62,9 @@ func TestRateLimitedSetDelayOvertake(t *testing.T) {
 }
 
 // Every accepted send ends in exactly one way — delivered, dropped before
-// delivery, or still in flight — at any instant, across unlimited and
-// rate-limited links, the air interface, loss, a down receiver, a node
-// without a handler, a queue limit and protocol-level discards (which are
-// not send fates).
+// delivery, or still in flight — at any instant, across links of two
+// delays, the air interface, loss, a down receiver, a node without a
+// handler and protocol-level discards (which are not send fates).
 func TestHopConservation(t *testing.T) {
 	net, sched := testNet()
 	a := net.NewNode("a")
@@ -171,7 +72,7 @@ func TestHopConservation(t *testing.T) {
 	c := net.NewNode("c") // never gets a handler
 	links := []*Link{
 		net.Connect(a, b, LinkConfig{Delay: 2 * time.Millisecond, Loss: 0.1}),
-		net.Connect(a, b, LinkConfig{Delay: 5 * time.Millisecond, RateBps: 1e5, QueueLimit: 2}),
+		net.Connect(a, b, LinkConfig{Delay: 5 * time.Millisecond}),
 		net.Connect(a, c, LinkConfig{Delay: 2 * time.Millisecond}),
 	}
 	b.SetHandler(HandlerFunc(func(p *packet.Packet, _ *Node, _ *Link) {

@@ -1,8 +1,8 @@
 // Package netsim is the discrete-event network substrate: nodes joined by
-// duplex links with propagation delay, finite transmission rate, bounded
-// FIFO queues and random loss. Every protocol entity in the simulator
-// (base stations, gateways, home agents, routers, mobile nodes) is a Node
-// whose Handler reacts to delivered packets.
+// duplex links with a constant propagation delay and random loss. Every
+// protocol entity in the simulator (base stations, gateways, home agents,
+// routers, mobile nodes) is a Node whose Handler reacts to delivered
+// packets.
 //
 // The wired world is built from persistent links; the air interface is a
 // per-delivery call (Network.DeliverDirect) because radio "links" between a
@@ -10,11 +10,9 @@
 // disappear with movement.
 //
 // Packets in flight are held by value, never in per-send records: a
-// constant-delay hop waits in the FIFO of its delay, which posts one
-// handle-less callback per hop on the scheduler's line of that delay; a
-// hop over a link with a rate or a queue bound waits in the FIFO of its
-// link direction. Every accepted send is therefore delivered, dropped,
-// or counted by InFlight.
+// hop waits in the FIFO of its delay, which posts one handle-less
+// callback per hop on the scheduler's line of that delay. Every accepted
+// send is therefore delivered, dropped, or counted by InFlight.
 //
 // A hop is written into its ring cell field by field (hopRing.tail, then
 // hop.put) and its arrival reads the front cell's fields into locals
@@ -76,7 +74,6 @@ type Network struct {
 	rng      *simtime.Rand
 	nodes    []*Node
 	links    []*Link
-	byAddr   map[addr.IP]*Node
 	observer Observer
 	// fifos holds one in-flight FIFO per distinct constant delay, in
 	// creation order; links and air deliveries of equal delay share one.
@@ -94,15 +91,12 @@ type Network struct {
 }
 
 // hop is one packet in flight across a link or the air interface: the
-// state its arrival needs, held by value in a FIFO ring. at is the
-// arrival instant on a rate-limited link direction (see direction) and
-// unused elsewhere.
+// state its arrival needs, held by value in a FIFO ring.
 type hop struct {
 	to   *Node
 	from *Node
 	link *Link // nil for an air delivery
 	pkt  *packet.Packet
-	at   time.Duration
 	lost bool
 }
 
@@ -221,9 +215,6 @@ func (n *Network) InFlight() int {
 	for _, q := range n.fifos {
 		k += q.hops.count
 	}
-	for _, l := range n.links {
-		k += l.dirs[0].hops.count + l.dirs[1].hops.count
-	}
 	return k
 }
 
@@ -231,9 +222,8 @@ func (n *Network) InFlight() int {
 // randomness from a fork of rng.
 func New(sched *simtime.Scheduler, rng *simtime.Rand) *Network {
 	return &Network{
-		sched:  sched,
-		rng:    rng.Fork(),
-		byAddr: make(map[addr.IP]*Node),
+		sched: sched,
+		rng:   rng.Fork(),
 	}
 }
 
@@ -250,9 +240,6 @@ func (n *Network) Links() []*Link {
 	copy(out, n.links)
 	return out
 }
-
-// NodeByAddr returns the node owning ip, or nil.
-func (n *Network) NodeByAddr(ip addr.IP) *Node { return n.byAddr[ip] }
 
 // NewNode creates a node with the given diagnostic name.
 func (n *Network) NewNode(name string) *Node {
@@ -285,10 +272,7 @@ func (nd *Node) String() string { return fmt.Sprintf("%s#%d", nd.name, nd.id) }
 func (nd *Node) SetHandler(h Handler) { nd.handler = h }
 
 // AddAddr registers an address as owned by this node.
-func (nd *Node) AddAddr(ip addr.IP) {
-	nd.addrs = append(nd.addrs, ip)
-	nd.net.byAddr[ip] = nd
-}
+func (nd *Node) AddAddr(ip addr.IP) { nd.addrs = append(nd.addrs, ip) }
 
 // HasAddr reports whether the node owns ip.
 func (nd *Node) HasAddr(ip addr.IP) bool {

@@ -58,34 +58,11 @@ func TestLinkDeliveryDelay(t *testing.T) {
 	}
 }
 
-func TestLinkSerializationDelay(t *testing.T) {
-	net, sched := testNet()
-	a := net.NewNode("a")
-	b := net.NewNode("b")
-	// 8000 bits/s: a 100-byte (800-bit) packet takes 100ms to serialize.
-	l := net.Connect(a, b, LinkConfig{RateBps: 8000})
-	rx := newSink(net)
-	b.SetHandler(rx)
-	if err := a.Send(l, mkPkt(100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send(l, mkPkt(100)); err != nil {
-		t.Fatal(err)
-	}
-	sched.Run()
-	if len(rx.got) != 2 {
-		t.Fatalf("delivered %d packets", len(rx.got))
-	}
-	if rx.at[0] != 100*time.Millisecond || rx.at[1] != 200*time.Millisecond {
-		t.Fatalf("arrival times %v, want 100ms/200ms (back-to-back serialization)", rx.at)
-	}
-}
-
 func TestLinkDuplexIndependentDirections(t *testing.T) {
 	net, sched := testNet()
 	a := net.NewNode("a")
 	b := net.NewNode("b")
-	l := net.Connect(a, b, LinkConfig{RateBps: 8000})
+	l := net.Connect(a, b, LinkConfig{Delay: 100 * time.Millisecond})
 	rxA, rxB := newSink(net), newSink(net)
 	a.SetHandler(rxA)
 	b.SetHandler(rxB)
@@ -96,36 +73,16 @@ func TestLinkDuplexIndependentDirections(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Run()
-	// Directions do not contend: both arrive at 100ms.
+	// Directions do not contend: both arrive at 100ms, each from the
+	// other end.
 	if len(rxA.got) != 1 || len(rxB.got) != 1 {
 		t.Fatalf("deliveries %d/%d", len(rxA.got), len(rxB.got))
 	}
+	if rxA.from[0] != b || rxB.from[0] != a {
+		t.Fatalf("senders %v/%v", rxA.from[0], rxB.from[0])
+	}
 	if rxA.at[0] != 100*time.Millisecond || rxB.at[0] != 100*time.Millisecond {
 		t.Fatalf("duplex directions contended: %v %v", rxA.at, rxB.at)
-	}
-}
-
-func TestLinkQueueOverflow(t *testing.T) {
-	net, sched := testNet()
-	a := net.NewNode("a")
-	b := net.NewNode("b")
-	l := net.Connect(a, b, LinkConfig{RateBps: 8000, QueueLimit: 3})
-	rx := newSink(net)
-	b.SetHandler(rx)
-	drops := 0
-	net.SetObserver(obsFunc(func(at *Node, pkt *packet.Packet, reason metrics.DropReason) {
-		if reason == metrics.DropQueueFull {
-			drops++
-		}
-	}))
-	for i := 0; i < 5; i++ {
-		if err := a.Send(l, mkPkt(100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sched.Run()
-	if len(rx.got) != 3 || drops != 2 {
-		t.Fatalf("delivered=%d dropped=%d, want 3/2", len(rx.got), drops)
 	}
 }
 
@@ -233,17 +190,13 @@ func TestAddrOwnership(t *testing.T) {
 	a := net.NewNode("a")
 	ip := addr.MustParse("10.0.0.9")
 	a.AddAddr(ip)
-	if !a.HasAddr(ip) || net.NodeByAddr(ip) != a {
+	if !a.HasAddr(ip) || net.NewNode("b").HasAddr(ip) {
 		t.Fatal("address registration failed")
 	}
 	if a.Addr() != ip {
 		t.Fatalf("Addr = %v", a.Addr())
 	}
-	a.RemoveAddr(ip)
-	if a.HasAddr(ip) || net.NodeByAddr(ip) != nil {
-		t.Fatal("address removal failed")
-	}
-	if a.Addr() != addr.Unspecified {
+	if net.NewNode("c").Addr() != addr.Unspecified {
 		t.Fatal("addressless node should report unspecified")
 	}
 }
@@ -296,33 +249,6 @@ func TestHandlerlessNodeDrops(t *testing.T) {
 	sched.Run()
 	if net.Dropped != 1 || net.Delivered != 0 {
 		t.Fatalf("handlerless delivery: dropped=%d delivered=%d", net.Dropped, net.Delivered)
-	}
-}
-
-func TestQueueDepthAccounting(t *testing.T) {
-	net, sched := testNet()
-	a := net.NewNode("a")
-	b := net.NewNode("b")
-	l := net.Connect(a, b, LinkConfig{RateBps: 800}) // 1 byte / 10ms
-	b.SetHandler(newSink(net))
-	for i := 0; i < 3; i++ {
-		if err := a.Send(l, mkPkt(50)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if l.QueueDepth(a) != 3 {
-		t.Fatalf("QueueDepth = %d, want 3", l.QueueDepth(a))
-	}
-	if l.QueueDepth(b) != 0 {
-		t.Fatal("reverse direction should be empty")
-	}
-	sched.Run()
-	if l.QueueDepth(a) != 0 {
-		t.Fatalf("QueueDepth after drain = %d", l.QueueDepth(a))
-	}
-	c := net.NewNode("c")
-	if l.QueueDepth(c) != 0 {
-		t.Fatal("non-endpoint QueueDepth should be 0")
 	}
 }
 

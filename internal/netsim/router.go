@@ -40,7 +40,7 @@ func NewStaticRouter(node *Node) *StaticRouter {
 
 // NewDetachedRouter returns a router usable as a forwarding table for node
 // without installing it as the node's handler. Protocol entities that need
-// their own Receive logic (e.g. a Cellular IP gateway) embed one of these
+// their own Receive logic (a multi-tier root station) embed one of these
 // for their wired side.
 func NewDetachedRouter(node *Node) *StaticRouter {
 	return &StaticRouter{node: node}

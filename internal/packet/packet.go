@@ -2,15 +2,16 @@
 // network, including the IP-in-IP encapsulation Mobile IP uses to tunnel
 // packets from a Home Agent to a care-of address.
 //
-// A Packet carries a 20-byte IPv4-like header plus an opaque payload.
-// Control protocols (Mobile IP registration, Cellular IP route updates,
-// multi-tier location messages) marshal their message structs into the
-// payload with encoding/binary, so byte-overhead accounting in experiments
-// reflects real header and message sizes rather than estimates.
+// A Packet is a struct with the fields of a 20-byte IPv4-like header
+// plus an opaque payload; it is never serialised, but Size charges the
+// header bytes. Control protocols (Mobile IP registration, Cellular IP
+// route updates, multi-tier location messages) marshal their message
+// structs into the payload with encoding/binary, so byte-overhead
+// accounting in experiments reflects real header and message sizes
+// rather than estimates.
 package packet
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -26,13 +27,11 @@ const HeaderSize = 20
 // MaxTTL is the initial hop limit for newly created packets.
 const MaxTTL = 64
 
-// Errors returned by Unmarshal and Decapsulate.
+// Errors returned by Encapsulate, Decapsulate and DecrementTTL.
 var (
-	ErrTruncated     = errors.New("packet: truncated")
-	ErrNotTunnel     = errors.New("packet: not an encapsulated packet")
-	ErrTTLExceeded   = errors.New("packet: TTL exceeded")
-	ErrNilPacket     = errors.New("packet: nil packet")
-	ErrPayloadTooBig = errors.New("packet: payload exceeds 64 KiB")
+	ErrNotTunnel   = errors.New("packet: not an encapsulated packet")
+	ErrTTLExceeded = errors.New("packet: TTL exceeded")
+	ErrNilPacket   = errors.New("packet: nil packet")
 )
 
 // Protocol identifies what the payload contains. Values are local to the
@@ -100,9 +99,10 @@ func (c Class) String() string {
 	}
 }
 
-// Packet is one simulated datagram. SentAt is simulation metadata stamped
-// by the traffic source for latency measurement; it is not wire data and
-// does not survive Marshal/Unmarshal.
+// Packet is one simulated datagram. Packets are never serialised: they
+// travel as structs, and Size is what the byte counters charge. SentAt
+// is simulation metadata stamped by the traffic source for latency
+// measurement, not a header field.
 type Packet struct {
 	Src, Dst addr.IP
 	TTL      uint8
@@ -375,81 +375,8 @@ func (p *Packet) Decapsulate() (*Packet, error) {
 	if p == nil {
 		return nil, ErrNilPacket
 	}
-	if p.Proto != ProtoIPinIP {
+	if p.Proto != ProtoIPinIP || p.Inner == nil {
 		return nil, fmt.Errorf("%w: proto %s", ErrNotTunnel, p.Proto)
 	}
-	if p.Inner != nil {
-		return p.Inner, nil
-	}
-	inner, err := Unmarshal(p.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("tunnel payload: %w", err)
-	}
-	return inner, nil
-}
-
-// Marshal renders the packet to wire bytes: 20-byte header + payload.
-// Encapsulated inner packets are marshalled recursively into the payload.
-// Runs never serialise packets; the wire round-trip tests, the
-// FuzzUnmarshal seeds and BenchmarkPacketMarshalUnmarshal encode with it.
-//
-//mmlint:testref wire format: round-trip tests, fuzz seeds and the root benchmark encode with it
-func (p *Packet) Marshal() ([]byte, error) {
-	if p == nil {
-		return nil, ErrNilPacket
-	}
-	payload := p.Payload
-	if p.Proto == ProtoIPinIP && p.Inner != nil {
-		b, err := p.Inner.Marshal()
-		if err != nil {
-			return nil, fmt.Errorf("inner: %w", err)
-		}
-		payload = b
-	}
-	if len(payload) > 0xFFFF {
-		return nil, ErrPayloadTooBig
-	}
-	buf := make([]byte, HeaderSize+len(payload))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(p.Src))
-	binary.BigEndian.PutUint32(buf[4:8], uint32(p.Dst))
-	buf[8] = p.TTL
-	buf[9] = uint8(p.Proto)
-	buf[10] = uint8(p.Class)
-	buf[11] = p.Flags
-	binary.BigEndian.PutUint32(buf[12:16], p.FlowID)
-	binary.BigEndian.PutUint32(buf[16:20], p.Seq)
-	copy(buf[HeaderSize:], payload)
-	return buf, nil
-}
-
-// Unmarshal parses wire bytes produced by Marshal. For tunnel packets the
-// inner packet is reconstructed into Inner.
-func Unmarshal(b []byte) (*Packet, error) {
-	if len(b) < HeaderSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(b))
-	}
-	p := get(nil)
-	p.Src = addr.IP(binary.BigEndian.Uint32(b[0:4]))
-	p.Dst = addr.IP(binary.BigEndian.Uint32(b[4:8]))
-	p.TTL = b[8]
-	p.Proto = Protocol(b[9])
-	p.Class = Class(b[10])
-	p.Flags = b[11]
-	p.FlowID = binary.BigEndian.Uint32(b[12:16])
-	p.Seq = binary.BigEndian.Uint32(b[16:20])
-	rest := b[HeaderSize:]
-	if p.Proto == ProtoIPinIP {
-		inner, err := Unmarshal(rest)
-		if err != nil {
-			Release(p)
-			return nil, fmt.Errorf("inner: %w", err)
-		}
-		p.Inner = inner
-		return p, nil
-	}
-	if len(rest) > 0 {
-		p.Payload = make([]byte, len(rest))
-		copy(p.Payload, rest)
-	}
-	return p, nil
+	return p.Inner, nil
 }

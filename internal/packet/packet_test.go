@@ -1,10 +1,8 @@
 package packet
 
 import (
-	"bytes"
 	"errors"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/addr"
@@ -26,35 +24,6 @@ func TestNewDefaults(t *testing.T) {
 	}
 	if p.Size() != HeaderSize+7 {
 		t.Fatalf("Size = %d", p.Size())
-	}
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	p := New(srcIP, dstIP, ClassConversational, 9, 100, []byte{1, 2, 3, 4, 5})
-	p.Flags = FlagBicast
-	b, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != p.Size() {
-		t.Fatalf("marshalled %d bytes, Size says %d", len(b), p.Size())
-	}
-	q, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Src != p.Src || q.Dst != p.Dst || q.TTL != p.TTL || q.Proto != p.Proto ||
-		q.Class != p.Class || q.Flags != p.Flags || q.FlowID != p.FlowID || q.Seq != p.Seq {
-		t.Fatalf("header mismatch: %+v vs %+v", q, p)
-	}
-	if !bytes.Equal(q.Payload, p.Payload) {
-		t.Fatalf("payload mismatch")
-	}
-}
-
-func TestUnmarshalTruncated(t *testing.T) {
-	if _, err := Unmarshal(make([]byte, HeaderSize-1)); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
 }
 
@@ -97,68 +66,11 @@ func TestDecapsulateNonTunnel(t *testing.T) {
 	if _, err := p.Decapsulate(); !errors.Is(err, ErrNotTunnel) {
 		t.Fatalf("err = %v, want ErrNotTunnel", err)
 	}
-}
-
-func TestTunnelMarshalRoundTrip(t *testing.T) {
-	inner := New(srcIP, dstIP, ClassConversational, 5, 77, []byte("voice-frame"))
-	tun, err := Encapsulate(tunIP, dstIP, inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tun.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != 2*HeaderSize+len(inner.Payload) {
-		t.Fatalf("tunnel wire size = %d", len(b))
-	}
-	q, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Inner == nil {
-		t.Fatal("unmarshal did not reconstruct inner packet")
-	}
-	if q.Inner.Src != inner.Src || q.Inner.Seq != inner.Seq || !bytes.Equal(q.Inner.Payload, inner.Payload) {
-		t.Fatal("inner packet corrupted in round trip")
-	}
-	// Double encapsulation round-trips too (HA chain case).
-	tun2, err := Encapsulate(dstIP, srcIP, tun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := tun2.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := Unmarshal(b2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q2.Inner == nil || q2.Inner.Inner == nil {
-		t.Fatal("double encapsulation lost a layer")
-	}
-	if !bytes.Equal(q2.Inner.Inner.Payload, inner.Payload) {
-		t.Fatal("innermost payload corrupted")
-	}
-}
-
-func TestDecapsulateFromWire(t *testing.T) {
-	inner := New(srcIP, dstIP, ClassStreaming, 1, 2, []byte("x"))
-	tun, _ := Encapsulate(tunIP, dstIP, inner)
-	b, _ := tun.Marshal()
-	q, err := Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Inner = nil // simulate a tunnel packet received as raw bytes
-	q.Payload = b[HeaderSize:]
-	out, err := q.Decapsulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Seq != inner.Seq || !bytes.Equal(out.Payload, inner.Payload) {
-		t.Fatal("wire decapsulation corrupted inner")
+	// A tunnel header with no inner packet carries nothing to unwrap:
+	// only Encapsulate makes tunnels, and it always sets Inner.
+	p.Proto = ProtoIPinIP
+	if _, err := p.Decapsulate(); !errors.Is(err, ErrNotTunnel) {
+		t.Fatalf("empty tunnel: err = %v, want ErrNotTunnel", err)
 	}
 }
 
@@ -241,13 +153,6 @@ func TestDecrementTTL(t *testing.T) {
 	}
 }
 
-func TestPayloadTooBig(t *testing.T) {
-	p := New(srcIP, dstIP, ClassBackground, 0, 0, make([]byte, 0x10000))
-	if _, err := p.Marshal(); !errors.Is(err, ErrPayloadTooBig) {
-		t.Fatalf("err = %v, want ErrPayloadTooBig", err)
-	}
-}
-
 func TestProtocolClassStrings(t *testing.T) {
 	for _, p := range []Protocol{ProtoData, ProtoIPinIP, ProtoMobileIP, ProtoCellular, ProtoTier, ProtoRSMC, Protocol(99)} {
 		if p.String() == "" {
@@ -265,37 +170,5 @@ func TestProtocolClassStrings(t *testing.T) {
 	var nilPkt *Packet
 	if nilPkt.String() == "" {
 		t.Fatal("nil packet String empty")
-	}
-}
-
-// Property: marshal/unmarshal is the identity on headers and payloads.
-func TestMarshalRoundTripProperty(t *testing.T) {
-	prop := func(src, dst uint32, ttl uint8, class uint8, flags uint8, flow, seq uint32, payload []byte) bool {
-		if len(payload) > 1000 {
-			payload = payload[:1000]
-		}
-		p := &Packet{
-			Src: addr.IP(src), Dst: addr.IP(dst),
-			TTL:   ttl,
-			Proto: ProtoData,
-			Class: Class(class%5 + 1),
-			Flags: flags, FlowID: flow, Seq: seq,
-			Payload: payload,
-		}
-		b, err := p.Marshal()
-		if err != nil {
-			return false
-		}
-		q, err := Unmarshal(b)
-		if err != nil {
-			return false
-		}
-		return q.Src == p.Src && q.Dst == p.Dst && q.TTL == p.TTL &&
-			q.Class == p.Class && q.Flags == p.Flags &&
-			q.FlowID == p.FlowID && q.Seq == p.Seq &&
-			bytes.Equal(q.Payload, p.Payload)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

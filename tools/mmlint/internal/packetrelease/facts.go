@@ -28,7 +28,6 @@ var producers = map[analysis.FuncRef]producerFact{
 	{Pkg: packetPkg, Name: "New"}:                         {consumesArg: -1},
 	{Pkg: packetPkg, Name: "NewFrom"}:                     {consumesArg: -1},
 	{Pkg: packetPkg, Name: "NewControl"}:                  {consumesArg: -1},
-	{Pkg: packetPkg, Name: "Unmarshal"}:                   {consumesArg: -1},
 	{Pkg: packetPkg, Name: "Encapsulate"}:                 {consumesArg: 2, condRestore: true},
 	{Pkg: packetPkg, Recv: "Packet", Name: "Clone"}:       {consumesArg: -1},
 	{Pkg: packetPkg, Recv: "Packet", Name: "Decapsulate"}: {consumesArg: -1},
@@ -84,19 +83,16 @@ var sinks = map[analysis.FuncRef]sinkFact{
 	{Pkg: mobileipPkg, Recv: "ForeignAgent", Name: "relayReply"}:       {arg: 0, checked: true},
 	{Pkg: mobileipPkg, Recv: "ForeignAgent", Name: "deliverTunnelled"}: {arg: 0, checked: true},
 	{Pkg: mobileipPkg, Recv: "MobileNode", Name: "Receive"}:            {arg: 0, checked: true},
-	{Pkg: mobileipPkg, Recv: "MobileNode", Name: "SendData"}:           {arg: 0, checked: true},
 
 	// cellularip
 	{Pkg: cellularipPkg, Recv: "BaseStation", Name: "Receive"}:       {arg: 0, checked: true},
 	{Pkg: cellularipPkg, Recv: "BaseStation", Name: "receiveAir"}:    {arg: 0, checked: true},
 	{Pkg: cellularipPkg, Recv: "BaseStation", Name: "receiveUp"}:     {arg: 0, checked: true},
 	{Pkg: cellularipPkg, Recv: "BaseStation", Name: "handleControl"}: {arg: 0, checked: true},
-	{Pkg: cellularipPkg, Recv: "BaseStation", Name: "forwardUp"}:     {arg: 0, checked: true},
 	{Pkg: cellularipPkg, Recv: "BaseStation", Name: "deliverDown"}:   {arg: 0, checked: true},
 	{Pkg: cellularipPkg, Recv: "BaseStation", Name: "sendMapping"}:   {arg: 0, checked: true},
 	{Pkg: cellularipPkg, Recv: "BaseStation", Name: "pageFlood"}:     {arg: 0, checked: true},
 	{Pkg: cellularipPkg, Recv: "MobileHost", Name: "Receive"}:        {arg: 0, checked: true},
-	{Pkg: cellularipPkg, Recv: "MobileHost", Name: "SendData"}:       {arg: 0, checked: true},
 
 	// multitier
 	{Pkg: multitierPkg, Recv: "Station", Name: "Receive"}:         {arg: 0, checked: true},
@@ -106,7 +102,6 @@ var sinks = map[analysis.FuncRef]sinkFact{
 	{Pkg: multitierPkg, Recv: "Station", Name: "receiveExternal"}: {arg: 0, checked: true},
 	{Pkg: multitierPkg, Recv: "Station", Name: "consumeControl"}:  {arg: 0, checked: true},
 	{Pkg: multitierPkg, Recv: "Station", Name: "redirect"}:        {arg: 0, checked: true},
-	{Pkg: multitierPkg, Recv: "Station", Name: "forwardUp"}:       {arg: 0, checked: true},
 	{Pkg: multitierPkg, Recv: "Station", Name: "sendUpData"}:      {arg: 0, checked: true},
 	{Pkg: multitierPkg, Recv: "Station", Name: "deliverDown"}:     {arg: 0, checked: true},
 	{Pkg: multitierPkg, Recv: "Station", Name: "deliverAir"}:      {arg: 0, checked: true},
@@ -116,7 +111,6 @@ var sinks = map[analysis.FuncRef]sinkFact{
 	{Pkg: multitierPkg, Recv: "Station", Name: "dropPreempted"}:   {arg: 0, checked: true},
 	{Pkg: multitierPkg, Recv: "Station", Name: "pageFlood"}:       {arg: 0, checked: true},
 	{Pkg: multitierPkg, Recv: "Mobile", Name: "Receive"}:          {arg: 0, checked: true},
-	{Pkg: multitierPkg, Recv: "Mobile", Name: "SendData"}:         {arg: 0, checked: true},
 }
 
 // borrows are functions that read a packet argument without taking

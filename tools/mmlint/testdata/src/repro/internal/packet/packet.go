@@ -12,7 +12,6 @@ type Packet struct {
 func New() *Packet                                       { return &Packet{} }
 func NewFrom(src, dst uint32) *Packet                    { return &Packet{Src: src, Dst: dst} }
 func NewControl(src, dst uint32, payload []byte) *Packet { return &Packet{Src: src, Dst: dst} }
-func Unmarshal(data []byte) (*Packet, error)             { return &Packet{}, nil }
 
 func Encapsulate(src, dst uint32, inner *Packet) (*Packet, error) {
 	if inner == nil {
